@@ -390,7 +390,7 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
     /// Propagates the first unrecovered read fault; the scan stops there.
     pub fn try_range(&mut self, lo: K, hi: K) -> Result<Vec<(K, V)>, PagerError> {
         let mut out = Vec::new();
-        self.try_range_for_each(lo, hi, |k, v| out.push((k, v)))?;
+        self.range_runs(lo, hi, |run| out.extend_from_slice(run))?;
         Ok(out)
     }
 
@@ -413,6 +413,28 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         hi: K,
         mut visit: impl FnMut(K, V),
     ) -> Result<(), PagerError> {
+        self.range_runs(lo, hi, |run| {
+            for &(k, v) in run {
+                visit(k, v);
+            }
+        })
+    }
+
+    /// Visits the entries with key in `[lo, hi]` as borrowed *leaf runs*:
+    /// one non-empty slice per leaf that holds qualifying entries, in
+    /// key order, straight out of the buffered page — nothing is copied.
+    /// Every other range read of the live tree is a wrapper over this
+    /// walk, so all of them visit the same pages in the same order.
+    ///
+    /// # Errors
+    /// Propagates the first unrecovered read fault; runs already visited
+    /// stay visited.
+    pub fn range_runs(
+        &mut self,
+        lo: K,
+        hi: K,
+        mut visit: impl FnMut(&[(K, V)]),
+    ) -> Result<(), PagerError> {
         if cmp_key(&lo, &hi) == Ordering::Greater {
             return Ok(());
         }
@@ -420,31 +442,23 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         let mut node = self.root;
         for _ in 1..self.height {
             node = match self.store.try_read(node)? {
-                Node::Branch { seps, children } => {
-                    let idx = seps.partition_point(|s| cmp_key(&s.0, &lo) == Ordering::Less);
-                    children[idx]
-                }
+                Node::Branch { seps, children } => children[branch_slot(seps, &lo)],
                 Node::Leaf { .. } => unreachable!("leaf above leaf level"),
             };
         }
-        // Scan the leaf chain.
+        // Walk the leaf chain; only the first leaf can start below `lo`.
         let mut current = Some(node);
+        let mut lo = Some(&lo);
         while let Some(leaf) = current {
             let (entries, next) = match self.store.try_read(leaf)? {
-                Node::Leaf { entries, next } => (entries.clone(), *next),
+                Node::Leaf { entries, next } => (entries.as_slice(), *next),
                 Node::Branch { .. } => unreachable!("branch at leaf level"),
             };
-            for (k, v) in entries {
-                match cmp_key(&k, &hi) {
-                    Ordering::Greater => return Ok(()),
-                    _ => {
-                        if cmp_key(&k, &lo) != Ordering::Less {
-                            visit(k, v);
-                        }
-                    }
-                }
+            let (run, done) = leaf_run(entries, lo.take(), &hi);
+            if !run.is_empty() {
+                visit(run);
             }
-            current = next;
+            current = if done { None } else { next };
         }
         Ok(())
     }
@@ -1300,11 +1314,20 @@ impl<K: Key, V: Copy + Ord + Debug> FrozenTree<K, V> {
     /// Visits every entry with key in `[lo, hi]`, in key order, and
     /// returns the number of pages visited (the snapshot-read analogue
     /// of the query's I/O count).
-    ///
-    /// Mirrors [`BPlusTree::try_range_for_each`] exactly, but over the
-    /// frozen pages: same descent, same leaf-chain walk, same inclusive
-    /// bounds.
     pub fn range_for_each(&self, lo: K, hi: K, mut visit: impl FnMut(K, V)) -> u64 {
+        self.range_runs(lo, hi, |run| {
+            for &(k, v) in run {
+                visit(k, v);
+            }
+        })
+    }
+
+    /// Visits the entries with key in `[lo, hi]` as borrowed leaf runs
+    /// and returns the number of pages visited.
+    ///
+    /// Mirrors [`BPlusTree::range_runs`] exactly, but over the frozen
+    /// pages: same descent, same leaf-chain walk, same inclusive bounds.
+    pub fn range_runs(&self, lo: K, hi: K, mut visit: impl FnMut(&[(K, V)])) -> u64 {
         if cmp_key(&lo, &hi) == Ordering::Greater {
             return 0;
         }
@@ -1314,32 +1337,24 @@ impl<K: Key, V: Copy + Ord + Debug> FrozenTree<K, V> {
         for _ in 1..self.height {
             pages += 1;
             node = match self.page(node) {
-                Node::Branch { seps, children } => {
-                    let idx = seps.partition_point(|s| cmp_key(&s.0, &lo) == Ordering::Less);
-                    children[idx]
-                }
+                Node::Branch { seps, children } => children[branch_slot(seps, &lo)],
                 Node::Leaf { .. } => unreachable!("leaf above leaf level"),
             };
         }
-        // Scan the leaf chain.
+        // Walk the leaf chain; only the first leaf can start below `lo`.
         let mut current = Some(node);
+        let mut lo = Some(&lo);
         while let Some(leaf) = current {
             pages += 1;
             let (entries, next) = match self.page(leaf) {
-                Node::Leaf { entries, next } => (entries, *next),
+                Node::Leaf { entries, next } => (entries.as_slice(), *next),
                 Node::Branch { .. } => unreachable!("branch at leaf level"),
             };
-            for (k, v) in entries {
-                match cmp_key(k, &hi) {
-                    Ordering::Greater => return pages,
-                    _ => {
-                        if cmp_key(k, &lo) != Ordering::Less {
-                            visit(*k, *v);
-                        }
-                    }
-                }
+            let (run, done) = leaf_run(entries, lo.take(), &hi);
+            if !run.is_empty() {
+                visit(run);
             }
-            current = next;
+            current = if done { None } else { next };
         }
         pages
     }
@@ -1348,8 +1363,34 @@ impl<K: Key, V: Copy + Ord + Debug> FrozenTree<K, V> {
     #[must_use]
     pub fn range(&self, lo: K, hi: K) -> Vec<(K, V)> {
         let mut out = Vec::new();
-        self.range_for_each(lo, hi, |k, v| out.push((k, v)));
+        self.range_runs(lo, hi, |run| out.extend_from_slice(run));
         out
+    }
+}
+
+/// The child of a branch to follow for the leftmost entry with key
+/// `>= lo`: the number of separators whose key is below `lo`.
+fn branch_slot<K: Key, V>(seps: &[(K, V)], lo: &K) -> usize {
+    seps.partition_point(|s| cmp_key(&s.0, lo) == Ordering::Less)
+}
+
+/// One leaf's share of a `[lo, hi]` scan: the sub-slice of `entries`
+/// inside the range, and whether the scan ends at this leaf (an entry
+/// above `hi` was seen). `lo` is passed for the first leaf of a walk
+/// only — the descent guarantees every later leaf starts at or above it
+/// — and the last key alone decides `hi`, so a leaf inside the range
+/// costs one comparison instead of two per entry.
+fn leaf_run<'a, K: Key, V>(entries: &'a [(K, V)], lo: Option<&K>, hi: &K) -> (&'a [(K, V)], bool) {
+    let from = lo.map_or(0, |lo| {
+        entries.partition_point(|e| cmp_key(&e.0, lo) == Ordering::Less)
+    });
+    let run = &entries[from..];
+    match run.last() {
+        Some(last) if cmp_key(&last.0, hi) == Ordering::Greater => {
+            let to = run.partition_point(|e| cmp_key(&e.0, hi) != Ordering::Greater);
+            (&run[..to], true)
+        }
+        _ => (run, false),
     }
 }
 
@@ -1539,6 +1580,100 @@ mod tests {
         // The snapshot outlives the tree.
         drop(t);
         assert_eq!(snap.range(3.0, 3.0).len(), 10);
+    }
+
+    /// The per-entry scan the leaf-run walk replaced, kept as the
+    /// reference (over uncounted `peek`s): the entries it reports and
+    /// the pages it visits.
+    fn per_entry_scan(t: &BPlusTree<f64, u64>, lo: f64, hi: f64) -> (Vec<(f64, u64)>, u64) {
+        let mut out = Vec::new();
+        if cmp_key(&lo, &hi) == Ordering::Greater {
+            return (out, 0);
+        }
+        let mut pages = 0u64;
+        let mut node = t.root;
+        for _ in 1..t.height {
+            pages += 1;
+            node = match t.store.peek(node) {
+                Node::Branch { seps, children } => {
+                    let idx = seps.partition_point(|s| cmp_key(&s.0, &lo) == Ordering::Less);
+                    children[idx]
+                }
+                Node::Leaf { .. } => unreachable!("leaf above leaf level"),
+            };
+        }
+        let mut current = Some(node);
+        while let Some(leaf) = current {
+            pages += 1;
+            let (entries, next) = match t.store.peek(leaf) {
+                Node::Leaf { entries, next } => (entries, *next),
+                Node::Branch { .. } => unreachable!("branch at leaf level"),
+            };
+            for &(k, v) in entries {
+                match cmp_key(&k, &hi) {
+                    Ordering::Greater => return (out, pages),
+                    _ => {
+                        if cmp_key(&k, &lo) != Ordering::Less {
+                            out.push((k, v));
+                        }
+                    }
+                }
+            }
+            current = next;
+        }
+        (out, pages)
+    }
+
+    #[test]
+    fn leaf_runs_report_the_entries_and_visit_the_pages_of_the_per_entry_scan() {
+        // Duplicate-heavy keys over 4-entry leaves, churned by deletes;
+        // bounds on and between keys, equal, inverted and unbounded.
+        let mut t: BPlusTree<f64, u64> = BPlusTree::new(small_cfg());
+        let mut z = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            z = z.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (z >> 33) % m
+        };
+        for round in 0..6u64 {
+            for i in 0..150 {
+                #[allow(clippy::cast_precision_loss)]
+                t.insert(next(24) as f64, round * 1000 + i);
+            }
+            for (k, v) in t.collect_all() {
+                if next(3) == 0 {
+                    assert!(t.remove(k, v));
+                }
+            }
+            t.check_invariants(true);
+            let frozen = t.freeze();
+            for _ in 0..200 {
+                #[allow(clippy::cast_precision_loss)]
+                let bound = |pick: u64| match pick {
+                    0 => f64::NEG_INFINITY,
+                    1 => f64::INFINITY,
+                    2 => -0.0,
+                    p => (p - 2) as f64 / 2.0,
+                };
+                let (lo, hi) = (bound(next(52)), bound(next(52)));
+                let (want, want_pages) = per_entry_scan(&t, lo, hi);
+
+                let mut got = Vec::new();
+                let pages = frozen.range_runs(lo, hi, |run| got.extend_from_slice(run));
+                assert_eq!(
+                    (got, pages),
+                    (want.clone(), want_pages),
+                    "frozen [{lo}, {hi}]"
+                );
+
+                t.clear_buffer();
+                let before = t.stats().reads();
+                let mut got = Vec::new();
+                t.range_runs(lo, hi, |run| got.extend_from_slice(run))
+                    .unwrap();
+                let reads = t.stats().reads() - before;
+                assert_eq!((got, reads), (want, want_pages), "live [{lo}, {hi}]");
+            }
+        }
     }
 
     #[test]

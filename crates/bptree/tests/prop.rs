@@ -2,7 +2,7 @@
 //! sorted multiset under arbitrary interleavings of inserts, deletes and
 //! range queries, while maintaining its structural invariants.
 
-use mobidx_bptree::{BPlusTree, TreeConfig};
+use mobidx_bptree::{BPlusTree, FrozenTree, TreeConfig};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -186,5 +186,169 @@ proptest! {
             prop_assert!(tree.remove(k, i as u64));
         }
         prop_assert!(tree.is_empty());
+    }
+}
+
+/// Keys and bounds of the leaf-run properties: a small integer domain
+/// (long duplicate runs that straddle many 4-entry leaves), both zeros,
+/// both infinities, and a few fractions between the integers.
+fn run_key() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        8 => (0u32..20).prop_map(f64::from),
+        1 => Just(0.0f64),
+        1 => Just(-0.0f64),
+        1 => Just(f64::INFINITY),
+        1 => Just(f64::NEG_INFINITY),
+        2 => -2.0f64..22.0,
+    ]
+}
+
+/// One `[lo, hi]` scan checked every way the tree offers it: the runs
+/// of the live tree and of its snapshot concatenate to exactly the
+/// entries a per-entry filter of the whole tree keeps, no run is empty,
+/// the per-entry and collecting wrappers agree, and the pages the
+/// snapshot reports are the reads the live tree pays from a cold pool.
+/// Returns `(entries, pages)`.
+fn check_scan(
+    tree: &mut BPlusTree<f64, u32>,
+    frozen: &FrozenTree<f64, u32>,
+    lo: f64,
+    hi: f64,
+) -> Result<(usize, u64), TestCaseError> {
+    let want: Vec<(f64, u32)> = tree
+        .collect_all()
+        .into_iter()
+        .filter(|&(k, _)| lo <= k && k <= hi)
+        .collect();
+
+    tree.clear_buffer();
+    let reads_before = tree.stats().reads();
+    let mut live = Vec::new();
+    let mut live_runs = 0usize;
+    tree.range_runs(lo, hi, |run| {
+        assert!(!run.is_empty(), "empty live run in [{lo}, {hi}]");
+        live_runs += 1;
+        live.extend_from_slice(run);
+    })
+    .expect("memory backend");
+    let live_reads = tree.stats().reads() - reads_before;
+    prop_assert_eq!(&live, &want, "live runs, [{}, {}]", lo, hi);
+
+    let mut snap = Vec::new();
+    let mut snap_runs = 0usize;
+    let pages = frozen.range_runs(lo, hi, |run| {
+        assert!(!run.is_empty(), "empty frozen run in [{lo}, {hi}]");
+        snap_runs += 1;
+        snap.extend_from_slice(run);
+    });
+    prop_assert_eq!(&snap, &want, "frozen runs, [{}, {}]", lo, hi);
+    prop_assert_eq!(snap_runs, live_runs);
+    prop_assert_eq!(pages, live_reads, "pages vs cold reads, [{}, {}]", lo, hi);
+
+    // The wrappers are the same walk.
+    let mut each = Vec::new();
+    let each_pages = frozen.range_for_each(lo, hi, |k, v| each.push((k, v)));
+    prop_assert_eq!(&each, &want);
+    prop_assert_eq!(each_pages, pages);
+    prop_assert_eq!(&frozen.range(lo, hi), &want);
+    prop_assert_eq!(&tree.range(lo, hi), &want);
+
+    if lo > hi {
+        prop_assert_eq!(pages, 0, "an inverted range touches nothing");
+    } else {
+        // A descent plus at least the landing leaf, and never more
+        // leaves than one per run plus the two boundary leaves.
+        let height = tree.height() as u64;
+        prop_assert!(pages >= height);
+        prop_assert!(pages <= height + live_runs as u64 + 1);
+    }
+    Ok((want.len(), pages))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Leaf runs ≡ the per-entry scan, on random trees (duplicate keys,
+    /// 4-entry leaves, after deletes and merges) and random bounds —
+    /// including `lo == hi`, `lo > hi`, empty ranges, ±0.0, infinities,
+    /// and bounds sitting exactly on leaf edges.
+    #[test]
+    fn leaf_runs_equal_the_per_entry_scan(
+        inserts in prop::collection::vec((run_key(), 0u32..1000), 1..260),
+        removals in prop::collection::vec(0usize..1000, 0..200),
+        bounds in prop::collection::vec((run_key(), run_key()), 8..24),
+        edges in prop::collection::vec((0usize..1000, 0usize..1000), 4..12),
+    ) {
+        let mut tree: BPlusTree<f64, u32> = BPlusTree::new(small_cfg());
+        let mut oracle: Vec<(f64, u32)> = Vec::new();
+        for (k, v) in inserts {
+            if !oracle.contains(&(k, v)) {
+                tree.insert(k, v);
+                oracle.push((k, v));
+            }
+        }
+        for pick in removals {
+            if oracle.is_empty() {
+                break;
+            }
+            let (k, v) = oracle.swap_remove(pick % oracle.len());
+            prop_assert!(tree.remove(k, v));
+        }
+        tree.check_invariants(true);
+        let frozen = tree.freeze();
+
+        // The whole chain, one run per non-empty leaf: where the leaf
+        // edges are.
+        let mut leaves: Vec<Vec<(f64, u32)>> = Vec::new();
+        frozen.range_runs(f64::NEG_INFINITY, f64::INFINITY, |run| leaves.push(run.to_vec()));
+        prop_assert_eq!(leaves.concat(), tree.collect_all());
+
+        for (a, b) in bounds {
+            check_scan(&mut tree, &frozen, a, b)?;
+            check_scan(&mut tree, &frozen, a, a)?;
+            check_scan(&mut tree, &frozen, a.min(b), a.max(b))?;
+        }
+        if !leaves.is_empty() {
+            for (i, j) in edges {
+                let (from, to) = (&leaves[i % leaves.len()], &leaves[j % leaves.len()]);
+                // `lo` on a leaf's last key, `hi` on a leaf's first key.
+                let (lo, hi) = (from[from.len() - 1].0, to[0].0);
+                check_scan(&mut tree, &frozen, lo, hi)?;
+                check_scan(&mut tree, &frozen, lo, lo)?;
+                check_scan(&mut tree, &frozen, hi, hi)?;
+            }
+        }
+    }
+}
+
+/// Page counts of fixed scans over a fixed tree, as the per-entry loop
+/// this walk replaced produced them (taken from the commit before it):
+/// the I/O model — which pages a range scan touches — must not drift.
+#[test]
+fn leaf_run_page_counts_are_pinned() {
+    let mut tree: BPlusTree<f64, u32> = BPlusTree::new(small_cfg());
+    for i in 0..600u32 {
+        tree.insert(f64::from(i * 7 % 41), i);
+    }
+    for i in (0..600u32).step_by(3) {
+        assert!(tree.remove(f64::from(i * 7 % 41), i));
+    }
+    let frozen = tree.freeze();
+    assert_eq!((tree.height(), tree.len()), (6, 400));
+    let inf = f64::INFINITY;
+    // (lo, hi, entries reported, pages visited)
+    let pinned = [
+        (0.0, 40.0, 400, 177),
+        (5.0, 5.0, 9, 11),
+        (10.5, 10.9, 0, 7),
+        (40.0, 40.0, 10, 10),
+        (-inf, 0.0, 10, 10),
+        (17.0, 23.0, 70, 37),
+        (39.5, inf, 10, 10),
+        (20.0, 3.0, 0, 0),
+    ];
+    for (lo, hi, entries, pages) in pinned {
+        let got = check_scan(&mut tree, &frozen, lo, hi).expect("scan");
+        assert_eq!(got, (entries, pages), "[{lo}, {hi}]");
     }
 }

@@ -15,6 +15,7 @@ use mobidx_check::SplitMix;
 use mobidx_pager::{DurableFaultStore, FaultPlan, FileBackend, FsyncPolicy};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Ops in the script. Small enough that a full crash-point sweep
 /// stays fast, large enough for several multi-page commit windows.
@@ -35,11 +36,35 @@ fn small_cfg() -> TreeConfig {
     }
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("mobidx-check-matrix-{tag}-{}", std::process::id()));
+/// A scratch directory removed on drop, so a sweep that panics leaves
+/// nothing behind in the temp dir.
+struct TmpDir(PathBuf);
+
+impl std::ops::Deref for TmpDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A fresh directory path, unique per call: cargo runs the sweeps on
+/// parallel threads of one process, so tag + pid alone would hand two of
+/// them the same store.
+fn tmp_dir(tag: &str) -> TmpDir {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "mobidx-check-matrix-{tag}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    TmpDir(dir)
 }
 
 /// What one scripted run left behind: the last sealed window's
@@ -156,7 +181,6 @@ fn clean_budgets() -> (u64, u64) {
         "windows journal pages, not just commit records"
     );
     assert_recovers_committed(&dir, &outcome, "clean run");
-    std::fs::remove_dir_all(&dir).unwrap();
     (outcome.wal_records, outcome.page_ios)
 }
 
@@ -187,7 +211,6 @@ fn crash_at_every_wal_append_recovers_last_committed_window() {
             );
         }
         assert_recovers_committed(&dir, &outcome, &format!("wal crash after {k} appends"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
     assert!(
         crash_ops.len() > 3,
@@ -210,7 +233,6 @@ fn crash_at_every_page_io_recovers_last_committed_window() {
             crashed += 1;
         }
         assert_recovers_committed(&dir, &outcome, &format!("page crash after {k} I/Os"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
     assert!(
         crashed >= budget,
@@ -235,7 +257,6 @@ fn torn_wal_appends_recover_last_committed_window_across_seeds() {
             crashed += 1;
         }
         assert_recovers_committed(&dir, &outcome, &format!("torn plan seed {seed}"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
     assert!(crashed > 8, "torn sweep crashed only {crashed} of 24 runs");
 }

@@ -1,0 +1,62 @@
+//! Microbenchmarks of the id-assembly kernel (`mobidx_core::ids`):
+//! `finish_ids` on 1k / 10k / 100k shuffled dense ids (a large MOR
+//! answer's leg is ≈ 10k ids drawn from 0..N), and `merge_sorted_ids`
+//! over k = 2 and k = 8 disjoint sorted lists totalling 20k ids (the
+//! facade's merge at S = 2 and S = 8).
+
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use mobidx_core::{finish_ids, merge_sorted_ids};
+
+/// `n` distinct ids below `4 n`, in a deterministic shuffled order.
+fn shuffled_ids(n: u64) -> Vec<u64> {
+    // An odd multiplier is a bijection modulo a power of two.
+    let modulus = (4 * n).next_power_of_two();
+    (0..n)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % modulus)
+        .collect()
+}
+
+fn bench_finish_ids(c: &mut Criterion) {
+    let mut group = c.benchmark_group("id_kernel/finish_ids");
+    group.sample_size(200);
+    for n in [1_000u64, 10_000, 100_000] {
+        let ids = shuffled_ids(n);
+        group.bench_function(format!("n={n}"), |b| {
+            b.iter_batched(
+                || ids.clone(),
+                |mut ids| {
+                    finish_ids(&mut ids);
+                    ids
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    group.finish();
+}
+
+fn bench_merge(c: &mut Criterion) {
+    let mut group = c.benchmark_group("id_kernel/merge_sorted_ids");
+    group.sample_size(200);
+    let mut all = shuffled_ids(20_000);
+    finish_ids(&mut all);
+    for k in [2usize, 8] {
+        // Deal the sorted ids out by hash, as an id-hash shard function
+        // does: k sorted, disjoint, interleaved lists.
+        let mut lists = vec![Vec::new(); k];
+        for &id in &all {
+            lists[(id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize % k].push(id);
+        }
+        let mut out = Vec::new();
+        group.bench_function(format!("k={k}/total=20000"), |b| {
+            b.iter(|| {
+                merge_sorted_ids(&lists, &mut out);
+                out.len()
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_finish_ids, bench_merge);
+criterion_main!(benches);

@@ -1,0 +1,344 @@
+//! The id-assembly kernel: the one place an answer's ids are sorted,
+//! deduplicated and merged.
+//!
+//! Every index method ends a query with "sort the collected ids, drop
+//! duplicates" (the [`Index1D`](crate::Index1D) postcondition), and every
+//! fan-out surface — the sharded facade's legs, the velocity-partitioned
+//! method's bands — then merges lists that already meet it. On a large
+//! answer those two steps, not the tree walk, dominate the CPU bill, so
+//! they live here once:
+//!
+//! * [`finish_ids`] — LSD radix sort over only the bytes that vary across
+//!   the list (object ids are dense small integers: three of eight bytes
+//!   at the paper's N), comparison sort below a fixed length, then dedup;
+//! * [`merge_sorted_ids`] — a branch-free two-way merge over borrowed
+//!   slices, run directly on two lists and as a tournament on more.
+//!
+//! Both borrow one per-thread scratch buffer, so a steady-state read
+//! allocates nothing but the answer it returns.
+
+use std::cell::RefCell;
+
+/// Lists shorter than this are comparison-sorted: a radix pass costs a
+/// 256-bucket histogram and prefix sum whatever the length, which only
+/// pays for itself from a few hundred ids up.
+const RADIX_MIN_LEN: usize = 256;
+
+/// Reused working memory of the kernel, one per thread (snapshot legs
+/// run on the caller's thread and on read-pool helpers alike).
+#[derive(Default)]
+struct Scratch {
+    /// The radix sort's second buffer / the merge's ping-pong partner.
+    ids: Vec<u64>,
+    /// Run ends of the tournament merge's current round.
+    ends: Vec<usize>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Sorts and deduplicates with a comparison sort: the kernel's form for
+/// short id lists and for element types other than ids (the join's id
+/// pairs).
+pub(crate) fn sort_dedup<T: Ord>(items: &mut Vec<T>) {
+    items.sort_unstable();
+    items.dedup();
+}
+
+/// Sorts and deduplicates a result id list in place (the `query`
+/// postcondition).
+pub fn finish_ids(ids: &mut Vec<u64>) {
+    if ids.len() < RADIX_MIN_LEN {
+        sort_dedup(ids);
+        return;
+    }
+    SCRATCH.with_borrow_mut(|scratch| radix_sort(ids, &mut scratch.ids));
+    ids.dedup();
+}
+
+/// LSD radix sort, one counting pass per byte position on which the ids
+/// differ at all.
+fn radix_sort(ids: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+    let first = ids[0];
+    let varying = ids.iter().fold(0, |acc, &id| acc | (id ^ first));
+    let mut shifts = [0u32; 8];
+    let mut bytes = 0usize;
+    for shift in (0..u64::BITS).step_by(8) {
+        if (varying >> shift) & 0xff != 0 {
+            shifts[bytes] = shift;
+            bytes += 1;
+        }
+    }
+    let shifts = &shifts[..bytes];
+    // One read of the list fills the histogram of every varying byte.
+    let mut counts = [[0usize; 256]; 8];
+    let counts = &mut counts[..bytes];
+    for &id in ids.iter() {
+        for (count, &shift) in counts.iter_mut().zip(shifts) {
+            count[usize::from((id >> shift) as u8)] += 1;
+        }
+    }
+    scratch.clear();
+    scratch.resize(ids.len(), 0);
+    for (count, &shift) in counts.iter_mut().zip(shifts) {
+        // Counts become each bucket's next write position.
+        let mut at = 0usize;
+        for c in count.iter_mut() {
+            at += std::mem::replace(c, at);
+        }
+        for &id in ids.iter() {
+            let slot = &mut count[usize::from((id >> shift) as u8)];
+            scratch[*slot] = id;
+            *slot += 1;
+        }
+        std::mem::swap(ids, scratch);
+    }
+}
+
+/// Merges sorted, deduplicated id lists into `out` (cleared first) as
+/// one sorted, deduplicated list. Duplicates *across* lists are
+/// collapsed (shard functions partition objects, so lists are normally
+/// disjoint — but the merge does not rely on it). The lists are only
+/// borrowed: callers lend their legs' buffers and keep them for reuse.
+pub fn merge_sorted_ids<L: AsRef<[u64]>>(lists: &[L], out: &mut Vec<u64>) {
+    out.clear();
+    match lists {
+        [] => {}
+        [only] => out.extend_from_slice(only.as_ref()),
+        [a, b] => merge_two(a.as_ref(), b.as_ref(), out),
+        _ => SCRATCH.with_borrow_mut(|scratch| merge_many(lists, out, scratch)),
+    }
+}
+
+/// Tournament of two-way merges, O(R log k): round one pairs the input
+/// lists up into `out`, later rounds pair the runs of one buffer up
+/// into the other, and the two buffers swap roles (and finally, if need
+/// be, places) — no per-round allocation.
+fn merge_many<L: AsRef<[u64]>>(lists: &[L], out: &mut Vec<u64>, scratch: &mut Scratch) {
+    let Scratch { ids: other, ends } = scratch;
+    ends.clear();
+    for pair in lists.chunks(2) {
+        match pair {
+            [a, b] => merge_two(a.as_ref(), b.as_ref(), out),
+            [a] => out.extend_from_slice(a.as_ref()),
+            _ => unreachable!("chunks(2)"),
+        }
+        ends.push(out.len());
+    }
+    while ends.len() > 1 {
+        other.clear();
+        let mut start = 0usize;
+        let mut merged_runs = 0usize;
+        for pair in 0..ends.len().div_ceil(2) {
+            let mid = ends[2 * pair];
+            let end = ends.get(2 * pair + 1).copied().unwrap_or(mid);
+            merge_two(&out[start..mid], &out[mid..end], other);
+            start = end;
+            ends[merged_runs] = other.len();
+            merged_runs += 1;
+        }
+        ends.truncate(merged_runs);
+        std::mem::swap(out, other);
+    }
+}
+
+/// Appends the merge of two sorted, deduplicated lists to `out`,
+/// collapsing cross-list duplicates.
+///
+/// A step has no data-dependent branch: it writes the smaller head and
+/// advances each cursor by a comparison result, so equal heads advance
+/// both and are written once. That leaves the load → compare → advance
+/// chain as the bottleneck, so the main loop runs two independent
+/// chains — one merging up from the fronts, one merging down from the
+/// backs into the far end of the reserved space — until either list is
+/// down to one unread id; a front-only loop finishes, and the back part
+/// slides down over whatever gap the collapsed duplicates left.
+fn merge_two(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
+    let base = out.len();
+    let room = a.len() + b.len();
+    out.resize(base + room, 0);
+    let dst = &mut out[base..];
+    // Unread ids are a[i..ie] and b[j..je]; dst[..n] and dst[m..] are written.
+    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
+    let (mut ie, mut je, mut m) = (a.len(), b.len(), room);
+    while ie - i >= 2 && je - j >= 2 {
+        let (x, y) = (a[i], b[j]);
+        dst[n] = x.min(y);
+        n += 1;
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+        let (p, q) = (a[ie - 1], b[je - 1]);
+        m -= 1;
+        dst[m] = p.max(q);
+        ie -= usize::from(p >= q);
+        je -= usize::from(q >= p);
+    }
+    while i < ie && j < je {
+        let (x, y) = (a[i], b[j]);
+        dst[n] = x.min(y);
+        n += 1;
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    for rest in [&a[i..ie], &b[j..je]] {
+        dst[n..n + rest.len()].copy_from_slice(rest);
+        n += rest.len();
+    }
+    dst.copy_within(m.., n);
+    out.truncate(base + n + room - m);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn oracle(mut ids: Vec<u64>) -> Vec<u64> {
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    fn finished(mut ids: Vec<u64>) -> Vec<u64> {
+        finish_ids(&mut ids);
+        ids
+    }
+
+    fn merged(lists: &[Vec<u64>]) -> Vec<u64> {
+        let mut out = vec![99; 3]; // stale contents must not survive
+        merge_sorted_ids(lists, &mut out);
+        out
+    }
+
+    /// Deterministic ids confined to the bytes selected by `mask`.
+    fn pseudo_random(n: usize, mask: u64, seed: u64) -> Vec<u64> {
+        let mut z = seed;
+        (0..n)
+            .map(|_| {
+                z = z
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (z >> 7 ^ z << 19) & mask
+            })
+            .collect()
+    }
+
+    #[test]
+    fn finish_ids_matches_sort_dedup_around_the_cutoff_and_at_50k() {
+        for n in [
+            0,
+            1,
+            RADIX_MIN_LEN - 1,
+            RADIX_MIN_LEN,
+            RADIX_MIN_LEN + 1,
+            50_000,
+        ] {
+            for (mask, what) in [
+                (0xff, "one byte"),
+                (0x3_ffff, "dense ids"),
+                (0xff00_0000_00ff_0000, "two far-apart bytes"),
+                (u64::MAX, "all eight bytes"),
+            ] {
+                let ids = pseudo_random(n, mask, n as u64 + 1);
+                assert_eq!(finished(ids.clone()), oracle(ids), "n={n}, {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn finish_ids_handles_extremes_and_degenerate_orders() {
+        let n = RADIX_MIN_LEN * 3;
+        let mut extremes = pseudo_random(n, u64::MAX, 5);
+        extremes.extend([0, u64::MAX, 0, u64::MAX]);
+        assert_eq!(finished(extremes.clone()), oracle(extremes));
+
+        assert_eq!(finished(vec![7; n]), vec![7]);
+        assert_eq!(finished(vec![u64::MAX; n]), vec![u64::MAX]);
+
+        let sorted: Vec<u64> = (0..n as u64).map(|i| i * 3).collect();
+        assert_eq!(finished(sorted.clone()), sorted);
+        let reversed: Vec<u64> = sorted.iter().rev().copied().collect();
+        assert_eq!(finished(reversed), sorted);
+
+        let mut doubled = sorted.clone();
+        doubled.extend_from_slice(&sorted);
+        assert_eq!(finished(doubled), sorted);
+    }
+
+    #[test]
+    fn merge_matches_concat_sort_dedup_for_every_list_count() {
+        for k in [0usize, 1, 2, 3, 8] {
+            for overlap in [false, true] {
+                // Deal 0..600 round-robin-ish into k lists; with overlap
+                // every third id also lands in a second list.
+                let mut lists = vec![Vec::new(); k];
+                for (step, id) in pseudo_random(600, 0xffff, k as u64).into_iter().enumerate() {
+                    if k == 0 {
+                        break;
+                    }
+                    lists[step % k].push(id);
+                    if overlap && step % 3 == 0 {
+                        lists[(step / 3) % k].push(id);
+                    }
+                }
+                for list in &mut lists {
+                    sort_dedup(list);
+                }
+                let want = oracle(lists.concat());
+                assert_eq!(merged(&lists), want, "k={k}, overlap={overlap}");
+                // An empty list in any position changes nothing.
+                for at in 0..=k {
+                    let mut with_empty = lists.clone();
+                    with_empty.insert(at, Vec::new());
+                    assert_eq!(merged(&with_empty), want, "k={k}, empty at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_of_two_is_exact_on_every_pair_of_subsets_of_six_ids() {
+        // Exhaustive over the shapes the two-ended loop can meet: empty,
+        // single-id, identical, nested and interleaved lists.
+        let subset = |bits: u32| (0..6u64).filter(|i| bits >> i & 1 == 1).collect::<Vec<_>>();
+        for a in 0..64 {
+            for b in 0..64 {
+                assert_eq!(
+                    merged(&[subset(a), subset(b)]),
+                    subset(a | b),
+                    "{a:b} {b:b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merge_borrows_slices_as_well_as_vecs() {
+        let (a, b) = ([1u64, 4, 9], [2u64, 4]);
+        let mut out = Vec::new();
+        merge_sorted_ids(&[&a[..], &b[..]], &mut out);
+        assert_eq!(out, vec![1, 2, 4, 9]);
+    }
+
+    proptest! {
+        #[test]
+        fn finish_ids_is_sort_dedup(
+            ids in prop::collection::vec(any::<u64>(), 0..1500),
+            shift in 0u32..64,
+        ) {
+            // Shifting right squeezes the ids into fewer varying bytes
+            // and makes duplicates likely.
+            let ids: Vec<u64> = ids.into_iter().map(|id| id >> shift).collect();
+            prop_assert_eq!(finished(ids.clone()), oracle(ids));
+        }
+
+        #[test]
+        fn merge_is_concat_sort_dedup(
+            lists in prop::collection::vec(prop::collection::vec(0u64..2000, 0..300), 0..9),
+        ) {
+            let lists: Vec<Vec<u64>> = lists.into_iter().map(oracle).collect();
+            prop_assert_eq!(merged(&lists), oracle(lists.concat()));
+        }
+    }
+}

@@ -20,6 +20,7 @@
 //! limits; the 1-D methods demonstrate the rotation machinery.
 
 use crate::dual::{hough_x_query, SpeedBand};
+use crate::ids::finish_ids;
 use crate::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use crate::method::{Index1D, Index2D, IndexStats, IoTotals};
 use mobidx_geom::ProductRegion;
@@ -134,8 +135,7 @@ impl Index2D for Dual4KdIndex {
             });
         }
         self.last_candidates = candidates;
-        out.sort_unstable();
-        out.dedup();
+        finish_ids(out);
     }
 }
 
@@ -203,8 +203,7 @@ impl Index2D for Dual4PtreeIndex {
             });
         }
         self.last_candidates = candidates;
-        out.sort_unstable();
-        out.dedup();
+        finish_ids(out);
     }
 }
 
@@ -316,8 +315,7 @@ impl Index2D for Decomposition2D {
                 .filter(|my| matches_axes(&mx, my, q))
                 .map(|_| mx.id)
         }));
-        out.sort_unstable();
-        out.dedup();
+        finish_ids(out);
     }
 }
 

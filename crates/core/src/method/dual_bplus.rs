@@ -24,6 +24,7 @@
 //! harness; Lemma 1's bound needs them.
 
 use crate::dual::{enlargement_e, hough_y_b, hough_y_interval, SpeedBand};
+use crate::ids::finish_ids;
 use crate::method::{Index1D, IndexStats, IoTotals};
 use mobidx_bptree::{BPlusTree, FrozenTree, TreeConfig};
 use mobidx_interval::{IntervalConfig, IntervalTree};
@@ -65,6 +66,37 @@ impl Default for DualBPlusConfig {
 /// deterministic tie-breaker; the decoded velocity drives the exact
 /// speed filter.
 type ObsValue = (u64, u64);
+
+/// The exact speed filter over one borrowed leaf run of an observation
+/// tree: reconstructs each candidate's trajectory (at `y_r` at time `b`
+/// with the stored speed) and appends `pick` of every one that
+/// [`MorQuery1D::matches`] to `out`. Three candidates in four fail, in
+/// no predictable pattern, so nothing branches on the outcome: every
+/// candidate is written and the write cursor advances by the match bit.
+fn filter_run<T: Copy>(
+    run: &[(f64, ObsValue)],
+    y_r: f64,
+    q: &MorQuery1D,
+    out: &mut Vec<T>,
+    pick: impl Fn(Motion1D) -> T,
+) {
+    let motion = |&(b, (vbits, id)): &(f64, ObsValue)| Motion1D {
+        id,
+        t0: b,
+        y0: y_r,
+        v: f64::from_bits(vbits),
+    };
+    let Some(first) = run.first() else { return };
+    let base = out.len();
+    out.resize(base + run.len(), pick(motion(first)));
+    let mut kept = base;
+    for entry in run {
+        let m = motion(entry);
+        out[kept] = pick(m);
+        kept += usize::from(q.matches(&m));
+    }
+    out.truncate(kept);
+}
 
 #[derive(Debug)]
 struct ObsIndex {
@@ -222,33 +254,26 @@ impl DualBPlusIndex {
 
     /// Case-i query against one observation index: conservative
     /// `b`-ranges for both velocity signs, exact speed filtering.
-    fn query_obs(&mut self, obs_idx: usize, q: &MorQuery1D, sink: &mut impl FnMut(Motion1D)) {
-        let y_r = self.obs[obs_idx].y_r;
+    fn query_obs<T: Copy>(
+        &mut self,
+        obs_idx: usize,
+        q: &MorQuery1D,
+        out: &mut Vec<T>,
+        pick: impl Fn(Motion1D) -> T + Copy,
+    ) {
         let band = self.cfg.band;
-        let mut scanned = 0u64;
-        for positive in [true, false] {
+        let obs = &mut self.obs[obs_idx];
+        let y_r = obs.y_r;
+        let mut scanned = 0usize;
+        for (positive, tree) in [(true, &mut obs.pos_tree), (false, &mut obs.neg_tree)] {
             let (lo, hi) = hough_y_interval(q, &band, y_r, positive);
-            let tree = if positive {
-                &mut self.obs[obs_idx].pos_tree
-            } else {
-                &mut self.obs[obs_idx].neg_tree
-            };
-            tree.range_for_each(lo, hi, |b, (vbits, id)| {
-                scanned += 1;
-                let v = f64::from_bits(vbits);
-                // Reconstruct the trajectory: at y_r at time b, speed v.
-                let m = Motion1D {
-                    id,
-                    t0: b,
-                    y0: y_r,
-                    v,
-                };
-                if q.matches(&m) {
-                    sink(m);
-                }
-            });
+            tree.range_runs(lo, hi, |run| {
+                scanned += run.len();
+                filter_run(run, y_r, q, out, pick);
+            })
+            .expect("pager fault in a range scan (Index1D reads are infallible)");
         }
-        self.last_candidates += scanned;
+        self.last_candidates += scanned as u64;
     }
 
     /// Index of the observation element minimizing the enlargement `E`
@@ -332,23 +357,26 @@ impl DualBPlusIndex {
     /// take case i.
     pub fn query_motions(&mut self, q: &MorQuery1D) -> Vec<Motion1D> {
         let mut out = Vec::new();
-        self.for_each_match(q, |m| out.push(m));
+        self.collect_matches(q, &mut out, |m| m);
         out
     }
 
     /// The matching machinery behind [`DualBPlusIndex::query_motions`]
-    /// and the buffer-reusing
-    /// `query(&QueryRequest::new(&q).with_buffer(..))` path: every
-    /// matching motion is handed to
-    /// `sink` without intermediate materialization, so id-level callers
-    /// skip building a `Vec<Motion1D>` per query entirely.
-    pub fn for_each_match(&mut self, q: &MorQuery1D, mut sink: impl FnMut(Motion1D)) {
+    /// and [`Index1D::search`]: `pick` of every matching motion is
+    /// appended to `out`, so id-level callers never build a
+    /// `Vec<Motion1D>`.
+    fn collect_matches<T: Copy>(
+        &mut self,
+        q: &MorQuery1D,
+        out: &mut Vec<T>,
+        pick: impl Fn(Motion1D) -> T + Copy,
+    ) {
         self.last_candidates = 0;
         let strip = self.strip();
         if self.sub.is_empty() || q.y2 - q.y1 <= strip {
             // Case i: single E-minimizing observation index.
             let best = self.best_obs(q);
-            self.query_obs(best, q, &mut sink);
+            self.query_obs(best, q, out, pick);
             return;
         }
         // Case ii: decompose over fully covered subterrains.
@@ -358,30 +386,29 @@ impl DualBPlusIndex {
         let j_last = ((q.y2 / strip).floor() as usize).min(self.cfg.c); // one past last full strip
         if j_first >= j_last {
             let best = self.best_obs(q);
-            self.query_obs(best, q, &mut sink);
+            self.query_obs(best, q, out, pick);
             return;
         }
         // Full strips: exact window queries on the interval indices
         // (every reported entry is a true hit, so candidates = results
         // for this component).
-        let mut window_hits = 0u64;
+        let before = out.len();
         for j in j_first..j_last {
             self.sub[j].window_for_each(q.t1, q.t2, |id| {
-                window_hits += 1;
                 // The interval index knows residence, not the motion;
                 // report with a placeholder motion reconstructed lazily
                 // by the caller if needed. For id-level answers this is
                 // enough; query_motions callers (2-D decomposition) use
                 // narrow queries that never reach case ii.
-                sink(Motion1D {
+                out.push(pick(Motion1D {
                     id,
                     t0: f64::NAN,
                     y0: f64::NAN,
                     v: f64::NAN,
-                });
+                }));
             });
         }
-        self.last_candidates += window_hits;
+        self.last_candidates += (out.len() - before) as u64;
         // Endpoint slivers.
         #[allow(clippy::cast_precision_loss)]
         let z_first = j_first as f64 * strip;
@@ -390,12 +417,12 @@ impl DualBPlusIndex {
         if q.y1 < z_first {
             let sliver = MorQuery1D { y2: z_first, ..*q };
             let best = self.best_obs(&sliver);
-            self.query_obs(best, &sliver, &mut sink);
+            self.query_obs(best, &sliver, out, pick);
         }
         if q.y2 > z_last {
             let sliver = MorQuery1D { y1: z_last, ..*q };
             let best = self.best_obs(&sliver);
-            self.query_obs(best, &sliver, &mut sink);
+            self.query_obs(best, &sliver, out, pick);
         }
     }
 }
@@ -610,7 +637,7 @@ impl Index1D for DualBPlusIndex {
 
     fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
         out.clear();
-        self.for_each_match(q, |m| out.push(m.id));
+        self.collect_matches(q, out, |m| m.id);
         // Static objects: position is time-invariant, so the MOR query
         // degenerates to a range scan (exact — every scanned entry is a
         // true hit).
@@ -620,8 +647,7 @@ impl Index1D for DualBPlusIndex {
                 .range_for_each(q.y1, q.y2, |_, id| out.push(id));
             self.last_candidates += (out.len() - before) as u64;
         }
-        out.sort_unstable();
-        out.dedup();
+        finish_ids(out);
     }
 
     /// Freezes the observation and static trees into an immutable,
@@ -689,18 +715,9 @@ impl crate::method::FrozenIndex1D for FrozenDualBPlus {
         for positive in [true, false] {
             let (lo, hi) = hough_y_interval(q, &self.band, obs.y_r, positive);
             let tree = if positive { &obs.pos } else { &obs.neg };
-            stats.pages += tree.range_for_each(lo, hi, |b, (vbits, id)| {
-                stats.candidates += 1;
-                let v = f64::from_bits(vbits);
-                let m = Motion1D {
-                    id,
-                    t0: b,
-                    y0: obs.y_r,
-                    v,
-                };
-                if q.matches(&m) {
-                    out.push(id);
-                }
+            stats.pages += tree.range_runs(lo, hi, |run| {
+                stats.candidates += run.len() as u64;
+                filter_run(run, obs.y_r, q, out, |m| m.id);
             });
         }
         if !self.static_tree.is_empty() {
@@ -710,8 +727,7 @@ impl crate::method::FrozenIndex1D for FrozenDualBPlus {
                 .range_for_each(q.y1, q.y2, |_, id| out.push(id));
             stats.candidates += (out.len() - before) as u64;
         }
-        out.sort_unstable();
-        out.dedup();
+        finish_ids(out);
         stats
     }
 }

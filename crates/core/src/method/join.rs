@@ -84,8 +84,7 @@ pub fn within_distance_join(
             }
         }
     }
-    out.sort_unstable();
-    out.dedup();
+    crate::ids::sort_dedup(&mut out);
     out
 }
 

@@ -637,13 +637,6 @@ pub trait Index2D: IndexStats {
     }
 }
 
-/// Sorts and deduplicates a result id list (the `query` postcondition).
-pub(crate) fn finish_ids(mut ids: Vec<u64>) -> Vec<u64> {
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -723,6 +716,8 @@ mod tests {
 
     #[test]
     fn finish_ids_sorts_and_dedups() {
-        assert_eq!(finish_ids(vec![3, 1, 3, 2]), vec![1, 2, 3]);
+        let mut ids = vec![3, 1, 3, 2];
+        crate::ids::finish_ids(&mut ids);
+        assert_eq!(ids, vec![1, 2, 3]);
     }
 }

@@ -135,7 +135,8 @@ impl Mor1Index {
         let mut ids = Vec::new();
         self.tree
             .query(t_q - self.epoch, y1, y2, |o| ids.push(o.id));
-        crate::method::finish_ids(ids)
+        crate::ids::finish_ids(&mut ids);
+        ids
     }
 
     /// I/O statistics of the underlying persistent store.

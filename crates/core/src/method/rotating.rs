@@ -162,7 +162,8 @@ impl<S: DualPlaneStore> RotatingDual<S> {
         // the entries reported by the stores before cross-generation
         // dedup.
         self.last_candidates = ids.len() as u64;
-        crate::method::finish_ids(ids)
+        crate::ids::finish_ids(&mut ids);
+        ids
     }
 
     pub(crate) fn last_candidates(&self) -> u64 {

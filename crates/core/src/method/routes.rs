@@ -9,8 +9,9 @@
 //! yields arc-length intervals, and (3) issuing one 1-D MOR query per
 //! interval on that route's index.
 
+use crate::ids::finish_ids;
 use crate::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
-use crate::method::{finish_ids, Index1D, IndexStats, IoTotals};
+use crate::method::{Index1D, IndexStats, IoTotals};
 use mobidx_geom::Rect2;
 use mobidx_rstar::{RStarConfig, RStarTree};
 use mobidx_workload::{MorQuery1D, Motion1D, Route, RouteObject};
@@ -126,7 +127,8 @@ impl RouteMorIndex {
                 ids.extend_from_slice(&route_ids);
             }
         }
-        finish_ids(ids)
+        finish_ids(&mut ids);
+        ids
     }
 
     /// Flushes and clears every buffer pool.

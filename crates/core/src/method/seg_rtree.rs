@@ -18,7 +18,8 @@
 //! update there), so its answers are defined by segment geometry; the
 //! test oracle clips trajectories the same way.
 
-use crate::method::{finish_ids, Index1D, IndexStats, IoTotals};
+use crate::ids::finish_ids;
+use crate::method::{Index1D, IndexStats, IoTotals};
 use mobidx_geom::{Point2, Rect2, Segment};
 use mobidx_rstar::{RStarConfig, RStarTree};
 use mobidx_workload::{MorQuery1D, Motion1D};
@@ -82,13 +83,13 @@ impl SegRTreeIndex {
     #[must_use]
     pub fn brute_force(&self, objects: &[Motion1D], q: &MorQuery1D) -> Vec<u64> {
         let rect = query_rect(q);
-        finish_ids(
-            objects
-                .iter()
-                .filter(|m| self.segment_of(m).intersects_rect(&rect))
-                .map(|m| m.id)
-                .collect(),
-        )
+        let mut ids = objects
+            .iter()
+            .filter(|m| self.segment_of(m).intersects_rect(&rect))
+            .map(|m| m.id)
+            .collect();
+        finish_ids(&mut ids);
+        ids
     }
 
     fn entry_of(&self, m: &Motion1D) -> (Rect2, (u64, bool)) {
@@ -164,8 +165,7 @@ impl Index1D for SegRTreeIndex {
             }
         });
         self.last_candidates = candidates;
-        out.sort_unstable();
-        out.dedup();
+        finish_ids(out);
     }
 }
 

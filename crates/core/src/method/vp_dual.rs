@@ -72,9 +72,11 @@
 
 use crate::db::sort_by_dual_locality;
 use crate::dual::SpeedBand;
+use crate::ids::merge_sorted_ids;
 use crate::method::{BandIo, FrozenIndex1D, FrozenReadStats, Index1D, IndexStats, IoTotals};
 use mobidx_bptree::TreeConfig;
 use mobidx_workload::{MorQuery1D, Motion1D};
+use std::sync::Mutex;
 
 use super::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 
@@ -163,7 +165,9 @@ pub struct VpDualIndex {
     last_candidates: u64,
     repartitions: u64,
     moved_total: u64,
-    scratch: Vec<u64>,
+    /// Per-band answer buffers of the most recent search, kept for
+    /// their capacity.
+    scratch: Vec<Vec<u64>>,
 }
 
 /// Equal-ratio band edges over `band`: `k` bands whose edges form a
@@ -852,22 +856,22 @@ impl Index1D for VpDualIndex {
     fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
         out.clear();
         self.last_candidates = 0;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for b in 0..self.subs.len() {
+        // One reused answer buffer per band (an empty band's stays
+        // empty); each already meets the sorted-dedup contract, so the
+        // bands merge instead of being sorted again.
+        self.scratch.resize_with(self.subs.len(), Vec::new);
+        for (b, band_ids) in self.scratch.iter_mut().enumerate() {
+            band_ids.clear();
             if self.residents[b] == 0 {
                 continue; // empty band: skip the descents entirely
             }
-            self.subs[b].search(q, &mut scratch);
+            self.subs[b].search(q, band_ids);
             let candidates = self.subs[b].last_candidates();
             self.last_candidates += candidates;
             self.band_query[b].candidates += candidates;
-            self.band_query[b].results += scratch.len() as u64;
-            out.extend_from_slice(&scratch);
+            self.band_query[b].results += band_ids.len() as u64;
         }
-        scratch.clear();
-        self.scratch = scratch;
-        out.sort_unstable();
-        out.dedup();
+        merge_sorted_ids(&self.scratch, out);
     }
 
     fn freeze(&self) -> Option<Box<dyn FrozenIndex1D>> {
@@ -878,7 +882,10 @@ impl Index1D for VpDualIndex {
             }
             views.push(sub.freeze()?);
         }
-        Some(Box::new(FrozenVpDual { views }))
+        Some(Box::new(FrozenVpDual {
+            views,
+            spare: Mutex::default(),
+        }))
     }
 }
 
@@ -887,19 +894,26 @@ impl Index1D for VpDualIndex {
 /// sorted-dedup contract.
 struct FrozenVpDual {
     views: Vec<Box<dyn FrozenIndex1D>>,
+    /// Per-band answer buffers between searches: a search takes a set
+    /// (concurrent readers each get their own) and puts it back.
+    spare: Mutex<Vec<Vec<Vec<u64>>>>,
 }
 
 impl FrozenIndex1D for FrozenVpDual {
     fn search(&self, q: &MorQuery1D, out: &mut Vec<u64>) -> FrozenReadStats {
-        out.clear();
         let mut stats = FrozenReadStats::default();
-        let mut scratch = Vec::new();
-        for view in &self.views {
-            stats = stats.merge(view.search(q, &mut scratch));
-            out.extend_from_slice(&scratch);
+        let mut bands = self
+            .spare
+            .lock()
+            .expect("spare buffers")
+            .pop()
+            .unwrap_or_default();
+        bands.resize_with(self.views.len(), Vec::new);
+        for (view, band_ids) in self.views.iter().zip(&mut bands) {
+            stats = stats.merge(view.search(q, band_ids));
         }
-        out.sort_unstable();
-        out.dedup();
+        merge_sorted_ids(&bands, out);
+        self.spare.lock().expect("spare buffers").push(bands);
         stats
     }
 }

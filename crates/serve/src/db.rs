@@ -547,7 +547,8 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             root.push(leg);
             lists.push(ids);
         }
-        let merged = merge_sorted_ids(&lists);
+        let mut merged = Vec::new();
+        merge_sorted_ids(&lists, &mut merged);
         root.set_attr("candidates", candidates);
         root.set_attr("results", merged.len() as u64);
         let span = root.finish();
@@ -646,8 +647,8 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             }
         }
         let legs: Vec<SnapLeg> = legs.into_iter().map(|l| l.expect("all legs ran")).collect();
-        let lists: Vec<Vec<u64>> = legs.iter().map(|l| l.ids.clone()).collect();
-        let merged = merge_sorted_ids(&lists);
+        let mut merged = Vec::new();
+        merge_sorted_ids(&legs, &mut merged);
         let candidates = legs.iter().map(|l| l.stats.candidates).sum();
         let span = root.map(|mut root| {
             for leg in &legs {
@@ -963,7 +964,8 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         for (shard, rx) in waits {
             lists.push(rx.recv().map_err(|_| ServeError::ShardDown { shard })??);
         }
-        let merged = merge_sorted_ids(&lists);
+        let mut merged = Vec::new();
+        merge_sorted_ids(&lists, &mut merged);
         let mut pool = self.buffers.lock().expect("buffer pool");
         for mut l in lists {
             l.clear();
@@ -1035,6 +1037,13 @@ struct SnapLeg {
     ids: Vec<u64>,
     stats: FrozenReadStats,
     span: Option<Span>,
+}
+
+/// A leg lends its id buffer to the merge.
+impl AsRef<[u64]> for SnapLeg {
+    fn as_ref(&self) -> &[u64] {
+        &self.ids
+    }
 }
 
 /// Runs one per-shard snapshot leg: searches the frozen view, charges
@@ -1110,13 +1119,13 @@ impl ReadView {
     /// read pool), infallible, identical answers forever.
     #[must_use]
     pub fn query(&self, q: &MorQuery1D) -> Vec<u64> {
-        let mut lists = Vec::with_capacity(self.snap.views.len());
-        let mut buf = Vec::new();
-        for view in &self.snap.views {
-            view.search(q, &mut buf);
-            lists.push(std::mem::take(&mut buf));
+        let mut lists = vec![Vec::new(); self.snap.views.len()];
+        for (view, ids) in self.snap.views.iter().zip(&mut lists) {
+            view.search(q, ids);
         }
-        merge_sorted_ids(&lists)
+        let mut merged = Vec::new();
+        merge_sorted_ids(&lists, &mut merged);
+        merged
     }
 }
 

@@ -5,94 +5,41 @@
 //! deduplicated answer — the same contract a single index would have
 //! produced, so callers cannot tell a sharded database from a plain one.
 //!
+//! The merge itself is `mobidx-core`'s id-assembly kernel
+//! ([`mobidx_core::ids`]), shared with the velocity-partitioned method's
+//! band merge; it is re-exported here under its historical path.
+//!
 //! [`Index1D`]: mobidx_core::Index1D
 
-/// Merges sorted, deduplicated id lists into one sorted, deduplicated
-/// list. Duplicates *across* lists are collapsed (shard functions
-/// partition objects, so lists are normally disjoint — but the merge
-/// does not rely on it).
-#[must_use]
-pub fn merge_sorted_ids(lists: &[Vec<u64>]) -> Vec<u64> {
-    // Tournament of two-pointer merges: O(R log k) with a tight inner
-    // loop, instead of a k-wide cursor scan per output element.
-    let nonempty: Vec<&[u64]> = lists
-        .iter()
-        .filter(|l| !l.is_empty())
-        .map(Vec::as_slice)
-        .collect();
-    if nonempty.is_empty() {
-        return Vec::new();
-    }
-    let mut round: Vec<Vec<u64>> = nonempty
-        .chunks(2)
-        .map(|pair| match pair {
-            [a, b] => merge_two(a, b),
-            [a] => a.to_vec(),
-            _ => unreachable!("chunks(2)"),
-        })
-        .collect();
-    while round.len() > 1 {
-        let mut next = Vec::with_capacity(round.len().div_ceil(2));
-        let mut it = round.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(&a, &b)),
-                None => next.push(a),
-            }
-        }
-        round = next;
-    }
-    round.pop().expect("one list left")
-}
-
-/// Two-pointer merge of two sorted, deduplicated lists, collapsing
-/// cross-list duplicates.
-fn merge_two(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
+pub use mobidx_core::merge_sorted_ids;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn merged(lists: &[Vec<u64>]) -> Vec<u64> {
+        let mut out = Vec::new();
+        merge_sorted_ids(lists, &mut out);
+        out
+    }
+
     #[test]
     fn merges_disjoint_lists() {
         let lists = vec![vec![1, 4, 9], vec![2, 3], vec![], vec![5]];
-        assert_eq!(merge_sorted_ids(&lists), vec![1, 2, 3, 4, 5, 9]);
+        assert_eq!(merged(&lists), vec![1, 2, 3, 4, 5, 9]);
     }
 
     #[test]
     fn collapses_cross_list_duplicates() {
         let lists = vec![vec![1, 2, 7], vec![2, 7, 8], vec![7]];
-        assert_eq!(merge_sorted_ids(&lists), vec![1, 2, 7, 8]);
+        assert_eq!(merged(&lists), vec![1, 2, 7, 8]);
     }
 
     #[test]
     fn degenerate_shapes() {
-        assert!(merge_sorted_ids(&[]).is_empty());
-        assert!(merge_sorted_ids(&[vec![], vec![]]).is_empty());
-        assert_eq!(merge_sorted_ids(&[vec![3, 5]]), vec![3, 5]);
+        assert!(merged(&[]).is_empty());
+        assert!(merged(&[vec![], vec![]]).is_empty());
+        assert_eq!(merged(&[vec![3, 5]]), vec![3, 5]);
     }
 
     #[test]
@@ -112,7 +59,7 @@ mod tests {
             }
             all.push(id);
         }
-        let merged = merge_sorted_ids(&lists);
+        let merged = merged(&lists);
         assert_eq!(merged, all);
     }
 }
