@@ -10,7 +10,7 @@ use mobidx_pager::{ByteReader, FixedCodec, PageCodec, PageId};
 ///   `children.len() − 1` separators; child `i` covers entries `e` with
 ///   `seps[i−1] ≤ e < seps[i]` (an entry equal to a separator lives in the
 ///   child to the *right* of it).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Node<K, V> {
     /// A leaf page.
     Leaf {
@@ -26,6 +26,31 @@ pub enum Node<K, V> {
         /// Child page ids.
         children: Vec<PageId>,
     },
+}
+
+/// A node is cloned when the page store copies a page on write
+/// (`Arc::make_mut` on a page a snapshot still shares), and an edit
+/// always follows. The derived clone is exact-capacity, so the insert
+/// behind it would reallocate — copy the leaf a second time and leave a
+/// doubled buffer behind; a leaf copy therefore reserves the one slot
+/// that edit needs.
+impl<K: Clone, V: Clone> Clone for Node<K, V> {
+    fn clone(&self) -> Self {
+        match self {
+            Node::Leaf { entries, next } => {
+                let mut copy = Vec::with_capacity(entries.len() + 1);
+                copy.extend_from_slice(entries);
+                Node::Leaf {
+                    entries: copy,
+                    next: *next,
+                }
+            }
+            Node::Branch { seps, children } => Node::Branch {
+                seps: seps.clone(),
+                children: children.clone(),
+            },
+        }
+    }
 }
 
 impl<K, V> Node<K, V> {
@@ -163,6 +188,22 @@ mod tests {
         };
         assert!(!branch.is_leaf());
         assert_eq!(branch.occupancy(), 2);
+    }
+
+    #[test]
+    fn leaf_clone_has_room_for_the_edit_that_follows() {
+        let leaf: Node<f64, u64> = Node::Leaf {
+            entries: vec![(1.0, 1); 341],
+            next: Some(PageId::from_index(3)),
+        };
+        let Node::Leaf { mut entries, next } = leaf.clone() else {
+            panic!("leaf cloned as branch");
+        };
+        assert_eq!(next, Some(PageId::from_index(3)));
+        let buffer = entries.as_ptr();
+        entries.insert(0, (0.0, 0));
+        assert_eq!(entries.as_ptr(), buffer, "the insert reallocated");
+        assert_eq!(entries.len(), 342);
     }
 
     fn round_trip(node: &Node<f64, u64>) -> Node<f64, u64> {

@@ -873,6 +873,23 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         (0..num).map(|i| base + usize::from(i < rem)).collect()
     }
 
+    /// Merges the sorted `batch` into the sorted `entries` in place:
+    /// the batch is appended, then from the back each batch entry finds
+    /// its slot by binary search and the existing entries above it move
+    /// up as one block — a single entry is `partition_point` + `insert`.
+    /// Existing entries win ties (a batch entry lands behind every
+    /// entry it equals), so the layout is that of sequential insertion.
+    fn merge_sorted(entries: &mut Vec<(K, V)>, batch: &[(K, V)]) {
+        let mut live = entries.len();
+        entries.extend_from_slice(batch);
+        for (pending, e) in batch.iter().enumerate().rev() {
+            let pos = entries[..live].partition_point(|x| cmp_entry(x, e) != Ordering::Greater);
+            entries.copy_within(pos..live, pos + pending + 1);
+            entries[pos + pending] = *e;
+            live = pos;
+        }
+    }
+
     /// Inserts a sorted batch under `node`, returning the promoted
     /// `(separator, right-sibling)` pairs if the node had to split
     /// (possibly several on one level, unlike the single-entry path).
@@ -886,26 +903,33 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         if level == 1 {
             return self.try_insert_batch_leaf(node, batch);
         }
-        let (seps, children) = match self.store.try_read(node)? {
-            Node::Branch { seps, children } => (seps.clone(), children.clone()),
+        // One borrowed read of the branch: cut the sorted batch into the
+        // contiguous run routed to each child (entries equal to a
+        // separator go right, as in `route`) and keep only the non-empty
+        // groups, each as `(slot, child, end)`.
+        let mut groups: Vec<(usize, PageId, usize)> = Vec::new();
+        match self.store.try_read(node)? {
+            Node::Branch { seps, children } => {
+                let mut start = 0usize;
+                while start < batch.len() {
+                    let slot = Self::route(seps, &batch[start]);
+                    let end = seps.get(slot).map_or(batch.len(), |sep| {
+                        start
+                            + batch[start..]
+                                .partition_point(|e| cmp_entry(e, sep) == Ordering::Less)
+                    });
+                    groups.push((slot, children[slot], end));
+                    start = end;
+                }
+            }
             Node::Leaf { .. } => unreachable!("leaf above leaf level"),
-        };
-        // Partition the sorted batch into the contiguous run routed to
-        // each child (entries equal to a separator go right, as in
-        // `route`), and recurse per non-empty group.
+        }
         let mut spliced: Vec<(usize, Vec<((K, V), PageId)>)> = Vec::new();
         let mut start = 0usize;
-        for (i, &child) in children.iter().enumerate() {
-            let end = if i < seps.len() {
-                start + batch[start..].partition_point(|e| cmp_entry(e, &seps[i]) == Ordering::Less)
-            } else {
-                batch.len()
-            };
-            if end > start {
-                let promoted = self.try_insert_batch_rec(child, level - 1, &batch[start..end])?;
-                if !promoted.is_empty() {
-                    spliced.push((i, promoted));
-                }
+        for (slot, child, end) in groups {
+            let promoted = self.try_insert_batch_rec(child, level - 1, &batch[start..end])?;
+            if !promoted.is_empty() {
+                spliced.push((slot, promoted));
             }
             start = end;
         }
@@ -970,43 +994,39 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
 
     /// Merges a sorted batch into one leaf. Without overflow this costs a
     /// single fault-in and a single dirty page regardless of the batch
-    /// size; with overflow the merged run is cut into balanced chunks and
-    /// the new right siblings are allocated right-to-left so the sibling
-    /// chain threads through them exactly once.
+    /// size, and the leaf is edited where it lives; with overflow the
+    /// merged run is cut into balanced chunks and the new right siblings
+    /// are allocated right-to-left so the sibling chain threads through
+    /// them exactly once.
     #[allow(clippy::type_complexity)]
     fn try_insert_batch_leaf(
         &mut self,
         node: PageId,
         batch: &[(K, V)],
     ) -> Result<Vec<((K, V), PageId)>, PagerError> {
-        let (existing, old_next) = match self.store.try_read(node)? {
-            Node::Leaf { entries, next } => (entries.clone(), *next),
+        let leaf_cap = self.cfg.leaf_cap;
+        // The counted read decides whether the batch fits; only a leaf
+        // that overflows is copied out.
+        let (overflow, old_next) = match self.store.try_read(node)? {
+            Node::Leaf { entries, next } => {
+                let overflow = (entries.len() + batch.len() > leaf_cap).then(|| {
+                    let mut merged = Vec::with_capacity(entries.len() + batch.len());
+                    merged.extend_from_slice(entries);
+                    Self::merge_sorted(&mut merged, batch);
+                    merged
+                });
+                (overflow, *next)
+            }
             Node::Branch { .. } => unreachable!("branch at leaf level"),
         };
-        // Merge the two sorted runs; existing entries win ties so the
-        // result matches sequential insertion order.
-        let mut merged = Vec::with_capacity(existing.len() + batch.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < existing.len() && j < batch.len() {
-            if cmp_entry(&batch[j], &existing[i]) == Ordering::Less {
-                merged.push(batch[j]);
-                j += 1;
-            } else {
-                merged.push(existing[i]);
-                i += 1;
-            }
-        }
-        merged.extend_from_slice(&existing[i..]);
-        merged.extend_from_slice(&batch[j..]);
-
-        if merged.len() <= self.cfg.leaf_cap {
-            self.store.try_write(node, move |n| match n {
-                Node::Leaf { entries, .. } => *entries = merged,
+        let Some(mut merged) = overflow else {
+            self.store.try_write(node, |n| match n {
+                Node::Leaf { entries, .. } => Self::merge_sorted(entries, batch),
                 Node::Branch { .. } => unreachable!(),
             })?;
             return Ok(Vec::new());
-        }
-        let sizes = Self::chunk_sizes(merged.len(), self.cfg.leaf_cap);
+        };
+        let sizes = Self::chunk_sizes(merged.len(), leaf_cap);
         let mut next_link = old_next;
         let mut promoted = Vec::with_capacity(sizes.len() - 1);
         let mut end = merged.len();
@@ -1236,9 +1256,10 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
             Node::Branch { seps, .. } => seps[sep_idx],
             Node::Leaf { .. } => unreachable!(),
         };
-        let rhs_node = self.store.try_read(rhs)?.clone();
-        let _ = self.store.try_free(rhs)?;
-        match rhs_node {
+        // The counted read (the fault-in the model charges); the
+        // contents come out of the free itself.
+        self.store.try_read(rhs)?;
+        match self.store.try_free(rhs)? {
             Node::Leaf { entries, next } => {
                 self.store.try_write(lhs, |n| {
                     if let Node::Leaf {

@@ -352,3 +352,332 @@ fn leaf_run_page_counts_are_pinned() {
         assert_eq!(got, (entries, pages), "[{lo}, {hi}]");
     }
 }
+
+// ----------------------------------------------------------------------
+// The batched insert: the entries of a sequential loop, the page accesses
+// of the batch walk it replaced.
+// ----------------------------------------------------------------------
+
+/// Values of base entries are multiples of this, batch entries sit at
+/// fixed offsets inside a stride, and every separator is an entry that
+/// was once inserted — so `(k, v + 1 ..)` sorts directly behind a base
+/// entry `(k, v)` and routes to the very leaf that holds it.
+const STRIDE: u32 = 1000;
+
+/// Keys of the batch properties: few distinct values (duplicate runs
+/// across many tiny leaves) and both zeros, which tie with each other
+/// but differ in bits — the one place where "existing entries win ties"
+/// shows in the chain.
+fn batch_key() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        6 => (0u32..12).prop_map(f64::from),
+        2 => Just(0.0f64),
+        1 => Just(-0.0f64),
+        2 => -2.0f64..14.0,
+    ]
+}
+
+fn bits(entries: &[(f64, u32)]) -> Vec<(u64, u32)> {
+    entries.iter().map(|&(k, v)| (k.to_bits(), v)).collect()
+}
+
+/// Builds the same churned tree twice (unique entries, then removals
+/// that drive borrows and merges), so one copy can take a batch and the
+/// other the same entries one by one.
+fn churned_pair(
+    cfg: TreeConfig,
+    inserts: &[(f64, u32)],
+    removals: &[usize],
+) -> [BPlusTree<f64, u32>; 2] {
+    [(); 2].map(|()| {
+        let mut tree: BPlusTree<f64, u32> = BPlusTree::new(cfg);
+        let mut live: Vec<(f64, u32)> = Vec::new();
+        for &(k, v) in inserts {
+            let e = (k, v * STRIDE);
+            if !live.contains(&e) {
+                tree.insert(e.0, e.1);
+                live.push(e);
+            }
+        }
+        for &pick in removals {
+            if live.is_empty() {
+                break;
+            }
+            let (k, v) = live.swap_remove(pick % live.len());
+            assert!(tree.remove(k, v));
+        }
+        tree
+    })
+}
+
+/// `insert_batch(batch)` on one tree ≡ `insert` of each entry on its
+/// twin: the same chain (keys compared by bit pattern, so a `-0.0`
+/// placed before the `0.0` it ties with is seen), the same length,
+/// invariants and leaf links intact.
+fn check_batch(
+    pair: &mut [BPlusTree<f64, u32>; 2],
+    batch: &[(f64, u32)],
+) -> Result<(), TestCaseError> {
+    let [batched, sequential] = pair;
+    batched.insert_batch(batch);
+    for &(k, v) in batch {
+        sequential.insert(k, v);
+    }
+    prop_assert_eq!(batched.len(), sequential.len());
+    prop_assert_eq!(
+        bits(&batched.collect_all()),
+        bits(&sequential.collect_all()),
+        "batch {:?}",
+        batch
+    );
+    batched.check_invariants(true);
+    batched.check_leaf_links();
+    Ok(())
+}
+
+/// The tree's leaves in chain order, read off a snapshot as one run per
+/// (non-empty) leaf.
+fn leaves_of(tree: &BPlusTree<f64, u32>) -> Vec<Vec<(f64, u32)>> {
+    let mut leaves = Vec::new();
+    tree.freeze()
+        .range_runs(f64::NEG_INFINITY, f64::INFINITY, |run| {
+            leaves.push(run.to_vec());
+        });
+    leaves
+}
+
+/// The `pick`-th base entry of the tree and the leaf that holds it.
+fn anchor_and_leaf(tree: &BPlusTree<f64, u32>, pick: usize) -> ((f64, u32), Vec<(f64, u32)>) {
+    let leaves = leaves_of(tree);
+    let anchors: Vec<(f64, u32)> = leaves
+        .iter()
+        .flatten()
+        .filter(|e| e.1 % STRIDE == 0)
+        .copied()
+        .collect();
+    let anchor = anchors[pick % anchors.len()];
+    let leaf = leaves
+        .into_iter()
+        .find(|leaf| bits(leaf).contains(&(anchor.0.to_bits(), anchor.1)))
+        .expect("the anchor is in some leaf");
+    (anchor, leaf)
+}
+
+/// `n` fresh entries directly behind `anchor`, all bound for its leaf.
+fn behind(anchor: (f64, u32), offset: u32, n: usize) -> Vec<(f64, u32)> {
+    (0..u32::try_from(n).unwrap())
+        .map(|j| (anchor.0, anchor.1 + offset + j))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random churned trees with tiny nodes, then a batch of every shape
+    /// the leaf merge and the multi-way split distinguish.
+    #[test]
+    fn insert_batch_equals_sequential_inserts(
+        leaf_cap in 2usize..7,
+        branch_cap in 3usize..6,
+        inserts in prop::collection::vec((batch_key(), 0u32..400), 0..160),
+        removals in prop::collection::vec(0usize..1000, 0..120),
+        random in prop::collection::vec((batch_key(), 0u32..400), 0..40),
+        picks in prop::collection::vec(0usize..1000, 3..4),
+        levels in 1usize..4,
+    ) {
+        let cfg = TreeConfig { leaf_cap, branch_cap, buffer_pages: 4 };
+        let mut pair = churned_pair(cfg, &inserts, &removals);
+
+        // Empty; random and sorted; single.
+        check_batch(&mut pair, &[])?;
+        let mut batch: Vec<(f64, u32)> = Vec::new();
+        for (k, v) in random {
+            let e = (k, v * STRIDE + 900);
+            if !batch.contains(&e) {
+                batch.push(e);
+            }
+        }
+        batch.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        check_batch(&mut pair, &batch)?;
+        if let Some(&(k, v)) = batch.first() {
+            check_batch(&mut pair, &[(k, v + 1)])?;
+        }
+        // Below every entry of the first leaf, above every entry of the
+        // last.
+        check_batch(&mut pair, &[(-9.0, 0), (-9.0, STRIDE), (-8.5, 0)])?;
+        check_batch(&mut pair, &[(99.0, 0), (99.5, 0)])?;
+
+        // A leaf filled to exactly `leaf_cap`, then overflowed by one.
+        let (anchor, leaf) = anchor_and_leaf(&pair[0], picks[0]);
+        check_batch(&mut pair, &behind(anchor, 1, leaf_cap - leaf.len()))?;
+        let (_, full) = anchor_and_leaf(&pair[0], picks[0]);
+        if leaf.len() < leaf_cap {
+            prop_assert_eq!(full.len(), leaf_cap, "the batch was bound for one leaf");
+        }
+        check_batch(&mut pair, &behind(anchor, 100, 1))?;
+        // One leaf, its ancestors and (on shallow trees) the root split
+        // several ways at once.
+        let (anchor, _) = anchor_and_leaf(&pair[0], picks[1]);
+        let fanout = leaf_cap * branch_cap.pow(u32::try_from(levels).unwrap() - 1);
+        check_batch(&mut pair, &behind(anchor, 300, fanout + 1))?;
+        // All equal to an existing entry — spelled with the other zero
+        // where the key is one — while its leaf has room: exact
+        // duplicates are tolerated but may not straddle a split, so
+        // this shape comes last.
+        let (anchor, leaf) = anchor_and_leaf(&pair[0], picks[2]);
+        let tie = if anchor.0 == 0.0 { -anchor.0 } else { anchor.0 };
+        check_batch(&mut pair, &vec![(tie, anchor.1); (leaf_cap - leaf.len()).min(2)])?;
+    }
+}
+
+/// A seeded churn through a 4-page pool: a bulk-loaded 10k-entry tree
+/// takes `rounds` rounds of `apply_batch`, each `batch` removals and
+/// `batch` insertions. A quarter of the insertions aim at one narrow
+/// key band (leaves overflow and split, several ways when the batch is
+/// large) and a quarter of the removals at one short stretch of the
+/// chain (leaves drain, borrow and merge). Returns the pager's view of
+/// it: `[reads, writes, hits, evictions, allocs, frees]`.
+fn churn_io(batch: usize, rounds: usize, seed: u64) -> [u64; 6] {
+    let mut state = seed;
+    let mut next = move || {
+        // splitmix64, spelled out here so that the pinned counters below
+        // cannot move with the workspace's `rand` stand-in.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let cfg = TreeConfig {
+        leaf_cap: 16,
+        branch_cap: 16,
+        buffer_pages: 4,
+    };
+    // Sorted throughout, so a position in it is a place in the chain.
+    let mut live: Vec<(f64, u32)> = (0..10_000u32).map(|i| (f64::from(i / 4), i)).collect();
+    let mut tree = BPlusTree::bulk_load(cfg, &live, 0.7);
+    let mut fresh = 10_000u32;
+    for _ in 0..rounds {
+        let mut removes = Vec::with_capacity(batch);
+        let mut inserts = Vec::with_capacity(batch);
+        for _ in 0..batch {
+            let pick = if next() % 4 == 0 {
+                live.len() / 3 + usize::try_from(next() % 64).unwrap()
+            } else {
+                usize::try_from(next() % live.len() as u64).unwrap()
+            };
+            removes.push(live.remove(pick));
+            #[allow(clippy::cast_precision_loss)]
+            let key = if next() % 4 == 0 {
+                1000.0 + (next() % 8) as f64
+            } else {
+                (next() % 2500) as f64
+            };
+            inserts.push((key, fresh));
+            fresh += 1;
+        }
+        removes.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        inserts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(tree.apply_batch(&removes, &inserts), batch);
+        live.extend_from_slice(&inserts);
+        live.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    }
+    tree.clear_buffer();
+    // Loose occupancy: the bulk load may leave its last branch short.
+    tree.check_invariants(false);
+    assert_eq!(bits(&tree.collect_all()), bits(&live));
+    let io = tree.stats();
+    [
+        io.reads(),
+        io.writes(),
+        io.hits(),
+        io.evictions(),
+        io.allocated(),
+        io.freed(),
+    ]
+}
+
+/// The contract of the batched write path is its page-access sequence:
+/// which page is read, written or allocated, in which order. Through a
+/// 4-page LRU pool every change to that sequence moves these counters,
+/// which were taken from the batch walk as it stood before node edits
+/// went in place (the commit before this test) and must never drift.
+#[test]
+fn batch_churn_io_is_pinned() {
+    // (batch, rounds, seed) -> [reads, writes, hits, evictions, allocs, frees]
+    assert_eq!(churn_io(1, 1500, 21), [9031, 4363, 7834, 10034, 1042, 36]);
+    assert_eq!(churn_io(8, 400, 22), [17505, 8247, 13612, 18524, 1108, 86]);
+    assert_eq!(
+        churn_io(64, 120, 23),
+        [28595, 16122, 37104, 29634, 1264, 222]
+    );
+}
+
+/// Fault semantics of the one leaf write are `PageStore::try_write`'s:
+/// a rejected write does not run the merge (the leaf, and every other
+/// page, is exactly as before), a torn write runs it and then reports.
+#[test]
+fn batch_leaf_write_fault_semantics() {
+    use mobidx_pager::{FaultPlan, FaultStore, PagerError};
+    let cfg = TreeConfig {
+        leaf_cap: 8,
+        branch_cap: 4,
+        buffer_pages: 4,
+    };
+    let base: Vec<(f64, u32)> = (0..200u32).map(|i| (f64::from(i), i)).collect();
+    // Three entries for one half-full leaf, tying with nothing.
+    let batch = [(50.25, 1), (50.5, 2), (50.75, 3)];
+    let leaves = |tree: &BPlusTree<f64, u32>| -> Vec<Vec<(u64, u32)>> {
+        leaves_of(tree).iter().map(|leaf| bits(leaf)).collect()
+    };
+    let faulty = |plan: FaultPlan| {
+        let mut tree = BPlusTree::bulk_load(cfg, &base, 0.5);
+        // Nothing dirty is left to write back, so the first write-class
+        // access the plan can hit is the leaf mutation itself.
+        tree.clear_buffer();
+        let _ = tree.set_backend(Box::new(FaultStore::new(plan)));
+        tree
+    };
+
+    let mut tree = faulty(FaultPlan {
+        write_fault_per_mille: 1000,
+        ..FaultPlan::none(7)
+    });
+    let before = leaves(&tree);
+    let err = tree
+        .try_insert_batch(&batch)
+        .expect_err("every write fails");
+    assert!(matches!(err, PagerError::WriteFailed { .. }), "{err:?}");
+    assert_eq!(
+        leaves(&tree),
+        before,
+        "a rejected write must not touch the leaf"
+    );
+    assert_eq!(tree.len(), base.len());
+
+    let mut tree = faulty(FaultPlan {
+        torn_per_mille: 1000,
+        ..FaultPlan::none(7)
+    });
+    let err = tree
+        .try_insert_batch(&batch)
+        .expect_err("every write tears");
+    assert!(matches!(err, PagerError::TornWrite { .. }), "{err:?}");
+    let mut merged = base.clone();
+    merged.extend_from_slice(&batch);
+    merged.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    assert_eq!(
+        bits(&tree.collect_all()),
+        bits(&merged),
+        "a torn write lands"
+    );
+    let after = leaves(&tree);
+    assert_eq!(after.len(), before.len(), "no split: the leaf had room");
+    assert_eq!(
+        after.iter().zip(&before).filter(|(a, b)| a != b).count(),
+        1,
+        "exactly one leaf changed"
+    );
+    // The failed insert is not counted (see `try_insert`).
+    assert_eq!(tree.len(), base.len());
+}

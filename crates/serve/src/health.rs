@@ -28,6 +28,12 @@ pub struct ShardHealth {
     pub dequeued: Counter,
     /// Write batches applied (one per `Apply` request).
     pub applied_batches: Counter,
+    /// Published views this worker freed itself, as the last owner, at
+    /// the start of a later `Apply` (see `worker::run`). It trails
+    /// `applied_batches` by the two views a worker keeps; a wider gap
+    /// counts views that a lingering reader (a held `ReadView`) freed
+    /// instead.
+    pub views_retired: Counter,
     /// Individual shard ops applied across all batches.
     pub applied_ops: Counter,
     /// Query legs answered for this shard — queued (worker-run, traced
@@ -74,6 +80,7 @@ impl ShardHealth {
             enqueued: self.enqueued.get(),
             dequeued: self.dequeued.get(),
             applied_batches: self.applied_batches.get(),
+            views_retired: self.views_retired.get(),
             applied_ops: self.applied_ops.get(),
             queries: self.queries.get(),
             reads_on_snapshot: self.reads_on_snapshot.get(),
@@ -101,6 +108,9 @@ pub struct ShardHealthSnapshot {
     pub dequeued: u64,
     /// Write batches applied.
     pub applied_batches: u64,
+    /// Published views the worker itself freed (see
+    /// [`ShardHealth::views_retired`]).
+    pub views_retired: u64,
     /// Individual shard ops applied.
     pub applied_ops: u64,
     /// Queries answered.
@@ -136,6 +146,7 @@ impl ShardHealthSnapshot {
                 "applied_batches".to_owned(),
                 Value::from(self.applied_batches),
             ),
+            ("views_retired".to_owned(), Value::from(self.views_retired)),
             ("applied_ops".to_owned(), Value::from(self.applied_ops)),
             ("queries".to_owned(), Value::from(self.queries)),
             (

@@ -19,8 +19,9 @@
 //!   answers are k-way-merged back into the single-index contract
 //!   ([`merge`]).
 //! * **Epoch-stamped snapshot reads** — after every drained apply group
-//!   each worker freezes its index (page-level copy-on-write, O(dirty
-//!   pages)) and the facade publishes an immutable [`DbSnapshot`] at
+//!   each worker freezes its index (page-level copy-on-write: one
+//!   handle bump per live page, contents copied only for pages the next
+//!   batch dirties) and the facade publishes an immutable [`DbSnapshot`] at
 //!   the next commit epoch; plain queries run against it from any
 //!   caller thread with zero queueing behind writes ([`snapshot`]).
 //! * **Fault isolation** — a worker converts an index panic (e.g. an

@@ -3,10 +3,14 @@
 //! The write path stays single-owner (each worker thread exclusively
 //! owns its live index), but after every drained apply group the worker
 //! *freezes* its index — [`Index1D::freeze`] publishes an immutable,
-//! page-level copy-on-write view ([`FrozenIndex1D`]) whose cost is
-//! O(dirty pages), not O(index). The facade's [`SnapshotRegistry`]
-//! collects the per-shard views and, once every shard has one, swaps in
-//! a new [`DbSnapshot`] stamped with the next commit epoch.
+//! page-level copy-on-write view ([`FrozenIndex1D`]): one handle bump
+//! per live page at the freeze, a content copy only for the pages the
+//! next batch dirties, and the same page-table walk again when the view
+//! dies — which is why the worker that built a view also retires it
+//! (see `worker::run`; DESIGN §10 prices all three). The facade's
+//! [`SnapshotRegistry`] collects the per-shard views and, once every
+//! shard has one, swaps in a new [`DbSnapshot`] stamped with the next
+//! commit epoch.
 //!
 //! Reads then never touch a worker queue: any caller thread grabs the
 //! latest published snapshot (`Arc` clone under a read lock), fans its
@@ -94,9 +98,37 @@ impl SnapshotRegistry {
         &self,
         updates: impl IntoIterator<Item = (usize, Option<Arc<dyn FrozenIndex1D>>)>,
     ) -> Option<u64> {
+        self.install(updates, 1)
+    }
+
+    /// Publishes the initial snapshot (epoch stays 0 — nothing has
+    /// committed yet) from the freshly built per-shard indexes.
+    pub(crate) fn publish_initial(&self, views: Vec<Option<Arc<dyn FrozenIndex1D>>>) {
+        self.install(views.into_iter().enumerate(), 0);
+    }
+
+    /// The one publication path: swaps `updates` into `latest` and, if
+    /// every shard then has a view, swaps in a snapshot of them stamped
+    /// `epoch + epoch_step`.
+    ///
+    /// What is displaced — the shards' previous views, the previous
+    /// snapshot — is only *moved* out under the locks and falls after
+    /// both guards are released. Usually the shard worker that built a
+    /// view also frees it (see `worker::run`); where the registry still
+    /// is the last owner (the first apply, a rebuild, a `ReadView`
+    /// released a moment ago) no reader's `current()` waits on a
+    /// deallocation.
+    fn install(
+        &self,
+        updates: impl IntoIterator<Item = (usize, Option<Arc<dyn FrozenIndex1D>>)>,
+        epoch_step: u64,
+    ) -> Option<u64> {
+        // Declared before the guard, so dropped after it: once the loop
+        // has swapped them out, this holds the displaced views.
+        let mut updates: Vec<_> = updates.into_iter().collect();
         let mut latest = self.latest.lock().expect("snapshot registry");
-        for (shard, view) in updates {
-            latest[shard] = view;
+        for (shard, view) in &mut updates {
+            std::mem::swap(&mut latest[*shard], view);
         }
         if latest.iter().any(Option::is_none) {
             return None;
@@ -107,25 +139,12 @@ impl SnapshotRegistry {
             .collect();
         // The epoch bump and the swap happen under the `latest` lock, so
         // epochs are published in order and never skip backwards.
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        *self.current.write().expect("snapshot slot") = Some(Arc::new(DbSnapshot { epoch, views }));
+        let epoch = self.epoch.fetch_add(epoch_step, Ordering::Relaxed) + epoch_step;
+        let next = Arc::new(DbSnapshot { epoch, views });
+        let displaced = self.current.write().expect("snapshot slot").replace(next);
         drop(latest);
+        drop(displaced);
         Some(epoch)
-    }
-
-    /// Publishes the initial snapshot (epoch stays 0 — nothing has
-    /// committed yet) from the freshly built per-shard indexes.
-    pub(crate) fn publish_initial(&self, views: Vec<Option<Arc<dyn FrozenIndex1D>>>) {
-        let mut latest = self.latest.lock().expect("snapshot registry");
-        *latest = views;
-        if latest.iter().all(Option::is_some) {
-            let views = latest
-                .iter()
-                .map(|v| Arc::clone(v.as_ref().expect("checked")))
-                .collect();
-            *self.current.write().expect("snapshot slot") =
-                Some(Arc::new(DbSnapshot { epoch: 0, views }));
-        }
     }
 
     /// The currently published snapshot, if any.

@@ -115,6 +115,17 @@ pub(crate) fn run<I: Index1D>(
     commit_on_apply: bool,
 ) {
     let mut poisoned = false;
+    // The last two views this worker published, older first. The shard
+    // that built a view also retires it: `prev` is dropped at the start
+    // of the next `Apply`, by which time the facade has displaced it
+    // (the `apply` that published `current` has returned), so unless a
+    // `ReadView` lingers this is the last reference and the page-table
+    // decrements and page frees run here — in parallel across shards,
+    // in the allocating thread's arena, outside every facade lock.
+    // Dropping it *before* the batch keeps the peak at two generations;
+    // holding it across the batch's copy-on-write would make it three.
+    let mut prev: Option<Arc<dyn FrozenIndex1D>> = None;
+    let mut current: Option<Arc<dyn FrozenIndex1D>> = None;
     'serve: while let Ok(req) = rx.recv() {
         health.queue_depth.decr();
         health.dequeued.incr();
@@ -146,7 +157,15 @@ pub(crate) fn run<I: Index1D>(
                     }
                     health.drained_batch_size.record(group.len() as u64);
                     let n_ops = group.len() as u64;
+                    // The clock covers the retire: the cost left the
+                    // client, it must not leave the books.
                     let started = Instant::now();
+                    if let Some(view) = prev.take() {
+                        if Arc::strong_count(&view) == 1 {
+                            health.views_retired.incr();
+                        }
+                        drop(view);
+                    }
                     let mut r = guarded(shard, &mut poisoned, || {
                         apply_group(&mut index, &group);
                     });
@@ -175,9 +194,10 @@ pub(crate) fn run<I: Index1D>(
                         }
                         // One freeze per drained group: the sealed
                         // post-commit state becomes the shard's next
-                        // published read view (O(dirty pages) — the
-                        // frozen page handles are shared, not copied).
+                        // published read view (O(live pages) handle
+                        // bumps — page contents are shared, not copied).
                         view = index.freeze().map(Arc::from);
+                        prev = std::mem::replace(&mut current, view.clone());
                     }
                     for reply in replies {
                         let _ = reply.send(r.clone().map(|()| view.clone()));
