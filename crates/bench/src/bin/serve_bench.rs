@@ -65,8 +65,9 @@
 //! `--durable` additionally runs the durable sweep: the same seeded
 //! update stream against [`FileBackend`](mobidx_pager::FileBackend)-armed
 //! shards under each fsync policy, measuring update throughput with the
-//! write-ahead log in the write path, the WAL's record/fsync/byte cost,
-//! and — after dropping the database — the wall-clock time to reopen and
+//! write-ahead log in the write path, the WAL's record/fsync/byte cost
+//! (in total and per update of the measured phase), and — after
+//! dropping the database — the wall-clock time to reopen and
 //! replay every store (schema in EXPERIMENTS.md).
 
 use mobidx_bench::diagnose::{run_diagnose, DiagnoseConfig};
@@ -265,7 +266,7 @@ fn main() {
             dcfg.shards, dcfg.n, dcfg.instants
         );
         println!(
-            "{:>10} {:>7} {:>9} {:>12} {:>11} {:>10} {:>10} {:>12} {:>11} {:>9}",
+            "{:>10} {:>7} {:>9} {:>12} {:>11} {:>10} {:>10} {:>10} {:>12} {:>11} {:>9}",
             "fsync",
             "stores",
             "ops",
@@ -273,6 +274,7 @@ fn main() {
             "wal recs",
             "fsyncs",
             "wal KiB",
+            "wal B/op",
             "recovery ms",
             "replayed",
             "pages"
@@ -281,7 +283,7 @@ fn main() {
             #[allow(clippy::cast_precision_loss)]
             let kib = c.wal_bytes as f64 / 1024.0;
             println!(
-                "{:>10} {:>7} {:>9} {:>12.1} {:>11} {:>10} {:>10.1} {:>12.2} {:>11} {:>9}",
+                "{:>10} {:>7} {:>9} {:>12.1} {:>11} {:>10} {:>10.1} {:>10.0} {:>12.2} {:>11} {:>9}",
                 c.policy,
                 c.stores,
                 c.update_ops,
@@ -289,6 +291,7 @@ fn main() {
                 c.wal_records,
                 c.wal_fsyncs,
                 kib,
+                c.wal_bytes_per_op,
                 c.recovery_ms,
                 c.replayed_records,
                 c.recovered_pages

@@ -26,11 +26,9 @@ use crate::doctor::{diagnose, DoctorReport};
 use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use mobidx_core::QueryRequest;
 use mobidx_obs::json::Value;
-use mobidx_pager::{FaultPlan, FaultStore, FileBackend, FsyncPolicy};
+use mobidx_pager::{FaultPlan, FaultStore, FileBackend, FsyncPolicy, ScratchDir};
 use mobidx_serve::{Batch, IdHashShard, SamplerConfig, ServeConfig, ServeError, ShardedDb};
 use mobidx_workload::{Simulator1D, WorkloadConfig};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Sizing of one induced-fault run.
@@ -78,19 +76,6 @@ pub struct DiagnoseOutcome {
     pub auto_triggers: Vec<(String, u64)>,
 }
 
-/// Distinguishes concurrent runs inside one process.
-static NEXT_ROOT: AtomicUsize = AtomicUsize::new(0);
-
-fn tmp_root() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "mobidx-bench-diagnose-{}-{}",
-        std::process::id(),
-        NEXT_ROOT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Runs the induced-fault scenario (see the module docs).
 ///
 /// # Panics
@@ -105,7 +90,7 @@ pub fn run_diagnose(cfg: &DiagnoseConfig) -> DiagnoseOutcome {
             && cfg.fault_shard < cfg.shards,
         "stall and fault shards must be distinct and in range"
     );
-    let root = tmp_root();
+    let root = ScratchDir::new("bench-diagnose");
     let db = ShardedDb::new(
         ServeConfig {
             shards: cfg.shards,
@@ -217,7 +202,7 @@ pub fn run_diagnose(cfg: &DiagnoseConfig) -> DiagnoseOutcome {
     let auto_triggers = recorder.trigger_counts();
     drop(sampler);
     drop(db);
-    let _ = std::fs::remove_dir_all(&root);
+    drop(root);
 
     let report = diagnose(&bundle).expect("the dumped bundle must diagnose");
     DiagnoseOutcome {

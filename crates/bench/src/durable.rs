@@ -7,7 +7,8 @@
 //!
 //! * update ops/sec with the WAL in the write path,
 //! * WAL cost — records appended, `fsync`s issued (from the pager's
-//!   [`IoTotals`] counters), and on-disk log bytes,
+//!   [`IoTotals`] counters), on-disk log bytes, and the log bytes each
+//!   update of the measured phase cost,
 //! * recovery — after dropping the database, every store directory is
 //!   reopened with [`FileBackend::open`] and the wall-clock replay time,
 //!   replayed record count, and recovered live pages are summed.
@@ -20,11 +21,10 @@
 use crate::Scale;
 use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use mobidx_core::IoTotals;
-use mobidx_pager::{FileBackend, FsyncPolicy, WAL_FILE};
+use mobidx_pager::{FileBackend, FsyncPolicy, ScratchDir, WAL_FILE};
 use mobidx_serve::{Batch, IdHashShard, ServeConfig, ShardedDb};
 use mobidx_workload::{Simulator1D, WorkloadConfig};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::Path;
 use std::time::Instant;
 
 /// The policies a sweep compares, cheapest first.
@@ -80,6 +80,10 @@ pub struct DurableCell {
     pub wal_fsyncs: u64,
     /// On-disk `wal.log` bytes across all stores at shutdown.
     pub wal_bytes: u64,
+    /// Log bytes the measured phase appended per update op (the
+    /// initial load is excluded; nothing checkpoints, so the growth of
+    /// the files is what was appended).
+    pub wal_bytes_per_op: f64,
     /// Wall-clock milliseconds to reopen and replay every store.
     pub recovery_ms: f64,
     /// WAL records replayed across all stores during recovery.
@@ -96,21 +100,6 @@ pub fn run_durable_sweep(cfg: &DurableConfig) -> Vec<DurableCell> {
         .iter()
         .map(|&policy| run_policy(cfg, policy))
         .collect()
-}
-
-/// Distinguishes concurrent sweeps inside one process (the cargo test
-/// harness runs tests in parallel under one pid).
-static NEXT_ROOT: AtomicUsize = AtomicUsize::new(0);
-
-fn tmp_root(policy: FsyncPolicy) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "mobidx-bench-durable-{}-{}-{}",
-        policy.name(),
-        std::process::id(),
-        NEXT_ROOT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Arms a [`FileBackend`] on every store of every shard, rooted at
@@ -142,7 +131,7 @@ fn arm_all_shards(
 }
 
 fn run_policy(cfg: &DurableConfig, policy: FsyncPolicy) -> DurableCell {
-    let root = tmp_root(policy);
+    let root = ScratchDir::new(&format!("bench-durable-{}", policy.name()));
     let db = ShardedDb::new(
         ServeConfig {
             shards: cfg.shards,
@@ -167,7 +156,23 @@ fn run_policy(cfg: &DurableConfig, policy: FsyncPolicy) -> DurableCell {
     }
     db.apply(&load).expect("initial load");
 
+    // Bytes in every `wal.log` under `root`.
+    let log_bytes = || -> u64 {
+        let mut total = 0;
+        for (shard, &n) in stores_per_shard.iter().enumerate() {
+            for store in 0..n {
+                let wal = root
+                    .join(format!("shard{shard}"))
+                    .join(format!("store{store}"))
+                    .join(WAL_FILE);
+                total += std::fs::metadata(&wal).map(|m| m.len()).unwrap_or(0);
+            }
+        }
+        total
+    };
+
     // Measured phase: the WAL deltas below exclude the initial load.
+    let loaded_wal_bytes = log_bytes();
     let before: IoTotals = db.io_totals().expect("stats before");
     let start = Instant::now();
     let mut update_ops = 0u64;
@@ -183,16 +188,7 @@ fn run_policy(cfg: &DurableConfig, policy: FsyncPolicy) -> DurableCell {
     let delta = db.io_totals().expect("stats after").delta_since(before);
     drop(db);
 
-    let mut wal_bytes = 0u64;
-    for (shard, &n) in stores_per_shard.iter().enumerate() {
-        for store in 0..n {
-            let wal = root
-                .join(format!("shard{shard}"))
-                .join(format!("store{store}"))
-                .join(WAL_FILE);
-            wal_bytes += std::fs::metadata(&wal).map(|m| m.len()).unwrap_or(0);
-        }
-    }
+    let wal_bytes = log_bytes();
 
     // Recovery: reopen every store the way a restarted server would.
     let mut replayed_records = 0u64;
@@ -209,7 +205,6 @@ fn run_policy(cfg: &DurableConfig, policy: FsyncPolicy) -> DurableCell {
         }
     }
     let recovery = recover_start.elapsed();
-    std::fs::remove_dir_all(&root).expect("remove bench temp dir");
 
     #[allow(clippy::cast_precision_loss)]
     DurableCell {
@@ -220,6 +215,7 @@ fn run_policy(cfg: &DurableConfig, policy: FsyncPolicy) -> DurableCell {
         wal_records: delta.wal_records,
         wal_fsyncs: delta.wal_fsyncs,
         wal_bytes,
+        wal_bytes_per_op: (wal_bytes - loaded_wal_bytes) as f64 / (update_ops as f64).max(1.0),
         recovery_ms: recovery.as_secs_f64() * 1e3,
         replayed_records,
         recovered_pages,
@@ -280,6 +276,35 @@ mod tests {
             "Always ({}) cannot fsync less than OnCommit ({})",
             always.wal_fsyncs,
             on_commit.wal_fsyncs
+        );
+
+        // The log's diet, gated outside the perf ledger. With leaves
+        // that hold hundreds of entries and a window that touches a few
+        // of them, a commit journals what changed in each page, not the
+        // page. (`tiny()` cannot show it: all of its 200 objects move at
+        // every instant, so every leaf is rewritten whole.)
+        //
+        // The ceiling is one tenth of what the last commit that
+        // journaled page images only appended on this configuration:
+        // 13 394.9 B/op at b046af0, which has no per-op column — the
+        // figure was read there by the same two `log_bytes()` readings
+        // (after the load, at shutdown) patched into its `run_policy`,
+        // with this very `DurableConfig`, by
+        //   cargo test --release -p mobidx-bench --lib durable::tests -- --nocapture
+        // This tree reads 643.1.
+        let diet = run_policy(
+            &DurableConfig {
+                n: 20_000,
+                instants: 4,
+                shards: 2,
+                seed: 0xD00D,
+            },
+            FsyncPolicy::OnCommit,
+        );
+        assert!(
+            diet.wal_bytes_per_op <= 1_339.0,
+            "the log grew back: {:.1} B per update",
+            diet.wal_bytes_per_op
         );
 
         let marker = format!("-{}-", std::process::id());

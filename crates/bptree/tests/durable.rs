@@ -3,8 +3,8 @@
 //! recovered tree equals the last committed one.
 
 use mobidx_bptree::{BPlusTree, TreeConfig};
-use mobidx_pager::{DurableFaultStore, FaultPlan, FileBackend, FsyncPolicy};
-use std::path::{Path, PathBuf};
+use mobidx_pager::{DurableFaultStore, FaultPlan, FileBackend, FsyncPolicy, ScratchDir};
+use std::path::Path;
 
 fn small_cfg() -> TreeConfig {
     TreeConfig {
@@ -12,12 +12,6 @@ fn small_cfg() -> TreeConfig {
         branch_cap: 4,
         buffer_pages: 4,
     }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mobidx-bptree-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn open_tree(dir: &Path) -> BPlusTree<u64, u64> {
@@ -28,7 +22,7 @@ fn open_tree(dir: &Path) -> BPlusTree<u64, u64> {
 
 #[test]
 fn committed_tree_survives_reopen() {
-    let dir = tmp_dir("roundtrip");
+    let dir = ScratchDir::new("bptree-roundtrip");
     let expected;
     {
         let mut t = open_tree(&dir);
@@ -47,12 +41,11 @@ fn committed_tree_survives_reopen() {
     t.check_invariants(true);
     assert_eq!(t.collect_all(), expected);
     assert_eq!(t.len(), expected.len());
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn uncommitted_tree_changes_roll_back() {
-    let dir = tmp_dir("rollback");
+    let dir = ScratchDir::new("bptree-rollback");
     let expected;
     {
         let mut t = open_tree(&dir);
@@ -69,12 +62,11 @@ fn uncommitted_tree_changes_roll_back() {
     let t = open_tree(&dir);
     t.check_invariants(true);
     assert_eq!(t.collect_all(), expected);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn checkpoint_compacts_and_recovers() {
-    let dir = tmp_dir("checkpoint");
+    let dir = ScratchDir::new("bptree-checkpoint");
     let expected;
     {
         let mut t = open_tree(&dir);
@@ -97,12 +89,11 @@ fn checkpoint_compacts_and_recovers() {
     let t = open_tree(&dir);
     t.check_invariants(true);
     assert_eq!(t.collect_all(), expected);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn recovered_tree_keeps_growing_and_committing() {
-    let dir = tmp_dir("regrow");
+    let dir = ScratchDir::new("bptree-regrow");
     {
         let mut t = open_tree(&dir);
         for i in 0..100u64 {
@@ -123,7 +114,6 @@ fn recovered_tree_keeps_growing_and_committing() {
     t.check_invariants(true);
     assert_eq!(t.collect_all(), expected);
     assert_eq!(t.range(0, 199).len(), 200);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Crash at seeded write indices mid-commit; reopen must always yield
@@ -131,7 +121,7 @@ fn recovered_tree_keeps_growing_and_committing() {
 #[test]
 fn crash_mid_commit_recovers_a_committed_tree() {
     for crash_at in [1u64, 2, 3, 5, 8, 13, 21, 34] {
-        let dir = tmp_dir(&format!("crash-{crash_at}"));
+        let dir = ScratchDir::new(&format!("bptree-crash-{crash_at}"));
         let mut committed_states: Vec<Vec<(u64, u64)>> = vec![Vec::new()];
         {
             let (backend, image) = DurableFaultStore::open(
@@ -166,6 +156,5 @@ fn crash_mid_commit_recovers_a_committed_tree() {
             committed_states.last().unwrap(),
             "crash_at={crash_at}: recovered tree is not the last committed state"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -681,3 +681,140 @@ fn batch_leaf_write_fault_semantics() {
     // The failed insert is not counted (see `try_insert`).
     assert_eq!(tree.len(), base.len());
 }
+
+/// One step of the commit-window churn: `kind` picks insert (0–4),
+/// remove (5–6) or "respell a zero key with the other zero" (7).
+type ChurnOp = (u8, f64, u32, usize);
+
+/// Applies one window of churn to `tree`, keeping `live` in step: the
+/// window's removals (all of entries it found live), then its
+/// insertions. On `batched` windows they go through `apply_batch`, as
+/// on the serving tier; otherwise one `remove` / `insert` each.
+fn churn_window(
+    tree: &mut BPlusTree<f64, u32>,
+    live: &mut Vec<(f64, u32)>,
+    ops: &[ChurnOp],
+    drain: bool,
+    batched: bool,
+) {
+    let (mut removes, mut inserts) = (Vec::new(), Vec::new());
+    for &(kind, key, val, pick) in ops {
+        if kind == 7 {
+            // Out as one zero, back in as the other: equal in the
+            // tree's order, a different image.
+            if let Some(at) = live.iter().position(|e| e.0 == 0.0) {
+                let (k, v) = live.swap_remove(at);
+                removes.push((k, v));
+                if !inserts.contains(&(-k, v)) {
+                    inserts.push((-k, v));
+                }
+            }
+        } else if kind < 5 && !drain {
+            let e = (key, val);
+            if !live.contains(&e) && !inserts.contains(&e) {
+                inserts.push(e);
+            }
+        } else if !live.is_empty() {
+            removes.push(live.swap_remove(pick % live.len()));
+        }
+    }
+    live.extend_from_slice(&inserts);
+    let by_entry = |a: &(f64, u32), b: &(f64, u32)| a.partial_cmp(b).unwrap();
+    removes.sort_by(by_entry);
+    inserts.sort_by(by_entry);
+    if batched {
+        assert_eq!(tree.apply_batch(&removes, &inserts), removes.len());
+    } else {
+        for &(k, v) in &removes {
+            assert!(tree.remove(k, v));
+        }
+        for &(k, v) in &inserts {
+            tree.insert(k, v);
+        }
+    }
+}
+
+/// What reopening `dir` recovers: the image (trailing dead slots
+/// trimmed — a log remembers slots that were live once, a lone image
+/// commit never knew them) and the tree over it.
+fn reopened(
+    dir: &std::path::Path,
+    cfg: TreeConfig,
+) -> (mobidx_pager::RecoveredImage, BPlusTree<f64, u32>) {
+    use mobidx_pager::{FileBackend, FsyncPolicy};
+    let (backend, mut image) = FileBackend::open(dir, FsyncPolicy::Never).expect("reopen");
+    let tree = BPlusTree::open_durable(cfg, Box::new(backend), &image).expect("image decodes");
+    while image.pages.last().is_some_and(Option::is_none) {
+        image.pages.pop();
+    }
+    (image, tree)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Two trees take the same churn — tiny nodes, duplicate keys, both
+    /// zeros, windows that drain the tree so that leaves and branches
+    /// split, borrow, merge and the root grows and collapses. One sits
+    /// on a `FileBackend` and commits every window, so after the first
+    /// its log is deltas wherever a node offers one. The other lives in
+    /// memory and is committed once at the end: images only. Reopened,
+    /// the two directories must hold the same page images byte for byte
+    /// — every delta, replayed on top of its predecessors, rebuilt
+    /// exactly the image — and equal trees. (In debug builds
+    /// `try_commit` also checks each delta against its image as it
+    /// journals it.)
+    #[test]
+    fn a_tree_committed_as_deltas_reopens_equal_to_one_committed_as_images(
+        leaf_cap in 2usize..12,
+        branch_cap in 3usize..8,
+        windows in prop::collection::vec(
+            (
+                prop::collection::vec((0u8..8, batch_key(), 0u32..40, 0usize..1000), 1..12),
+                0u8..6,
+            ),
+            1..40,
+        ),
+    ) {
+        use mobidx_pager::{wal, FileBackend, FsyncPolicy, ScratchDir, WAL_FILE};
+        let cfg = TreeConfig { leaf_cap, branch_cap, buffer_pages: 4 };
+        let as_deltas = ScratchDir::new("bptree-prop-deltas");
+        let as_images = ScratchDir::new("bptree-prop-images");
+
+        let (backend, image) = FileBackend::open(&as_deltas, FsyncPolicy::Never).unwrap();
+        let mut journaled: BPlusTree<f64, u32> =
+            BPlusTree::open_durable(cfg, Box::new(backend), &image).unwrap();
+        let mut in_memory: BPlusTree<f64, u32> = BPlusTree::new(cfg);
+        let (mut live, mut live_twin) = (Vec::new(), Vec::new());
+        for (w, (ops, shape)) in windows.iter().enumerate() {
+            // One window in six only removes.
+            churn_window(&mut journaled, &mut live, ops, *shape == 0, w % 2 == 1);
+            churn_window(&mut in_memory, &mut live_twin, ops, *shape == 0, w % 2 == 1);
+            journaled.try_commit().unwrap();
+        }
+        journaled.check_invariants(true);
+        drop(journaled);
+        let (backend, _) = FileBackend::open(&as_images, FsyncPolicy::Never).unwrap();
+        drop(in_memory.set_backend(Box::new(backend)));
+        in_memory.try_commit().unwrap();
+        drop(in_memory);
+
+        // The second log is images by construction.
+        let log = std::fs::read(as_images.join(WAL_FILE)).unwrap();
+        let deltas = wal::records(&log)
+            .filter(|(rec, _)| matches!(rec, wal::WalRecord::PageDelta { .. }))
+            .count();
+        prop_assert_eq!(deltas, 0);
+
+        let (image, tree) = reopened(&as_deltas, cfg);
+        let (want_image, want_tree) = reopened(&as_images, cfg);
+        prop_assert_eq!(image.pages, want_image.pages);
+        prop_assert_eq!(image.meta, want_image.meta);
+        tree.check_invariants(true);
+        tree.check_leaf_links();
+        prop_assert_eq!(bits(&tree.collect_all()), bits(&want_tree.collect_all()));
+        // Unique under the tree's order, so sorting by it is total.
+        live.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        prop_assert_eq!(bits(&tree.collect_all()), bits(&live));
+    }
+}

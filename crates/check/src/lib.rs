@@ -33,7 +33,7 @@ use mobidx_interval::{IntervalConfig, IntervalTree};
 use mobidx_kdtree::{KdConfig, KdTree};
 use mobidx_pager::{
     Backend, DurableFaultStore, FaultPlan, FaultStore, FileBackend, FsyncPolicy, IoStats,
-    MemBackend,
+    MemBackend, ScratchDir,
 };
 use mobidx_persist::{all_crossings, Occupant, PersistConfig, PersistentListBTree};
 use mobidx_rstar::{RStarConfig, RStarTree};
@@ -43,8 +43,7 @@ use mobidx_serve::{
 use mobidx_workload::{brute_force_1d, MorQuery1D};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 /// The indexes the harness knows how to drive. `sharded` is the serving
 /// tier (`mobidx-serve`) over per-speed-band dual-B+ shards — the same
@@ -1715,16 +1714,6 @@ fn check_vp_dual(cfg: &CheckConfig) -> Result<Report, Divergence> {
 /// `check_bptree`).
 const DURABLE_KEYS: u64 = 64;
 
-/// A unique scratch directory per run. The name never feeds back into
-/// checked behavior, so the process-wide counter does not perturb
-/// determinism — it only keeps concurrent runs (the test binary runs
-/// tests in parallel threads) off each other's files.
-fn durable_dir() -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("mobidx-check-durable-{}-{n}", std::process::id()))
-}
-
 /// Opens (with recovery) the durable tree in `dir` on a fault-free
 /// [`FileBackend`]. Errors are environmental (filesystem) or a broken
 /// recovery image — both are reported as divergence details.
@@ -1764,8 +1753,10 @@ fn arm_durable_faults(
 fn check_durable(cfg: &CheckConfig) -> Result<Report, Divergence> {
     let mut report = Report::new("durable", cfg);
     let mut rng = SplitMix::new(mix(cfg.seed, 7));
-    let dir = durable_dir();
-    let _ = std::fs::remove_dir_all(&dir);
+    // Unique per run and removed when the run ends, however it ends.
+    // The name never feeds back into checked behavior, so it does not
+    // perturb determinism.
+    let dir = ScratchDir::new("check-durable");
 
     let mut pending: BTreeSet<(u64, u64)> = BTreeSet::new();
     let mut committed: BTreeSet<(u64, u64)> = BTreeSet::new();
@@ -1879,8 +1870,6 @@ fn check_durable(cfg: &CheckConfig) -> Result<Report, Divergence> {
         report.ops += 1;
     }
     report.absorb(tree.stats());
-    drop(tree);
-    let _ = std::fs::remove_dir_all(&dir);
     Ok(report)
 }
 

@@ -12,10 +12,10 @@
 
 use mobidx_bptree::{BPlusTree, TreeConfig};
 use mobidx_check::SplitMix;
-use mobidx_pager::{DurableFaultStore, FaultPlan, FileBackend, FsyncPolicy};
+use mobidx_pager::wal::{self, WalRecord};
+use mobidx_pager::{DurableFaultStore, FaultPlan, FileBackend, FsyncPolicy, ScratchDir, WAL_FILE};
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 /// Ops in the script. Small enough that a full crash-point sweep
 /// stays fast, large enough for several multi-page commit windows.
@@ -36,35 +36,19 @@ fn small_cfg() -> TreeConfig {
     }
 }
 
-/// A scratch directory removed on drop, so a sweep that panics leaves
-/// nothing behind in the temp dir.
-struct TmpDir(PathBuf);
-
-impl std::ops::Deref for TmpDir {
-    type Target = Path;
-    fn deref(&self) -> &Path {
-        &self.0
+/// `(images, deltas)` among the page records physically in the log of
+/// `dir` — whole frames only, sealed or not.
+fn page_record_kinds(dir: &Path) -> (usize, usize) {
+    let log = std::fs::read(dir.join(WAL_FILE)).expect("read the log");
+    let (mut images, mut deltas) = (0, 0);
+    for (rec, _) in wal::records(&log) {
+        match rec {
+            WalRecord::PageImage { .. } => images += 1,
+            WalRecord::PageDelta { .. } => deltas += 1,
+            WalRecord::Free { .. } | WalRecord::Commit { .. } => {}
+        }
     }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// A fresh directory path, unique per call: cargo runs the sweeps on
-/// parallel threads of one process, so tag + pid alone would hand two of
-/// them the same store.
-fn tmp_dir(tag: &str) -> TmpDir {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "mobidx-check-matrix-{tag}-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    TmpDir(dir)
+    (images, deltas)
 }
 
 /// What one scripted run left behind: the last sealed window's
@@ -173,7 +157,7 @@ fn assert_recovers_committed(dir: &Path, outcome: &ScriptOutcome, what: &str) {
 /// physical page I/Os performed by a fault-free run. The crash sweeps
 /// cover every index in them.
 fn clean_budgets() -> (u64, u64) {
-    let dir = tmp_dir("budget");
+    let dir = ScratchDir::new("check-matrix-budget");
     let outcome = run_script(&dir, FaultPlan::none(0), FaultPlan::none(0));
     assert_eq!(outcome.crashed_at, None, "clean run must not crash");
     assert!(
@@ -181,6 +165,15 @@ fn clean_budgets() -> (u64, u64) {
         "windows journal pages, not just commit records"
     );
     assert_recovers_committed(&dir, &outcome, "clean run");
+    // The log the sweeps below kill at every index holds both kinds of
+    // page record. Were no delta ever smaller than its image (4-entry
+    // leaves are close to that), the matrix would silently test images
+    // only.
+    let (images, deltas) = page_record_kinds(&dir);
+    assert!(
+        images >= 4 && deltas >= 4,
+        "the script's log holds {images} page images and {deltas} page deltas"
+    );
     (outcome.wal_records, outcome.page_ios)
 }
 
@@ -193,7 +186,7 @@ fn crash_at_every_wal_append_recovers_last_committed_window() {
     let (budget, _) = clean_budgets();
     let mut crash_ops = BTreeSet::new();
     for k in 0..budget + 2 {
-        let dir = tmp_dir(&format!("wal-{k}"));
+        let dir = ScratchDir::new(&format!("check-matrix-wal-{k}"));
         let outcome = run_script(
             &dir,
             FaultPlan::none(7),
@@ -227,7 +220,7 @@ fn crash_at_every_page_io_recovers_last_committed_window() {
     assert!(budget > 4, "script too small to exercise page I/O crashes");
     let mut crashed = 0u64;
     for k in 0..budget + 2 {
-        let dir = tmp_dir(&format!("page-{k}"));
+        let dir = ScratchDir::new(&format!("check-matrix-page-{k}"));
         let outcome = run_script(&dir, FaultPlan::crash_after(13, k), FaultPlan::none(13));
         if outcome.crashed_at.is_some() {
             crashed += 1;
@@ -245,9 +238,9 @@ fn crash_at_every_page_io_recovers_last_committed_window() {
 /// torn tail.
 #[test]
 fn torn_wal_appends_recover_last_committed_window_across_seeds() {
-    let mut crashed = 0u32;
+    let (mut crashed, mut images, mut deltas) = (0u32, 0usize, 0usize);
     for seed in 0..24 {
-        let dir = tmp_dir(&format!("torn-{seed}"));
+        let dir = ScratchDir::new(&format!("check-matrix-torn-{seed}"));
         let torn_plan = FaultPlan {
             torn_per_mille: 120,
             ..FaultPlan::none(seed)
@@ -255,8 +248,67 @@ fn torn_wal_appends_recover_last_committed_window_across_seeds() {
         let outcome = run_script(&dir, FaultPlan::none(seed), torn_plan);
         if outcome.crashed_at.is_some() {
             crashed += 1;
+            let (i, d) = page_record_kinds(&dir);
+            images += i;
+            deltas += d;
         }
         assert_recovers_committed(&dir, &outcome, &format!("torn plan seed {seed}"));
     }
     assert!(crashed > 8, "torn sweep crashed only {crashed} of 24 runs");
+    assert!(
+        images >= 4 && deltas >= 4,
+        "the torn logs hold {images} page images and {deltas} page deltas"
+    );
+}
+
+/// A commit that is *refused* — a hard write fault on one of its
+/// appends, the store alive — leaves the records before the refusal in
+/// the log, unsealed. Retried until it goes through, the window must
+/// recover as the retry wrote it: the records of the failed attempts
+/// replay first, in the same window, and only a retry of images is
+/// indifferent to them (DESIGN §9, rule (a)).
+#[test]
+fn refused_commits_retried_recover_the_retried_window_across_seeds() {
+    let (mut refused, mut deltas) = (0u32, 0usize);
+    for seed in 0..16 {
+        let dir = ScratchDir::new(&format!("check-matrix-refused-{seed}"));
+        let refusing = FaultPlan {
+            write_fault_per_mille: 120,
+            ..FaultPlan::none(seed)
+        };
+        let (backend, image) =
+            DurableFaultStore::open(&dir, FsyncPolicy::Never, FaultPlan::none(seed), refusing)
+                .expect("open dir");
+        let mut tree: BPlusTree<u64, u64> =
+            BPlusTree::open_durable(small_cfg(), Box::new(backend), &image)
+                .expect("the page plan is clean");
+        let mut rng = SplitMix::new(SCRIPT_SEED ^ seed);
+        let mut live: BTreeSet<(u64, u64)> = BTreeSet::new();
+        for op in 0..OPS as u64 {
+            if rng.below(3) < 2 || live.is_empty() {
+                let key = rng.below(KEYS);
+                tree.try_insert(key, op).expect("the page plan is clean");
+                live.insert((key, op));
+            } else {
+                let n = rng.below(live.len() as u64) as usize;
+                let &(key, val) = live.iter().nth(n).expect("indexed entry");
+                assert!(tree.try_remove(key, val).expect("the page plan is clean"));
+                live.remove(&(key, val));
+            }
+            if op % 3 == 2 {
+                let mut attempts = 0;
+                while tree.try_commit().is_err() {
+                    refused += 1;
+                    attempts += 1;
+                    assert!(attempts < 100, "seed {seed}: the commit never goes through");
+                }
+                let got = recovered_contents(&dir);
+                let want: Vec<(u64, u64)> = live.iter().copied().collect();
+                assert_eq!(got, want, "seed {seed}, op {op}, after {attempts} refusals");
+            }
+        }
+        deltas += page_record_kinds(&dir).1;
+    }
+    assert!(refused > 16, "only {refused} commits were refused");
+    assert!(deltas >= 16, "only {deltas} deltas were journaled");
 }

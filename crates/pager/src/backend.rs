@@ -122,6 +122,27 @@ pub trait Backend: std::fmt::Debug + Send {
         Ok(JournalAck::default())
     }
 
+    /// Journals what changed in a page dirtied since the last commit,
+    /// as splices against the image the log last held for that page
+    /// ([`crate::wal`], "Page deltas") — the store's alternative to
+    /// [`Backend::journal_page`] when the page's codec offers a delta.
+    ///
+    /// A backend whose [`Backend::is_durable`] is true **must**
+    /// implement this: the default acknowledges and drops the record,
+    /// which is right only where nothing is journaled at all. A wrapper
+    /// that forwards `journal_page` forwards this too.
+    ///
+    /// # Errors
+    /// Same failure modes as [`Backend::journal_page`].
+    fn journal_delta(&mut self, page: PageId, splices: &[u8]) -> Result<JournalAck, Fault> {
+        debug_assert!(
+            !self.is_durable(),
+            "a durable backend must implement journal_delta"
+        );
+        let _ = (page, splices);
+        Ok(JournalAck::default())
+    }
+
     /// Journals the freeing of a page in the current commit window.
     ///
     /// # Errors
@@ -270,6 +291,10 @@ impl<B: Backend> Backend for DelayBackend<B> {
 
     fn journal_page(&mut self, page: PageId, bytes: &[u8]) -> Result<JournalAck, Fault> {
         self.inner.journal_page(page, bytes)
+    }
+
+    fn journal_delta(&mut self, page: PageId, splices: &[u8]) -> Result<JournalAck, Fault> {
+        self.inner.journal_delta(page, splices)
     }
 
     fn journal_free(&mut self, page: PageId) -> Result<JournalAck, Fault> {
@@ -813,6 +838,7 @@ mod tests {
             b.journal_page(pid(0), &[1, 2, 3]).unwrap(),
             JournalAck::default()
         );
+        assert_eq!(b.journal_delta(pid(0), &[]).unwrap(), JournalAck::default());
         assert_eq!(b.journal_free(pid(0)).unwrap(), JournalAck::default());
         assert_eq!(b.journal_commit(&[]).unwrap(), JournalAck::default());
         assert_eq!(b.checkpoint(&[], &[]).unwrap(), JournalAck::default());

@@ -5,8 +5,9 @@
 //! `wal.log` and periodically checkpoints the full image into
 //! `pages.mdb`:
 //!
-//! * **Commit protocol** — the store serializes each page dirtied since
-//!   the last commit and calls [`Backend::journal_page`], then
+//! * **Commit protocol** — for each page dirtied since the last commit
+//!   the store calls [`Backend::journal_delta`] with what changed in it
+//!   or [`Backend::journal_page`] with its whole image, then
 //!   [`Backend::journal_free`] for freed pages, then
 //!   [`Backend::journal_commit`] to seal the window. Fsyncs follow the
 //!   [`FsyncPolicy`]; the default (`OnCommit`) is group commit — one
@@ -15,11 +16,13 @@
 //!   `pages.mdb.tmp`, fsyncs, renames over `pages.mdb` (atomic on
 //!   POSIX), then truncates the log. A crash anywhere in between leaves
 //!   either the old image + full log or the new image + (stale but
-//!   seq-filtered) log — both recover correctly.
+//!   seq-filtered) log — both recover correctly. The page file is never
+//!   written in place, so it is never torn: that is why a delta may
+//!   refer to "the previous image" without the log first holding one.
 //! * **Recovery** — [`FileBackend::open`] loads the checkpoint image,
-//!   replays committed log windows with a higher sequence number,
-//!   truncates the torn tail, and hands the result back as a
-//!   [`RecoveredImage`] for the store to decode.
+//!   installs committed log windows with a higher sequence number —
+//!   each whole or not at all — truncates the torn tail, and hands the
+//!   result back as a [`RecoveredImage`] for the store to decode.
 //!
 //! [`DurableFaultStore`] aims the existing deterministic fault matrix
 //! ([`FaultStore`]) at this real file pair — page-level faults and
@@ -131,6 +134,8 @@ pub struct FileBackend {
     policy: FsyncPolicy,
     commit_seq: u64,
     total: JournalAck,
+    /// The frame of the record being appended; every append reuses it.
+    frame: Vec<u8>,
 }
 
 impl FileBackend {
@@ -158,56 +163,49 @@ impl FileBackend {
             .open(&wal_path)?;
         let mut log = Vec::new();
         wal.read_to_end(&mut log)?;
-        let scan = wal::replay(&log);
-        let mut commit_seq = checkpoint_seq;
+        // The log up to `sealed` stays: windows installed below, and
+        // stale ones from before a checkpoint whose log truncation the
+        // crash interrupted (skipped, but not torn).
+        let mut sealed = 0usize;
+        let mut newest = None;
         let mut replayed_records = 0u64;
-        for window in &scan.windows {
-            if window.seq <= checkpoint_seq {
-                // Stale window from before a checkpoint whose log
-                // truncation the crash interrupted.
-                continue;
-            }
-            for op in &window.ops {
-                match op {
-                    WalOp::Page { page, bytes } => {
-                        let idx = page.index() as usize;
-                        if pages.len() <= idx {
-                            pages.resize(idx + 1, None);
-                        }
-                        pages[idx] = Some(bytes.clone());
-                    }
-                    WalOp::Free { page } => {
-                        let idx = page.index() as usize;
-                        if idx < pages.len() {
-                            pages[idx] = None;
-                        }
-                    }
+        for window in &wal::replay(&log) {
+            if window.seq > checkpoint_seq {
+                if !install_window(&mut pages, &window.ops) {
+                    // A delta that does not fit the image before it:
+                    // history ends at the previous window, as it does
+                    // at a bad checksum.
+                    break;
                 }
+                newest = Some((window.seq, window.meta));
+                replayed_records += 1 + window.ops.len() as u64;
             }
-            meta = window.meta.clone();
-            commit_seq = window.seq;
-            replayed_records += 1 + window.ops.len() as u64;
+            sealed = window.end;
         }
-        // Drop the torn tail so new appends continue the committed
-        // prefix.
-        let committed = scan.committed_bytes as u64;
-        wal.set_len(committed)?;
-        wal.seek(SeekFrom::Start(committed))?;
+        let mut commit_seq = checkpoint_seq;
+        if let Some((seq, window_meta)) = newest {
+            commit_seq = seq;
+            meta = window_meta.to_vec();
+        }
+        // Drop the tail so new appends continue the installed prefix.
+        wal.set_len(sealed as u64)?;
+        wal.seek(SeekFrom::Start(sealed as u64))?;
         let image = RecoveredImage {
             pages,
             meta,
             commit_seq,
             replayed_records,
-            dropped_bytes: scan.dropped_bytes as u64,
+            dropped_bytes: (log.len() - sealed) as u64,
         };
         Ok((
             Self {
                 dir: dir.to_path_buf(),
                 wal,
-                wal_len: committed,
+                wal_len: sealed as u64,
                 policy,
                 commit_seq,
                 total: JournalAck::default(),
+                frame: Vec::new(),
             },
             image,
         ))
@@ -248,22 +246,42 @@ impl FileBackend {
         self.commit_seq + 1
     }
 
-    /// Appends raw bytes to the WAL, optionally fsyncing.
-    fn raw_append(&mut self, bytes: &[u8], sync: bool) -> io::Result<JournalAck> {
-        self.wal.write_all(bytes)?;
-        self.wal_len += bytes.len() as u64;
-        let mut fsyncs = 0u64;
-        if sync {
-            self.wal.sync_all()?;
-            fsyncs = 1;
-        }
-        let ack = JournalAck {
-            bytes: bytes.len() as u64,
-            fsyncs,
-            records: 1,
+    /// The one append path. Frames `rec` in the reused buffer, writes
+    /// the frame whole, fsyncs as the policy says for its kind, and
+    /// advances `commit_seq` when a commit record lands.
+    ///
+    /// `tear` is the fault adapter's interrupted write: with a draw,
+    /// only a prefix of that very frame lands ([`torn_len`]) and nothing
+    /// else happens — no sync, no sequence number, no record counted.
+    fn append_record(&mut self, rec: &WalRecord<'_>, tear: Option<u64>) -> io::Result<JournalAck> {
+        self.frame.clear();
+        wal::encode_record(rec, &mut self.frame);
+        let landed = tear.map_or(self.frame.len(), |draw| torn_len(draw, self.frame.len()));
+        self.wal.write_all(&self.frame[..landed])?;
+        self.wal_len += landed as u64;
+        let mut ack = JournalAck {
+            bytes: landed as u64,
+            ..JournalAck::default()
         };
+        if tear.is_none() {
+            let seals = matches!(rec, WalRecord::Commit { .. });
+            if self.policy == FsyncPolicy::Always || (seals && self.policy == FsyncPolicy::OnCommit)
+            {
+                self.wal.sync_all()?;
+                ack.fsyncs = 1;
+            }
+            if let WalRecord::Commit { seq, .. } = *rec {
+                self.commit_seq = seq;
+            }
+            ack.records = 1;
+        }
         self.total = self.total.merge(ack);
         Ok(ack)
+    }
+
+    /// [`Self::append_record`] untorn, for the [`Backend`] methods.
+    fn append(&mut self, rec: &WalRecord<'_>) -> Result<JournalAck, Fault> {
+        self.append_record(rec, None).map_err(|e| io_fault(&e))
     }
 
     /// Writes the checkpoint image atomically (tmp + rename) and
@@ -284,13 +302,16 @@ impl FileBackend {
             }
         }
         std::fs::rename(&tmp, self.dir.join(PAGE_FILE))?;
+        // The image on disk carries `seq` from here on, whatever becomes
+        // of the log below: a window sealed after a failed truncation
+        // must not reuse it, or recovery skips that window as stale.
+        self.commit_seq = seq;
         self.wal.set_len(0)?;
         self.wal.seek(SeekFrom::Start(0))?;
         if self.policy != FsyncPolicy::Never {
             self.wal.sync_all()?;
         }
         self.wal_len = 0;
-        self.commit_seq = seq;
         let ack = JournalAck {
             bytes: buf.len() as u64,
             fsyncs: if self.policy == FsyncPolicy::Never {
@@ -313,6 +334,51 @@ fn io_fault(_e: &io::Error) -> Fault {
     }
 }
 
+/// How many leading bytes of a `frame_len`-byte write land when it is
+/// torn: `1..frame_len` — at least one byte lands, the frame never
+/// completes.
+fn torn_len(draw: u64, frame_len: usize) -> usize {
+    1 + (draw as usize) % frame_len.max(2).saturating_sub(1)
+}
+
+/// Installs one committed window into the recovered slab, whole or not
+/// at all. `false` when one of its deltas does not fit the image before
+/// it (names a dead page, reaches past the image, starts before its
+/// predecessor ended): everything the window displaced so far is put
+/// back and `pages` is as it was.
+fn install_window(pages: &mut Vec<Option<Vec<u8>>>, ops: &[WalOp<'_>]) -> bool {
+    let slots = pages.len();
+    let mut displaced: Vec<(usize, Option<Vec<u8>>)> = Vec::with_capacity(ops.len());
+    for op in ops {
+        let (page, contents) = match *op {
+            WalOp::Page { page, bytes } => (page, Some(bytes.to_vec())),
+            WalOp::Free { page } => (page, None),
+            WalOp::Delta { page, splices } => {
+                let base = pages.get(page.index() as usize).and_then(Option::as_deref);
+                match base.and_then(|base| wal::apply_splices(base, splices)) {
+                    Some(bytes) => (page, Some(bytes)),
+                    None => {
+                        for (idx, was) in displaced.into_iter().rev() {
+                            pages[idx] = was;
+                        }
+                        pages.truncate(slots);
+                        return false;
+                    }
+                }
+            }
+        };
+        let idx = page.index() as usize;
+        if pages.len() <= idx {
+            if contents.is_none() {
+                continue; // freeing a slot the slab never had
+            }
+            pages.resize(idx + 1, None);
+        }
+        displaced.push((idx, std::mem::replace(&mut pages[idx], contents)));
+    }
+    true
+}
+
 impl Backend for FileBackend {
     fn permit(&mut self, _kind: IoKind, _page: PageId) -> Result<(), Fault> {
         // Page contents live in the store's slab; the files only see
@@ -329,39 +395,20 @@ impl Backend for FileBackend {
     }
 
     fn journal_page(&mut self, page: PageId, bytes: &[u8]) -> Result<JournalAck, Fault> {
-        let mut frame = Vec::new();
-        wal::encode_record(
-            &WalRecord::PageImage {
-                page,
-                bytes: bytes.to_vec(),
-            },
-            &mut frame,
-        );
-        self.raw_append(&frame, self.policy == FsyncPolicy::Always)
-            .map_err(|e| io_fault(&e))
+        self.append(&WalRecord::PageImage { page, bytes })
+    }
+
+    fn journal_delta(&mut self, page: PageId, splices: &[u8]) -> Result<JournalAck, Fault> {
+        self.append(&WalRecord::PageDelta { page, splices })
     }
 
     fn journal_free(&mut self, page: PageId) -> Result<JournalAck, Fault> {
-        let mut frame = Vec::new();
-        wal::encode_record(&WalRecord::Free { page }, &mut frame);
-        self.raw_append(&frame, self.policy == FsyncPolicy::Always)
-            .map_err(|e| io_fault(&e))
+        self.append(&WalRecord::Free { page })
     }
 
     fn journal_commit(&mut self, meta: &[u8]) -> Result<JournalAck, Fault> {
         let seq = self.next_seq();
-        let mut frame = Vec::new();
-        wal::encode_record(
-            &WalRecord::Commit {
-                seq,
-                meta: meta.to_vec(),
-            },
-            &mut frame,
-        );
-        let sync = self.policy != FsyncPolicy::Never;
-        let ack = self.raw_append(&frame, sync).map_err(|e| io_fault(&e))?;
-        self.commit_seq = seq;
-        Ok(ack)
+        self.append(&WalRecord::Commit { seq, meta })
     }
 
     fn checkpoint(
@@ -514,15 +561,13 @@ impl DurableFaultStore {
         self.dead
     }
 
-    fn next_torn_len(&mut self, frame_len: usize) -> usize {
+    /// The next value of the torn-prefix stream (splitmix64).
+    fn next_torn_draw(&mut self) -> u64 {
         self.torn_rng = self.torn_rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.torn_rng;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        // 1..frame_len: at least one byte lands, the frame never
-        // completes.
-        1 + (z as usize) % frame_len.max(2).saturating_sub(1)
+        z ^ (z >> 31)
     }
 
     const DEAD: Fault = Fault {
@@ -530,17 +575,18 @@ impl DurableFaultStore {
         transient: false,
     };
 
-    /// Arbitrates one journal append of `frame`; on permit, appends it
-    /// for real via `self.file`.
-    fn arbitrated_append(
-        &mut self,
-        slot: u32,
-        frame: &[u8],
-        sync: bool,
-    ) -> Result<JournalAck, Fault> {
+    /// Arbitrates one journal append; on permit, appends `rec` for real
+    /// through the file backend's own append path.
+    fn arbitrated_append(&mut self, rec: &WalRecord<'_>) -> Result<JournalAck, Fault> {
         if self.dead {
             return Err(Self::DEAD);
         }
+        let slot = match *rec {
+            WalRecord::PageImage { page, .. }
+            | WalRecord::PageDelta { page, .. }
+            | WalRecord::Free { page } => page.index(),
+            WalRecord::Commit { .. } => COMMIT_SLOT,
+        };
         // Journal appends are arbitrated as mutations: that is the
         // access class whose plan draws both clean write faults and
         // torn writes, and it advances the plan's write clock
@@ -549,14 +595,14 @@ impl DurableFaultStore {
             .wal_faults
             .permit(IoKind::Mutate, PageId::from_index(slot))
         {
-            Ok(()) => self.file.raw_append(frame, sync).map_err(|e| io_fault(&e)),
+            Ok(()) => self.file.append(rec),
             Err(fault) => match fault.kind {
                 FaultKind::Failed => Err(fault),
                 FaultKind::Torn => {
-                    // An interrupted write: a prefix physically lands,
-                    // then the process dies.
-                    let cut = self.next_torn_len(frame.len());
-                    let _ = self.file.raw_append(&frame[..cut], false);
+                    // An interrupted write: a prefix of the frame
+                    // physically lands, then the process dies.
+                    let draw = self.next_torn_draw();
+                    let _ = self.file.append_record(rec, Some(draw));
                     self.dead = true;
                     Err(fault)
                 }
@@ -594,39 +640,20 @@ impl Backend for DurableFaultStore {
     }
 
     fn journal_page(&mut self, page: PageId, bytes: &[u8]) -> Result<JournalAck, Fault> {
-        let mut frame = Vec::new();
-        wal::encode_record(
-            &WalRecord::PageImage {
-                page,
-                bytes: bytes.to_vec(),
-            },
-            &mut frame,
-        );
-        let sync = self.file.policy() == FsyncPolicy::Always;
-        self.arbitrated_append(page.index(), &frame, sync)
+        self.arbitrated_append(&WalRecord::PageImage { page, bytes })
+    }
+
+    fn journal_delta(&mut self, page: PageId, splices: &[u8]) -> Result<JournalAck, Fault> {
+        self.arbitrated_append(&WalRecord::PageDelta { page, splices })
     }
 
     fn journal_free(&mut self, page: PageId) -> Result<JournalAck, Fault> {
-        let mut frame = Vec::new();
-        wal::encode_record(&WalRecord::Free { page }, &mut frame);
-        let sync = self.file.policy() == FsyncPolicy::Always;
-        self.arbitrated_append(page.index(), &frame, sync)
+        self.arbitrated_append(&WalRecord::Free { page })
     }
 
     fn journal_commit(&mut self, meta: &[u8]) -> Result<JournalAck, Fault> {
         let seq = self.file.next_seq();
-        let mut frame = Vec::new();
-        wal::encode_record(
-            &WalRecord::Commit {
-                seq,
-                meta: meta.to_vec(),
-            },
-            &mut frame,
-        );
-        let sync = self.file.policy() != FsyncPolicy::Never;
-        let ack = self.arbitrated_append(COMMIT_SLOT, &frame, sync)?;
-        self.file.commit_seq = seq;
-        Ok(ack)
+        self.arbitrated_append(&WalRecord::Commit { seq, meta })
     }
 
     fn checkpoint(
@@ -650,7 +677,7 @@ impl Backend for DurableFaultStore {
                     // image + full log stay authoritative.
                     let seq = self.file.next_seq();
                     let buf = encode_page_file(seq, meta, pages);
-                    let cut = self.next_torn_len(buf.len());
+                    let cut = torn_len(self.next_torn_draw(), buf.len());
                     let _ = std::fs::write(self.file.dir().join(PAGE_TMP), &buf[..cut]);
                     self.dead = true;
                     Err(fault)
@@ -667,14 +694,7 @@ impl Backend for DurableFaultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultPlan;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mobidx-pager-file-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::{DelayBackend, FaultPlan, ScratchDir};
 
     fn pid(n: u32) -> PageId {
         PageId::from_index(n)
@@ -682,7 +702,7 @@ mod tests {
 
     #[test]
     fn fresh_open_is_empty_and_commits_survive_reopen() {
-        let dir = tmp_dir("roundtrip");
+        let dir = ScratchDir::new("pager-file-roundtrip");
         {
             let (mut b, image) = FileBackend::open(&dir, FsyncPolicy::OnCommit).unwrap();
             assert!(image.is_empty());
@@ -704,12 +724,11 @@ mod tests {
         assert_eq!(image.replayed_records, 5);
         assert_eq!(image.dropped_bytes, 0);
         assert_eq!(b.commit_seq(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn uncommitted_window_is_dropped_and_wal_truncated() {
-        let dir = tmp_dir("tail");
+        let dir = ScratchDir::new("pager-file-tail");
         {
             let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
             b.journal_page(pid(0), b"committed").unwrap();
@@ -728,12 +747,11 @@ mod tests {
         let (b, image) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
         assert_eq!(image.dropped_bytes, 0);
         assert_eq!(b.wal_len(), committed_wal);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn checkpoint_truncates_wal_and_recovers_alone() {
-        let dir = tmp_dir("checkpoint");
+        let dir = ScratchDir::new("pager-file-checkpoint");
         {
             let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::OnCommit).unwrap();
             b.journal_page(pid(0), b"a").unwrap();
@@ -759,12 +777,11 @@ mod tests {
         );
         // Only the post-checkpoint window replays from the log.
         assert_eq!(image.replayed_records, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn stale_wal_windows_below_checkpoint_seq_are_skipped() {
-        let dir = tmp_dir("stale");
+        let dir = ScratchDir::new("pager-file-stale");
         {
             let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
             b.journal_page(pid(0), b"old").unwrap();
@@ -783,12 +800,11 @@ mod tests {
         );
         assert_eq!(image.commit_seq, 5);
         assert_eq!(image.replayed_records, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corrupt_page_file_recovers_from_wal_alone() {
-        let dir = tmp_dir("corrupt");
+        let dir = ScratchDir::new("pager-file-corrupt");
         {
             let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
             b.journal_page(pid(0), b"x").unwrap();
@@ -797,24 +813,21 @@ mod tests {
         std::fs::write(dir.join(PAGE_FILE), b"not a page file").unwrap();
         let (_, image) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
         assert_eq!(image.pages, vec![Some(b"x".to_vec())]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn fsync_policy_counts() {
-        let dir = tmp_dir("fsync");
+        let dir = ScratchDir::new("pager-file-fsync");
         let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::Always).unwrap();
         let a1 = b.journal_page(pid(0), b"p").unwrap();
         assert_eq!(a1.fsyncs, 1, "Always syncs every append");
-        let dir2 = tmp_dir("fsync-never");
+        let dir2 = ScratchDir::new("pager-file-fsync-never");
         let (mut b2, _) = FileBackend::open(&dir2, FsyncPolicy::Never).unwrap();
         let a2 = b2.journal_page(pid(0), b"p").unwrap();
         let a3 = b2.journal_commit(b"m").unwrap();
         assert_eq!(a2.fsyncs + a3.fsyncs, 0, "Never never syncs");
         assert!(b2.totals().bytes > 0);
         assert_eq!(b2.totals().records, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&dir2).unwrap();
     }
 
     #[test]
@@ -827,7 +840,7 @@ mod tests {
 
     #[test]
     fn durable_fault_store_crash_mid_commit_recovers_previous_window() {
-        let dir = tmp_dir("crash-mid");
+        let dir = ScratchDir::new("pager-file-crash-mid");
         {
             let (mut b, image) = DurableFaultStore::open(
                 &dir,
@@ -852,12 +865,11 @@ mod tests {
         assert_eq!(image.commit_seq, 1);
         assert_eq!(image.pages, vec![Some(b"w1".to_vec())]);
         assert!(image.dropped_bytes > 0, "window 2's image was discarded");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn durable_fault_store_torn_append_leaves_partial_frame() {
-        let dir = tmp_dir("torn-append");
+        let dir = ScratchDir::new("pager-file-torn-append");
         let committed_len;
         {
             let (mut b, _) = DurableFaultStore::open(
@@ -895,12 +907,11 @@ mod tests {
         assert_eq!(image.pages, vec![Some(b"keep".to_vec())]);
         assert!(image.dropped_bytes > 0);
         assert_eq!(b.wal_len(), committed_len, "tail truncated on reopen");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn durable_fault_store_torn_checkpoint_keeps_old_image() {
-        let dir = tmp_dir("torn-ckpt");
+        let dir = ScratchDir::new("pager-file-torn-ckpt");
         {
             let (mut b, _) = DurableFaultStore::open(
                 &dir,
@@ -934,8 +945,133 @@ mod tests {
         let (_, image) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
         assert_eq!(image.pages, vec![Some(b"v1".to_vec())]);
         assert_eq!(image.meta, b"c1");
-        let _ = std::fs::remove_file(dir.join(PAGE_TMP));
-        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_framed_before_the_delta_record_opens_to_the_image_it_always_did() {
+        let dir = ScratchDir::new("pager-file-frozen");
+        std::fs::create_dir_all(&*dir).unwrap();
+        std::fs::write(dir.join(WAL_FILE), wal::FROZEN_LOG).unwrap();
+        let (b, image) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(
+            image,
+            RecoveredImage {
+                pages: vec![Some(b"root".to_vec()), None, None, Some(vec![0xAB; 9])],
+                meta: b"meta-1".to_vec(),
+                commit_seq: 1,
+                replayed_records: 4,
+                dropped_bytes: (wal::FROZEN_LOG.len() - wal::FROZEN_SEALED) as u64,
+            }
+        );
+        assert_eq!(
+            b.wal_len(),
+            wal::FROZEN_SEALED as u64,
+            "torn record cut off"
+        );
+    }
+
+    #[test]
+    fn deltas_replay_against_the_previous_image_in_the_log() {
+        let dir = ScratchDir::new("pager-file-delta");
+        let splice = |offset, remove, insert: &[u8]| {
+            let mut out = Vec::new();
+            wal::put_splice(&mut out, offset, remove, insert);
+            out
+        };
+        {
+            let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::OnCommit).unwrap();
+            b.journal_page(pid(0), b"0123456789").unwrap();
+            b.journal_commit(b"m1").unwrap();
+            // Against the image of window 1…
+            let ack = b.journal_delta(pid(0), &splice(2, 3, b"ab")).unwrap();
+            assert_eq!(
+                (ack.records, ack.fsyncs),
+                (1, 0),
+                "a delta is a page record"
+            );
+            b.journal_commit(b"m2").unwrap();
+            // …against the result of window 2, and within one window
+            // against an image (then a delta) of that very window.
+            b.journal_delta(pid(0), &splice(0, 1, b"")).unwrap();
+            b.journal_page(pid(1), b"xyz").unwrap();
+            b.journal_delta(pid(1), &splice(3, 0, b"!")).unwrap();
+            b.journal_delta(pid(1), &splice(0, 1, b"")).unwrap();
+            b.journal_commit(b"m3").unwrap();
+        }
+        let (_, image) = FileBackend::open(&dir, FsyncPolicy::OnCommit).unwrap();
+        assert_eq!(
+            image.pages,
+            vec![Some(b"1ab56789".to_vec()), Some(b"yz!".to_vec())]
+        );
+        assert_eq!(image.commit_seq, 3);
+        assert_eq!(image.replayed_records, 9);
+        assert_eq!(image.dropped_bytes, 0);
+    }
+
+    #[test]
+    fn delay_backend_forwards_deltas_to_the_backend_it_wraps() {
+        let dir = ScratchDir::new("pager-file-delay");
+        let (file, _) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
+        let mut b = DelayBackend::new(file, std::time::Duration::ZERO);
+        assert!(b.is_durable());
+        b.journal_page(pid(0), b"abc").unwrap();
+        let ack = b.journal_delta(pid(0), &[]).unwrap();
+        assert_eq!(ack.records, 1, "the record reached the log");
+        assert_eq!(b.inner().totals().records, 2);
+    }
+
+    #[test]
+    fn durable_fault_store_arbitrates_deltas_like_page_images() {
+        let dir = ScratchDir::new("pager-file-delta-fault");
+        let (mut b, _) = DurableFaultStore::open(
+            &dir,
+            FsyncPolicy::Never,
+            FaultPlan::none(1),
+            // The 3rd journal append — the delta — is the one that dies.
+            FaultPlan::crash_after_writes(1, 2),
+        )
+        .unwrap();
+        b.journal_page(pid(0), b"abc").unwrap();
+        b.journal_commit(b"m1").unwrap();
+        let sealed = b.file().wal_len();
+        let f = b.journal_delta(pid(0), &[]).unwrap_err();
+        assert_eq!(f.kind, FaultKind::Crashed);
+        assert_eq!(b.file().wal_len(), sealed, "nothing was appended");
+    }
+
+    /// A checkpoint whose log truncation fails has already replaced the
+    /// page file. The backend must count that sequence number as used:
+    /// the next window then carries a higher one and recovery applies
+    /// it, where a reused one would be skipped as stale.
+    #[test]
+    fn a_checkpoint_that_fails_after_its_rename_does_not_reuse_its_sequence_number() {
+        let dir = ScratchDir::new("pager-file-ckpt-rename");
+        let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
+        b.journal_page(pid(0), b"v1").unwrap();
+        b.journal_commit(b"m1").unwrap();
+        // A handle that cannot truncate: the rename lands, `set_len`
+        // fails.
+        let writable = std::mem::replace(&mut b.wal, File::open(dir.join(WAL_FILE)).unwrap());
+        let f = b
+            .checkpoint(&[(pid(0), b"v2".to_vec())], b"c2")
+            .unwrap_err();
+        assert_eq!(f.kind, FaultKind::Failed);
+        assert_eq!(b.commit_seq(), 2, "the renamed image carries sequence 2");
+        b.wal = writable;
+        // The store's answer to a failed checkpoint: the window again,
+        // as images.
+        b.journal_page(pid(0), b"v3").unwrap();
+        b.journal_commit(b"m3").unwrap();
+        assert_eq!(b.commit_seq(), 3);
+        drop(b);
+        let (_, image) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(image.pages, vec![Some(b"v3".to_vec())]);
+        assert_eq!(image.meta, b"m3");
+        assert_eq!(image.commit_seq, 3);
+        assert_eq!(
+            image.replayed_records, 2,
+            "window 1 is stale, window 3 is not"
+        );
     }
 
     #[test]

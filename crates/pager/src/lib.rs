@@ -26,6 +26,7 @@ mod buffer;
 mod codec;
 mod error;
 mod file;
+mod scratch;
 mod stats;
 mod store;
 pub mod wal;
@@ -38,6 +39,7 @@ pub use buffer::{BufferPool, INDEXED_THRESHOLD};
 pub use codec::{crc32, put_bytes, put_u32, put_u64, ByteReader, FixedCodec, PageCodec};
 pub use error::PagerError;
 pub use file::{DurableFaultStore, FileBackend, FsyncPolicy, RecoveredImage, PAGE_FILE, WAL_FILE};
+pub use scratch::ScratchDir;
 pub use stats::{IoSnapshot, IoStats};
 pub use store::{FrozenPages, PageId, PageStore};
 

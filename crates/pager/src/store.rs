@@ -7,7 +7,7 @@ use crate::error::PagerError;
 use crate::file::RecoveredImage;
 use crate::stats::IoStats;
 use crate::DEFAULT_BUFFER_PAGES;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Identifier of a page within one [`PageStore`].
@@ -93,12 +93,25 @@ pub struct PageStore<P> {
     /// Whether the backend persists journaled bytes; cached from
     /// [`Backend::is_durable`] so the hot path pays nothing when false.
     durable: bool,
-    /// Pages mutated since the last sealed commit window. Only
-    /// maintained for durable backends. Invariant: an id is in at most
-    /// one of `dirty_since_commit` / `freed_since_commit`.
-    dirty_since_commit: BTreeSet<u32>,
+    /// Pages mutated since the last sealed commit window, each with
+    /// *the page as the log last knew it* — the base its delta is taken
+    /// against: an `Arc` clone made on the first write of the window,
+    /// `None` for a page the log does not hold (allocated in the window,
+    /// or live when the backend was swapped in). Only maintained for
+    /// durable backends. Invariant: an id is in at most one of
+    /// `dirty_since_commit` / `freed_since_commit`.
+    dirty_since_commit: BTreeMap<u32, Option<Arc<P>>>,
     /// Pages freed since the last sealed commit window.
     freed_since_commit: BTreeSet<u32>,
+    /// Raised while a seal is under way and left up when it fails: the
+    /// failed attempt's records share a replay window with the retry's,
+    /// and a repeated image is idempotent where a repeated delta is not,
+    /// so the next window journals images only.
+    images_only: bool,
+    /// The metadata the last sealed window carried (`None` until one
+    /// is sealed on, or recovered from, this backend): a window that
+    /// changes neither a page nor this appends nothing.
+    sealed_meta: Option<Vec<u8>>,
     /// The pinned page (at most one) and its residency state.
     pinned: Option<(u32, PinState)>,
 }
@@ -141,8 +154,10 @@ impl<P> PageStore<P> {
             backend,
             retry: RetryPolicy::default(),
             durable,
-            dirty_since_commit: BTreeSet::new(),
+            dirty_since_commit: BTreeMap::new(),
             freed_since_commit: BTreeSet::new(),
+            images_only: false,
+            sealed_meta: None,
             pinned: None,
         }
     }
@@ -201,7 +216,8 @@ impl<P> PageStore<P> {
     ///
     /// When the incoming backend is durable, every live page is marked
     /// dirty: nothing in this store has been journaled to *that*
-    /// backend yet, so the first commit must carry the full image.
+    /// backend yet, so the first commit must carry the full image of
+    /// each (no page has a base to take a delta against).
     pub fn set_backend(&mut self, backend: Box<dyn Backend>) -> Box<dyn Backend> {
         let prev = std::mem::replace(&mut self.backend, backend);
         self.durable = self.backend.is_durable();
@@ -210,9 +226,11 @@ impl<P> PageStore<P> {
                 .pages
                 .iter()
                 .enumerate()
-                .filter_map(|(i, p)| p.as_ref().map(|_| i as u32))
+                .filter_map(|(i, p)| p.as_ref().map(|_| (i as u32, None)))
                 .collect();
             self.freed_since_commit.clear();
+            self.images_only = false;
+            self.sealed_meta = None;
         }
         prev
     }
@@ -304,7 +322,7 @@ impl<P> PageStore<P> {
             // A recycled id moves from the freed set to the dirty set:
             // the next window journals its new contents, not its death.
             self.freed_since_commit.remove(&id.0);
-            self.dirty_since_commit.insert(id.0);
+            self.dirty_since_commit.insert(id.0, None);
         }
         self.insert_resident(id, true)?;
         Ok(id)
@@ -419,20 +437,37 @@ impl<P> PageStore<P> {
         match self.permit(IoKind::Mutate, id) {
             Ok(()) => {
                 if self.durable {
-                    self.dirty_since_commit.insert(id.0);
+                    self.note_dirty(id);
                 }
                 Ok(f(self.page_mut(id)))
             }
             Err(err @ PagerError::TornWrite { .. }) => {
                 // Torn semantics: the mutation lands, the ack does not.
                 if self.durable {
-                    self.dirty_since_commit.insert(id.0);
+                    self.note_dirty(id);
                 }
                 let _ = f(self.page_mut(id));
                 Err(err)
             }
             Err(err) => Err(err),
         }
+    }
+
+    /// Marks page `id` dirty in the open commit window. Its first write
+    /// of the window also keeps the page as it is now — as the log last
+    /// knew it — for the commit to take a delta against. Called before
+    /// `page_mut`, so the clone is a reference to the sealed version and
+    /// the write that follows copies the page: the copy a published
+    /// snapshot forces on that write anyway.
+    ///
+    /// Out of line, so that `try_write` without a durable backend stays
+    /// the code it was before pre-images existed.
+    #[inline(never)]
+    fn note_dirty(&mut self, id: PageId) {
+        let page = &self.pages[id.0 as usize];
+        self.dirty_since_commit
+            .entry(id.0)
+            .or_insert_with(|| page.clone());
     }
 
     /// Exclusive access to a live page's contents. Copy-on-write: when a
@@ -802,38 +837,76 @@ impl<P: PageCodec> PageStore<P> {
             }
         }
         store.stats.add_wal_replayed(image.replayed_records);
+        if image.commit_seq > 0 {
+            store.sealed_meta = Some(image.meta.clone());
+        }
         Some(store)
     }
 
-    /// Seals the current commit window: journals the byte image of
-    /// every page dirtied since the last commit, the freed pages, and
-    /// a commit record carrying `meta` — then clears the window. With
-    /// the default [`crate::FsyncPolicy::OnCommit`] this is group
-    /// commit: one fsync for the whole window.
+    /// Seals the current commit window: journals every page dirtied
+    /// since the last commit — as a delta against the page as the log
+    /// last knew it when the codec offers one
+    /// ([`PageCodec::encode_delta`]), as its byte image otherwise — then
+    /// the freed pages and a commit record carrying `meta`, and clears
+    /// the window. With the default [`crate::FsyncPolicy::OnCommit`]
+    /// this is group commit: one fsync for the whole window.
+    ///
+    /// A window that dirtied no page, freed none and carries the `meta`
+    /// of the last sealed one appends nothing and syncs nothing.
     ///
     /// No-op (`Ok`) on non-durable backends.
     ///
     /// # Errors
     /// Fails with the first unabsorbed journal fault. The window is
     /// **kept** — if the store is still alive (a clean, non-crash
-    /// failure), a later `try_commit` re-journals it in full, which is
-    /// idempotent under replay (duplicate page images in one window
-    /// resolve to the same bytes).
+    /// failure), a later `try_commit` re-journals it in full. The
+    /// records the failed attempt left behind replay in the same window
+    /// as the retry's, so the retry journals **images only**: duplicate
+    /// page images in one window resolve to the same bytes, a delta
+    /// applied twice does not.
     pub fn try_commit(&mut self, meta: &[u8]) -> Result<(), PagerError> {
         if !self.durable {
             return Ok(());
         }
+        if self.dirty_since_commit.is_empty()
+            && self.freed_since_commit.is_empty()
+            && self.sealed_meta.as_deref() == Some(meta)
+        {
+            return Ok(());
+        }
+        // Up until this window is sealed; a failure below leaves it up.
+        let images_only = std::mem::replace(&mut self.images_only, true);
         let mut total = JournalAck::default();
-        let dirty: Vec<u32> = self.dirty_since_commit.iter().copied().collect();
+        let dirty: Vec<(u32, Option<Arc<P>>)> = self
+            .dirty_since_commit
+            .iter()
+            .map(|(&idx, base)| (idx, base.clone()))
+            .collect();
         let mut bytes = Vec::new();
-        for idx in dirty {
+        for (idx, base) in dirty {
             let page = self.pages[idx as usize]
                 .as_ref()
                 .expect("dirty page must be live (free clears the dirty mark)");
             bytes.clear();
-            page.encode(&mut bytes);
+            let mut delta = false;
+            if let (Some(base), false) = (&base, images_only) {
+                delta = page.encode_delta(base, &mut bytes);
+                debug_assert!(
+                    !delta || delta_rebuilds_image::<P>(base, page, &bytes),
+                    "page {idx}: the delta does not rebuild the image"
+                );
+            }
+            if !delta {
+                page.encode(&mut bytes);
+            }
             let id = PageId(idx);
-            let ack = self.journal_retry(id, |b| b.journal_page(id, &bytes))?;
+            let ack = self.journal_retry(id, |b| {
+                if delta {
+                    b.journal_delta(id, &bytes)
+                } else {
+                    b.journal_page(id, &bytes)
+                }
+            })?;
             total = total.merge(ack);
         }
         let freed: Vec<u32> = self.freed_since_commit.iter().copied().collect();
@@ -844,10 +917,17 @@ impl<P: PageCodec> PageStore<P> {
         }
         let ack = self.journal_retry(COMMIT_PAGE, |b| b.journal_commit(meta))?;
         total = total.merge(ack);
-        self.dirty_since_commit.clear();
-        self.freed_since_commit.clear();
+        self.window_sealed(meta);
         self.stats.add_wal(total.records, total.bytes, total.fsyncs);
         Ok(())
+    }
+
+    /// The open window reached the disk with `meta`: forget it.
+    fn window_sealed(&mut self, meta: &[u8]) {
+        self.dirty_since_commit.clear();
+        self.freed_since_commit.clear();
+        self.images_only = false;
+        self.sealed_meta = Some(meta.to_vec());
     }
 
     /// Writes a full checkpoint — every live page plus `meta` — and
@@ -858,8 +938,12 @@ impl<P: PageCodec> PageStore<P> {
     /// No-op (`Ok`) on non-durable backends.
     ///
     /// # Errors
-    /// Fails with the backend's fault; a clean failure leaves the
-    /// previous on-disk state (and the pending window) intact.
+    /// Fails with the backend's fault. The pending window is kept, and
+    /// what is on disk recovers either to the state before the
+    /// checkpoint or — when the failure came after the page file was
+    /// replaced — to the state it captured. The store cannot tell
+    /// which, so the window that follows journals images only, as after
+    /// a failed [`PageStore::try_commit`].
     pub fn try_checkpoint(&mut self, meta: &[u8]) -> Result<(), PagerError> {
         if !self.durable {
             return Ok(());
@@ -872,12 +956,23 @@ impl<P: PageCodec> PageStore<P> {
                 live.push((PageId(idx as u32), bytes));
             }
         }
+        // Should it fail after the rename, the bases of the open window
+        // are no longer what recovery starts from.
+        self.images_only = true;
         let ack = self.journal_retry(COMMIT_PAGE, |b| b.checkpoint(&live, meta))?;
-        self.dirty_since_commit.clear();
-        self.freed_since_commit.clear();
+        self.window_sealed(meta);
         self.stats.add_wal(ack.records, ack.bytes, ack.fsyncs);
         Ok(())
     }
+}
+
+/// Whether `splices` applied to `base`'s image give `page`'s image —
+/// what every journaled delta must do (checked in debug builds).
+fn delta_rebuilds_image<P: PageCodec>(base: &P, page: &P, splices: &[u8]) -> bool {
+    let (mut before, mut after) = (Vec::new(), Vec::new());
+    base.encode(&mut before);
+    page.encode(&mut after);
+    crate::wal::apply_splices(&before, splices).as_deref() == Some(&after[..])
 }
 
 #[cfg(test)]
@@ -1290,6 +1385,80 @@ mod tests {
             f
         };
         assert_eq!(snap.get(PageId::from_index(0)), Some(&7));
+    }
+
+    /// A page with a byte image, for the tests that commit.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Num(u64);
+
+    impl PageCodec for Num {
+        fn encode(&self, out: &mut Vec<u8>) {
+            crate::codec::put_u64(out, self.0);
+        }
+
+        fn decode(bytes: &[u8]) -> Option<Self> {
+            Some(Self(u64::from_le_bytes(bytes.try_into().ok()?)))
+        }
+    }
+
+    fn refs(s: &PageStore<Num>, id: PageId) -> usize {
+        Arc::strong_count(s.pages[id.0 as usize].as_ref().unwrap())
+    }
+
+    #[test]
+    fn no_pre_image_is_ever_taken_off_the_durable_path() {
+        let mut s: PageStore<Num> = PageStore::new(2);
+        let a = s.allocate(Num(1));
+        s.write(a, |p| p.0 = 2);
+        s.write(a, |p| p.0 = 3);
+        assert_eq!(refs(&s, a), 1, "the store holds the only reference");
+        assert!(s.dirty_since_commit.is_empty());
+        assert_eq!(s.pending_commit(), (0, 0));
+        // A snapshot shares the page until the next write copies it —
+        // as before, and nothing more.
+        let snap = s.freeze();
+        assert_eq!(refs(&s, a), 2);
+        s.write(a, |p| p.0 = 4);
+        assert_eq!(refs(&s, a), 1);
+        assert_eq!(snap.get(a), Some(&Num(3)));
+    }
+
+    #[test]
+    fn the_first_write_of_a_window_keeps_the_page_as_the_log_last_knew_it() {
+        let dir = crate::ScratchDir::new("pager-store-preimage");
+        let (file, _) = crate::FileBackend::open(&dir, crate::FsyncPolicy::Never).unwrap();
+        let mut s: PageStore<Num> = PageStore::new(2);
+        let a = s.allocate(Num(1));
+        drop(s.set_backend(Box::new(file)));
+        // Live when the backend came in, and allocated since: the log
+        // holds neither, so there is nothing to keep.
+        let b = s.allocate(Num(10));
+        s.write(a, |p| p.0 = 2);
+        s.write(b, |p| p.0 = 11);
+        assert_eq!((refs(&s, a), refs(&s, b)), (1, 1));
+        assert_eq!(s.pending_commit(), (2, 0));
+        s.try_commit(b"m").unwrap();
+
+        s.write(a, |p| p.0 = 3);
+        assert_eq!(refs(&s, a), 1, "the write copied the page…");
+        let kept = s.dirty_since_commit[&a.0]
+            .as_ref()
+            .expect("…and the window kept it");
+        assert_eq!(**kept, Num(2));
+        s.write(a, |p| p.0 = 4);
+        assert_eq!(
+            *s.dirty_since_commit[&a.0].as_deref().unwrap(),
+            Num(2),
+            "later writes of the window leave the base alone"
+        );
+        // Freed and recycled inside the window: a new page, no base.
+        let _ = s.free(b);
+        let c = s.allocate(Num(20));
+        assert_eq!(c, b);
+        assert!(s.dirty_since_commit[&c.0].is_none());
+        assert_eq!(s.pending_commit(), (2, 0));
+        s.try_commit(b"m").unwrap();
+        assert!(s.dirty_since_commit.is_empty(), "sealed: the bases go");
     }
 
     #[test]

@@ -5,19 +5,12 @@
 
 use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use mobidx_core::{Motion1D, QueryRequest};
-use mobidx_pager::{FileBackend, FsyncPolicy, WAL_FILE};
+use mobidx_pager::{FileBackend, FsyncPolicy, ScratchDir, WAL_FILE};
 use mobidx_serve::{Batch, IdHashShard, SamplerConfig, ServeConfig, ShardedDb};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn tmp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mobidx-serve-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn small_index() -> DualBPlusIndex {
     DualBPlusIndex::new(DualBPlusConfig {
@@ -61,7 +54,7 @@ fn motions(n: u64) -> Batch {
 
 #[test]
 fn apply_group_seals_wal_windows_on_durable_shards() {
-    let root = tmp_root("commit");
+    let root = ScratchDir::new("serve-commit");
     let db = ShardedDb::new(
         ServeConfig {
             shards: 1,
@@ -98,12 +91,11 @@ fn apply_group_seals_wal_windows_on_durable_shards() {
         "even an empty tree's window is sealed with a commit record"
     );
     drop(db);
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
 fn fsync_never_skips_sealing() {
-    let root = tmp_root("nosync");
+    let root = ScratchDir::new("serve-nosync");
     let db = ShardedDb::new(
         ServeConfig {
             shards: 1,
@@ -122,7 +114,6 @@ fn fsync_never_skips_sealing() {
         assert_eq!(len, 0, "store{store}: Never policy must not seal windows");
     }
     drop(db);
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// The continuous-telemetry sampler surfaces the WAL counters: with a
@@ -131,7 +122,7 @@ fn fsync_never_skips_sealing() {
 /// `_total` series exist in the registry.
 #[test]
 fn sampler_publishes_wal_counters_for_durable_shards() {
-    let root = tmp_root("telemetry");
+    let root = ScratchDir::new("serve-telemetry");
     let db = ShardedDb::new(
         ServeConfig {
             shards: 1,
@@ -174,12 +165,11 @@ fn sampler_publishes_wal_counters_for_durable_shards() {
     );
     drop(sampler);
     drop(db);
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
 fn queries_match_after_durable_commits() {
-    let root = tmp_root("query");
+    let root = ScratchDir::new("serve-query");
     let db = ShardedDb::new(
         ServeConfig {
             shards: 1,
@@ -200,5 +190,4 @@ fn queries_match_after_durable_commits() {
     let ids = db.query(&QueryRequest::new(&q)).unwrap();
     assert_eq!(ids.len(), 100, "durable commits must not perturb answers");
     drop(db);
-    std::fs::remove_dir_all(&root).unwrap();
 }
