@@ -5,7 +5,7 @@
 //! [`run_diagnose`] builds a sharded dual-B+ database and plants two
 //! *known* root causes:
 //!
-//! * the **stall shard** gets a [`FileBackend`] on every store under
+//! * the **stall shard** gets a [`mobidx_pager::FileBackend`] on every store under
 //!   [`FsyncPolicy::Always`] — each WAL record costs a real `fsync`,
 //!   so that shard's per-batch apply latency is fsync-bound by
 //!   construction;
@@ -23,12 +23,11 @@
 //! re-diagnose via `mobidx-doctor --check`.
 
 use crate::doctor::{diagnose, DoctorReport};
-use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
+use crate::stack::{arm_file_backends, id_hash_stack, load_sim, step_batch};
 use mobidx_core::QueryRequest;
 use mobidx_obs::json::Value;
-use mobidx_pager::{FaultPlan, FaultStore, FileBackend, FsyncPolicy, ScratchDir};
-use mobidx_serve::{Batch, IdHashShard, SamplerConfig, ServeConfig, ServeError, ShardedDb};
-use mobidx_workload::{Simulator1D, WorkloadConfig};
+use mobidx_pager::{FaultPlan, FaultStore, FsyncPolicy, ScratchDir};
+use mobidx_serve::{SamplerConfig, ServeError};
 use std::time::{Duration, Instant};
 
 /// Sizing of one induced-fault run.
@@ -91,42 +90,12 @@ pub fn run_diagnose(cfg: &DiagnoseConfig) -> DiagnoseOutcome {
         "stall and fault shards must be distinct and in range"
     );
     let root = ScratchDir::new("bench-diagnose");
-    let db = ShardedDb::new(
-        ServeConfig {
-            shards: cfg.shards,
-            queue_depth: 64,
-            fsync: FsyncPolicy::Always,
-            ..ServeConfig::default()
-        },
-        Box::new(IdHashShard),
-        |_, _| DualBPlusIndex::new(DualBPlusConfig::default()),
-    );
+    let db = id_hash_stack(cfg.shards, FsyncPolicy::Always);
 
     // Root cause #1: real files + fsync-per-record on the stall shard.
-    let shard_root = root.join(format!("shard{}", cfg.stall_shard));
-    db.with_shard(cfg.stall_shard, move |index| {
-        let mut next = 0usize;
-        index.set_backends(&mut || {
-            let dir = shard_root.join(format!("store{next}"));
-            next += 1;
-            let (backend, image) =
-                FileBackend::open(&dir, FsyncPolicy::Always).expect("open fresh store dir");
-            assert!(image.is_empty(), "fresh store dir must recover empty");
-            Box::new(backend)
-        });
-    })
-    .expect("arm stall shard");
+    arm_file_backends(&db, cfg.stall_shard, &root, FsyncPolicy::Always);
 
-    let mut sim = Simulator1D::new(WorkloadConfig {
-        n: cfg.n,
-        seed: cfg.seed,
-        ..WorkloadConfig::default()
-    });
-    let mut load = Batch::new();
-    for m in sim.objects() {
-        load.insert(*m);
-    }
-    db.apply(&load).expect("initial load");
+    let mut sim = load_sim(&db, cfg.n, cfg.seed);
 
     let sampler = db.start_sampler(SamplerConfig {
         tick: cfg.tick,
@@ -139,11 +108,8 @@ pub fn run_diagnose(cfg: &DiagnoseConfig) -> DiagnoseOutcome {
     // evidence.
     let span_epoch = Instant::now();
     for _ in 0..cfg.instants {
-        let mut batch = Batch::new();
-        for u in sim.step() {
-            batch.update(u.new);
-        }
-        db.apply(&batch).expect("healthy update batch");
+        db.apply(&step_batch(&mut sim))
+            .expect("healthy update batch");
         for _ in 0..2 {
             let q = sim.gen_query(150.0, 60.0);
             let _ = db
@@ -170,11 +136,7 @@ pub fn run_diagnose(cfg: &DiagnoseConfig) -> DiagnoseOutcome {
         });
     })
     .expect("arm fault shard");
-    let mut springer = Batch::new();
-    for u in sim.step() {
-        springer.update(u.new);
-    }
-    match db.apply(&springer) {
+    match db.apply(&step_batch(&mut sim)) {
         Err(ServeError::ShardFault { shard, .. }) => {
             assert_eq!(shard, cfg.fault_shard, "wrong shard faulted");
         }

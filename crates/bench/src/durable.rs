@@ -18,13 +18,10 @@
 //! `serve_bench --durable` prints the table (see EXPERIMENTS.md for the
 //! schema of the recovery columns).
 
+use crate::stack::{arm_file_backends, id_hash_stack, load_sim, step_batch};
 use crate::Scale;
-use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use mobidx_core::IoTotals;
 use mobidx_pager::{FileBackend, FsyncPolicy, ScratchDir, WAL_FILE};
-use mobidx_serve::{Batch, IdHashShard, ServeConfig, ShardedDb};
-use mobidx_workload::{Simulator1D, WorkloadConfig};
-use std::path::Path;
 use std::time::Instant;
 
 /// The policies a sweep compares, cheapest first.
@@ -102,59 +99,15 @@ pub fn run_durable_sweep(cfg: &DurableConfig) -> Vec<DurableCell> {
         .collect()
 }
 
-/// Arms a [`FileBackend`] on every store of every shard, rooted at
-/// `root/shard<i>/store<j>`. Returns stores per shard.
-fn arm_all_shards(
-    db: &ShardedDb<DualBPlusIndex>,
-    root: &Path,
-    policy: FsyncPolicy,
-    shards: usize,
-) -> Vec<usize> {
-    (0..shards)
-        .map(|shard| {
-            let shard_root = root.join(format!("shard{shard}"));
-            db.with_shard(shard, move |index| {
-                let mut next = 0usize;
-                index.set_backends(&mut || {
-                    let dir = shard_root.join(format!("store{next}"));
-                    next += 1;
-                    let (backend, image) =
-                        FileBackend::open(&dir, policy).expect("open fresh store dir");
-                    assert!(image.is_empty(), "fresh store dir must recover empty");
-                    Box::new(backend)
-                });
-                next
-            })
-            .expect("arm shard")
-        })
-        .collect()
-}
-
 fn run_policy(cfg: &DurableConfig, policy: FsyncPolicy) -> DurableCell {
     let root = ScratchDir::new(&format!("bench-durable-{}", policy.name()));
-    let db = ShardedDb::new(
-        ServeConfig {
-            shards: cfg.shards,
-            queue_depth: 64,
-            fsync: policy,
-            ..ServeConfig::default()
-        },
-        Box::new(IdHashShard),
-        |_, _| DualBPlusIndex::new(DualBPlusConfig::default()),
-    );
-    let stores_per_shard = arm_all_shards(&db, &root, policy, cfg.shards);
+    let db = id_hash_stack(cfg.shards, policy);
+    // One directory per store: `root/shard<i>/store<j>`.
+    let stores_per_shard: Vec<usize> = (0..cfg.shards)
+        .map(|shard| arm_file_backends(&db, shard, &root, policy))
+        .collect();
     let stores: usize = stores_per_shard.iter().sum();
-
-    let mut sim = Simulator1D::new(WorkloadConfig {
-        n: cfg.n,
-        seed: cfg.seed,
-        ..WorkloadConfig::default()
-    });
-    let mut load = Batch::new();
-    for m in sim.objects() {
-        load.insert(*m);
-    }
-    db.apply(&load).expect("initial load");
+    let mut sim = load_sim(&db, cfg.n, cfg.seed);
 
     // Bytes in every `wal.log` under `root`.
     let log_bytes = || -> u64 {
@@ -177,10 +130,7 @@ fn run_policy(cfg: &DurableConfig, policy: FsyncPolicy) -> DurableCell {
     let start = Instant::now();
     let mut update_ops = 0u64;
     for _ in 0..cfg.instants {
-        let mut batch = Batch::new();
-        for u in sim.step() {
-            batch.update(u.new);
-        }
+        let batch = step_batch(&mut sim);
         update_ops += batch.len() as u64;
         db.apply(&batch).expect("update batch");
     }

@@ -45,6 +45,7 @@ pub mod durable;
 pub mod json_report;
 pub mod repartition_bench;
 pub mod report;
+mod stack;
 pub mod telemetry_check;
 pub mod throughput;
 

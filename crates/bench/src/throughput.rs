@@ -16,7 +16,7 @@
 //!   headline `speedup_vs_1`) comes from this phase, together with the
 //!   deterministic `reads_per_query` evidence behind it.
 //!
-//! Sharding is by speed band ([`SpeedBandShard`]): each shard's dual-B+
+//! Sharding is by speed band ([`mobidx_serve::SpeedBandShard`]): each shard's dual-B+
 //! instance is configured with its narrow geometric sub-band, which
 //! collapses the §3.5.2 query enlargement (quadratic in the band's
 //! spread) and with it the per-query leaf I/O. On top of that, each
@@ -34,14 +34,15 @@
 //! `read_speedup` isolates what snapshot publication buys the read
 //! path.
 
+use crate::stack::{step_batch, warm_speed_band_stack};
 use crate::{QueryMix, Scale};
-use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
-use mobidx_core::{QueryRequest, SpeedBand};
+use mobidx_core::method::dual_bplus::DualBPlusIndex;
+use mobidx_core::QueryRequest;
 use mobidx_obs::json::{chrome_trace, Value};
 use mobidx_obs::{Histogram, HistogramSnapshot};
 use mobidx_pager::{DelayBackend, MemBackend};
-use mobidx_serve::{Batch, ServeConfig, ShardedDb, SpeedBandShard};
-use mobidx_workload::{MorQuery1D, Simulator1D, WorkloadConfig};
+use mobidx_serve::{Batch, ShardedDb};
+use mobidx_workload::{MorQuery1D, Simulator1D};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -127,36 +128,7 @@ pub struct ThroughputCell {
 /// any error is a harness bug.
 #[must_use]
 pub fn run_throughput(cfg: &ThroughputConfig, shards: usize) -> ThroughputCell {
-    let shard_fn = SpeedBandShard::new(SpeedBand::paper());
-    let db = ShardedDb::new(
-        ServeConfig {
-            shards,
-            queue_depth: cfg.queue_depth,
-            ..ServeConfig::default()
-        },
-        Box::new(shard_fn),
-        move |i, s| {
-            DualBPlusIndex::new(DualBPlusConfig {
-                band: shard_fn.index_band(i, s),
-                ..DualBPlusConfig::default()
-            })
-        },
-    );
-    let mut sim = Simulator1D::new(WorkloadConfig {
-        n: cfg.n,
-        seed: cfg.seed,
-        ..WorkloadConfig::default()
-    });
-
-    let mut load = Batch::new();
-    for m in sim.objects() {
-        load.insert(*m);
-    }
-    db.apply(&load).expect("initial load");
-
-    for _ in 0..cfg.warm_instants {
-        db.apply(&step_batch(&mut sim)).expect("warm-up updates");
-    }
+    let (db, mut sim) = warm_speed_band_stack(cfg, shards);
 
     // Measured update phase: one batch per instant, warm buffers.
     let mut update_ops = 0usize;
@@ -319,36 +291,9 @@ pub fn run_batch_sweep(cfg: &ThroughputConfig, batch_sizes: &[usize]) -> Vec<Bat
     let mut out = Vec::new();
     for &batch in batch_sizes {
         let batch = batch.max(1);
-        let shard_fn = SpeedBandShard::new(SpeedBand::paper());
-        let db = ShardedDb::new(
-            ServeConfig {
-                shards: SHARDS,
-                queue_depth: cfg.queue_depth,
-                ..ServeConfig::default()
-            },
-            Box::new(shard_fn),
-            move |i, s| {
-                DualBPlusIndex::new(DualBPlusConfig {
-                    band: shard_fn.index_band(i, s),
-                    ..DualBPlusConfig::default()
-                })
-            },
-        );
         // Same seed per cell: every batch size replays the identical
         // update stream, so ios_per_op differences are the write path's.
-        let mut sim = Simulator1D::new(WorkloadConfig {
-            n: cfg.n,
-            seed: cfg.seed,
-            ..WorkloadConfig::default()
-        });
-        let mut load = Batch::new();
-        for m in sim.objects() {
-            load.insert(*m);
-        }
-        db.apply(&load).expect("initial load");
-        for _ in 0..cfg.warm_instants {
-            db.apply(&step_batch(&mut sim)).expect("warm-up updates");
-        }
+        let (db, mut sim) = warm_speed_band_stack(cfg, SHARDS);
 
         // The measured stream: measure_instants' worth of updates,
         // re-chunked into client batches of exactly `batch` ops (the
@@ -465,34 +410,7 @@ pub fn run_read_heavy(
     for &(readers, writers) in ratios {
         let readers = readers.max(1);
         let writers = writers.max(1);
-        let shard_fn = SpeedBandShard::new(SpeedBand::paper());
-        let db = ShardedDb::new(
-            ServeConfig {
-                shards,
-                queue_depth: cfg.queue_depth,
-                ..ServeConfig::default()
-            },
-            Box::new(shard_fn),
-            move |i, s| {
-                DualBPlusIndex::new(DualBPlusConfig {
-                    band: shard_fn.index_band(i, s),
-                    ..DualBPlusConfig::default()
-                })
-            },
-        );
-        let mut sim = Simulator1D::new(WorkloadConfig {
-            n: cfg.n,
-            seed: cfg.seed,
-            ..WorkloadConfig::default()
-        });
-        let mut load = Batch::new();
-        for m in sim.objects() {
-            load.insert(*m);
-        }
-        db.apply(&load).expect("initial load");
-        for _ in 0..cfg.warm_instants {
-            db.apply(&step_batch(&mut sim)).expect("warm-up updates");
-        }
+        let (db, mut sim) = warm_speed_band_stack(cfg, shards);
 
         // Both disk models charge the same latency, so the comparison
         // isolates the read path: queued legs pay per pager I/O,
@@ -759,34 +677,7 @@ pub fn render_report(
 /// any error is a harness bug.
 #[must_use]
 pub fn capture_trace(cfg: &ThroughputConfig, shards: usize, queries: usize) -> String {
-    let shard_fn = SpeedBandShard::new(SpeedBand::paper());
-    let db = ShardedDb::new(
-        ServeConfig {
-            shards,
-            queue_depth: cfg.queue_depth,
-            ..ServeConfig::default()
-        },
-        Box::new(shard_fn),
-        move |i, s| {
-            DualBPlusIndex::new(DualBPlusConfig {
-                band: shard_fn.index_band(i, s),
-                ..DualBPlusConfig::default()
-            })
-        },
-    );
-    let mut sim = Simulator1D::new(WorkloadConfig {
-        n: cfg.n,
-        seed: cfg.seed,
-        ..WorkloadConfig::default()
-    });
-    let mut load = Batch::new();
-    for m in sim.objects() {
-        load.insert(*m);
-    }
-    db.apply(&load).expect("initial load");
-    for _ in 0..cfg.warm_instants {
-        db.apply(&step_batch(&mut sim)).expect("warm-up updates");
-    }
+    let (db, mut sim) = warm_speed_band_stack(cfg, shards);
     install_disk_model(&db, shards, cfg.io_latency_us);
 
     let (yqmax, tw) = QueryMix::Large.params();
@@ -818,34 +709,7 @@ pub fn capture_trace(cfg: &ThroughputConfig, shards: usize, queries: usize) -> S
 /// fails to complete a tick within its generous deadline.
 #[must_use]
 pub fn capture_telemetry(cfg: &ThroughputConfig, shards: usize, tick: Duration) -> String {
-    let shard_fn = SpeedBandShard::new(SpeedBand::paper());
-    let mut db = ShardedDb::new(
-        ServeConfig {
-            shards,
-            queue_depth: cfg.queue_depth,
-            ..ServeConfig::default()
-        },
-        Box::new(shard_fn),
-        move |i, s| {
-            DualBPlusIndex::new(DualBPlusConfig {
-                band: shard_fn.index_band(i, s),
-                ..DualBPlusConfig::default()
-            })
-        },
-    );
-    let mut sim = Simulator1D::new(WorkloadConfig {
-        n: cfg.n,
-        seed: cfg.seed,
-        ..WorkloadConfig::default()
-    });
-    let mut load = Batch::new();
-    for m in sim.objects() {
-        load.insert(*m);
-    }
-    db.apply(&load).expect("initial load");
-    for _ in 0..cfg.warm_instants {
-        db.apply(&step_batch(&mut sim)).expect("warm-up updates");
-    }
+    let (mut db, mut sim) = warm_speed_band_stack(cfg, shards);
 
     // Untimed warm phase: the first queries ever submitted pay one-time
     // costs (pool growth, allocator warmup) that would otherwise bias
@@ -966,15 +830,6 @@ fn drive_phase(db: &mut ShardedDb<DualBPlusIndex>, sim: &mut Simulator1D, instan
     #[allow(clippy::cast_precision_loss)]
     let ops_per_sec = ops as f64 / started.elapsed().as_secs_f64().max(1e-9);
     ops_per_sec
-}
-
-/// Advances the simulator one instant and packages its updates.
-fn step_batch(sim: &mut Simulator1D) -> Batch {
-    let mut batch = Batch::new();
-    for u in sim.step() {
-        batch.update(u.new);
-    }
-    batch
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Command-line front end for the model checker.
 //!
 //! ```text
-//! mobidx-check [--ops N] [--seed S] [--faults none|transient|torn|crash|all]
-//!              [--index bptree|interval|kdtree|rstar|persist|sharded|durable|vp_dual|all]
+//! mobidx-check [--ops N] [--seed S] [--faults <mode>|all] [--index <name>|all]
 //! ```
+//!
+//! The modes are [`FaultMode::ALL`], the names [`INDEXES`]; a bad
+//! argument prints both.
 //!
 //! Runs the requested (index × fault-mode) matrix; prints one report
 //! line per run. On divergence, prints the reproducing command line and
@@ -51,11 +53,8 @@ fn parse_args() -> Result<Args, String> {
                 out.indexes = if value == "all" {
                     INDEXES.to_vec()
                 } else {
-                    let known = INDEXES
-                        .into_iter()
-                        .find(|&n| n == value)
-                        .ok_or_else(|| format!("bad --index {value:?}"))?;
-                    vec![known]
+                    let known = INDEXES.into_iter().find(|&n| n == value);
+                    vec![known.ok_or_else(|| format!("bad --index {value:?}"))?]
                 };
             }
             other => return Err(format!("unknown flag {other:?}")),
@@ -65,15 +64,22 @@ fn parse_args() -> Result<Args, String> {
     Ok(out)
 }
 
+/// The usage line, its two value lists read off the tables.
+fn usage() -> String {
+    let modes: Vec<&str> = FaultMode::ALL.into_iter().map(FaultMode::name).collect();
+    format!(
+        "usage: mobidx-check [--ops N] [--seed S] [--faults {}|all] [--index {}|all]",
+        modes.join("|"),
+        INDEXES.join("|")
+    )
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("mobidx-check: {e}");
-            eprintln!(
-                "usage: mobidx-check [--ops N] [--seed S] \
-                 [--faults none|transient|torn|crash|all] [--index <name>|all]"
-            );
+            eprintln!("{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -101,5 +107,25 @@ fn main() -> ExitCode {
             eprintln!("{d}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_target_and_mode() {
+        let usage = usage();
+        for index in INDEXES {
+            assert!(usage.contains(index), "usage omits --index {index}");
+        }
+        for mode in FaultMode::ALL {
+            assert!(
+                usage.contains(mode.name()),
+                "usage omits --faults {}",
+                mode.name()
+            );
+        }
     }
 }

@@ -13,16 +13,39 @@ use mobidx_check::{check_index, CheckConfig, FaultMode, INDEXES};
 const OPS: usize = 5_000;
 const SEED: u64 = 1;
 
+/// What `mobidx-check --ops 5000 --seed 1` printed when the seeds were
+/// last pinned: one `ok   <report>` line per (index, mode) cell.
+const GOLDEN: &str = include_str!("golden/matrix_ops5000_seed1.txt");
+
+/// Runs one cell of the matrix and holds its report to the pinned line:
+/// a refactor that shifts one RNG draw or one fault's arming fails here
+/// instead of passing with different numbers.
 fn run(index: &'static str, faults: FaultMode) -> mobidx_check::Report {
     let cfg = CheckConfig {
         ops: OPS,
         seed: SEED,
         faults,
     };
-    match check_index(index, &cfg) {
+    let report = match check_index(index, &cfg) {
         Ok(report) => report,
         Err(divergence) => panic!("model-check divergence:\n{divergence}"),
-    }
+    };
+    let pinned = GOLDEN
+        .lines()
+        .filter_map(|line| line.strip_prefix("ok   "))
+        .find(|line| {
+            let mut cell = line.split_whitespace();
+            cell.next() == Some(index) && cell.next() == Some(faults.name())
+        })
+        .unwrap_or_else(|| panic!("no golden line for {index} [{}]", faults.name()));
+    assert_eq!(
+        format!("{report}"),
+        pinned,
+        "{index} [{}]: report differs from tests/golden/matrix_ops5000_seed1.txt \
+         (a deliberate re-pin is stated in CHANGES.md)",
+        faults.name()
+    );
+    report
 }
 
 #[test]
