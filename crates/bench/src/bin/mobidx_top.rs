@@ -14,10 +14,12 @@
 //! — have something to find), attaches a
 //! [`ServeSampler`](mobidx_serve::ServeSampler), and redraws a per-shard
 //! table every refresh: queue depth, query latency percentiles, I/O
-//! rates, snapshot-read rates, the shard's current velocity-band count
-//! and the age (in harvest ticks) of its last repartition, per-shard
+//! rates, snapshot-read and view-build rates, the shard's current
+//! velocity-band count and the age (in harvest ticks) of its last
+//! repartition, per-shard
 //! SLO status (from the sampler's default burn-rate objectives), the
-//! published snapshot epoch and its age, the read pool's counters, and
+//! commit epoch and its age, how many applies published no snapshot and
+//! how many snapshots were built on demand, the read pool's counters, and
 //! the workload drift score. After `--ticks` refreshes it stops the
 //! repartitioner and the load thread, drops the sampler, and exits
 //! cleanly.
@@ -241,7 +243,7 @@ fn render(sampler: &ServeSampler, frame: u64, frames: u64, tick: Duration) {
     );
     let alerts = sampler.active_alerts();
     println!(
-        "{:>5} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>5} {:>6} {:>4} {:>5}",
+        "{:>5} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>5} {:>6} {:>4} {:>5}",
         "shard",
         "depth",
         "p50 µs",
@@ -250,6 +252,7 @@ fn render(sampler: &ServeSampler, frame: u64, frames: u64, tick: Duration) {
         "reads/s",
         "writes/s",
         "snap/s",
+        "views/s",
         "bands",
         "rp-age",
         "poi",
@@ -279,7 +282,7 @@ fn render(sampler: &ServeSampler, frame: u64, frames: u64, tick: Duration) {
             "-".to_owned()
         };
         println!(
-            "{:>5} {:>6.0} {:>9.0} {:>9.0} {:>9.0} {:>9.1} {:>9.1} {:>9.1} {:>5.0} {:>6} {:>4} {:>5}",
+            "{:>5} {:>6.0} {:>9.0} {:>9.0} {:>9.0} {:>9.1} {:>9.1} {:>9.1} {:>8.1} {:>5.0} {:>6} {:>4} {:>5}",
             shard,
             latest("queue_depth", shard),
             latest("query_p50_us", shard),
@@ -288,6 +291,7 @@ fn render(sampler: &ServeSampler, frame: u64, frames: u64, tick: Duration) {
             latest("io_reads", shard) * per_sec,
             latest("io_writes", shard) * per_sec,
             latest("reads_on_snapshot", shard) * per_sec,
+            latest("views_built", shard) * per_sec,
             latest("bands", shard),
             rp_age,
             if latest("poisoned", shard) > 0.0 {
@@ -315,10 +319,13 @@ fn render(sampler: &ServeSampler, frame: u64, frames: u64, tick: Duration) {
         aggregate("repartition_last_ms"),
     );
     println!(
-        "snapshot epoch {:.0} (age {:.0} ticks) | {:.0} snapshot reads total",
+        "commit epoch {:.0} (age {:.0} ticks) | {:.0} snapshot reads total | \
+         {:.0} applies unpublished, {:.0} snapshots on demand",
         aggregate("snapshot_epoch"),
         aggregate("snapshot_age_ticks"),
         aggregate("reads_on_snapshot_total"),
+        aggregate("applies_unpublished"),
+        aggregate("snapshots_on_demand"),
     );
     println!(
         "read pool depth {:.0} | {:.0} submitted/s, {:.0} stolen/s | bundles captured {}",

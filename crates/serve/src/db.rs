@@ -4,7 +4,9 @@ use crate::batch::{Batch, Op, ShardOp};
 use crate::health::{HealthSnapshot, ShardHealth};
 use crate::merge::merge_sorted_ids;
 use crate::shard::ShardFn;
-use crate::snapshot::{DbSnapshot, ReadPool, SnapshotRegistry};
+use crate::snapshot::{
+    decide, Action, DbSnapshot, Looker, Publication, Read, ReadPool, Slot, SnapshotRegistry, Turn,
+};
 use crate::worker::{self, Request};
 use crate::ServeError;
 use mobidx_core::{FrozenIndex1D, FrozenReadStats, Index1D, IoTotals, QueryOutput, QueryRequest};
@@ -15,7 +17,7 @@ use mobidx_workload::{MorQuery1D, Motion1D};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -65,10 +67,12 @@ impl Default for ServeConfig {
 /// Objects are partitioned across `shards` index instances by a
 /// [`ShardFn`]; each instance is owned by a dedicated worker thread fed
 /// through a bounded queue. Writes go through [`ShardedDb::apply`]
-/// (serialized on the facade's table lock); each successfully committed
-/// group is *frozen* by the worker and published as an immutable,
-/// epoch-stamped [`DbSnapshot`]. Queries take `&self` from any thread:
-/// by default they run against the latest published snapshot with zero
+/// (serialized on the facade's table lock); a successfully committed
+/// group that follows a snapshot read is *frozen* by the worker and
+/// published as an immutable, epoch-stamped [`DbSnapshot`], one that
+/// follows no read only advances the commit epoch. Queries take `&self`
+/// from any thread: by default they run against the published snapshot
+/// (built on demand if the writes before it published none) with zero
 /// queueing behind writes, fanned out across a small work-stealing read
 /// pool, and k-way-merged back into the sorted, deduplicated contract
 /// of a single index. [`QueryRequest::queued`] opts back into the
@@ -140,9 +144,9 @@ pub struct ShardedDb<I: Index1D + Send + 'static> {
     /// the facade feeds it query selectivities, and its windowed drift
     /// detector raises `drift` events into the event log.
     profile: Arc<WorkloadProfile>,
-    /// Snapshot publication state: latest per-shard frozen views, the
-    /// monotone commit-epoch counter, and the currently published
-    /// [`DbSnapshot`].
+    /// Snapshot publication state: what each shard has to offer, the
+    /// monotone commit-epoch counter, whether anybody reads, and the
+    /// currently published [`DbSnapshot`].
     registry: Arc<SnapshotRegistry>,
     /// Work-stealing helpers for snapshot-read fan-out.
     read_pool: ReadPool,
@@ -193,7 +197,6 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         let events = Arc::new(EventLog::new(EVENT_LOG_CAPACITY));
         let profile =
             Arc::new(WorkloadProfile::new(profile_cfg).with_event_log(Arc::clone(&events)));
-        let registry = Arc::new(SnapshotRegistry::new(cfg.shards));
         let mut senders = Vec::with_capacity(cfg.shards);
         let mut handles = Vec::with_capacity(cfg.shards);
         let mut health = Vec::with_capacity(cfg.shards);
@@ -227,7 +230,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             senders.push(tx);
             health.push(shard_health);
         }
-        registry.publish_initial(initial_views);
+        let registry = Arc::new(SnapshotRegistry::new(initial_views));
         let epoch = Instant::now();
         let read_pool = ReadPool::new(cfg.read_threads);
         let flight = Arc::new(crate::flight::FlightRecorder::new(
@@ -305,8 +308,9 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             .collect()
     }
 
-    /// Validates and applies a batch of writes, then publishes the
-    /// post-commit state as the next read snapshot.
+    /// Validates and applies a batch of writes and advances the commit
+    /// epoch; if anybody reads snapshots, publishes the post-commit
+    /// state as the next one.
     ///
     /// Validation is atomic: every op is checked (in order, against the
     /// state the preceding ops of the same batch would leave) *before*
@@ -314,14 +318,19 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     /// batch with the database unchanged. After validation the table
     /// commits and each shard's op slice is dispatched as one message.
     /// The facade's table lock is held for the whole call, so concurrent
-    /// `apply` calls serialize (single logical writer); snapshot reads
-    /// are never blocked by it.
+    /// `apply` calls serialize (single logical writer); a snapshot read
+    /// never blocks on it (the first one after writes nobody read behind
+    /// waits for the apply in flight, if any, to build its snapshot).
     ///
-    /// Each worker freezes its index once per drained group and the
-    /// facade publishes a new [`DbSnapshot`] at the next commit epoch —
-    /// after `apply` returns `Ok`, [`ShardedDb::snapshot_epoch`] has
-    /// advanced past the batch (group commit may collapse several
-    /// batches into one epoch).
+    /// After `apply` returns `Ok`, [`ShardedDb::snapshot_epoch`] has
+    /// advanced past the batch. Whether a [`DbSnapshot`] exists at that
+    /// epoch depends on what happened since the apply before: if a
+    /// snapshot read did, each worker freezes its index once per drained
+    /// group and the facade publishes the snapshot before it returns; if
+    /// none did, the published snapshot is let go *before* the dispatch,
+    /// the workers write their pages in place — no freeze, no
+    /// copy-on-write, no view to retire — and the first snapshot read
+    /// after it has the shards freeze on demand.
     ///
     /// # Errors
     /// * [`ServeError::Duplicate`] / [`ServeError::Unknown`] — batch
@@ -330,8 +339,10 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     ///   worker hit an injected or real fault mid-batch. The table (the
     ///   authoritative state) has committed; call
     ///   [`ShardedDb::rebuild_shard`] on the reported shard to re-sync
-    ///   its index from the table. Snapshot publication pauses (reads
-    ///   keep serving the last good epoch) until the rebuild.
+    ///   its index from the table. Snapshot publication pauses and the
+    ///   commit epoch stands until the rebuild: reads keep serving the
+    ///   last good snapshot — or, if nobody was reading and this apply
+    ///   had let it go, take the worker queues and see the error.
     ///
     /// # Panics
     /// Panics if the table lock is poisoned (a prior `apply` panicked).
@@ -379,49 +390,137 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             }
         }
         self.object_count.store(table.len(), Ordering::Release);
+        let touched = per_shard.iter().enumerate();
+        let touched = touched.filter_map(|(shard, ops)| (!ops.is_empty()).then_some(shard));
+        let (turn, publish) = self.registry.begin_apply(touched);
         let mut waits = Vec::new();
         for (shard, ops) in per_shard.into_iter().enumerate() {
             if ops.is_empty() {
                 continue;
             }
             let (reply, rx) = channel();
-            self.send(shard, Request::Apply { ops, reply })?;
+            let req = Request::Apply {
+                ops,
+                publish,
+                reply,
+            };
+            // A closed queue drops the reply handle with the request,
+            // which the wait below reads as `ShardDown`.
+            let _ = self.send(shard, req);
             waits.push((shard, rx));
         }
         let mut first_err = None;
-        let mut published = Vec::new();
+        let mut offered = Vec::new();
         for (shard, rx) in waits {
-            match rx.recv() {
-                Ok(Ok(view)) => published.push((shard, view)),
-                Ok(Err(e)) => {
-                    // The shard's index no longer matches the table;
-                    // clearing its view pauses publication (reads keep
-                    // the last good snapshot) until a rebuild.
-                    published.push((shard, None));
-                    first_err.get_or_insert(e);
-                }
-                Err(_) => {
-                    published.push((shard, None));
-                    first_err.get_or_insert(ServeError::ShardDown { shard });
-                }
-            }
+            let reply = rx.recv().unwrap_or(Err(ServeError::ShardDown { shard }));
+            offered.push((
+                shard,
+                match reply {
+                    Ok(Some(view)) => Slot::View(view),
+                    Ok(None) if !publish => Slot::Retired,
+                    Ok(None) => Slot::Absent,
+                    Err(e) => {
+                        // The shard's index no longer matches the table;
+                        // with nothing to offer it pauses publication
+                        // (reads keep the last good snapshot) until a
+                        // rebuild.
+                        first_err.get_or_insert(e);
+                        Slot::Absent
+                    }
+                },
+            ));
         }
-        self.registry.publish(published);
+        let held = self.registry.install(offered, 1);
+        if self.end_turn(turn, publish, held) == Publication::Retired {
+            self.registry.applies_unpublished.incr();
+        }
         drop(table);
         first_err.map_or(Ok(()), Err)
+    }
+
+    /// Ends a writer's turn at the registry, building the snapshot the
+    /// writer owes first: one that froze in line owes the views of the
+    /// shards it did not touch, any other owes one if a read came in
+    /// behind it. `held` is what the registry holds with the writer's
+    /// own results installed; returns what it holds at the end. The
+    /// caller releases the table lock next.
+    fn end_turn(&self, turn: Turn<'_>, froze_in_line: bool, held: Publication) -> Publication {
+        let wanted = froze_in_line || (held == Publication::Retired && self.registry.take_wanted());
+        let held = match decide(Looker::ApplyEnds, wanted, held, true) {
+            Action::FreezeOnDemand => self.freeze_retired(),
+            _ => held,
+        };
+        drop(turn);
+        held
+    }
+
+    /// Has every shard that let its view go freeze again and installs
+    /// the views: a complete set is published at the current commit
+    /// epoch. The caller holds the table write lock, so the freezes fall
+    /// between the same two applies on every shard. Returns what the
+    /// registry holds afterwards.
+    fn freeze_retired(&self) -> Publication {
+        let retired = self.registry.retired_shards();
+        if !retired.is_empty() {
+            self.registry.snapshots_on_demand.incr();
+        }
+        let waits: Vec<_> = retired
+            .into_iter()
+            .map(|shard| {
+                let (reply, rx) = channel();
+                let _ = self.send(shard, Request::Freeze { reply });
+                (shard, rx)
+            })
+            .collect();
+        let offered = waits.into_iter().map(|(shard, rx)| {
+            // A poisoned (or departed) shard offers nothing, and pauses
+            // publication exactly as a failed apply does.
+            let view = rx.recv().ok().flatten();
+            (shard, view.map_or(Slot::Absent, Slot::View))
+        });
+        self.registry.install(offered.collect(), 0)
+    }
+
+    /// The snapshot a read runs against: what is published, without
+    /// waiting, whenever anything is. After a stretch of writes nobody
+    /// read behind nothing is — then the snapshot is built here, between
+    /// two applies, or by the apply in flight (see [`crate::snapshot`]).
+    /// Never blocks on the table lock: `apply` holds it across its whole
+    /// round trip and writers looping on it would starve a reader.
+    /// `None` when some shard cannot offer a view at all.
+    fn snapshot(&self) -> Option<Arc<DbSnapshot>> {
+        loop {
+            match self.registry.read() {
+                Read::Snapshot(snapshot) => return snapshot,
+                Read::OnDemand => match self.table.try_write() {
+                    Ok(table) => {
+                        let turn = self.registry.begin_turn();
+                        self.freeze_retired();
+                        drop(turn);
+                        drop(table);
+                    }
+                    // A writer between taking the lock and opening its
+                    // turn, or a point lookup: look again.
+                    Err(TryLockError::WouldBlock) => std::thread::yield_now(),
+                    Err(TryLockError::Poisoned(_)) => panic!("motion table poisoned"),
+                },
+            }
+        }
     }
 
     /// Answers one read request — the single, options-driven entry point
     /// that replaced the historical `query` / `query_filtered` /
     /// `query_traced` family.
     ///
-    /// Routing: plain requests run against the latest published
+    /// Routing: plain requests run against the published
     /// [`DbSnapshot`] — no worker queue, fan-out across the read pool,
-    /// `epoch` stamped on the output. Requests that force
-    /// [`QueryRequest::queued`], carry a
-    /// [`speed filter`](QueryRequest::speed_band), or arrive before any
-    /// snapshot exists take the worker-queue path instead (and leave
-    /// `epoch` as `None`).
+    /// `epoch` stamped on the output. The first one after a stretch of
+    /// writes nobody read behind finds none published and has it built
+    /// (one `Freeze` round trip per shard, or a wait for the apply in
+    /// flight to do it). Requests that force [`QueryRequest::queued`],
+    /// carry a [`speed filter`](QueryRequest::speed_band), or find a
+    /// shard that cannot offer a view take the worker-queue path instead
+    /// (and leave `epoch` as `None`).
     ///
     /// Both paths honor tracing: [`QueryRequest::traced`] /
     /// [`QueryRequest::spanned`] produce a root `query` span with one
@@ -438,24 +537,26 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         if req.is_queued() || req.speed_filter().is_some() {
             return self.query_queued(req);
         }
-        match self.registry.current() {
+        match self.snapshot() {
             Some(snap) => Ok(self.query_snapshot(&snap, req)),
             None => self.query_queued(req),
         }
     }
 
-    /// A detached, immutable read handle on the latest published
-    /// snapshot: queries against it are serial, infallible, and keep
-    /// answering from the *same* epoch no matter how many commits land
-    /// after — the hook for "query a stale snapshot against a
-    /// pre-commit oracle" checks.
+    /// A detached, immutable read handle on the snapshot of the latest
+    /// commit (a snapshot read like any other: it is built on demand if
+    /// none is published): queries against it are serial, infallible,
+    /// and keep answering from the *same* epoch no matter how many
+    /// commits land after — the hook for "query a stale snapshot against
+    /// a pre-commit oracle" checks.
     #[must_use]
     pub fn read_view(&self) -> Option<ReadView> {
-        self.registry.current().map(|snap| ReadView { snap })
+        self.snapshot().map(|snap| ReadView { snap })
     }
 
-    /// The last published commit epoch (0 until the first apply
-    /// publishes).
+    /// The commit epoch: the group commits applied so far (0 until the
+    /// first), whether or not a snapshot was published at each. It
+    /// stands still while a faulted shard awaits its rebuild.
     #[must_use]
     pub fn snapshot_epoch(&self) -> u64 {
         self.registry.epoch()
@@ -692,17 +793,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     /// is wedged on a full queue or poisoned.
     #[must_use]
     pub fn health(&self) -> HealthSnapshot {
-        HealthSnapshot {
-            shards: self
-                .health
-                .iter()
-                .enumerate()
-                .map(|(shard, h)| h.snapshot(shard))
-                .collect(),
-            read_pool: self.read_pool.metrics().snapshot(),
-            spans_recorded: self.events.recorded(),
-            spans_dropped: self.events.dropped(),
-        }
+        self.flight.health()
     }
 
     /// One shard's live health state — the hook for wiring a
@@ -895,8 +986,9 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     /// index instance (from the factory) is shipped to the worker, which
     /// swaps it in, clears its poisoned flag, and re-inserts the shard's
     /// motions. The recovery path after [`ServeError::ShardFault`]; a
-    /// successful rebuild also re-publishes the shard's frozen view and
-    /// so resumes snapshot publication.
+    /// successful rebuild also advances the commit epoch and resumes
+    /// snapshot publication — what was published is a commit behind and
+    /// is let go, the next snapshot read has the rebuilt shard freeze.
     ///
     /// Returns the index it replaced, in its last (possibly poisoned,
     /// mid-operation) state, so callers can run a post-mortem — e.g.
@@ -913,6 +1005,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     pub fn rebuild_shard(&self, shard: usize) -> Result<Box<I>, ServeError> {
         assert!(shard < self.shards, "shard {shard} out of range");
         let table = self.table.write().expect("motion table");
+        let turn = self.registry.begin_turn();
         let mut motions: Vec<Motion1D> = table
             .values()
             .filter(|m| self.shard_fn.shard_of(m, self.shards) == shard)
@@ -932,8 +1025,9 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
                 reply,
             },
         )?;
-        let (old, view) = rx.recv().map_err(|_| ServeError::ShardDown { shard })??;
-        self.registry.publish([(shard, view)]);
+        let old = rx.recv().map_err(|_| ServeError::ShardDown { shard })??;
+        let held = self.registry.install(vec![(shard, Slot::Retired)], 1);
+        self.end_turn(turn, false, held);
         drop(table);
         Ok(old)
     }

@@ -195,12 +195,11 @@ impl FlightRecorder {
         }
     }
 
-    /// Serializes one diagnostic bundle from the shared state and
-    /// pushes it into the ring (evicting the oldest past
-    /// [`FlightConfig::max_bundles`]). Returns the bundle.
-    pub(crate) fn capture(&self, trigger: &str, io: &[Option<IoTotals>]) -> Value {
-        let t_nanos = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let health = HealthSnapshot {
+    /// A point-in-time summary of the shared health state — every shard,
+    /// the read pool, the snapshot registry's mode counters and the event
+    /// log's accounting (what [`ShardedDb::health`] returns).
+    pub(crate) fn health(&self) -> HealthSnapshot {
+        HealthSnapshot {
             shards: self
                 .health
                 .iter()
@@ -208,9 +207,19 @@ impl FlightRecorder {
                 .map(|(shard, h)| h.snapshot(shard))
                 .collect(),
             read_pool: self.read_pool.snapshot(),
+            snapshots_on_demand: self.registry.snapshots_on_demand.get(),
+            applies_unpublished: self.registry.applies_unpublished.get(),
             spans_recorded: self.events.recorded(),
             spans_dropped: self.events.dropped(),
-        };
+        }
+    }
+
+    /// Serializes one diagnostic bundle from the shared state and
+    /// pushes it into the ring (evicting the oldest past
+    /// [`FlightConfig::max_bundles`]). Returns the bundle.
+    pub(crate) fn capture(&self, trigger: &str, io: &[Option<IoTotals>]) -> Value {
+        let t_nanos = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let health = self.health();
         let spans: Vec<Value> = {
             let all = self.events.snapshot();
             let skip = all.len().saturating_sub(self.cfg.max_spans);

@@ -28,11 +28,15 @@ pub struct ShardHealth {
     pub dequeued: Counter,
     /// Write batches applied (one per `Apply` request).
     pub applied_batches: Counter,
-    /// Published views this worker freed itself, as the last owner, at
-    /// the start of a later `Apply` (see `worker::run`). It trails
-    /// `applied_batches` by the two views a worker keeps; a wider gap
-    /// counts views that a lingering reader (a held `ReadView`) freed
-    /// instead.
+    /// Read views this worker froze: in line, at the end of an `Apply`
+    /// that followed a snapshot read, or on a `Freeze` request from a
+    /// read that found none published. Standing still under write
+    /// traffic means nobody reads snapshots.
+    pub views_built: Counter,
+    /// Views this worker freed itself, as the last owner, at the start
+    /// of a later request (see `worker::run`). It trails `views_built`
+    /// by at most the two views a worker keeps; a wider gap counts views
+    /// that a lingering reader (a held `ReadView`) freed instead.
     pub views_retired: Counter,
     /// Individual shard ops applied across all batches.
     pub applied_ops: Counter,
@@ -80,6 +84,7 @@ impl ShardHealth {
             enqueued: self.enqueued.get(),
             dequeued: self.dequeued.get(),
             applied_batches: self.applied_batches.get(),
+            views_built: self.views_built.get(),
             views_retired: self.views_retired.get(),
             applied_ops: self.applied_ops.get(),
             queries: self.queries.get(),
@@ -108,7 +113,9 @@ pub struct ShardHealthSnapshot {
     pub dequeued: u64,
     /// Write batches applied.
     pub applied_batches: u64,
-    /// Published views the worker itself freed (see
+    /// Read views the worker froze (see [`ShardHealth::views_built`]).
+    pub views_built: u64,
+    /// Views the worker itself freed (see
     /// [`ShardHealth::views_retired`]).
     pub views_retired: u64,
     /// Individual shard ops applied.
@@ -146,6 +153,7 @@ impl ShardHealthSnapshot {
                 "applied_batches".to_owned(),
                 Value::from(self.applied_batches),
             ),
+            ("views_built".to_owned(), Value::from(self.views_built)),
             ("views_retired".to_owned(), Value::from(self.views_retired)),
             ("applied_ops".to_owned(), Value::from(self.applied_ops)),
             ("queries".to_owned(), Value::from(self.queries)),
@@ -232,6 +240,12 @@ pub struct HealthSnapshot {
     pub shards: Vec<ShardHealthSnapshot>,
     /// The snapshot read pool's counters (see [`ReadPoolSnapshot`]).
     pub read_pool: ReadPoolSnapshot,
+    /// Snapshots built by `Freeze` round trips to the shards, for a
+    /// read that found none published — each is a read that waited.
+    pub snapshots_on_demand: u64,
+    /// Applies that published no snapshot because nobody had read
+    /// since the one before: the write-only share of the traffic.
+    pub applies_unpublished: u64,
     /// Span trees ever pushed into the facade's event log.
     pub spans_recorded: u64,
     /// Span trees silently overwritten by the event log's ring wrap —
@@ -261,6 +275,14 @@ impl HealthSnapshot {
                 ),
             ),
             ("read_pool".to_owned(), self.read_pool.to_json()),
+            (
+                "snapshots_on_demand".to_owned(),
+                Value::from(self.snapshots_on_demand),
+            ),
+            (
+                "applies_unpublished".to_owned(),
+                Value::from(self.applies_unpublished),
+            ),
             (
                 "spans_recorded".to_owned(),
                 Value::from(self.spans_recorded),
@@ -330,6 +352,8 @@ mod tests {
                 depth: 0,
                 depth_high_water: 5,
             },
+            snapshots_on_demand: 2,
+            applies_unpublished: 17,
             spans_recorded: 300,
             spans_dropped: 44,
         };
@@ -342,6 +366,14 @@ mod tests {
             parsed.get("spans_dropped").and_then(Value::as_u64),
             Some(44)
         );
+        assert_eq!(
+            parsed.get("snapshots_on_demand").and_then(Value::as_u64),
+            Some(2)
+        );
+        assert_eq!(
+            parsed.get("applies_unpublished").and_then(Value::as_u64),
+            Some(17)
+        );
         let shard = &parsed.get("shards").and_then(Value::as_array).expect("arr")[0];
         assert_eq!(shard.get("shard").and_then(Value::as_u64), Some(0));
         assert_eq!(shard.get("poisoned").and_then(Value::as_bool), Some(false));
@@ -349,6 +381,7 @@ mod tests {
             shard.get("reads_on_snapshot").and_then(Value::as_u64),
             Some(0)
         );
+        assert_eq!(shard.get("views_built").and_then(Value::as_u64), Some(0));
         let upd = shard.get("update_latency_us").expect("histogram");
         assert_eq!(upd.get("count").and_then(Value::as_u64), Some(1));
         assert_eq!(upd.get("p95").and_then(Value::as_u64), Some(50));

@@ -18,12 +18,15 @@
 //!   whose sub-band overlaps the filter) and the sorted per-shard
 //!   answers are k-way-merged back into the single-index contract
 //!   ([`merge`]).
-//! * **Epoch-stamped snapshot reads** — after every drained apply group
-//!   each worker freezes its index (page-level copy-on-write: one
-//!   handle bump per live page, contents copied only for pages the next
-//!   batch dirties) and the facade publishes an immutable [`DbSnapshot`] at
-//!   the next commit epoch; plain queries run against it from any
-//!   caller thread with zero queueing behind writes ([`snapshot`]).
+//! * **Epoch-stamped snapshot reads, built on demand** — plain queries
+//!   run against an immutable [`DbSnapshot`] (one frozen view per shard;
+//!   page-level copy-on-write: one handle bump per live page, contents
+//!   copied only for pages the next batch dirties) from any caller
+//!   thread with zero queueing behind writes. An apply that follows a
+//!   snapshot read has its workers freeze in line and publishes the next
+//!   snapshot; an apply nobody read behind builds none and only advances
+//!   the commit epoch — the first read after it has the shards freeze
+//!   ([`snapshot`]).
 //! * **Fault isolation** — a worker converts an index panic (e.g. an
 //!   unrecovered pager fault) into a typed [`ServeError`]; the shard is
 //!   poisoned until [`ShardedDb::rebuild_shard`] re-syncs it from the

@@ -11,8 +11,9 @@
 //!   serving never stalls. Reads stay exact throughout (the index
 //!   widens its per-band query windows for the duration — see
 //!   `mobidx_core::method::vp_dual`), and the published snapshot keeps
-//!   serving the old layout until the migrated shard's fresh frozen
-//!   view is republished through the snapshot epoch machinery.
+//!   serving the old layout until the migrated shard's step ends: that
+//!   retires the shard's view, and the next snapshot read has the new
+//!   layout frozen (same contents, so the commit epoch stands).
 //! * [`ShardedDb::maybe_repartition`] — the drift subscription: runs
 //!   `repartition_now` only when the profile has raised `drift` events
 //!   not yet handled, and afterwards
@@ -29,7 +30,7 @@
 
 use crate::db::ShardedDb;
 use crate::ServeError;
-use mobidx_core::{Index1D, VpDualIndex};
+use mobidx_core::VpDualIndex;
 use mobidx_obs::{Span, SpanIo};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -220,13 +221,13 @@ impl ShardedDb<VpDualIndex> {
                 let piece = piece.to_vec();
                 moved += self.with_shard(shard, move |idx| idx.migrate_chunk(&piece))?;
             }
-            // Step 3: publish the new layout and its frozen view — the
-            // old snapshot serves reads until this lands.
-            let (bands, view) = self.with_shard(shard, |idx| {
+            // Step 3: switch to the new layout — the old snapshot serves
+            // reads until this lands, the next read freezes the new one.
+            let bands = self.with_shard(shard, |idx| {
                 idx.finish_repartition();
-                (idx.bands() as u64, idx.freeze().map(Arc::from))
+                idx.bands() as u64
             })?;
-            self.telemetry_registry().publish([(shard, view)]);
+            self.telemetry_registry().invalidate(shard);
             stats.set_bands(shard, bands);
             stats.shard_completed[shard].fetch_add(1, Ordering::Relaxed);
             shards_changed += 1;

@@ -167,9 +167,9 @@ fn shard_series(base: &str, shard: usize) -> String {
 ///   budget, 12/60-tick windows, 2× burn);
 /// * `shard-fault-s<i>` — per-shard poisoned gauge must read 0 (pages
 ///   on the first poisoned tick);
-/// * `snapshot-age` — the published snapshot must advance at least
-///   once per 600 ticks (one minute at the default 100 ms tick) —
-///   write stalls and paused publication (a poisoned shard) surface
+/// * `snapshot-age` — the commit epoch must advance at least once per
+///   600 ticks (one minute at the default 100 ms tick) — write stalls
+///   and paused publication (a poisoned shard holds the epoch) surface
 ///   here;
 /// * one anomaly detector over `queue_depth_total` for congestion
 ///   steps no fixed threshold was told about.
@@ -259,8 +259,9 @@ fn start<I: Index1D + Send + 'static>(
     let mut last_ops: Vec<u64> = vec![0; shards];
     let mut last_queries: Vec<u64> = vec![0; shards];
     let mut last_snap_reads: Vec<u64> = vec![0; shards];
+    let mut last_views_built: Vec<u64> = vec![0; shards];
     let mut last_pool = (0u64, 0u64, vec![0u64; read_pool.snapshot().threads]);
-    // Snapshot-age bookkeeping: ticks since the published epoch last
+    // Snapshot-age bookkeeping: ticks since the commit epoch last
     // advanced (the sampler derives age from epoch *changes*, so it
     // needs no clock plumbed out of the registry).
     let mut last_epoch = registry.epoch();
@@ -300,6 +301,9 @@ fn start<I: Index1D + Send + 'static>(
             last_snap_reads[shard] = snap.reads_on_snapshot;
             rec("reads_on_snapshot", sr_delta as f64);
             snap_reads_total += sr_delta;
+            let built_delta = snap.views_built.saturating_sub(last_views_built[shard]);
+            last_views_built[shard] = snap.views_built;
+            rec("views_built", built_delta as f64);
             // The I/O counters live inside the worker-owned index, so
             // they take one queue round-trip; the deltas saturate so a
             // mid-run `reset_io` reads as a quiet tick, not a panic.
@@ -365,6 +369,10 @@ fn start<I: Index1D + Send + 'static>(
             }
             t.series("snapshot_epoch").push(now, epoch as f64);
             t.series("snapshot_age_ticks").push(now, age_ticks as f64);
+            t.series("snapshots_on_demand")
+                .push(now, registry.snapshots_on_demand.get() as f64);
+            t.series("applies_unpublished")
+                .push(now, registry.applies_unpublished.get() as f64);
             // Online repartitioning: per-shard band-count gauges and
             // ticks-since-last-repartition, plus the pass aggregates.
             for shard in 0..shards {

@@ -15,6 +15,12 @@
 //! worker keeps draining its queue) until the facade ships a freshly
 //! rebuilt index via [`Request::Rebuild`].
 //!
+//! A worker also builds, and frees, the read views of its index — but
+//! only when told somebody reads them: at the end of an `Apply` that
+//! carries `publish`, or on a [`Request::Freeze`] from a read that found
+//! none. An `Apply` without `publish` first drops the views the worker
+//! holds and then writes pages nobody shares (see [`crate::snapshot`]).
+//!
 //! [`Index1D`]: mobidx_core::Index1D
 
 use crate::batch::ShardOp;
@@ -32,13 +38,17 @@ use std::time::Instant;
 /// A message to a shard worker. Replies travel on per-request channels
 /// so concurrent clients never see each other's answers.
 pub(crate) enum Request<I> {
-    /// Apply this shard's slice of a batch, in order. On success the
+    /// Apply this shard's slice of a batch, in order. With `publish`
+    /// set — a snapshot read happened since the apply before — the
     /// reply carries the shard's freshly frozen read view (one freeze
     /// per drained group, shared by every reply of the group), or `None`
-    /// when the index cannot freeze — the facade's snapshot registry
-    /// then keeps serving the previous snapshot.
+    /// when the index cannot freeze: the facade's snapshot registry
+    /// then keeps serving the previous snapshot. With `publish` clear
+    /// the worker first lets go of the views it holds and freezes
+    /// nothing; the reply carries `None`.
     Apply {
         ops: Vec<ShardOp>,
+        publish: bool,
         #[allow(clippy::type_complexity)]
         reply: Sender<Result<Option<Arc<dyn FrozenIndex1D>>, ServeError>>,
     },
@@ -76,14 +86,20 @@ pub(crate) enum Request<I> {
         f: Box<dyn FnOnce(&mut I) + Send>,
         reply: Sender<Result<(), ServeError>>,
     },
+    /// Freeze the index as it stands, between two applies: a snapshot
+    /// read found the shard's view let go. `None` from a poisoned shard
+    /// or an index that cannot freeze.
+    Freeze {
+        reply: Sender<Option<Arc<dyn FrozenIndex1D>>>,
+    },
     /// Replace the owned index with `index` and load `motions` into it,
     /// clearing the poisoned flag. The facade sends the authoritative
-    /// motion records for this shard.
+    /// motion records for this shard; the reply carries the replaced
+    /// index. The views of the replaced index are let go.
     Rebuild {
         index: Box<I>,
         motions: Vec<Motion1D>,
-        #[allow(clippy::type_complexity)]
-        reply: Sender<Result<(Box<I>, Option<Arc<dyn FrozenIndex1D>>), ServeError>>,
+        reply: Sender<Result<Box<I>, ServeError>>,
     },
     /// Drain and exit (sent on facade drop).
     Shutdown,
@@ -115,17 +131,25 @@ pub(crate) fn run<I: Index1D>(
     commit_on_apply: bool,
 ) {
     let mut poisoned = false;
-    // The last two views this worker published, older first. The shard
-    // that built a view also retires it: `prev` is dropped at the start
-    // of the next `Apply`, by which time the facade has displaced it
-    // (the `apply` that published `current` has returned), so unless a
+    // The last two views this worker built, older first. The shard that
+    // built a view also retires it: `prev` is dropped at the start of
+    // the next `Apply`, by which time the facade has displaced it (the
+    // `apply` that published `current` has returned), so unless a
     // `ReadView` lingers this is the last reference and the page-table
     // decrements and page frees run here — in parallel across shards,
     // in the allocating thread's arena, outside every facade lock.
     // Dropping it *before* the batch keeps the peak at two generations;
     // holding it across the batch's copy-on-write would make it three.
+    // An `Apply` that is not to publish drops `current` too — the
+    // registry let go of it before dispatching — and so writes its
+    // pages in place.
     let mut prev: Option<Arc<dyn FrozenIndex1D>> = None;
     let mut current: Option<Arc<dyn FrozenIndex1D>> = None;
+    let retire = |view: Option<Arc<dyn FrozenIndex1D>>| {
+        if view.is_some_and(|view| Arc::strong_count(&view) == 1) {
+            health.views_retired.incr();
+        }
+    };
     'serve: while let Ok(req) = rx.recv() {
         health.queue_depth.decr();
         health.dequeued.incr();
@@ -134,7 +158,11 @@ pub(crate) fn run<I: Index1D>(
         let mut carried = Some(req);
         while let Some(req) = carried.take() {
             match req {
-                Request::Apply { ops, reply } => {
+                Request::Apply {
+                    ops,
+                    mut publish,
+                    reply,
+                } => {
                     // Group commit: opportunistically drain every Apply
                     // already queued so their ops are sorted and applied
                     // as a single batch (one descent and one dirty page
@@ -145,8 +173,13 @@ pub(crate) fn run<I: Index1D>(
                         health.queue_depth.decr();
                         health.dequeued.incr();
                         match next {
-                            Request::Apply { ops, reply } => {
+                            Request::Apply {
+                                ops,
+                                publish: wanted,
+                                reply,
+                            } => {
                                 group.extend(ops);
+                                publish |= wanted;
                                 replies.push(reply);
                             }
                             other => {
@@ -160,11 +193,9 @@ pub(crate) fn run<I: Index1D>(
                     // The clock covers the retire: the cost left the
                     // client, it must not leave the books.
                     let started = Instant::now();
-                    if let Some(view) = prev.take() {
-                        if Arc::strong_count(&view) == 1 {
-                            health.views_retired.incr();
-                        }
-                        drop(view);
+                    retire(prev.take());
+                    if !publish {
+                        retire(current.take());
                     }
                     let mut r = guarded(shard, &mut poisoned, || {
                         apply_group(&mut index, &group);
@@ -192,12 +223,15 @@ pub(crate) fn run<I: Index1D>(
                                 profile.record_update(m.v);
                             }
                         }
-                        // One freeze per drained group: the sealed
-                        // post-commit state becomes the shard's next
-                        // published read view (O(live pages) handle
-                        // bumps — page contents are shared, not copied).
-                        view = index.freeze().map(Arc::from);
-                        prev = std::mem::replace(&mut current, view.clone());
+                        if publish {
+                            // One freeze per drained group: the sealed
+                            // post-commit state becomes the shard's next
+                            // published read view (O(live pages) handle
+                            // bumps — page contents are shared, not
+                            // copied).
+                            view = freeze(&index, health);
+                            prev = std::mem::replace(&mut current, view.clone());
+                        }
                     }
                     for reply in replies {
                         let _ = reply.send(r.clone().map(|()| view.clone()));
@@ -266,11 +300,22 @@ pub(crate) fn run<I: Index1D>(
                     let r = guarded(shard, &mut poisoned, || f(&mut index));
                     let _ = reply.send(r);
                 }
+                Request::Freeze { reply } => {
+                    retire(prev.take());
+                    let view = guarded(shard, &mut poisoned, || freeze(&index, health));
+                    let view = view.ok().flatten();
+                    if view.is_some() {
+                        prev = std::mem::replace(&mut current, view.clone());
+                    }
+                    let _ = reply.send(view);
+                }
                 Request::Rebuild {
                     index: fresh,
                     motions,
                     reply,
                 } => {
+                    retire(prev.take());
+                    retire(current.take());
                     // The replaced index travels back to the facade in its
                     // last (possibly poisoned) state for post-mortem reads.
                     let old = std::mem::replace(&mut index, *fresh);
@@ -288,13 +333,22 @@ pub(crate) fn run<I: Index1D>(
                             });
                         }
                     }
-                    let _ = reply.send(r.map(|()| (Box::new(old), index.freeze().map(Arc::from))));
+                    let _ = reply.send(r.map(|()| Box::new(old)));
                 }
                 Request::Shutdown => break 'serve,
             }
             health.poisoned.set(u64::from(poisoned));
         }
     }
+}
+
+/// Freezes `index` into a shareable view, on the books.
+fn freeze<I: Index1D>(index: &I, health: &ShardHealth) -> Option<Arc<dyn FrozenIndex1D>> {
+    let view = index.freeze().map(Arc::from);
+    if view.is_some() {
+        health.views_built.incr();
+    }
+    view
 }
 
 /// Elapsed wall-clock since `started`, in microseconds.

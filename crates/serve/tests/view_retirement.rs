@@ -1,12 +1,16 @@
-//! Who frees a snapshot. A shard worker keeps the last two views it
-//! published and drops the older one at the start of its next `Apply`,
-//! so a view's death — a page table of reference-count decrements plus
+//! Who builds a snapshot, when, and who frees it. A view is built for
+//! an apply that follows a snapshot read, or for a read that finds none
+//! published — never for an apply nobody read behind. A shard worker
+//! keeps the last two views it built and drops the older one at the
+//! start of its next `Apply` (both, if that apply is not to publish), so
+//! a view's death — a page table of reference-count decrements plus
 //! every page only it still held — is paid by the thread that built it
 //! and never by the client inside `apply`. A counting index whose frozen
-//! views record where and when they die holds that in place.
+//! views record where they are born and where and when they die holds
+//! that in place.
 
-use mobidx_core::{FrozenIndex1D, FrozenReadStats, Index1D, IndexStats, IoTotals};
-use mobidx_serve::{Batch, IdHashShard, ServeConfig, ShardedDb};
+use mobidx_core::{FrozenIndex1D, FrozenReadStats, Index1D, IndexStats, IoTotals, QueryRequest};
+use mobidx_serve::{Batch, IdHashShard, ServeConfig, ServeError, ShardedDb};
 use mobidx_workload::{brute_force_1d, MorQuery1D, Motion1D};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,9 +19,10 @@ use std::thread::ThreadId;
 
 const SHARDS: usize = 2;
 
-/// One frozen view's death: which freeze of which shard, and where.
+/// One frozen view's birth or death: which freeze of which shard, and
+/// where.
 #[derive(Debug, Clone)]
-struct Death {
+struct Event {
     shard: usize,
     generation: u64,
     thread: ThreadId,
@@ -31,19 +36,33 @@ struct Ledger {
     alive: [usize; SHARDS],
     /// The most views of one shard ever alive at once.
     peak: [usize; SHARDS],
-    born: [u64; SHARDS],
-    deaths: Vec<Death>,
+    births: Vec<Event>,
+    deaths: Vec<Event>,
 }
 
 impl Ledger {
-    fn deaths_of(&self, shard: usize) -> Vec<&Death> {
+    fn births_of(&self, shard: usize) -> Vec<&Event> {
+        self.births.iter().filter(|b| b.shard == shard).collect()
+    }
+
+    fn deaths_of(&self, shard: usize) -> Vec<&Event> {
         self.deaths.iter().filter(|d| d.shard == shard).collect()
+    }
+}
+
+fn event_here(shard: usize, generation: u64) -> Event {
+    let current = std::thread::current();
+    Event {
+        shard,
+        generation,
+        thread: current.id(),
+        thread_name: current.name().map(str::to_owned),
     }
 }
 
 /// A brute-force index that counts its frozen views. Generation 0 is
 /// the freeze `ShardedDb` takes at construction, on the constructing
-/// thread; generation `k` the one after the shard's `k`-th apply.
+/// thread; generation `k` the shard's `k`-th freeze after it.
 struct CountingIndex {
     shard: usize,
     motions: BTreeMap<u64, Motion1D>,
@@ -83,7 +102,7 @@ impl Index1D for CountingIndex {
     fn freeze(&self) -> Option<Box<dyn FrozenIndex1D>> {
         let generation = self.generation.fetch_add(1, Ordering::Relaxed);
         let mut ledger = self.ledger.lock().unwrap();
-        ledger.born[self.shard] += 1;
+        ledger.births.push(event_here(self.shard, generation));
         ledger.alive[self.shard] += 1;
         ledger.peak[self.shard] = ledger.peak[self.shard].max(ledger.alive[self.shard]);
         Some(Box::new(CountingView {
@@ -107,15 +126,9 @@ impl FrozenIndex1D for CountingView {
 
 impl Drop for CountingView {
     fn drop(&mut self) {
-        let current = std::thread::current();
         let mut ledger = self.ledger.lock().unwrap();
         ledger.alive[self.shard] -= 1;
-        ledger.deaths.push(Death {
-            shard: self.shard,
-            generation: self.generation,
-            thread: current.id(),
-            thread_name: current.name().map(str::to_owned),
-        });
+        ledger.deaths.push(event_here(self.shard, self.generation));
     }
 }
 
@@ -170,21 +183,36 @@ const PROBE: MorQuery1D = MorQuery1D {
     t2: 110.0,
 };
 
+/// A snapshot read: the answer is exact and stamped with the commit
+/// epoch.
+fn read(db: &ShardedDb<CountingIndex>, commits: u64) {
+    let out = db.query(&QueryRequest::new(&PROBE)).expect("snapshot read");
+    assert_eq!(out.epoch, Some(commits));
+    assert_eq!(out.ids, brute_force_1d(&db.objects(), &PROBE));
+}
+
+fn on_its_worker(event: &Event) -> bool {
+    event.thread_name.as_deref() == Some(format!("mobidx-shard-{}", event.shard).as_str())
+}
+
 #[test]
 fn the_shard_that_built_a_view_retires_it() {
     let caller = std::thread::current().id();
     let (db, ledger) = counting_db();
     for step in 1..=50 {
+        read(&db, step - 1);
         apply_step(&db, step);
     }
     {
         let ledger = ledger.lock().unwrap();
         for shard in 0..SHARDS {
-            assert_eq!(
-                ledger.born[shard], 51,
-                "one view per apply, plus the initial one"
-            );
-            // Alive: the last two views the worker published. Dead:
+            // One view per apply that followed a snapshot read, in line,
+            // plus the initial one.
+            let births = ledger.births_of(shard);
+            assert_eq!(births.len(), 51);
+            assert_eq!(births[0].thread, caller);
+            assert!(births[1..].iter().all(|b| on_its_worker(b)));
+            // Alive: the last two views the worker built. Dead:
             // everything older — and it died in generation order.
             assert_eq!(ledger.alive[shard], 2);
             let deaths = ledger.deaths_of(shard);
@@ -196,19 +224,19 @@ fn the_shard_that_built_a_view_retires_it() {
             assert_eq!(deaths[0].thread, caller);
             for death in &deaths[1..] {
                 assert_ne!(death.thread, caller, "{death:?} died on the client");
-                assert_eq!(
-                    death.thread_name.as_deref(),
-                    Some(format!("mobidx-shard-{shard}").as_str()),
-                    "{death:?}"
-                );
+                assert!(on_its_worker(death), "{death:?}");
             }
             // The retire precedes the freeze: never a third generation.
             assert_eq!(ledger.peak[shard], 2);
         }
     }
     let health = db.health();
+    // Every apply found the bit set: no demand round trip, ever.
+    assert_eq!(health.snapshots_on_demand, 0);
+    assert_eq!(health.applies_unpublished, 0);
     for shard in &health.shards {
         assert_eq!(shard.applied_batches, 50);
+        assert_eq!(shard.views_built, 50);
         assert_eq!(shard.views_retired, 48, "all but the two it still keeps");
     }
     drop(db);
@@ -221,16 +249,155 @@ fn the_shard_that_built_a_view_retires_it() {
 }
 
 #[test]
+fn a_write_only_stream_builds_no_view() {
+    let caller = std::thread::current().id();
+    let (db, ledger) = counting_db();
+    // The initial view goes inside the first apply, before its dispatch,
+    // on the client's thread: no worker ever held it, so the registry
+    // letting go of it is its death.
+    apply_step(&db, 1);
+    {
+        let ledger = ledger.lock().unwrap();
+        assert_eq!(ledger.alive, [0; SHARDS]);
+        assert_eq!(ledger.deaths.len(), SHARDS);
+        assert!(ledger.deaths.iter().all(|d| d.thread == caller));
+    }
+    for step in 2..=50 {
+        apply_step(&db, step);
+        assert_eq!(db.snapshot_epoch(), step, "one commit epoch per apply");
+    }
+    assert_eq!(ledger.lock().unwrap().births.len(), SHARDS, "initial only");
+    let health = db.health();
+    assert_eq!(health.applies_unpublished, 50);
+    assert_eq!(health.snapshots_on_demand, 0);
+    for shard in &health.shards {
+        assert_eq!((shard.views_built, shard.views_retired), (0, 0));
+    }
+
+    // The first read has every shard freeze, on its own thread.
+    read(&db, 50);
+    {
+        let ledger = ledger.lock().unwrap();
+        for shard in 0..SHARDS {
+            let births = ledger.births_of(shard);
+            assert_eq!(births.len(), 2);
+            assert!(on_its_worker(births[1]), "{:?}", births[1]);
+            assert_eq!(ledger.alive[shard], 1);
+        }
+    }
+    assert_eq!(db.health().snapshots_on_demand, 1);
+
+    // Read-active from here on: one view per apply, frozen in line —
+    // each round enqueues its `Apply` on every shard and nothing else.
+    let before = db.health();
+    for step in 51..=60 {
+        apply_step(&db, step);
+        read(&db, step);
+    }
+    let health = db.health();
+    assert_eq!(health.snapshots_on_demand, 1);
+    assert_eq!(health.applies_unpublished, 50);
+    for (now, then) in health.shards.iter().zip(&before.shards) {
+        assert_eq!(now.enqueued - then.enqueued, 10, "no `Freeze` was sent");
+        assert_eq!(now.views_built, 11);
+        assert_eq!(now.views_built - now.views_retired, 2);
+    }
+    {
+        let ledger = ledger.lock().unwrap();
+        assert_eq!(ledger.births.len(), 12 * SHARDS);
+        assert_eq!(ledger.peak, [2; SHARDS]);
+        assert!(ledger.deaths[SHARDS..].iter().all(on_its_worker));
+    }
+
+    // And write-only again: the next apply still freezes (a read came
+    // before it), the one after lets go of everything — on the workers.
+    apply_step(&db, 61);
+    apply_step(&db, 62);
+    {
+        let ledger = ledger.lock().unwrap();
+        assert_eq!(ledger.alive, [0; SHARDS]);
+        assert!(ledger.deaths[SHARDS..].iter().all(on_its_worker));
+    }
+    for shard in &db.health().shards {
+        assert_eq!((shard.views_built, shard.views_retired), (12, 12));
+    }
+    read(&db, 62);
+    drop(db);
+    assert_eq!(ledger.lock().unwrap().alive, [0; SHARDS]);
+}
+
+/// A shard poisoned behind the registry's back (here by a panicking
+/// `with_shard` closure) after a write-only stretch: the read that asks
+/// it to freeze gets no view and a typed error from the worker queues,
+/// publication pauses as it does behind a failed apply, and the rebuild
+/// leaves the registry for the next read to complete — never half a
+/// snapshot.
+#[test]
+fn a_rebuild_after_a_write_only_stretch_leaves_the_next_read_a_whole_snapshot() {
+    let (db, ledger) = counting_db();
+    for step in 1..=10 {
+        apply_step(&db, step);
+    }
+    let fault = db.with_shard(0, |_| panic!("injected"));
+    assert!(matches!(
+        fault,
+        Err(ServeError::ShardFault { shard: 0, .. })
+    ));
+    let unread = db.query(&QueryRequest::new(&PROBE)).err();
+    assert_eq!(unread, Some(ServeError::ShardPoisoned { shard: 0 }));
+    assert_eq!(db.health().shards[0].views_built, 0);
+    assert_eq!(db.health().shards[1].views_built, 1);
+    // The table commits, shard 0 refuses its slice: the epoch stands.
+    let mut batch = Batch::new();
+    for id in 0..64 {
+        batch.update(motion(id, 11));
+    }
+    assert_eq!(
+        db.apply(&batch),
+        Err(ServeError::ShardPoisoned { shard: 0 })
+    );
+    assert_eq!(db.snapshot_epoch(), 10);
+    db.rebuild_shard(0).expect("rebuild");
+    assert_eq!(
+        db.snapshot_epoch(),
+        11,
+        "the rebuild commits what the apply could not"
+    );
+    read(&db, 11);
+    // Through a pause nothing is let go, read behind or not: reads keep
+    // the last good snapshot while shard 1 refuses, and get a whole one
+    // after its rebuild.
+    let fault = db.with_shard(1, |_| panic!("injected"));
+    assert!(matches!(
+        fault,
+        Err(ServeError::ShardFault { shard: 1, .. })
+    ));
+    for _ in 0..2 {
+        assert_eq!(
+            db.apply(&batch),
+            Err(ServeError::ShardPoisoned { shard: 1 })
+        );
+    }
+    assert_eq!(db.read_view().expect("last good").epoch(), 11);
+    db.rebuild_shard(1).expect("rebuild");
+    read(&db, 12);
+    drop(db);
+    assert_eq!(ledger.lock().unwrap().alive, [0; SHARDS]);
+}
+
+#[test]
 fn a_held_read_view_owns_its_views_until_dropped() {
     let (db, ledger) = counting_db();
     for step in 1..=5 {
         apply_step(&db, step);
     }
-    let pinned = db.read_view().expect("a snapshot is published");
+    // Generation 1: built for this read, at the fifth commit.
+    let pinned = db.read_view().expect("a snapshot is built");
     assert_eq!(pinned.epoch(), 5);
     let as_of_pin = brute_force_1d(&db.objects(), &PROBE);
     assert!(!as_of_pin.is_empty());
     for step in 6..=15 {
+        read(&db, step - 1);
         apply_step(&db, step);
     }
     // Ten commits later the view still answers as of its epoch ...
@@ -245,12 +412,12 @@ fn a_held_read_view_owns_its_views_until_dropped() {
                 ledger.alive[shard], 3,
                 "the pinned view and the worker's two"
             );
-            assert!(ledger.deaths_of(shard).iter().all(|d| d.generation != 5));
+            assert!(ledger.deaths_of(shard).iter().all(|d| d.generation != 1));
         }
     }
     for shard in &db.health().shards {
-        // 15 applies, the worker's two, and the one the reader owns.
-        assert_eq!(shard.applied_batches - shard.views_retired, 3);
+        // The worker's two, and the one the reader owns.
+        assert_eq!((shard.views_built, shard.views_retired), (11, 8));
     }
     // The views die with the reader, on whichever thread that is.
     let reaper = std::thread::Builder::new()
@@ -263,7 +430,7 @@ fn a_held_read_view_owns_its_views_until_dropped() {
         let ledger = ledger.lock().unwrap();
         for shard in 0..SHARDS {
             let deaths = ledger.deaths_of(shard);
-            let death = deaths.iter().find(|d| d.generation == 5).expect("died");
+            let death = deaths.iter().find(|d| d.generation == 1).expect("died");
             assert_eq!(death.thread, reader, "{death:?}");
             assert_eq!(ledger.alive[shard], 2);
         }

@@ -164,6 +164,61 @@ fn drift_event_triggers_exact_online_repartition() {
     assert_eq!(db.repartition_stats().attempts(), 1);
 }
 
+/// A repartition step retires the migrated shard's view instead of
+/// publishing one shard's half of a snapshot: after a write-only stretch
+/// (nothing published at all) and again with a snapshot published, the
+/// next read gets a whole snapshot, frozen from the new layout, at the
+/// commit epoch the writes left — a repartition moves records between
+/// bands, it commits nothing.
+#[test]
+fn a_repartition_leaves_the_next_read_a_whole_snapshot() {
+    let db = build_db();
+    let mut sim = sim();
+    load(&db, &sim);
+    drive_drift(&db, &mut sim);
+    let queries: Vec<MorQuery1D> = (0..10).map(|_| sim.gen_query(150.0, 60.0)).collect();
+    // Every snapshot answer is exact and stamped with the commit epoch.
+    let check_reads = |commits: u64| {
+        assert_eq!(db.snapshot_epoch(), commits);
+        let objects = db.objects();
+        for q in &queries {
+            let out = db.query(&QueryRequest::new(q)).expect("snapshot read");
+            assert_eq!(out.epoch, Some(commits));
+            assert_eq!(out.ids, mobidx_workload::brute_force_1d(&objects, q));
+        }
+    };
+    let built = || -> u64 { db.health().shards.iter().map(|s| s.views_built).sum() };
+
+    // Write-only so far: no view exists, and the pass builds none.
+    let commits = db.snapshot_epoch();
+    assert_eq!(built(), 0);
+    let first = db
+        .repartition_now(&RepartitionPolicy::default())
+        .expect("first pass");
+    assert!(first.shards_changed >= 1, "{first:?}");
+    assert_eq!(built(), 0);
+    check_reads(commits);
+    assert_eq!(built(), SHARDS as u64, "one demand freeze a shard");
+
+    // Read-active: a snapshot is published when the next pass starts,
+    // and the read after it freezes exactly the shards that moved.
+    let pinned = db.read_view().expect("published");
+    let mut slow = Batch::new();
+    for m in db.objects().iter().filter(|m| m.id < 600) {
+        let v = m.v.signum() * 0.2;
+        slow.update(mobidx_core::Motion1D { v, ..*m });
+    }
+    db.apply(&slow).expect("tilt the velocity histogram");
+    let before = built();
+    let second = db
+        .repartition_now(&RepartitionPolicy::default())
+        .expect("second pass");
+    assert!(second.shards_changed >= 1, "{second:?}");
+    check_reads(commits + 1);
+    assert_eq!(built() - before, second.shards_changed as u64);
+    assert_eq!(pinned.epoch(), commits, "a held view is untouched");
+}
+
 /// A layout already within tolerance is left untouched: the second
 /// forced pass changes no shard, moves nothing, and counts as skipped.
 #[test]

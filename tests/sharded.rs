@@ -625,3 +625,111 @@ fn snapshot_reads_see_a_prefix_under_concurrent_commits() {
         }
     }
 }
+
+/// The mode flips continually: two writers loop `apply` on disjoint
+/// halves of the population while one reader asks every few
+/// milliseconds — sparse enough that most applies find nobody reading
+/// and let the snapshot go, so most reads find none published and have
+/// it built (by themselves between two applies, or by the apply in
+/// flight). Every answer must still be the state after exactly `epoch`
+/// commits, and no read may wait out more than a few applies: with the
+/// table lock never free for long, a read that *blocked* on it would
+/// starve behind the writer-preferring lock for the whole run.
+#[test]
+fn a_sparse_reader_between_looping_writers_waits_for_an_apply_at_most() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+    const PER_WRITER: u64 = 48;
+    const READS: usize = 40;
+    let q = MorQuery1D {
+        y1: 100.0,
+        y2: 600.0,
+        t1: 310.0,
+        t2: 330.0,
+    };
+    // Writer `w`'s `k`-th batch moves all of its objects to these.
+    let motion = |w: u64, j: u64, k: u64| Motion1D {
+        id: w * 1000 + j,
+        t0: 300.0,
+        y0: ((j * 131 + k * 97 + w * 53) % 1000) as f64,
+        v: if j % 2 == 0 { 0.5 } else { -0.5 },
+    };
+    let state = |k: [u64; 2]| -> Vec<Motion1D> {
+        let of = |w: usize| (0..PER_WRITER).map(move |j| motion(w as u64, j, k[w]));
+        of(0).chain(of(1)).collect()
+    };
+    for shards in [1usize, 3] {
+        let (db, _) = build_pair(Fn_::IdHash, shards, 16);
+        let mut load = Batch::new();
+        for m in state([0, 0]) {
+            load.insert(m);
+        }
+        db.apply(&load).expect("bulk load");
+        let stop = AtomicBool::new(false);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let (slowest_apply, slowest_read) = std::thread::scope(|scope| {
+            let (db, stop, q) = (&db, &stop, &q);
+            let writers: Vec<_> = (0..2u64)
+                .map(|w| {
+                    scope.spawn(move || {
+                        let mut slowest = Duration::ZERO;
+                        let mut k = 0;
+                        while !stop.load(Ordering::Relaxed) && Instant::now() < deadline {
+                            k += 1;
+                            let mut batch = Batch::new();
+                            for j in 0..PER_WRITER {
+                                batch.update(motion(w, j, k));
+                            }
+                            let started = Instant::now();
+                            db.apply(&batch).expect("update commit");
+                            slowest = slowest.max(started.elapsed());
+                        }
+                        slowest
+                    })
+                })
+                .collect();
+            let mut slowest_read = Duration::ZERO;
+            let mut last = 0;
+            for i in 0..READS {
+                std::thread::sleep(Duration::from_millis(3));
+                let started = Instant::now();
+                let out = db.query(&QueryRequest::new(q)).expect("snapshot read");
+                slowest_read = slowest_read.max(started.elapsed());
+                let epoch = out.epoch.expect("epoch-stamped");
+                assert!(epoch >= last, "read {i}: epoch {last} -> {epoch}");
+                last = epoch;
+                // `epoch − 1` commits since the load, split between the
+                // writers somehow: the answer is one of those states.
+                let commits = epoch - 1;
+                let sealed = (0..=commits)
+                    .any(|k0| out.ids == brute_force_1d(&state([k0, commits - k0]), q));
+                assert!(sealed, "read {i} at epoch {epoch} is no prefix of commits");
+            }
+            stop.store(true, Ordering::Relaxed);
+            let slowest_apply = writers
+                .into_iter()
+                .map(|w| w.join().expect("writer thread"))
+                .max()
+                .expect("two writers");
+            (slowest_apply, slowest_read)
+        });
+        let health = db.health();
+        assert!(
+            health.applies_unpublished > 0,
+            "never write-only: {health:?}"
+        );
+        assert!(
+            health.snapshots_on_demand > 0,
+            "never on demand: {health:?}"
+        );
+        // A read waits for the apply in flight and at worst the one that
+        // slipped in before it; 4× leaves room for its own work, and the
+        // floor for a preempted thread on a busy box.
+        let bound = 4 * slowest_apply.max(Duration::from_millis(50));
+        assert!(
+            slowest_read <= bound,
+            "S={shards}: a read took {slowest_read:?}, the slowest apply {slowest_apply:?}"
+        );
+        assert_eq!(db.len(), 2 * PER_WRITER as usize);
+    }
+}
