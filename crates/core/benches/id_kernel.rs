@@ -1,8 +1,12 @@
 //! Microbenchmarks of the id-assembly kernel (`mobidx_core::ids`):
-//! `finish_ids` on 1k / 10k / 100k shuffled dense ids (a large MOR
-//! answer's leg is ≈ 10k ids drawn from 0..N), and `merge_sorted_ids`
-//! over k = 2 and k = 8 disjoint sorted lists totalling 20k ids (the
-//! facade's merge at S = 2 and S = 8).
+//! `finish_ids` on 1k / 10k / 100k shuffled dense ids, then on lists
+//! shaped like the perf ledger's answers — 20k ids from 0..200k (a
+//! `paper_cold` answer), 10k (a `read_large` leg), 1.4k (a `mixed_rw`
+//! leg) and 200 (below the radix cutoff) from the same span, and 10k
+//! ids hashed over all of `u64` — so each of the kernel's three forms
+//! (bitmap, radix, comparison sort) has a number; and
+//! `merge_sorted_ids` over k = 2 and k = 8 disjoint sorted lists
+//! totalling 20k ids (the facade's merge at S = 2 and S = 8).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mobidx_core::{finish_ids, merge_sorted_ids};
@@ -16,12 +20,35 @@ fn shuffled_ids(n: u64) -> Vec<u64> {
         .collect()
 }
 
+/// `n` distinct ids from `0..200_000` (the ledger's N), spread over the
+/// whole span in a deterministic shuffled order.
+fn ledger_ids(n: u64) -> Vec<u64> {
+    // A multiplier coprime to 200 000 is a bijection modulo it.
+    (0..n).map(|i| i * 104_729 % 200_000).collect()
+}
+
+/// `n` distinct ids hashed over all of `u64`.
+fn hashed_ids(n: u64) -> Vec<u64> {
+    (1..=n)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect()
+}
+
 fn bench_finish_ids(c: &mut Criterion) {
     let mut group = c.benchmark_group("id_kernel/finish_ids");
     group.sample_size(200);
-    for n in [1_000u64, 10_000, 100_000] {
-        let ids = shuffled_ids(n);
-        group.bench_function(format!("n={n}"), |b| {
+    let rows = [1_000u64, 10_000, 100_000]
+        .map(|n| (format!("n={n}"), shuffled_ids(n)))
+        .into_iter()
+        .chain([
+            ("paper_cold/n=20000/of=200k".into(), ledger_ids(20_000)),
+            ("read_large_leg/n=10000/of=200k".into(), ledger_ids(10_000)),
+            ("mixed_rw_leg/n=1400/of=200k".into(), ledger_ids(1_400)),
+            ("short/n=200/of=200k".into(), ledger_ids(200)),
+            ("hashed/n=10000/of=u64".into(), hashed_ids(10_000)),
+        ]);
+    for (name, ids) in rows {
+        group.bench_function(name, |b| {
             b.iter_batched(
                 || ids.clone(),
                 |mut ids| {

@@ -8,14 +8,22 @@
 //! answer those two steps, not the tree walk, dominate the CPU bill, so
 //! they live here once:
 //!
-//! * [`finish_ids`] — LSD radix sort over only the bytes that vary across
-//!   the list (object ids are dense small integers: three of eight bytes
-//!   at the paper's N), comparison sort below a fixed length, then dedup;
+//! * [`finish_ids`] — one of three forms, chosen per call by one pass
+//!   that measures the list's span `lo..=hi` and its varying bytes:
+//!   - below `RADIX_MIN_LEN` ids, a comparison sort then dedup;
+//!   - when the span needs at most one 64-bit word per two ids
+//!     (`DENSE_IDS_PER_WORD`), a presence bitmap: one scattered pass
+//!     sets a bit per id (duplicates collapse for free) and one linear
+//!     scan writes the set bits back in order — object ids are dense
+//!     integers, so a large answer lands here (20k ids over a 200k span
+//!     at the paper's N is 6.5 ids a word);
+//!   - otherwise an LSD radix sort over only the bytes that vary across
+//!     the list, then dedup (small answers over a wide span, hashed ids);
 //! * [`merge_sorted_ids`] — a branch-free two-way merge over borrowed
 //!   slices, run directly on two lists and as a tournament on more.
 //!
-//! Both borrow one per-thread scratch buffer, so a steady-state read
-//! allocates nothing but the answer it returns.
+//! Both borrow one per-thread scratch, so a steady-state read allocates
+//! nothing but the answer it returns.
 
 use std::cell::RefCell;
 
@@ -23,6 +31,16 @@ use std::cell::RefCell;
 /// 256-bucket histogram and prefix sum whatever the length, which only
 /// pays for itself from a few hundred ids up.
 const RADIX_MIN_LEN: usize = 256;
+
+/// A list takes the bitmap form when its span fits in at most one
+/// 64-bit word per this many ids. The bitmap costs a clear and a scan
+/// per word on top of a scatter per id, radix three scatters per id at
+/// the paper's N. Forcing each form over 1.4k and 10k ids puts the
+/// crossover near one id per eight words; two ids a word keeps the
+/// bitmap where it wins by 2–3× (the `id_kernel` rows `paper_cold` and
+/// `read_large_leg`) and leaves small answers over a wide span (the
+/// `mixed_rw_leg` row, 0.45 ids a word) on the radix form.
+const DENSE_IDS_PER_WORD: u64 = 2;
 
 /// Reused working memory of the kernel, one per thread (snapshot legs
 /// run on the caller's thread and on read-pool helpers alike).
@@ -32,6 +50,9 @@ struct Scratch {
     ids: Vec<u64>,
     /// Run ends of the tournament merge's current round.
     ends: Vec<usize>,
+    /// The bitmap form's presence words, bit `i` of word `w` standing
+    /// for id `lo + 64 w + i`.
+    bits: Vec<u64>,
 }
 
 thread_local! {
@@ -46,22 +67,83 @@ pub(crate) fn sort_dedup<T: Ord>(items: &mut Vec<T>) {
     items.dedup();
 }
 
+/// How [`finish_ids`] sorts one list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Form {
+    /// Comparison sort: fewer than [`RADIX_MIN_LEN`] ids.
+    Comparison,
+    /// Presence bitmap of `words` words from `lo` up.
+    Bitmap { lo: u64, words: usize },
+    /// LSD radix over the bytes set in `varying`.
+    Radix { varying: u64 },
+}
+
+/// Chooses the form for `ids` in one pass that gathers the span and the
+/// varying bytes together.
+fn form(ids: &[u64]) -> Form {
+    let Some(&first) = ids.first().filter(|_| ids.len() >= RADIX_MIN_LEN) else {
+        return Form::Comparison;
+    };
+    let (mut lo, mut hi, mut varying) = (first, first, 0);
+    for &id in ids {
+        lo = lo.min(id);
+        hi = hi.max(id);
+        varying |= id ^ first;
+    }
+    let words = (hi - lo) / u64::BITS as u64 + 1;
+    if words <= ids.len() as u64 / DENSE_IDS_PER_WORD {
+        Form::Bitmap {
+            lo,
+            words: words as usize,
+        }
+    } else {
+        Form::Radix { varying }
+    }
+}
+
 /// Sorts and deduplicates a result id list in place (the `query`
 /// postcondition).
 pub fn finish_ids(ids: &mut Vec<u64>) {
-    if ids.len() < RADIX_MIN_LEN {
-        sort_dedup(ids);
-        return;
+    match form(ids) {
+        Form::Comparison => sort_dedup(ids),
+        Form::Bitmap { lo, words } => {
+            SCRATCH.with_borrow_mut(|scratch| bitmap_sort(ids, lo, words, &mut scratch.bits));
+        }
+        Form::Radix { varying } => {
+            SCRATCH.with_borrow_mut(|scratch| radix_sort(ids, varying, &mut scratch.ids));
+            ids.dedup();
+        }
     }
-    SCRATCH.with_borrow_mut(|scratch| radix_sort(ids, &mut scratch.ids));
-    ids.dedup();
 }
 
-/// LSD radix sort, one counting pass per byte position on which the ids
-/// differ at all.
-fn radix_sort(ids: &mut Vec<u64>, scratch: &mut Vec<u64>) {
-    let first = ids[0];
-    let varying = ids.iter().fold(0, |acc, &id| acc | (id ^ first));
+/// Sorts and deduplicates ids that all lie in `lo..lo + 64 words`: one
+/// bit per id, then the set bits back into `ids` in ascending order.
+fn bitmap_sort(ids: &mut Vec<u64>, lo: u64, words: usize, bits: &mut Vec<u64>) {
+    bits.clear();
+    bits.resize(words, 0);
+    for &id in ids.iter() {
+        let offset = id - lo;
+        bits[(offset / 64) as usize] |= 1 << (offset % 64);
+    }
+    // At most one id per input id comes back out, so the writes trail
+    // the list's own length.
+    let mut n = 0usize;
+    let mut base = lo;
+    for &word in bits.iter() {
+        let mut word = word;
+        while word != 0 {
+            ids[n] = base + u64::from(word.trailing_zeros());
+            n += 1;
+            word &= word - 1;
+        }
+        base = base.wrapping_add(64);
+    }
+    ids.truncate(n);
+}
+
+/// LSD radix sort, one counting pass per byte position set in
+/// `varying` (the OR of every id's XOR with the first).
+fn radix_sort(ids: &mut Vec<u64>, varying: u64, scratch: &mut Vec<u64>) {
     let mut shifts = [0u32; 8];
     let mut bytes = 0usize;
     for shift in (0..u64::BITS).step_by(8) {
@@ -116,7 +198,9 @@ pub fn merge_sorted_ids<L: AsRef<[u64]>>(lists: &[L], out: &mut Vec<u64>) {
 /// into the other, and the two buffers swap roles (and finally, if need
 /// be, places) — no per-round allocation.
 fn merge_many<L: AsRef<[u64]>>(lists: &[L], out: &mut Vec<u64>, scratch: &mut Scratch) {
-    let Scratch { ids: other, ends } = scratch;
+    let Scratch {
+        ids: other, ends, ..
+    } = scratch;
     ends.clear();
     for pair in lists.chunks(2) {
         match pair {
@@ -244,6 +328,59 @@ mod tests {
                 assert_eq!(finished(ids.clone()), oracle(ids), "n={n}, {what}");
             }
         }
+        // 50k ids over 2^18 values are 12 a word; over all of u64, 2^-40.
+        assert!(matches!(
+            form(&pseudo_random(50_000, 0x3_ffff, 50_001)),
+            Form::Bitmap { words: 4096, .. }
+        ));
+        assert!(matches!(
+            form(&pseudo_random(50_000, u64::MAX, 50_001)),
+            Form::Radix { .. }
+        ));
+    }
+
+    /// `len` ids in `base..=base + span` (both ends present), the rest
+    /// pseudo-random inside, in a shuffled order.
+    fn window(len: usize, base: u64, span: u64, seed: u64) -> Vec<u64> {
+        let mut ids: Vec<u64> = pseudo_random(len - 2, u64::MAX, seed)
+            .into_iter()
+            .map(|r| base + r % (span + 1))
+            .collect();
+        ids.insert(ids.len() / 3, base + span);
+        ids.insert(ids.len() / 2, base);
+        ids
+    }
+
+    #[test]
+    fn finish_ids_switches_to_the_bitmap_at_two_ids_per_word() {
+        for words in [129u64, 200, 1_000] {
+            // Spans from the smallest to the largest that need `words`.
+            for span in [64 * (words - 1), 64 * words - 1] {
+                for base in [0, 0x1234_5678_9abc_def0, u64::MAX - span] {
+                    for (len, dense) in [
+                        (2 * words - 1, false),
+                        (2 * words, true),
+                        (2 * words + 1, true),
+                    ] {
+                        let ids = window(len as usize, base, span, words + len);
+                        let bitmap = match form(&ids) {
+                            Form::Bitmap { lo, words: w } => {
+                                assert_eq!((lo, w as u64), (base, words));
+                                true
+                            }
+                            Form::Radix { .. } => false,
+                            Form::Comparison => panic!("{len} ids are past RADIX_MIN_LEN"),
+                        };
+                        assert_eq!(bitmap, dense, "words={words} span={span} len={len}");
+                        assert_eq!(
+                            finished(ids.clone()),
+                            oracle(ids),
+                            "words={words} span={span} base={base} len={len}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -253,8 +390,17 @@ mod tests {
         extremes.extend([0, u64::MAX, 0, u64::MAX]);
         assert_eq!(finished(extremes.clone()), oracle(extremes));
 
-        assert_eq!(finished(vec![7; n]), vec![7]);
-        assert_eq!(finished(vec![u64::MAX; n]), vec![u64::MAX]);
+        for id in [0, 7, u64::MAX] {
+            // lo == hi: the bitmap form in one word.
+            assert_eq!(form(&vec![id; n]), Form::Bitmap { lo: id, words: 1 });
+            assert_eq!(finished(vec![id; n]), vec![id]);
+        }
+        // A bitmap whose last word ends exactly at u64::MAX, every value
+        // present twice.
+        let top: Vec<u64> = (0..n as u64 / 2).map(|i| u64::MAX - i).collect();
+        let mut twice = top.clone();
+        twice.extend(top.iter().rev());
+        assert_eq!(finished(twice), oracle(top));
 
         let sorted: Vec<u64> = (0..n as u64).map(|i| i * 3).collect();
         assert_eq!(finished(sorted.clone()), sorted);
@@ -330,6 +476,20 @@ mod tests {
             // Shifting right squeezes the ids into fewer varying bytes
             // and makes duplicates likely.
             let ids: Vec<u64> = ids.into_iter().map(|id| id >> shift).collect();
+            prop_assert_eq!(finished(ids.clone()), oracle(ids));
+        }
+
+        #[test]
+        fn finish_ids_is_sort_dedup_on_dense_windows(
+            offsets in prop::collection::vec(any::<u64>(), 0..1500),
+            base in any::<u64>(),
+            at_top in any::<bool>(),
+            span in 0u64..4096,
+        ) {
+            // Small offsets from one base: the bitmap form from
+            // RADIX_MIN_LEN ids up, anywhere in u64, up to its last value.
+            let base = if at_top { u64::MAX - span } else { base.min(u64::MAX - span) };
+            let ids: Vec<u64> = offsets.into_iter().map(|r| base + r % (span + 1)).collect();
             prop_assert_eq!(finished(ids.clone()), oracle(ids));
         }
 

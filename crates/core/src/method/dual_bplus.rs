@@ -98,6 +98,17 @@ fn filter_run<T: Copy>(
     out.truncate(kept);
 }
 
+/// Position in `y_rs` of the observation element minimizing the
+/// enlargement `E` of equation (1) for `q` (the first, on a tie) — the
+/// live index and its frozen view route a case-i query alike.
+fn e_minimizing_obs(q: &MorQuery1D, band: &SpeedBand, y_rs: impl Iterator<Item = f64>) -> usize {
+    y_rs.map(|y_r| enlargement_e(q, band, y_r))
+        .enumerate()
+        .min_by(|(_, ea), (_, eb)| ea.partial_cmp(eb).expect("NaN enlargement"))
+        .expect("at least one observation index")
+        .0
+}
+
 #[derive(Debug)]
 struct ObsIndex {
     y_r: f64,
@@ -279,14 +290,7 @@ impl DualBPlusIndex {
     /// Index of the observation element minimizing the enlargement `E`
     /// of equation (1) for this query.
     fn best_obs(&self, q: &MorQuery1D) -> usize {
-        let band = self.cfg.band;
-        (0..self.obs.len())
-            .min_by(|&a, &b| {
-                let ea = enlargement_e(q, &band, self.obs[a].y_r);
-                let eb = enlargement_e(q, &band, self.obs[b].y_r);
-                ea.partial_cmp(&eb).expect("NaN enlargement")
-            })
-            .expect("at least one observation index")
+        e_minimizing_obs(q, &self.cfg.band, self.obs.iter().map(|o| o.y_r))
     }
 
     /// Replaces the storage backend of **every** internal page store
@@ -704,13 +708,7 @@ impl crate::method::FrozenIndex1D for FrozenDualBPlus {
         // Case i: single E-minimizing observation index (the frozen view
         // is only published when subterrain maintenance is off, so the
         // live index would take the same route).
-        let best = (0..self.obs.len())
-            .min_by(|&a, &b| {
-                let ea = enlargement_e(q, &self.band, self.obs[a].y_r);
-                let eb = enlargement_e(q, &self.band, self.obs[b].y_r);
-                ea.partial_cmp(&eb).expect("NaN enlargement")
-            })
-            .expect("at least one observation index");
+        let best = e_minimizing_obs(q, &self.band, self.obs.iter().map(|o| o.y_r));
         let obs = &self.obs[best];
         for positive in [true, false] {
             let (lo, hi) = hough_y_interval(q, &self.band, obs.y_r, positive);
