@@ -6,10 +6,15 @@
 //! ids hashed over all of `u64` — so each of the kernel's three forms
 //! (bitmap, radix, comparison sort) has a number; and
 //! `merge_sorted_ids` over k = 2 and k = 8 disjoint sorted lists
-//! totalling 20k ids (the facade's merge at S = 2 and S = 8).
+//! totalling 20k ids (the facade's merge at S = 2 and S = 8); and
+//! `assemble` building a `paper_cold` answer into a fresh `Vec` — 82.5k
+//! candidates from 0..200k, one in 3.9 surviving, collected the way the
+//! speed filter collects a leaf run — next to the form it replaced,
+//! collecting into `Vec::new()` and finishing in place.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use mobidx_core::{finish_ids, merge_sorted_ids};
+use mobidx_core::ids::{assemble, finish_ids};
+use mobidx_core::merge_sorted_ids;
 
 /// `n` distinct ids below `4 n`, in a deterministic shuffled order.
 fn shuffled_ids(n: u64) -> Vec<u64> {
@@ -85,5 +90,55 @@ fn bench_merge(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_finish_ids, bench_merge);
+/// Entries in a leaf run of a `paper_cold` observation tree: 341 slots
+/// at the ledger's 64 % fill.
+const LEAF_RUN: usize = 218;
+
+/// The speed filter's collect loop over `(id, survives)` candidates: per
+/// leaf run, every id is written and the cursor advances by the bit;
+/// `out` grows only past its high-water mark.
+fn collect(candidates: &[(u64, bool)], out: &mut Vec<u64>) {
+    let mut end = out.len();
+    for run in candidates.chunks(LEAF_RUN) {
+        if out.len() < end + run.len() {
+            out.resize(end + run.len(), 0);
+        }
+        let slots = &mut out[end..];
+        let mut kept = 0;
+        for &(id, survives) in run {
+            slots[kept] = id;
+            kept += usize::from(survives);
+        }
+        end += kept;
+    }
+    out.truncate(end);
+}
+
+fn bench_assemble(c: &mut Criterion) {
+    let mut group = c.benchmark_group("id_kernel/assemble");
+    group.sample_size(200);
+    // 10 of every 39 candidates survive: 3.9 candidates per answer id.
+    let candidates: Vec<(u64, bool)> = ledger_ids(82_500)
+        .into_iter()
+        .map(|id| (id, (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 39 < 10))
+        .collect();
+    group.bench_function("paper_cold/n=82500/of=200k", |b| {
+        b.iter(|| {
+            let mut out = Vec::new();
+            assemble(&mut out, |ids| collect(&candidates, ids));
+            out
+        });
+    });
+    group.bench_function("paper_cold_finish_in_place/n=82500/of=200k", |b| {
+        b.iter(|| {
+            let mut out = Vec::new();
+            collect(&candidates, &mut out);
+            finish_ids(&mut out);
+            out
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_finish_ids, bench_merge, bench_assemble);
 criterion_main!(benches);

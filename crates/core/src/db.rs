@@ -394,6 +394,27 @@ mod tests {
     }
 
     #[test]
+    fn an_undonated_answer_is_allocated_at_its_final_length() {
+        let mut sim = Simulator1D::new(WorkloadConfig {
+            n: 2000,
+            seed: 0xCA9,
+            ..WorkloadConfig::default()
+        });
+        let mut db = db();
+        for m in sim.objects() {
+            db.insert(*m);
+        }
+        for (yqmax, tw) in [(150.0, 60.0), (10.0, 20.0)] {
+            for _ in 0..5 {
+                let q = sim.gen_query(yqmax, tw);
+                let ids = db.query(&QueryRequest::new(&q)).into_ids();
+                assert_eq!(ids, brute_force_1d(sim.objects(), &q));
+                assert_eq!(ids.capacity(), ids.len(), "{q:?}");
+            }
+        }
+    }
+
+    #[test]
     fn remove_and_upsert() {
         let mut db = db();
         let m = Motion1D {

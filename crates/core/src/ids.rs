@@ -8,6 +8,14 @@
 //! answer those two steps, not the tree walk, dominate the CPU bill, so
 //! they live here once:
 //!
+//! * [`assemble`] — the one way an index builds an answer: it lends the
+//!   index a per-thread candidate buffer to collect ids into, in any
+//!   order and with duplicates, finishes them as [`finish_ids`] does,
+//!   and writes the answer to the caller's `Vec` once, at its final
+//!   length (the bitmap form straight from its bits). The candidate
+//!   buffer keeps its high-water capacity, like the scratch the forms
+//!   below use, so a steady-state query grows no buffer and a fresh
+//!   answer `Vec` holds exactly its ids;
 //! * [`finish_ids`] — one of three forms, chosen per call by one pass
 //!   that measures the list's span `lo..=hi` and its varying bytes:
 //!   - below `RADIX_MIN_LEN` ids, a comparison sort then dedup;
@@ -22,8 +30,8 @@
 //! * [`merge_sorted_ids`] — a branch-free two-way merge over borrowed
 //!   slices, run directly on two lists and as a tournament on more.
 //!
-//! Both borrow one per-thread scratch, so a steady-state read allocates
-//! nothing but the answer it returns.
+//! All three borrow one per-thread scratch, so a steady-state read
+//! allocates nothing but the answer it returns.
 
 use std::cell::RefCell;
 
@@ -46,6 +54,8 @@ const DENSE_IDS_PER_WORD: u64 = 2;
 /// run on the caller's thread and on read-pool helpers alike).
 #[derive(Default)]
 struct Scratch {
+    /// The buffer [`assemble`] lends an index to collect candidates in.
+    candidates: Vec<u64>,
     /// The radix sort's second buffer / the merge's ping-pong partner.
     ids: Vec<u64>,
     /// Run ends of the tournament merge's current round.
@@ -104,11 +114,57 @@ fn form(ids: &[u64]) -> Form {
 /// Sorts and deduplicates a result id list in place (the `query`
 /// postcondition).
 pub fn finish_ids(ids: &mut Vec<u64>) {
-    match form(ids) {
-        Form::Comparison => sort_dedup(ids),
-        Form::Bitmap { lo, words } => {
-            SCRATCH.with_borrow_mut(|scratch| bitmap_sort(ids, lo, words, &mut scratch.bits));
+    let form = form(ids);
+    finish_in_place(ids, form);
+}
+
+/// Builds one answer into `out` (cleared first): `collect` pushes the
+/// candidate ids into the buffer it is lent (empty, in any order, with
+/// duplicates), then the ids are sorted and deduplicated as
+/// [`finish_ids`] does and written to `out` once, at their final length,
+/// so an `out` without capacity ends with `capacity() == len()`. The
+/// bitmap form writes the answer from its bits straight into `out`,
+/// sized by one popcount pass over the words; the other two forms finish
+/// in the candidate buffer, which is then copied.
+///
+/// The buffer is taken out of the thread's scratch for the call, so a
+/// `collect` that assembles an answer of its own (a per-route search
+/// inside the route network's query) is lent a buffer of its own.
+pub fn assemble(out: &mut Vec<u64>, collect: impl FnOnce(&mut Vec<u64>)) {
+    let mut candidates = SCRATCH.with_borrow_mut(|scratch| std::mem::take(&mut scratch.candidates));
+    candidates.clear();
+    collect(&mut candidates);
+    out.clear();
+    match form(&candidates) {
+        Form::Bitmap { lo, words } => SCRATCH.with_borrow_mut(|scratch| {
+            set_bits(&candidates, lo, words, &mut scratch.bits);
+            out.reserve_exact(scratch.bits.iter().map(|w| w.count_ones() as usize).sum());
+            for_each_set_bit(&scratch.bits, lo, |id| out.push(id));
+        }),
+        form => {
+            finish_in_place(&mut candidates, form);
+            out.reserve_exact(candidates.len());
+            out.extend_from_slice(&candidates);
         }
+    }
+    SCRATCH.with_borrow_mut(|scratch| scratch.candidates = candidates);
+}
+
+/// Sorts and deduplicates `ids` in place, in the form [`form`] chose.
+fn finish_in_place(ids: &mut Vec<u64>, form: Form) {
+    match form {
+        Form::Comparison => sort_dedup(ids),
+        Form::Bitmap { lo, words } => SCRATCH.with_borrow_mut(|scratch| {
+            set_bits(ids, lo, words, &mut scratch.bits);
+            // At most one id per input id comes back out, so the writes
+            // trail the list's own length.
+            let (slots, mut n) = (&mut ids[..], 0);
+            for_each_set_bit(&scratch.bits, lo, |id| {
+                slots[n] = id;
+                n += 1;
+            });
+            ids.truncate(n);
+        }),
         Form::Radix { varying } => {
             SCRATCH.with_borrow_mut(|scratch| radix_sort(ids, varying, &mut scratch.ids));
             ids.dedup();
@@ -116,29 +172,30 @@ pub fn finish_ids(ids: &mut Vec<u64>) {
     }
 }
 
-/// Sorts and deduplicates ids that all lie in `lo..lo + 64 words`: one
-/// bit per id, then the set bits back into `ids` in ascending order.
-fn bitmap_sort(ids: &mut Vec<u64>, lo: u64, words: usize, bits: &mut Vec<u64>) {
+/// Sets `bits` (cleared, `words` long) to the presence bitmap of `ids`,
+/// which all lie in `lo..lo + 64 words`: one bit per id, duplicates
+/// collapsing.
+fn set_bits(ids: &[u64], lo: u64, words: usize, bits: &mut Vec<u64>) {
     bits.clear();
     bits.resize(words, 0);
-    for &id in ids.iter() {
+    for &id in ids {
         let offset = id - lo;
         bits[(offset / 64) as usize] |= 1 << (offset % 64);
     }
-    // At most one id per input id comes back out, so the writes trail
-    // the list's own length.
-    let mut n = 0usize;
+}
+
+/// Hands `emit` the id of every set bit of `bits` (bit `i` of word `w`
+/// standing for `lo + 64 w + i`), in ascending order.
+fn for_each_set_bit(bits: &[u64], lo: u64, mut emit: impl FnMut(u64)) {
     let mut base = lo;
-    for &word in bits.iter() {
+    for &word in bits {
         let mut word = word;
         while word != 0 {
-            ids[n] = base + u64::from(word.trailing_zeros());
-            n += 1;
+            emit(base + u64::from(word.trailing_zeros()));
             word &= word - 1;
         }
         base = base.wrapping_add(64);
     }
-    ids.truncate(n);
 }
 
 /// LSD radix sort, one counting pass per byte position set in
@@ -410,6 +467,42 @@ mod tests {
         let mut doubled = sorted.clone();
         doubled.extend_from_slice(&sorted);
         assert_eq!(finished(doubled), sorted);
+    }
+
+    #[test]
+    fn assemble_finishes_like_finish_ids_and_writes_the_answer_once() {
+        // One list per form: comparison, bitmap (dense), radix (wide).
+        for (n, mask) in [(100, 0x3_ffff), (50_000, 0x3_ffff), (5_000, u64::MAX)] {
+            let mut ids = pseudo_random(n, mask, 7);
+            ids.extend_from_slice(&ids.clone()); // every id twice
+            let mut fresh = Vec::new();
+            assemble(&mut fresh, |c| c.extend_from_slice(&ids));
+            assert_eq!(fresh, oracle(ids.clone()), "n={n}");
+            assert_eq!(fresh.capacity(), fresh.len(), "n={n}: no slack");
+            // A donated buffer is cleared and keeps its allocation.
+            let mut donated = Vec::with_capacity(4 * n);
+            donated.extend([u64::MAX; 3]);
+            assemble(&mut donated, |c| c.extend_from_slice(&ids));
+            assert_eq!(donated, fresh, "n={n}");
+            assert_eq!(donated.capacity(), 4 * n, "n={n}");
+        }
+        let mut empty = vec![1, 2, 3];
+        assemble(&mut empty, |_| {});
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn assemble_lends_a_nested_call_a_buffer_of_its_own() {
+        let (mut outer, mut inner) = (Vec::new(), Vec::new());
+        assemble(&mut outer, |c| {
+            c.extend([9, 3, 9]);
+            assemble(&mut inner, |d| {
+                assert!(d.is_empty(), "the outer call holds the thread's buffer");
+                d.extend([5, 1, 5]);
+            });
+            c.extend_from_slice(&inner);
+        });
+        assert_eq!((outer, inner), (vec![1, 3, 5, 9], vec![1, 5]));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! limits; the 1-D methods demonstrate the rotation machinery.
 
 use crate::dual::{hough_x_query, SpeedBand};
-use crate::ids::finish_ids;
+use crate::ids::assemble;
 use crate::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use crate::method::{Index1D, Index2D, IndexStats, IoTotals};
 use mobidx_geom::ProductRegion;
@@ -123,19 +123,18 @@ impl Index2D for Dual4KdIndex {
     }
 
     fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>) {
-        out.clear();
         let mut candidates = 0u64;
-        let ids = &mut *out;
-        for region in dual4_regions(q, &self.band) {
-            self.tree.query(&region, |p, id| {
-                candidates += 1;
-                if q.matches(&motion_of_dual4(p, id)) {
-                    ids.push(id);
-                }
-            });
-        }
+        assemble(out, |ids| {
+            for region in dual4_regions(q, &self.band) {
+                self.tree.query(&region, |p, id| {
+                    candidates += 1;
+                    if q.matches(&motion_of_dual4(p, id)) {
+                        ids.push(id);
+                    }
+                });
+            }
+        });
         self.last_candidates = candidates;
-        finish_ids(out);
     }
 }
 
@@ -191,19 +190,18 @@ impl Index2D for Dual4PtreeIndex {
     }
 
     fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>) {
-        out.clear();
         let mut candidates = 0u64;
-        let ids = &mut *out;
-        for region in dual4_regions(q, &self.band) {
-            self.forest.query(&region, |p, id| {
-                candidates += 1;
-                if q.matches(&motion_of_dual4(p, id)) {
-                    ids.push(id);
-                }
-            });
-        }
+        assemble(out, |ids| {
+            for region in dual4_regions(q, &self.band) {
+                self.forest.query(&region, |p, id| {
+                    candidates += 1;
+                    if q.matches(&motion_of_dual4(p, id)) {
+                        ids.push(id);
+                    }
+                });
+            }
+        });
         self.last_candidates = candidates;
-        finish_ids(out);
     }
 }
 
@@ -301,7 +299,6 @@ impl Index2D for Decomposition2D {
     }
 
     fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>) {
-        out.clear();
         let x_hits = self.x_index.query_motions(&q.x_query());
         let y_hits = self.y_index.query_motions(&q.y_query());
         // Hash-join on id, then refine exactly.
@@ -309,13 +306,14 @@ impl Index2D for Decomposition2D {
         for my in y_hits {
             y_by_id.insert(my.id, my);
         }
-        out.extend(x_hits.into_iter().filter_map(|mx| {
-            y_by_id
-                .get(&mx.id)
-                .filter(|my| matches_axes(&mx, my, q))
-                .map(|_| mx.id)
-        }));
-        finish_ids(out);
+        assemble(out, |ids| {
+            ids.extend(x_hits.into_iter().filter_map(|mx| {
+                y_by_id
+                    .get(&mx.id)
+                    .filter(|my| matches_axes(&mx, my, q))
+                    .map(|_| mx.id)
+            }));
+        });
     }
 }
 

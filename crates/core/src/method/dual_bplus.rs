@@ -24,7 +24,7 @@
 //! harness; Lemma 1's bound needs them.
 
 use crate::dual::{enlargement_e, hough_y_b, hough_y_interval, SpeedBand};
-use crate::ids::finish_ids;
+use crate::ids::assemble;
 use crate::method::{Index1D, IndexStats, IoTotals};
 use mobidx_bptree::{BPlusTree, FrozenTree, TreeConfig};
 use mobidx_interval::{IntervalConfig, IntervalTree};
@@ -67,35 +67,86 @@ impl Default for DualBPlusConfig {
 /// speed filter.
 type ObsValue = (u64, u64);
 
-/// The exact speed filter over one borrowed leaf run of an observation
-/// tree: reconstructs each candidate's trajectory (at `y_r` at time `b`
-/// with the stored speed) and appends `pick` of every one that
-/// [`MorQuery1D::matches`] to `out`. Three candidates in four fail, in
-/// no predictable pattern, so nothing branches on the outcome: every
-/// candidate is written and the write cursor advances by the match bit.
-fn filter_run<T: Copy>(
-    run: &[(f64, ObsValue)],
-    y_r: f64,
-    q: &MorQuery1D,
-    out: &mut Vec<T>,
-    pick: impl Fn(Motion1D) -> T,
-) {
-    let motion = |&(b, (vbits, id)): &(f64, ObsValue)| Motion1D {
+/// The trajectory an observation-tree entry records: at `y_r` at time
+/// `b`, with the stored velocity.
+fn obs_motion(&(b, (vbits, id)): &(f64, ObsValue), y_r: f64) -> Motion1D {
+    Motion1D {
         id,
         t0: b,
         y0: y_r,
         v: f64::from_bits(vbits),
-    };
-    let Some(first) = run.first() else { return };
-    let base = out.len();
-    out.resize(base + run.len(), pick(motion(first)));
-    let mut kept = base;
-    for entry in run {
-        let m = motion(entry);
-        out[kept] = pick(m);
-        kept += usize::from(q.matches(&m));
     }
-    out.truncate(kept);
+}
+
+/// The exact speed filter over one borrowed leaf run of the observation
+/// tree holding the velocities of sign `positive`: writes `pick` of every
+/// entry whose trajectory [`MorQuery1D::matches`] to the front of `slots`
+/// (at least `run.len()` long), in run order, and returns how many.
+///
+/// Knowing the sign, it skips the min/max `matches` needs: a trajectory
+/// reaches its lower position at `t1` when `v > 0` and at `t2` when
+/// `v < 0`, so that end is tested against `y2` and the other against
+/// `y1`. Rounding is monotone (in `t − b`, in the product with `v`, in
+/// the sum with `y_r`), so the two positions are ordered exactly as the
+/// real ones and the answer is bit-identical to `matches` — given
+/// `q.t1 ≤ q.t2`, the order [`MorQuery1D`] documents and
+/// [`hough_y_interval`]'s windows already assume (an inverted window was
+/// never answered exactly). A NaN position fails both tests, as it fails
+/// `matches`.
+///
+/// Three candidates in four fail, in no predictable pattern, so nothing
+/// branches on the outcome: every candidate is written and the write
+/// cursor advances by the match bit.
+fn filter_run<T>(
+    run: &[(f64, ObsValue)],
+    y_r: f64,
+    positive: bool,
+    q: &MorQuery1D,
+    slots: &mut [T],
+    pick: impl Fn(Motion1D) -> T,
+) -> usize {
+    let (t_lo, t_hi) = if positive { (q.t1, q.t2) } else { (q.t2, q.t1) };
+    let mut kept = 0;
+    for entry in run {
+        let m = obs_motion(entry, y_r);
+        slots[kept] = pick(m);
+        kept += usize::from((m.position_at(t_lo) <= q.y2) & (m.position_at(t_hi) >= q.y1));
+    }
+    kept
+}
+
+/// Case i over the observation element at `y_r`, the live index and its
+/// frozen view alike: for each velocity sign, the conservative
+/// `b`-range of [`hough_y_interval`], the leaf-run scan of that sign's
+/// tree — `scan(positive, lo, hi, visit)` lends `visit` every run of `b`
+/// in `[lo, hi]` — and the exact speed filter over every run, appending
+/// to `out`. Returns the candidates scanned.
+fn query_obs_runs<T: Copy>(
+    q: &MorQuery1D,
+    band: &SpeedBand,
+    y_r: f64,
+    out: &mut Vec<T>,
+    pick: impl Fn(Motion1D) -> T + Copy,
+    mut scan: impl FnMut(bool, f64, f64, &mut dyn FnMut(&[(f64, ObsValue)])),
+) -> u64 {
+    let mut scanned = 0u64;
+    // `out[..end]` holds the matches so far. Slots past `end` hold
+    // rejected candidates, which the next run writes over, so `out` is
+    // only extended past its high-water mark, not refilled for every run.
+    let mut end = out.len();
+    for positive in [true, false] {
+        let (lo, hi) = hough_y_interval(q, band, y_r, positive);
+        scan(positive, lo, hi, &mut |run| {
+            let Some(first) = run.first() else { return };
+            scanned += run.len() as u64;
+            if out.len() < end + run.len() {
+                out.resize(end + run.len(), pick(obs_motion(first, y_r)));
+            }
+            end += filter_run(run, y_r, positive, q, &mut out[end..], pick);
+        });
+    }
+    out.truncate(end);
+    scanned
 }
 
 /// Position in `y_rs` of the observation element minimizing the
@@ -275,16 +326,16 @@ impl DualBPlusIndex {
         let band = self.cfg.band;
         let obs = &mut self.obs[obs_idx];
         let y_r = obs.y_r;
-        let mut scanned = 0usize;
-        for (positive, tree) in [(true, &mut obs.pos_tree), (false, &mut obs.neg_tree)] {
-            let (lo, hi) = hough_y_interval(q, &band, y_r, positive);
-            tree.range_runs(lo, hi, |run| {
-                scanned += run.len();
-                filter_run(run, y_r, q, out, pick);
-            })
-            .expect("pager fault in a range scan (Index1D reads are infallible)");
-        }
-        self.last_candidates += scanned as u64;
+        self.last_candidates +=
+            query_obs_runs(q, &band, y_r, out, pick, |positive, lo, hi, visit| {
+                let tree = if positive {
+                    &mut obs.pos_tree
+                } else {
+                    &mut obs.neg_tree
+                };
+                tree.range_runs(lo, hi, visit)
+                    .expect("pager fault in a range scan (Index1D reads are infallible)");
+            });
     }
 
     /// Index of the observation element minimizing the enlargement `E`
@@ -375,6 +426,7 @@ impl DualBPlusIndex {
         out: &mut Vec<T>,
         pick: impl Fn(Motion1D) -> T + Copy,
     ) {
+        debug_assert!(q.t1 <= q.t2, "inverted time window {q:?}");
         self.last_candidates = 0;
         let strip = self.strip();
         if self.sub.is_empty() || q.y2 - q.y1 <= strip {
@@ -640,18 +692,18 @@ impl Index1D for DualBPlusIndex {
     }
 
     fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
-        out.clear();
-        self.collect_matches(q, out, |m| m.id);
-        // Static objects: position is time-invariant, so the MOR query
-        // degenerates to a range scan (exact — every scanned entry is a
-        // true hit).
-        if !self.static_tree.is_empty() {
-            let before = out.len();
-            self.static_tree
-                .range_for_each(q.y1, q.y2, |_, id| out.push(id));
-            self.last_candidates += (out.len() - before) as u64;
-        }
-        finish_ids(out);
+        assemble(out, |candidates| {
+            self.collect_matches(q, candidates, |m| m.id);
+            // Static objects: position is time-invariant, so the MOR
+            // query degenerates to a range scan (exact — every scanned
+            // entry is a true hit).
+            if !self.static_tree.is_empty() {
+                let before = candidates.len();
+                self.static_tree
+                    .range_for_each(q.y1, q.y2, |_, id| candidates.push(id));
+                self.last_candidates += (candidates.len() - before) as u64;
+            }
+        });
     }
 
     /// Freezes the observation and static trees into an immutable,
@@ -703,29 +755,33 @@ struct FrozenDualBPlus {
 
 impl crate::method::FrozenIndex1D for FrozenDualBPlus {
     fn search(&self, q: &MorQuery1D, out: &mut Vec<u64>) -> crate::method::FrozenReadStats {
-        out.clear();
+        debug_assert!(q.t1 <= q.t2, "inverted time window {q:?}");
         let mut stats = crate::method::FrozenReadStats::default();
-        // Case i: single E-minimizing observation index (the frozen view
-        // is only published when subterrain maintenance is off, so the
-        // live index would take the same route).
-        let best = e_minimizing_obs(q, &self.band, self.obs.iter().map(|o| o.y_r));
-        let obs = &self.obs[best];
-        for positive in [true, false] {
-            let (lo, hi) = hough_y_interval(q, &self.band, obs.y_r, positive);
-            let tree = if positive { &obs.pos } else { &obs.neg };
-            stats.pages += tree.range_runs(lo, hi, |run| {
-                stats.candidates += run.len() as u64;
-                filter_run(run, obs.y_r, q, out, |m| m.id);
-            });
-        }
-        if !self.static_tree.is_empty() {
-            let before = out.len();
-            stats.pages += self
-                .static_tree
-                .range_for_each(q.y1, q.y2, |_, id| out.push(id));
-            stats.candidates += (out.len() - before) as u64;
-        }
-        finish_ids(out);
+        assemble(out, |candidates| {
+            // Case i: single E-minimizing observation index (the frozen
+            // view is only published when subterrain maintenance is off,
+            // so the live index would take the same route).
+            let best = e_minimizing_obs(q, &self.band, self.obs.iter().map(|o| o.y_r));
+            let obs = &self.obs[best];
+            stats.candidates += query_obs_runs(
+                q,
+                &self.band,
+                obs.y_r,
+                candidates,
+                |m| m.id,
+                |positive, lo, hi, visit| {
+                    let tree = if positive { &obs.pos } else { &obs.neg };
+                    stats.pages += tree.range_runs(lo, hi, visit);
+                },
+            );
+            if !self.static_tree.is_empty() {
+                let before = candidates.len();
+                stats.pages += self
+                    .static_tree
+                    .range_for_each(q.y1, q.y2, |_, id| candidates.push(id));
+                stats.candidates += (candidates.len() - before) as u64;
+            }
+        });
         stats
     }
 }
@@ -735,6 +791,7 @@ mod tests {
     use super::*;
     use mobidx_bptree::TreeConfig;
     use mobidx_workload::{brute_force_1d, Simulator1D, WorkloadConfig};
+    use proptest::prelude::*;
 
     fn small_cfg(c: usize, subterrain: bool) -> DualBPlusConfig {
         DualBPlusConfig {
@@ -873,6 +930,127 @@ mod tests {
         assert!(idx.remove(&parked));
         assert!(!idx.remove(&parked));
         assert_eq!(idx.query(&crate::method::QueryRequest::new(&q)), vec![2]);
+    }
+
+    /// A terrain of 768 puts every observation element on a dyadic `y_r`
+    /// at c = 1 and c = 6, and speeds of ±¼, ±½ and ±1 keep `b` and every
+    /// reconstructed position exact, so an object sits *on* `y1` / `y2`
+    /// at `t1` / `t2` in the index exactly as it does in the oracle.
+    #[test]
+    fn exact_ties_on_every_query_corner_agree_live_frozen_and_brute_force() {
+        let queries = [
+            (100.0, 200.0, 20.0, 30.0),
+            (100.0, 200.0, 25.0, 25.0), // zero-length window
+            (384.0, 384.0, 10.0, 40.0), // zero-length range on the c = 1 element
+            (64.0, 448.0, 12.0, 13.0),  // edges on c = 6 elements
+            (0.0, 768.0, 50.0, 50.0),
+            (500.0, 520.0, 10.0, 16.0),
+        ]
+        .map(|(y1, y2, t1, t2)| MorQuery1D { y1, y2, t1, t2 });
+        let mut objects = Vec::new();
+        for q in &queries {
+            for (t, y) in [(q.t1, q.y1), (q.t1, q.y2), (q.t2, q.y1), (q.t2, q.y2)] {
+                for v in [0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0] {
+                    for back in [0.0, 3.0] {
+                        objects.push(Motion1D {
+                            id: objects.len() as u64,
+                            t0: t - back,
+                            y0: y - v * back,
+                            v,
+                        });
+                    }
+                }
+            }
+        }
+        for c in [1, 6] {
+            let mut idx = DualBPlusIndex::new(DualBPlusConfig {
+                terrain: 768.0,
+                ..small_cfg(c, false)
+            });
+            for m in &objects {
+                idx.insert(m);
+            }
+            let frozen = idx.freeze().expect("no subterrain indices");
+            let mut from_frozen = Vec::new();
+            for q in &queries {
+                let want = brute_force_1d(&objects, q);
+                assert!(!want.is_empty(), "c={c} {q:?}: the corners must be hit");
+                let live = idx.query(&crate::method::QueryRequest::new(q));
+                assert_eq!(live, want, "live, c={c} {q:?}");
+                frozen.search(q, &mut from_frozen);
+                assert_eq!(from_frozen, want, "frozen, c={c} {q:?}");
+            }
+        }
+    }
+
+    /// A speed magnitude of a shape the sign-specialised filter must
+    /// order exactly as `matches` does: ordinary; huge, so positions
+    /// overflow to ±∞; subnormal, so products round to ±0; infinite, so
+    /// a zero `t − b` makes a position NaN; and NaN itself.
+    fn speed() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            4 => 0.001f64..10.0,
+            1 => 1e300f64..f64::MAX,
+            1 => (1u64..1 << 52).prop_map(f64::from_bits),
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NAN),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn filter_run_keeps_exactly_what_matches_keeps(
+            (t1, dt, y1, dy) in (
+                0i32..64,
+                prop_oneof![Just(0), 1i32..20],
+                0i32..1000,
+                prop_oneof![Just(0), 1i32..200],
+            ),
+            y_r in 0i32..1000,
+            positive in any::<bool>(),
+            // (corner, ulps nudged, speed exponent, free b, free speed):
+            // corners 0..4 place the entry exactly on one (t, y) corner of
+            // the query at speed 2^exponent; corner 4 uses the free pair.
+            entries in prop::collection::vec(
+                (0u8..5, -2i32..=2, -3i32..=3, -100.0f64..200.0, speed()),
+                0..300,
+            ),
+        ) {
+            let q = MorQuery1D {
+                y1: f64::from(y1),
+                y2: f64::from(y1 + dy),
+                t1: f64::from(t1),
+                t2: f64::from(t1 + dt),
+            };
+            let y_r = f64::from(y_r);
+            let run: Vec<(f64, ObsValue)> = entries
+                .iter()
+                .zip(0u64..)
+                .map(|(&(corner, ulps, exponent, free_b, free_speed), id)| {
+                    let speed = if corner < 4 { 2f64.powi(exponent) } else { free_speed };
+                    let v = if positive { speed } else { -speed };
+                    let mut b = if corner < 4 {
+                        let t = if corner & 1 == 0 { q.t1 } else { q.t2 };
+                        let y = if corner & 2 == 0 { q.y1 } else { q.y2 };
+                        t - (y - y_r) / v
+                    } else {
+                        free_b
+                    };
+                    for _ in 0..ulps.unsigned_abs() {
+                        b = if ulps > 0 { b.next_up() } else { b.next_down() };
+                    }
+                    (b, (v.to_bits(), id))
+                })
+                .collect();
+            let mut slots = vec![u64::MAX; run.len()];
+            let kept = filter_run(&run, y_r, positive, &q, &mut slots, |m| m.id);
+            let want: Vec<u64> = run
+                .iter()
+                .filter(|entry| q.matches(&obs_motion(entry, y_r)))
+                .map(|&(_, (_, id))| id)
+                .collect();
+            prop_assert_eq!(&slots[..kept], &want[..]);
+        }
     }
 
     #[test]

@@ -119,7 +119,11 @@ impl<'a, Q> QueryRequest<'a, Q> {
 
     /// Donates a buffer whose capacity the executor reuses for the
     /// result ids — the historical `query_into`: callers serving many
-    /// queries recycle one allocation across requests.
+    /// queries recycle one allocation across requests. Candidates are
+    /// collected in the id kernel's own per-thread buffer
+    /// ([`crate::ids::assemble`]) whether or not a buffer is donated, so
+    /// donation saves only the answer's allocation; an undonated answer
+    /// is allocated once, at its final length.
     #[must_use]
     pub fn with_buffer(self, buf: Vec<u64>) -> Self {
         self.reuse.set(Some(buf));

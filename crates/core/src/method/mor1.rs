@@ -133,9 +133,10 @@ impl Mor1Index {
             self.epoch + self.horizon
         );
         let mut ids = Vec::new();
-        self.tree
-            .query(t_q - self.epoch, y1, y2, |o| ids.push(o.id));
-        crate::ids::finish_ids(&mut ids);
+        let t = t_q - self.epoch;
+        crate::ids::assemble(&mut ids, |candidates| {
+            self.tree.query(t, y1, y2, |o| candidates.push(o.id));
+        });
         ids
     }
 

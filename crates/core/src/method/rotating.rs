@@ -149,20 +149,21 @@ impl<S: DualPlaneStore> RotatingDual<S> {
     pub(crate) fn query(&mut self, q: &MorQuery1D) -> Vec<u64> {
         let mut ids = Vec::new();
         let (period, band) = (self.period, self.band);
-        for gen in &mut self.gens {
-            if gen.store.len() == 0 {
-                continue;
+        crate::ids::assemble(&mut ids, |candidates| {
+            for gen in &mut self.gens {
+                if gen.store.len() == 0 {
+                    continue;
+                }
+                #[allow(clippy::cast_precision_loss)]
+                let t_base = gen.epoch as f64 * period;
+                let (pos, neg) = hough_x_query(q, &band, t_base);
+                gen.store.query_polygons(&pos, &neg, candidates);
             }
-            #[allow(clippy::cast_precision_loss)]
-            let t_base = gen.epoch as f64 * period;
-            let (pos, neg) = hough_x_query(q, &band, t_base);
-            gen.store.query_polygons(&pos, &neg, &mut ids);
-        }
-        // Polygon queries are exact (no refinement), so candidates are
-        // the entries reported by the stores before cross-generation
-        // dedup.
-        self.last_candidates = ids.len() as u64;
-        crate::ids::finish_ids(&mut ids);
+            // Polygon queries are exact (no refinement), so candidates
+            // are the entries reported by the stores before
+            // cross-generation dedup.
+            self.last_candidates = candidates.len() as u64;
+        });
         ids
     }
 

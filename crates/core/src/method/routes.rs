@@ -9,7 +9,7 @@
 //! yields arc-length intervals, and (3) issuing one 1-D MOR query per
 //! interval on that route's index.
 
-use crate::ids::finish_ids;
+use crate::ids::assemble;
 use crate::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use crate::method::{Index1D, IndexStats, IoTotals};
 use mobidx_geom::Rect2;
@@ -112,22 +112,23 @@ impl RouteMorIndex {
         // (2)+(3) Clip and run 1-D queries.
         let mut ids = Vec::new();
         let mut route_ids = Vec::new();
-        for (r, hit) in route_hit.iter().enumerate() {
-            if !hit {
-                continue;
+        assemble(&mut ids, |candidates| {
+            for (r, hit) in route_hit.iter().enumerate() {
+                if !hit {
+                    continue;
+                }
+                for (s_lo, s_hi) in self.routes[r].clip_rect(rect) {
+                    let q = MorQuery1D {
+                        y1: s_lo,
+                        y2: s_hi,
+                        t1,
+                        t2,
+                    };
+                    self.per_route[r].search(&q, &mut route_ids);
+                    candidates.extend_from_slice(&route_ids);
+                }
             }
-            for (s_lo, s_hi) in self.routes[r].clip_rect(rect) {
-                let q = MorQuery1D {
-                    y1: s_lo,
-                    y2: s_hi,
-                    t1,
-                    t2,
-                };
-                self.per_route[r].search(&q, &mut route_ids);
-                ids.extend_from_slice(&route_ids);
-            }
-        }
-        finish_ids(&mut ids);
+        });
         ids
     }
 

@@ -18,7 +18,7 @@
 //! update there), so its answers are defined by segment geometry; the
 //! test oracle clips trajectories the same way.
 
-use crate::ids::finish_ids;
+use crate::ids::assemble;
 use crate::method::{Index1D, IndexStats, IoTotals};
 use mobidx_geom::{Point2, Rect2, Segment};
 use mobidx_rstar::{RStarConfig, RStarTree};
@@ -83,12 +83,15 @@ impl SegRTreeIndex {
     #[must_use]
     pub fn brute_force(&self, objects: &[Motion1D], q: &MorQuery1D) -> Vec<u64> {
         let rect = query_rect(q);
-        let mut ids = objects
-            .iter()
-            .filter(|m| self.segment_of(m).intersects_rect(&rect))
-            .map(|m| m.id)
-            .collect();
-        finish_ids(&mut ids);
+        let mut ids = Vec::new();
+        assemble(&mut ids, |candidates| {
+            candidates.extend(
+                objects
+                    .iter()
+                    .filter(|m| self.segment_of(m).intersects_rect(&rect))
+                    .map(|m| m.id),
+            );
+        });
         ids
     }
 
@@ -153,19 +156,18 @@ impl Index1D for SegRTreeIndex {
     }
 
     fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
-        out.clear();
         let rect = query_rect(q);
         let mut candidates = 0u64;
-        let ids = &mut *out;
-        self.tree.search_with(&rect, |mbr, (id, rising)| {
-            candidates += 1;
-            // Refine: the MBR intersects, does the segment?
-            if segment_from_entry(&mbr, rising).intersects_rect(&rect) {
-                ids.push(id);
-            }
+        assemble(out, |ids| {
+            self.tree.search_with(&rect, |mbr, (id, rising)| {
+                candidates += 1;
+                // Refine: the MBR intersects, does the segment?
+                if segment_from_entry(&mbr, rising).intersects_rect(&rect) {
+                    ids.push(id);
+                }
+            });
         });
         self.last_candidates = candidates;
-        finish_ids(out);
     }
 }
 
