@@ -6,7 +6,7 @@ use mobidx_bptree::TreeConfig;
 use mobidx_core::method::dual2d::{Decomposition2D, Dual4KdIndex};
 use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use mobidx_core::method::mor1::Mor1Index;
-use mobidx_core::{Index2D, QueryRequest, SpeedBand};
+use mobidx_core::{Index2D, IndexStats, QueryRequest, SpeedBand};
 use mobidx_kdtree::KdConfig;
 use mobidx_persist::PersistConfig;
 use mobidx_workload::{Simulator1D, Simulator2D, WorkloadConfig, WorkloadConfig2D};

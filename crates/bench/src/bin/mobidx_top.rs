@@ -1,6 +1,5 @@
 //! `mobidx-top` — a `top(1)`-style live view of a serving
-//! [`ShardedDb`](mobidx_serve::ShardedDb) through its continuous
-//! telemetry.
+//! [`ShardedDb`] through its continuous telemetry.
 //!
 //! ```text
 //! mobidx-top [--shards S] [--n OBJS] [--ticks T] [--refresh-ms MS] [--seed N] [--once]
@@ -11,9 +10,8 @@
 //! the background repartitioner attached, drives it from a workload
 //! thread (uniform velocities that switch to a two-band rush-hour mix
 //! halfway through, so the drift detector — and then the repartitioner
-//! — have something to find), attaches a
-//! [`ServeSampler`](mobidx_serve::ServeSampler), and redraws a per-shard
-//! table every refresh: queue depth, query latency percentiles, I/O
+//! — have something to find), attaches a [`ServeSampler`], and redraws
+//! a per-shard table every refresh: queue depth, query latency percentiles, I/O
 //! rates, snapshot-read and view-build rates, the shard's current
 //! velocity-band count and the age (in harvest ticks) of its last
 //! repartition, per-shard

@@ -4,8 +4,8 @@
 use crate::node::Node;
 use crate::{cmp_entry, cmp_key, Key};
 use mobidx_pager::{
-    put_u32, put_u64, Backend, ByteReader, FixedCodec, IoStats, PageId, PageStore, PagerError,
-    RecoveredImage, DEFAULT_BUFFER_PAGES,
+    put_u32, put_u64, Backend, ByteReader, FixedCodec, PageId, PageStore, PagerError,
+    RecoveredImage, Store, DEFAULT_BUFFER_PAGES,
 };
 use std::cmp::Ordering;
 use std::fmt::Debug;
@@ -91,7 +91,7 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
     }
 
     /// Keeps the root page pinned in the store's dedicated pin slot: it
-    /// is never evicted and survives [`BPlusTree::clear_buffer`], so a
+    /// is never evicted and survives [`Store::try_clear_buffer`], so a
     /// descent costs `height - 1` I/Os instead of `height` once the
     /// root has been faulted in. One page of memory; the pin follows
     /// the root across splits and collapses. Multi-tree facades (the
@@ -143,33 +143,23 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         &self.cfg
     }
 
-    /// I/O statistics of the underlying page store.
+    /// The underlying page store: its I/O counters, its buffer pool (the
+    /// paper clears it before every query so query I/O is cold) and its
+    /// backend.
     #[must_use]
-    pub fn stats(&self) -> &IoStats {
-        self.store.stats()
+    pub fn store(&self) -> &dyn Store {
+        &self.store
+    }
+
+    /// The underlying page store, mutably.
+    pub fn store_mut(&mut self) -> &mut dyn Store {
+        &mut self.store
     }
 
     /// Live pages — the space metric of Figure 8.
     #[must_use]
     pub fn live_pages(&self) -> u64 {
         self.store.live_pages()
-    }
-
-    /// Flushes and empties the buffer pool (the paper clears the buffer
-    /// before every query so query I/O is cold).
-    ///
-    /// # Panics
-    /// Panics on an injected fault; see [`BPlusTree::try_clear_buffer`].
-    pub fn clear_buffer(&mut self) {
-        self.try_clear_buffer().expect(INFALLIBLE);
-    }
-
-    /// Flushes and empties the buffer pool.
-    ///
-    /// # Errors
-    /// Propagates a rejected write-back from the backend.
-    pub fn try_clear_buffer(&mut self) -> Result<(), PagerError> {
-        self.store.try_clear_buffer()
     }
 
     /// Swaps the storage backend (fault policy), returning the previous
@@ -1304,7 +1294,7 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
 /// tree copies pages on write) or is dropped entirely. Reads take
 /// `&self`, bypass the buffer pool, and cannot fault — the external-
 /// memory cost of a snapshot scan is reported to the caller as the
-/// number of pages visited instead of through [`IoStats`].
+/// number of pages visited instead of through [`mobidx_pager::IoStats`].
 #[derive(Debug, Clone)]
 pub struct FrozenTree<K: Key, V: Copy + Ord + Debug> {
     pages: mobidx_pager::FrozenPages<Node<K, V>>,
@@ -1686,12 +1676,12 @@ mod tests {
                     "frozen [{lo}, {hi}]"
                 );
 
-                t.clear_buffer();
-                let before = t.stats().reads();
+                t.store_mut().try_clear_buffer().unwrap();
+                let before = t.store().stats().reads();
                 let mut got = Vec::new();
                 t.range_runs(lo, hi, |run| got.extend_from_slice(run))
                     .unwrap();
-                let reads = t.stats().reads() - before;
+                let reads = t.store().stats().reads() - before;
                 assert_eq!((got, reads), (want, want_pages), "live [{lo}, {hi}]");
             }
         }
@@ -1796,11 +1786,11 @@ mod tests {
         };
         let entries: Vec<(u64, u64)> = (0..1024u64).map(|i| (i, i)).collect();
         let mut t = BPlusTree::bulk_load(cfg, &entries, 1.0);
-        t.clear_buffer();
-        let snap = t.stats().snapshot();
+        t.store_mut().try_clear_buffer().unwrap();
+        let snap = t.store().stats().snapshot();
         let hits = t.range(0, 1023);
         assert_eq!(hits.len(), 1024);
-        let cost = t.stats().since(&snap);
+        let cost = t.store().stats().since(&snap);
         let leaves = 1024 / 8;
         // height-1 branch reads + all leaves.
         let expected = (t.height() as u64 - 1) + leaves as u64;
@@ -1816,10 +1806,10 @@ mod tests {
             buffer_pages: 4,
         };
         let mut t = BPlusTree::bulk_load(cfg, &entries, 1.0);
-        t.clear_buffer();
-        let snap = t.stats().snapshot();
+        t.store_mut().try_clear_buffer().unwrap();
+        let snap = t.store().stats().snapshot();
         assert!(t.contains(2048, 2048));
-        let cost = t.stats().since(&snap);
+        let cost = t.store().stats().since(&snap);
         assert_eq!(cost.reads, t.height() as u64);
     }
 
@@ -1902,13 +1892,13 @@ mod tests {
         };
         let base: Vec<(u64, u64)> = (0..512u64).map(|i| (i * 100, i)).collect();
         let mut t = BPlusTree::bulk_load(cfg, &base, 0.5);
-        t.clear_buffer();
-        let snap = t.stats().snapshot();
+        t.store_mut().try_clear_buffer().unwrap();
+        let snap = t.store().stats().snapshot();
         // Eight entries wedged between keys 1000 and 1100: one leaf.
         let batch: Vec<(u64, u64)> = (0..8u64).map(|i| (1001 + i, 9000 + i)).collect();
         t.insert_batch(&batch);
-        t.clear_buffer();
-        let cost = t.stats().since(&snap);
+        t.store_mut().try_clear_buffer().unwrap();
+        let cost = t.store().stats().since(&snap);
         assert_eq!(cost.reads, t.height() as u64, "one descent for the batch");
         assert_eq!(cost.writes, 1, "one dirty leaf written back");
         t.check_invariants(false);

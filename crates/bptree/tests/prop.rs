@@ -221,8 +221,8 @@ fn check_scan(
         .filter(|&(k, _)| lo <= k && k <= hi)
         .collect();
 
-    tree.clear_buffer();
-    let reads_before = tree.stats().reads();
+    tree.store_mut().try_clear_buffer().unwrap();
+    let reads_before = tree.store().stats().reads();
     let mut live = Vec::new();
     let mut live_runs = 0usize;
     tree.range_runs(lo, hi, |run| {
@@ -231,7 +231,7 @@ fn check_scan(
         live.extend_from_slice(run);
     })
     .expect("memory backend");
-    let live_reads = tree.stats().reads() - reads_before;
+    let live_reads = tree.store().stats().reads() - reads_before;
     prop_assert_eq!(&live, &want, "live runs, [{}, {}]", lo, hi);
 
     let mut snap = Vec::new();
@@ -582,11 +582,11 @@ fn churn_io(batch: usize, rounds: usize, seed: u64) -> [u64; 6] {
         live.extend_from_slice(&inserts);
         live.sort_by(|a, b| a.partial_cmp(b).unwrap());
     }
-    tree.clear_buffer();
+    tree.store_mut().try_clear_buffer().unwrap();
     // Loose occupancy: the bulk load may leave its last branch short.
     tree.check_invariants(false);
     assert_eq!(bits(&tree.collect_all()), bits(&live));
-    let io = tree.stats();
+    let io = tree.store().stats();
     [
         io.reads(),
         io.writes(),
@@ -634,7 +634,7 @@ fn batch_leaf_write_fault_semantics() {
         let mut tree = BPlusTree::bulk_load(cfg, &base, 0.5);
         // Nothing dirty is left to write back, so the first write-class
         // access the plan can hit is the leaf mutation itself.
-        tree.clear_buffer();
+        tree.store_mut().try_clear_buffer().unwrap();
         let _ = tree.set_backend(Box::new(FaultStore::new(plan)));
         tree
     };

@@ -1,11 +1,9 @@
 //! B+-tree vs `BTreeSet`.
 
-use crate::driver::{agree, arm, ask_clean, paged, ModelTarget, Run, Tally};
+use crate::driver::{agree, arm, ask_clean, ModelTarget, Run, Tally};
 use mobidx_bptree::{BPlusTree, TreeConfig};
 use mobidx_pager::PagerError;
 use std::collections::BTreeSet;
-
-paged!(BPlusTree<u64, u64>);
 
 /// The harness's small nodes: at oracle scale, page-capacity leaves
 /// would never miss the buffer pools and no fault plan could ever fire.
@@ -46,7 +44,7 @@ impl ModelTarget for BptreeTarget {
 
     fn build(run: &mut Run) -> Result<Self, String> {
         let mut tree = BPlusTree::new(bptree_cfg());
-        arm(&mut tree, &run.cfg, 0);
+        arm(tree.store_mut(), &run.cfg, 0);
         Ok(Self {
             oracle: BTreeSet::new(),
             tree,
@@ -93,7 +91,9 @@ impl ModelTarget for BptreeTarget {
         } else {
             let lo = rng.below(KEYS);
             let hi = lo + rng.below(16);
-            let mut got = ask_clean(report, &mut self.tree, |t| t.try_range(lo, hi));
+            let mut got = ask_clean(report, &mut self.tree, BPlusTree::store_mut, |t| {
+                t.try_range(lo, hi)
+            });
             got.sort_unstable();
             let want = in_range(&self.oracle, lo, hi);
             agree(format_args!("range [{lo}, {hi}]"), &got, &want)?;
@@ -103,12 +103,12 @@ impl ModelTarget for BptreeTarget {
     }
 
     fn spent(&self) -> Tally {
-        Tally::of(self.tree.stats())
+        Tally::of(self.tree.store().stats())
     }
 
     fn recover(&mut self, run: &mut Run) -> Result<(), String> {
         self.tree = rebuild(&self.oracle);
-        arm(&mut self.tree, &run.cfg, run.round);
+        arm(self.tree.store_mut(), &run.cfg, run.round);
         Ok(())
     }
 

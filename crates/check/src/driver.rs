@@ -7,7 +7,7 @@
 //! the final absorb. A [`ModelTarget`] supplies only what is its own.
 
 use crate::{mix, CheckConfig, Divergence, Report, SplitMix};
-use mobidx_pager::{Backend, IoStats, MemBackend, PagerError};
+use mobidx_pager::{IoStats, MemBackend, PagerError, Store};
 use std::fmt::Display;
 
 /// What the driver owns of a run and lends a target for one op or one
@@ -113,48 +113,26 @@ pub(crate) fn drive<T: ModelTarget>(cfg: &CheckConfig) -> Result<Report, Diverge
     Ok(run.report)
 }
 
-/// A single-store index: something with `set_backend`.
-pub(crate) trait Paged {
-    fn set_backend(&mut self, backend: Box<dyn Backend>) -> Box<dyn Backend>;
-    fn stats(&self) -> &IoStats;
+/// Arms `store` with the run's fault mode under sub-seed `mix(seed, salt)`.
+pub(crate) fn arm(store: &mut dyn Store, cfg: &CheckConfig, salt: u64) {
+    drop(store.set_backend(cfg.faults.backend(mix(cfg.seed, salt))));
 }
 
-macro_rules! paged {
-    ($tree:ty) => {
-        impl $crate::driver::Paged for $tree {
-            fn set_backend(
-                &mut self,
-                backend: Box<dyn mobidx_pager::Backend>,
-            ) -> Box<dyn mobidx_pager::Backend> {
-                <$tree>::set_backend(self, backend)
-            }
-            fn stats(&self) -> &mobidx_pager::IoStats {
-                <$tree>::stats(self)
-            }
-        }
-    };
-}
-pub(crate) use paged;
-
-/// Arms `tree` with the run's fault mode under sub-seed `mix(seed, salt)`.
-pub(crate) fn arm(tree: &mut impl Paged, cfg: &CheckConfig, salt: u64) {
-    drop(tree.set_backend(cfg.faults.backend(mix(cfg.seed, salt))));
-}
-
-/// Asks `tree` a query. A surfaced fault is counted and answered by the
-/// clean re-query: swap in a fault-free backend, ask again, restore the
-/// faulty one.
-pub(crate) fn ask_clean<P: Paged, A>(
+/// Asks `tree`, whose one page store is `store(tree)`, a query. A
+/// surfaced fault is counted and answered by the clean re-query: swap in
+/// a fault-free backend, ask again, restore the faulty one.
+pub(crate) fn ask_clean<T, A>(
     report: &mut Report,
-    tree: &mut P,
-    mut ask: impl FnMut(&mut P) -> Result<A, PagerError>,
+    tree: &mut T,
+    store: fn(&mut T) -> &mut dyn Store,
+    mut ask: impl FnMut(&mut T) -> Result<A, PagerError>,
 ) -> A {
     report.queries += 1;
     ask(tree).unwrap_or_else(|_| {
         report.faults_surfaced += 1;
-        let faulty = tree.set_backend(Box::new(MemBackend));
+        let faulty = store(tree).set_backend(Box::new(MemBackend));
         let answer = ask(tree).expect("MemBackend never faults");
-        drop(tree.set_backend(faulty));
+        drop(store(tree).set_backend(faulty));
         answer
     })
 }

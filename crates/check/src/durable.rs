@@ -115,7 +115,7 @@ impl ModelTarget for DurableTarget {
     }
 
     fn spent(&self) -> Tally {
-        Tally::of(self.tree.stats())
+        Tally::of(self.tree.store().stats())
     }
 
     fn recover(&mut self, run: &mut Run) -> Result<(), String> {

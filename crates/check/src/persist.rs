@@ -1,10 +1,8 @@
 //! Persistent list B-tree vs motion brute force.
 
-use crate::driver::{agree, arm, ask_clean, paged, ModelTarget, Run, Tally};
+use crate::driver::{agree, arm, ask_clean, ModelTarget, Run, Tally};
 use crate::SplitMix;
 use mobidx_persist::{all_crossings, CrossEvent, Occupant, PersistConfig, PersistentListBTree};
-
-paged!(PersistentListBTree);
 
 /// One epoch of mobile objects: positions `y0 + v t`, with every real
 /// crossing event precomputed so swaps can be applied in time order.
@@ -72,7 +70,7 @@ impl ModelTarget for PersistTarget {
     fn build(run: &mut Run) -> Result<Self, String> {
         let epoch = PersistEpoch::generate(&mut run.rng);
         let mut tree = epoch.rebuild();
-        arm(&mut tree, &run.cfg, 0);
+        arm(tree.store_mut(), &run.cfg, 0);
         Ok(Self {
             epoch,
             tree,
@@ -101,7 +99,7 @@ impl ModelTarget for PersistTarget {
                 self.epoch = PersistEpoch::generate(&mut run.rng);
                 self.tree = self.epoch.rebuild();
                 self.retired += 1;
-                arm(&mut self.tree, &run.cfg, run.round + self.retired);
+                arm(self.tree.store_mut(), &run.cfg, run.round + self.retired);
             };
             // On a fault the in-memory mirrors and the paged log may
             // disagree: `recover` replays the applied swaps.
@@ -124,7 +122,8 @@ impl ModelTarget for PersistTarget {
                 .filter(|(_, object)| on_segment(object))
                 .map(|(id, _)| id)
                 .collect();
-            let mut got = ask_clean(&mut run.report, &mut self.tree, |tree| {
+            let store = PersistentListBTree::store_mut;
+            let mut got = ask_clean(&mut run.report, &mut self.tree, store, |tree| {
                 let mut ids = Vec::new();
                 tree.try_query(t, yl, yr, |o| ids.push(o.id))?;
                 Ok(ids)
@@ -136,12 +135,12 @@ impl ModelTarget for PersistTarget {
     }
 
     fn spent(&self) -> Tally {
-        Tally::of(self.tree.stats())
+        Tally::of(self.tree.store().stats())
     }
 
     fn recover(&mut self, run: &mut Run) -> Result<(), String> {
         self.tree = self.epoch.rebuild();
-        arm(&mut self.tree, &run.cfg, run.round + self.retired);
+        arm(self.tree.store_mut(), &run.cfg, run.round + self.retired);
         Ok(())
     }
 }

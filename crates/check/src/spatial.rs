@@ -5,28 +5,27 @@
 //! an item and a query are; [`Spatial`], implemented on the tree types
 //! themselves, is that difference.
 
-use crate::driver::{agree, arm, ask_clean, paged, ModelTarget, Paged, Run, Tally};
+use crate::driver::{agree, arm, ask_clean, ModelTarget, Run, Tally};
 use crate::SplitMix;
 use mobidx_geom::{Aabb, Rect2};
 use mobidx_interval::{IntervalConfig, IntervalTree};
 use mobidx_kdtree::{KdConfig, KdTree};
-use mobidx_pager::PagerError;
+use mobidx_pager::{PagerError, Store};
 use mobidx_rstar::{RStarConfig, RStarTree};
 use std::collections::HashMap;
 use std::fmt::Debug;
 
-paged!(IntervalTree<u64>);
-paged!(KdTree<2, u64>);
-paged!(RStarTree<u64>);
-
 /// One id-keyed spatial index: its items, its queries, and the exact
 /// order both draw from the stream.
-pub(crate) trait Spatial: Paged + Sized {
+pub(crate) trait Spatial: Sized {
     const NAME: &'static str;
     const SALT: u64;
     type Item: Copy + Debug;
     type Query: Debug;
 
+    /// The tree's page store, shared and mutable.
+    fn store(&self) -> &dyn Store;
+    fn store_mut(&mut self) -> &mut dyn Store;
     fn empty() -> Self;
     fn item(rng: &mut SplitMix) -> Self::Item;
     fn query(rng: &mut SplitMix) -> Self::Query;
@@ -49,7 +48,7 @@ impl<T: Spatial> ModelTarget for SpatialTarget<T> {
 
     fn build(run: &mut Run) -> Result<Self, String> {
         let mut tree = T::empty();
-        arm(&mut tree, &run.cfg, 0);
+        arm(tree.store_mut(), &run.cfg, 0);
         Ok(Self {
             oracle: HashMap::new(),
             live: Vec::new(),
@@ -88,7 +87,9 @@ impl<T: Spatial> ModelTarget for SpatialTarget<T> {
             let hits = self.oracle.iter().filter(|(_, item)| T::hits(item, &q));
             let mut want: Vec<u64> = hits.map(|(&id, _)| id).collect();
             want.sort_unstable();
-            let mut got = ask_clean(report, &mut self.tree, |tree| tree.try_ask(&q));
+            let mut got = ask_clean(report, &mut self.tree, T::store_mut, |tree| {
+                tree.try_ask(&q)
+            });
             got.sort_unstable();
             agree(format_args!("query {q:?}"), &got, &want)?;
             Ok(())
@@ -97,7 +98,7 @@ impl<T: Spatial> ModelTarget for SpatialTarget<T> {
     }
 
     fn spent(&self) -> Tally {
-        Tally::of(self.tree.stats())
+        Tally::of(self.tree.store().stats())
     }
 
     fn recover(&mut self, run: &mut Run) -> Result<(), String> {
@@ -110,7 +111,7 @@ impl<T: Spatial> ModelTarget for SpatialTarget<T> {
             let put = self.tree.try_put(item, id);
             put.expect("a rebuild runs before its store is armed");
         }
-        arm(&mut self.tree, &run.cfg, run.round);
+        arm(self.tree.store_mut(), &run.cfg, run.round);
         Ok(())
     }
 }
@@ -123,6 +124,12 @@ impl Spatial for IntervalTree<u64> {
     type Item = (f64, f64);
     type Query = (f64, f64);
 
+    fn store(&self) -> &dyn Store {
+        IntervalTree::store(self)
+    }
+    fn store_mut(&mut self) -> &mut dyn Store {
+        IntervalTree::store_mut(self)
+    }
     fn empty() -> Self {
         IntervalTree::new(IntervalConfig::small(8, 4))
     }
@@ -155,6 +162,12 @@ impl Spatial for KdTree<2, u64> {
     type Item = [f64; 2];
     type Query = Aabb<2>;
 
+    fn store(&self) -> &dyn Store {
+        KdTree::store(self)
+    }
+    fn store_mut(&mut self) -> &mut dyn Store {
+        KdTree::store_mut(self)
+    }
     fn empty() -> Self {
         KdTree::new(KdConfig::small(8, 4))
     }
@@ -198,6 +211,12 @@ impl Spatial for RStarTree<u64> {
     type Item = Rect2;
     type Query = Rect2;
 
+    fn store(&self) -> &dyn Store {
+        RStarTree::store(self)
+    }
+    fn store_mut(&mut self) -> &mut dyn Store {
+        RStarTree::store_mut(self)
+    }
     fn empty() -> Self {
         RStarTree::new(RStarConfig::with_max(8))
     }

@@ -11,7 +11,6 @@ use crate::driver::{agree, ModelTarget, Run, Tally};
 use crate::{mix, CheckConfig, SplitMix};
 use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use mobidx_core::{Index1D, Motion1D, QueryRequest, SpeedBand, VpDualConfig, VpDualIndex};
-use mobidx_pager::IoStats;
 use mobidx_serve::{
     Batch, IdHashShard, ReadView, ServeConfig, ServeError, ShardFn, ShardedDb, SpeedBandShard,
 };
@@ -42,7 +41,6 @@ pub(crate) trait TierIndex: Index1D + Send + Sized + 'static {
 
     fn shard_fn() -> Box<dyn ShardFn>;
     fn build(shard: usize, shards: usize) -> Self;
-    fn visit_stats(&self, visit: &mut dyn FnMut(&IoStats));
 
     /// The method's own op, if `roll` selects one (otherwise the op is a
     /// query). `Err` is the tier's error for it.
@@ -114,7 +112,7 @@ fn new_motion(rng: &mut SplitMix, id: u64) -> Motion1D {
 
 fn tally_of<I: TierIndex>(index: &I) -> Tally {
     let mut tally = Tally::default();
-    index.visit_stats(&mut |stats| tally.add(stats));
+    index.stores(&mut |_, store| tally.add(store.stats()));
     tally
 }
 
@@ -367,9 +365,6 @@ impl TierIndex for DualBPlusIndex {
             ..DualBPlusConfig::default()
         })
     }
-    fn visit_stats(&self, visit: &mut dyn FnMut(&IoStats)) {
-        self.for_each_stats(visit);
-    }
 }
 
 /// `vp_dual`: velocity-partitioned dual-B+ indexes behind two id-hash
@@ -407,9 +402,6 @@ impl TierIndex for VpDualIndex {
     }
     fn build(_shard: usize, _shards: usize) -> Self {
         VpDualIndex::new(vp_cfg())
-    }
-    fn visit_stats(&self, visit: &mut dyn FnMut(&IoStats)) {
-        self.for_each_stats(visit);
     }
 
     /// Mid-sequence repartition of one shard: re-optimize the band

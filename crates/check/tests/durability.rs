@@ -120,7 +120,7 @@ fn run_script(dir: &Path, page_plan: FaultPlan, wal_plan: FaultPlan) -> ScriptOu
             }
         }
     }
-    let stats = tree.stats();
+    let stats = tree.store().stats();
     ScriptOutcome {
         committed,
         crashed_at,

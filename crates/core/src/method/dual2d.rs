@@ -22,11 +22,13 @@
 use crate::dual::{hough_x_query, SpeedBand};
 use crate::ids::assemble;
 use crate::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
-use crate::method::{Index1D, Index2D, IndexStats, IoTotals};
+use crate::method::{Index1D, Index2D, IndexStats};
 use mobidx_geom::ProductRegion;
 use mobidx_kdtree::{KdConfig, KdTree};
+use mobidx_pager::Store;
 use mobidx_ptree::{PartitionConfig, PartitionForest};
 use mobidx_workload::{MorQuery2D, Motion1D, Motion2D};
+use std::fmt;
 
 /// The 4-D dual point of a 2-D motion (intercepts at absolute time 0).
 #[must_use]
@@ -96,16 +98,12 @@ impl IndexStats for Dual4KdIndex {
         "dual4-kd".to_owned()
     }
 
-    fn clear_buffers(&mut self) {
-        self.tree.clear_buffer();
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store)) {
+        visit(format_args!("all"), self.tree.store());
     }
 
-    fn io_totals(&self) -> IoTotals {
-        IoTotals::from_stats(self.tree.stats())
-    }
-
-    fn reset_io(&self) {
-        self.tree.stats().reset_io();
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
+        visit(self.tree.store_mut());
     }
 
     fn last_candidates(&self) -> u64 {
@@ -163,16 +161,12 @@ impl IndexStats for Dual4PtreeIndex {
         "dual4-ptree".to_owned()
     }
 
-    fn clear_buffers(&mut self) {
-        self.forest.clear_buffer();
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store)) {
+        visit(format_args!("all"), self.forest.store());
     }
 
-    fn io_totals(&self) -> IoTotals {
-        IoTotals::from_stats(self.forest.stats())
-    }
-
-    fn reset_io(&self) {
-        self.forest.stats().reset_io();
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
+        visit(self.forest.store_mut());
     }
 
     fn last_candidates(&self) -> u64 {
@@ -258,31 +252,23 @@ impl IndexStats for Decomposition2D {
         "decompose-2x1D".to_owned()
     }
 
-    fn clear_buffers(&mut self) {
-        self.x_index.clear_buffers();
-        self.y_index.clear_buffers();
+    /// Every store of the per-axis indexes, labelled `x` and `y`.
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store)) {
+        self.x_index
+            .stores(&mut |_, store| visit(format_args!("x"), store));
+        self.y_index
+            .stores(&mut |_, store| visit(format_args!("y"), store));
     }
 
-    fn io_totals(&self) -> IoTotals {
-        self.x_index.io_totals().merge(self.y_index.io_totals())
-    }
-
-    fn reset_io(&self) {
-        self.x_index.reset_io();
-        self.y_index.reset_io();
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
+        self.x_index.stores_mut(visit);
+        self.y_index.stores_mut(visit);
     }
 
     fn last_candidates(&self) -> u64 {
         // Candidates of both per-axis scans: the join + refinement here
         // discards anything matching only one axis.
         self.x_index.last_candidates() + self.y_index.last_candidates()
-    }
-
-    fn store_io(&self) -> Vec<(String, IoTotals)> {
-        vec![
-            ("x".to_owned(), self.x_index.io_totals()),
-            ("y".to_owned(), self.y_index.io_totals()),
-        ]
     }
 }
 

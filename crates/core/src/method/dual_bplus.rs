@@ -25,10 +25,12 @@
 
 use crate::dual::{enlargement_e, hough_y_b, hough_y_interval, SpeedBand};
 use crate::ids::assemble;
-use crate::method::{Index1D, IndexStats, IoTotals};
+use crate::method::{Index1D, IndexStats};
 use mobidx_bptree::{BPlusTree, FrozenTree, TreeConfig};
 use mobidx_interval::{IntervalConfig, IntervalTree};
+use mobidx_pager::Store;
 use mobidx_workload::{MorQuery1D, Motion1D};
+use std::fmt;
 
 /// Configuration of the approximation method.
 #[derive(Debug, Clone, Copy)]
@@ -344,19 +346,10 @@ impl DualBPlusIndex {
         e_minimizing_obs(q, &self.cfg.band, self.obs.iter().map(|o| o.y_r))
     }
 
-    /// Replaces the storage backend of **every** internal page store
-    /// (each observation B+-tree, the static tree, and any subterrain
-    /// interval index), calling `make` once per store. Used by the
-    /// model-checking harness to inject faults into a serving shard.
+    /// [`IndexStats::set_backends`] under this type's own path, which the
+    /// benchmark ledger (`perf/`) calls without the trait in scope.
     pub fn set_backends(&mut self, make: &mut dyn FnMut() -> Box<dyn mobidx_pager::Backend>) {
-        drop(self.static_tree.set_backend(make()));
-        for obs in &mut self.obs {
-            drop(obs.pos_tree.set_backend(make()));
-            drop(obs.neg_tree.set_backend(make()));
-        }
-        for sub in &mut self.sub {
-            drop(sub.set_backend(make()));
-        }
+        IndexStats::set_backends(self, make);
     }
 
     /// Seals one commit window on every durable B+-tree (the static
@@ -382,21 +375,6 @@ impl DualBPlusIndex {
                 .map_err(|e| (format!("obs{i}.neg"), e.to_string()))?;
         }
         Ok(())
-    }
-
-    /// Visits the raw [`mobidx_pager::IoStats`] of every internal page
-    /// store, in the same order as [`Self::set_backends`]. [`IndexStats`]
-    /// exposes only the paper's I/O totals; the fault-injection and
-    /// retry counters needed by the model-checking harness live here.
-    pub fn for_each_stats(&self, visit: &mut dyn FnMut(&mobidx_pager::IoStats)) {
-        visit(self.static_tree.stats());
-        for obs in &self.obs {
-            visit(obs.pos_tree.stats());
-            visit(obs.neg_tree.stats());
-        }
-        for sub in &self.sub {
-            visit(sub.stats());
-        }
     }
 
     /// Like [`Index1D::query`] but returning the matching motions as the
@@ -492,31 +470,27 @@ impl IndexStats for DualBPlusIndex {
         )
     }
 
-    fn clear_buffers(&mut self) {
-        self.static_tree.clear_buffer();
+    /// The static tree, each observation element's two velocity-sign
+    /// trees (labelled together), then any subterrain interval index.
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store)) {
+        visit(format_args!("static"), self.static_tree.store());
+        for (i, obs) in self.obs.iter().enumerate() {
+            visit(format_args!("obs{i}"), obs.pos_tree.store());
+            visit(format_args!("obs{i}"), obs.neg_tree.store());
+        }
+        for (j, sub) in self.sub.iter().enumerate() {
+            visit(format_args!("sub{j}"), sub.store());
+        }
+    }
+
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
+        visit(self.static_tree.store_mut());
         for obs in &mut self.obs {
-            obs.pos_tree.clear_buffer();
-            obs.neg_tree.clear_buffer();
+            visit(obs.pos_tree.store_mut());
+            visit(obs.neg_tree.store_mut());
         }
         for sub in &mut self.sub {
-            sub.clear_buffer();
-        }
-    }
-
-    fn io_totals(&self) -> IoTotals {
-        self.store_io()
-            .into_iter()
-            .fold(IoTotals::default(), |acc, (_, t)| acc.merge(t))
-    }
-
-    fn reset_io(&self) {
-        self.static_tree.stats().reset_io();
-        for obs in &self.obs {
-            obs.pos_tree.stats().reset_io();
-            obs.neg_tree.stats().reset_io();
-        }
-        for sub in &self.sub {
-            sub.stats().reset_io();
+            visit(sub.store_mut());
         }
     }
 
@@ -524,30 +498,8 @@ impl IndexStats for DualBPlusIndex {
         self.last_candidates
     }
 
-    fn set_backends(&mut self, make: &mut dyn FnMut() -> Box<dyn mobidx_pager::Backend>) {
-        DualBPlusIndex::set_backends(self, make);
-    }
-
     fn commit_group(&mut self) -> Result<(), (String, String)> {
         DualBPlusIndex::commit_group(self)
-    }
-
-    fn store_io(&self) -> Vec<(String, IoTotals)> {
-        let mut stores = vec![(
-            "static".to_owned(),
-            IoTotals::from_stats(self.static_tree.stats()),
-        )];
-        for (i, obs) in self.obs.iter().enumerate() {
-            stores.push((
-                format!("obs{i}"),
-                IoTotals::from_stats(obs.pos_tree.stats())
-                    .merge(IoTotals::from_stats(obs.neg_tree.stats())),
-            ));
-        }
-        for (j, sub) in self.sub.iter().enumerate() {
-            stores.push((format!("sub{j}"), IoTotals::from_stats(sub.stats())));
-        }
-        stores
     }
 }
 

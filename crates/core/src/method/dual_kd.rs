@@ -10,10 +10,12 @@
 
 use crate::dual::SpeedBand;
 use crate::method::rotating::{DualPlaneStore, RotatingDual};
-use crate::method::{Index1D, IndexStats, IoTotals};
+use crate::method::{Index1D, IndexStats};
 use mobidx_geom::ConvexPolygon;
 use mobidx_kdtree::{KdConfig, KdTree};
+use mobidx_pager::Store;
 use mobidx_workload::{MorQuery1D, Motion1D};
+use std::fmt;
 
 /// Configuration of the kd method.
 #[derive(Debug, Clone, Copy)]
@@ -67,18 +69,6 @@ impl DualPlaneStore for KdStore {
 
     fn len(&self) -> usize {
         self.tree.len()
-    }
-
-    fn io_totals(&self) -> IoTotals {
-        IoTotals::from_stats(self.tree.stats())
-    }
-
-    fn reset_io(&self) {
-        self.tree.stats().reset_io();
-    }
-
-    fn clear_buffer(&mut self) {
-        self.tree.clear_buffer();
     }
 }
 
@@ -154,30 +144,21 @@ impl IndexStats for DualKdIndex {
         "dual-kd".to_owned()
     }
 
-    fn clear_buffers(&mut self) {
-        self.rot.clear_buffers();
+    /// The two rotation generations, `gen0` and `gen1`.
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store)) {
+        for (g, (_, gen)) in self.rot.generations().enumerate() {
+            visit(format_args!("gen{g}"), gen.tree.store());
+        }
     }
 
-    fn io_totals(&self) -> IoTotals {
-        self.rot.io_totals()
-    }
-
-    fn reset_io(&self) {
-        self.rot.reset_io();
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
+        for (_, gen) in self.rot.generations_mut() {
+            visit(gen.tree.store_mut());
+        }
     }
 
     fn last_candidates(&self) -> u64 {
         self.rot.last_candidates()
-    }
-
-    fn store_io(&self) -> Vec<(String, IoTotals)> {
-        self.rot.store_io()
-    }
-
-    fn set_backends(&mut self, make: &mut dyn FnMut() -> Box<dyn mobidx_pager::Backend>) {
-        for (_, store) in self.rot.generations_mut() {
-            drop(store.tree.set_backend(make()));
-        }
     }
 }
 

@@ -13,9 +13,10 @@ pub mod seg_rtree;
 pub mod vp_dual;
 
 use mobidx_obs::{OpenSpan, QueryTrace, Span, SpanIo};
-use mobidx_pager::{Backend, IoStats};
+use mobidx_pager::{Backend, IoStats, Store};
 use mobidx_workload::{MorQuery1D, MorQuery2D, Motion1D, Motion2D};
 use std::cell::Cell;
+use std::fmt;
 use std::time::Instant;
 
 /// One read request against any index surface — the single,
@@ -392,19 +393,51 @@ impl BandIo {
 /// and [`Index2D`] are thin traits over it — the observability plumbing
 /// (`mobidx-obs` traces, the figure harness, the serving tier's
 /// per-shard aggregation) needs only this supertrait.
+///
+/// A method lists its page stores once, in [`IndexStats::stores`] and
+/// the mutable [`IndexStats::stores_mut`] beside it; every store-walking
+/// method here is written once over that list.
 pub trait IndexStats {
     /// Short display name used by the harness (e.g. `"dual-B+ (c=6)"`).
     fn name(&self) -> String;
 
+    /// Visits every internal page store with its label, in the method's
+    /// one fixed store order. Consecutive stores may share a label
+    /// (a velocity-sign pair, a sub-index): [`IndexStats::store_io`]
+    /// reports them as one.
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store));
+
+    /// Visits the stores of [`IndexStats::stores`], in the same order,
+    /// mutably.
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store));
+
     /// Flushes and clears all buffer pools (the paper clears buffers
     /// before each query so query I/O is cold).
-    fn clear_buffers(&mut self);
+    ///
+    /// # Panics
+    /// On a write-back the backend rejects for good (a fault-injecting
+    /// backend; see [`Store::try_clear_buffer`]).
+    fn clear_buffers(&mut self) {
+        self.stores_mut(&mut |store| {
+            store
+                .try_clear_buffer()
+                .expect("pager fault clearing a buffer pool");
+        });
+    }
 
     /// Aggregated I/O counters over every internal page store.
-    fn io_totals(&self) -> IoTotals;
+    fn io_totals(&self) -> IoTotals {
+        let mut totals = IoTotals::default();
+        self.stores(&mut |_, store| {
+            totals = totals.merge(IoTotals::from_stats(store.stats()));
+        });
+        totals
+    }
 
     /// Resets the read/write counters (space counters are preserved).
-    fn reset_io(&self);
+    fn reset_io(&self) {
+        self.stores(&mut |_, store| store.stats().reset_io());
+    }
 
     /// Candidate entries examined by the most recent `query` (before
     /// exact refinement / dedup). Methods that don't track candidates
@@ -413,11 +446,19 @@ pub trait IndexStats {
         0
     }
 
-    /// Per-store I/O breakdown, labelled. The component totals sum to
-    /// [`IndexStats::io_totals`]. The default reports one aggregate
-    /// store.
+    /// Per-store I/O breakdown, labelled: consecutive stores sharing a
+    /// label are summed into one entry. The component totals sum to
+    /// [`IndexStats::io_totals`].
     fn store_io(&self) -> Vec<(String, IoTotals)> {
-        vec![("all".to_owned(), self.io_totals())]
+        let mut out: Vec<(String, IoTotals)> = Vec::new();
+        self.stores(&mut |label, store| {
+            let (label, totals) = (label.to_string(), IoTotals::from_stats(store.stats()));
+            match out.last_mut() {
+                Some((last, sum)) if *last == label => *sum = sum.merge(totals),
+                _ => out.push((label, totals)),
+            }
+        });
+        out
     }
 
     /// Per-speed-band read accounting, for methods that partition by
@@ -428,12 +469,11 @@ pub trait IndexStats {
     }
 
     /// Replaces the storage backend of every internal page store,
-    /// calling `make` once per store — the hook the fault-injection
-    /// harness and the disk-latency bench use to arm backends behind an
-    /// object-safe surface. The default is a no-op for methods without
-    /// pluggable storage.
+    /// calling `make` once per store in [`IndexStats::stores`] order —
+    /// the hook the fault-injection harness and the disk-latency bench
+    /// use to arm backends behind an object-safe surface.
     fn set_backends(&mut self, make: &mut dyn FnMut() -> Box<dyn Backend>) {
-        let _ = make;
+        self.stores_mut(&mut |store| drop(store.set_backend(make())));
     }
 
     /// Seals one commit window on every durable internal page store:

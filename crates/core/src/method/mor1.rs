@@ -14,10 +14,12 @@
 //! the restricted setting where motions persist: updates between
 //! rebuilds take effect at the next rebuild.)
 
-use crate::method::IoTotals;
+use crate::method::IndexStats;
+use mobidx_pager::Store;
 use mobidx_persist::{all_crossings, Occupant, PersistConfig, PersistentListBTree};
 use mobidx_workload::Motion1D;
 use std::collections::VecDeque;
+use std::fmt;
 
 /// One immutable MOR1 structure covering `[epoch, epoch + horizon]`.
 ///
@@ -139,21 +141,19 @@ impl Mor1Index {
         });
         ids
     }
+}
 
-    /// I/O statistics of the underlying persistent store.
-    #[must_use]
-    pub fn io_totals(&self) -> IoTotals {
-        IoTotals::from_stats(self.tree.stats())
+impl IndexStats for Mor1Index {
+    fn name(&self) -> String {
+        "mor1".to_owned()
     }
 
-    /// Resets the read/write counters.
-    pub fn reset_io(&self) {
-        self.tree.stats().reset_io();
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store)) {
+        visit(format_args!("all"), self.tree.store());
     }
 
-    /// Flushes and clears the buffer pool.
-    pub fn clear_buffers(&mut self) {
-        self.tree.clear_buffer();
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
+        visit(self.tree.store_mut());
     }
 }
 
@@ -207,19 +207,23 @@ impl StaggeredMor1 {
         })?;
         Some(s.query(t_q, y1, y2))
     }
+}
 
-    /// Aggregated I/O across live structures.
-    #[must_use]
-    pub fn io_totals(&self) -> IoTotals {
-        self.structures
-            .iter()
-            .fold(IoTotals::default(), |acc, s| acc.merge(s.io_totals()))
+/// Every live structure's store, oldest first, all labelled `all`.
+impl IndexStats for StaggeredMor1 {
+    fn name(&self) -> String {
+        "mor1-staggered".to_owned()
     }
 
-    /// Flushes and clears all buffer pools.
-    pub fn clear_buffers(&mut self) {
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store)) {
+        for s in &self.structures {
+            s.stores(visit);
+        }
+    }
+
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
         for s in &mut self.structures {
-            s.clear_buffers();
+            s.stores_mut(visit);
         }
     }
 }

@@ -9,10 +9,12 @@
 
 use crate::dual::SpeedBand;
 use crate::method::rotating::{DualPlaneStore, RotatingDual};
-use crate::method::{Index1D, IndexStats, IoTotals};
+use crate::method::{Index1D, IndexStats};
 use mobidx_geom::ConvexPolygon;
+use mobidx_pager::Store;
 use mobidx_ptree::{PartitionConfig, PartitionForest};
 use mobidx_workload::{MorQuery1D, Motion1D};
+use std::fmt;
 
 /// Configuration of the partition-tree method.
 #[derive(Debug, Clone, Copy)]
@@ -66,18 +68,6 @@ impl DualPlaneStore for PtStore {
     fn len(&self) -> usize {
         self.forest.len()
     }
-
-    fn io_totals(&self) -> IoTotals {
-        IoTotals::from_stats(self.forest.stats())
-    }
-
-    fn reset_io(&self) {
-        self.forest.stats().reset_io();
-    }
-
-    fn clear_buffer(&mut self) {
-        self.forest.clear_buffer();
-    }
 }
 
 /// The §3.4 method.
@@ -104,24 +94,21 @@ impl IndexStats for DualPtreeIndex {
         "dual-ptree".to_owned()
     }
 
-    fn clear_buffers(&mut self) {
-        self.rot.clear_buffers();
+    /// The two rotation generations, `gen0` and `gen1`.
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store)) {
+        for (g, (_, gen)) in self.rot.generations().enumerate() {
+            visit(format_args!("gen{g}"), gen.forest.store());
+        }
     }
 
-    fn io_totals(&self) -> IoTotals {
-        self.rot.io_totals()
-    }
-
-    fn reset_io(&self) {
-        self.rot.reset_io();
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
+        for (_, gen) in self.rot.generations_mut() {
+            visit(gen.forest.store_mut());
+        }
     }
 
     fn last_candidates(&self) -> u64 {
         self.rot.last_candidates()
-    }
-
-    fn store_io(&self) -> Vec<(String, IoTotals)> {
-        self.rot.store_io()
     }
 }
 

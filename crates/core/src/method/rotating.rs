@@ -14,7 +14,6 @@
 //! it.
 
 use crate::dual::{hough_x_point, hough_x_query, SpeedBand};
-use crate::method::IoTotals;
 use mobidx_geom::ConvexPolygon;
 use mobidx_workload::{MorQuery1D, Motion1D};
 
@@ -30,12 +29,6 @@ pub(crate) trait DualPlaneStore {
     fn drain_all(&mut self) -> Vec<([f64; 2], u64)>;
     /// Number of stored points.
     fn len(&self) -> usize;
-    /// I/O counters.
-    fn io_totals(&self) -> IoTotals;
-    /// Resets read/write counters.
-    fn reset_io(&self);
-    /// Flushes and clears the buffer pool.
-    fn clear_buffer(&mut self);
 }
 
 #[derive(Debug)]
@@ -171,37 +164,17 @@ impl<S: DualPlaneStore> RotatingDual<S> {
         self.last_candidates
     }
 
-    pub(crate) fn store_io(&self) -> Vec<(String, IoTotals)> {
-        vec![
-            ("gen0".to_owned(), self.gens[0].store.io_totals()),
-            ("gen1".to_owned(), self.gens[1].store.io_totals()),
-        ]
-    }
-
-    pub(crate) fn clear_buffers(&mut self) {
-        for gen in &mut self.gens {
-            gen.store.clear_buffer();
-        }
-    }
-
-    pub(crate) fn io_totals(&self) -> IoTotals {
-        self.gens[0]
-            .store
-            .io_totals()
-            .merge(self.gens[1].store.io_totals())
-    }
-
-    pub(crate) fn reset_io(&self) {
-        self.gens[0].store.reset_io();
-        self.gens[1].store.reset_io();
-    }
-
     /// The rotation period (for extensions that need generation bases).
     pub(crate) fn period(&self) -> f64 {
         self.period
     }
 
-    /// Mutable access to the generations as `(epoch, store)` pairs.
+    /// The generations as `(epoch, store)` pairs, slot 0 first.
+    pub(crate) fn generations(&self) -> impl Iterator<Item = (u64, &S)> {
+        self.gens.iter().map(|g| (g.epoch, &g.store))
+    }
+
+    /// Mutable access to the generations, as [`RotatingDual::generations`].
     pub(crate) fn generations_mut(&mut self) -> impl Iterator<Item = (u64, &mut S)> {
         self.gens.iter_mut().map(|g| (g.epoch, &mut g.store))
     }

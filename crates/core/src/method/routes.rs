@@ -11,10 +11,12 @@
 
 use crate::ids::assemble;
 use crate::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
-use crate::method::{Index1D, IndexStats, IoTotals};
+use crate::method::{Index1D, IndexStats};
 use mobidx_geom::Rect2;
+use mobidx_pager::Store;
 use mobidx_rstar::{RStarConfig, RStarTree};
 use mobidx_workload::{MorQuery1D, Motion1D, Route, RouteObject};
+use std::fmt;
 
 /// Configuration of the route-network index.
 #[derive(Debug, Clone, Copy)]
@@ -131,30 +133,25 @@ impl RouteMorIndex {
         });
         ids
     }
+}
 
-    /// Flushes and clears every buffer pool.
-    pub fn clear_buffers(&mut self) {
-        self.sam.clear_buffer();
+/// The SAM (`sam`), then every store of route `r`'s index (`route{r}`).
+impl IndexStats for RouteMorIndex {
+    fn name(&self) -> String {
+        "routes".to_owned()
+    }
+
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store)) {
+        visit(format_args!("sam"), self.sam.store());
+        for (r, idx) in self.per_route.iter().enumerate() {
+            idx.stores(&mut |_, store| visit(format_args!("route{r}"), store));
+        }
+    }
+
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
+        visit(self.sam.store_mut());
         for idx in &mut self.per_route {
-            idx.clear_buffers();
-        }
-    }
-
-    /// Aggregated I/O across the SAM and every per-route index.
-    #[must_use]
-    pub fn io_totals(&self) -> IoTotals {
-        let mut t = IoTotals::from_stats(self.sam.stats());
-        for idx in &self.per_route {
-            t = t.merge(idx.io_totals());
-        }
-        t
-    }
-
-    /// Resets the read/write counters.
-    pub fn reset_io(&self) {
-        self.sam.stats().reset_io();
-        for idx in &self.per_route {
-            idx.reset_io();
+            idx.stores_mut(visit);
         }
     }
 }

@@ -19,10 +19,12 @@
 //! test oracle clips trajectories the same way.
 
 use crate::ids::assemble;
-use crate::method::{Index1D, IndexStats, IoTotals};
+use crate::method::{Index1D, IndexStats};
 use mobidx_geom::{Point2, Rect2, Segment};
+use mobidx_pager::Store;
 use mobidx_rstar::{RStarConfig, RStarTree};
 use mobidx_workload::{MorQuery1D, Motion1D};
+use std::fmt;
 
 /// Configuration of the baseline.
 #[derive(Debug, Clone, Copy)]
@@ -123,24 +125,16 @@ impl IndexStats for SegRTreeIndex {
         "seg-R*".to_owned()
     }
 
-    fn clear_buffers(&mut self) {
-        self.tree.clear_buffer();
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store)) {
+        visit(format_args!("all"), self.tree.store());
     }
 
-    fn io_totals(&self) -> IoTotals {
-        IoTotals::from_stats(self.tree.stats())
-    }
-
-    fn reset_io(&self) {
-        self.tree.stats().reset_io();
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
+        visit(self.tree.store_mut());
     }
 
     fn last_candidates(&self) -> u64 {
         self.last_candidates
-    }
-
-    fn set_backends(&mut self, make: &mut dyn FnMut() -> Box<dyn mobidx_pager::Backend>) {
-        drop(self.tree.set_backend(make()));
     }
 }
 

@@ -8,9 +8,9 @@
 //! The Hough-Y query window of the approximation method is conservative
 //! over a whole speed band: for an observation element `y_r` the
 //! enlargement is `E = ½·f²·(|y2−y_r| + |y1−y_r|)` with
-//! `f = (v_max−v_min)/(v_min·v_max)` ([`enlargement_e`]). Every scanned
-//! entry outside the exact answer is a false hit, and §3.5.2 charges
-//! those directly to query I/O. Substituting `u = 1/v` turns the
+//! `f = (v_max−v_min)/(v_min·v_max)` ([`crate::dual::enlargement_e`]).
+//! Every scanned entry outside the exact answer is a false hit, and
+//! §3.5.2 charges those directly to query I/O. Substituting `u = 1/v` turns the
 //! enlargement factor into a plain width: `f = 1/v_min − 1/v_max = Δu`.
 //! Splitting the population into `k` bands therefore replaces one
 //! global `Δu²` penalty with per-band `Δu_b²` penalties weighted by how
@@ -73,9 +73,11 @@
 use crate::db::sort_by_dual_locality;
 use crate::dual::SpeedBand;
 use crate::ids::merge_sorted_ids;
-use crate::method::{BandIo, FrozenIndex1D, FrozenReadStats, Index1D, IndexStats, IoTotals};
+use crate::method::{BandIo, FrozenIndex1D, FrozenReadStats, Index1D, IndexStats};
 use mobidx_bptree::TreeConfig;
+use mobidx_pager::Store;
 use mobidx_workload::{MorQuery1D, Motion1D};
+use std::fmt;
 use std::sync::Mutex;
 
 use super::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
@@ -692,25 +694,6 @@ impl VpDualIndex {
         self.finish_repartition();
         moved
     }
-
-    /// Replaces the storage backend of every internal page store across
-    /// all band sub-indexes, calling `make` once per store (see
-    /// [`DualBPlusIndex::set_backends`]). Used by the model-checking
-    /// harness to inject faults.
-    pub fn set_backends(&mut self, make: &mut dyn FnMut() -> Box<dyn mobidx_pager::Backend>) {
-        for sub in &mut self.subs {
-            sub.set_backends(make);
-        }
-    }
-
-    /// Visits the raw [`mobidx_pager::IoStats`] of every internal page
-    /// store across all band sub-indexes, in [`Self::set_backends`]
-    /// order.
-    pub fn for_each_stats(&self, visit: &mut dyn FnMut(&mobidx_pager::IoStats)) {
-        for sub in &self.subs {
-            sub.for_each_stats(visit);
-        }
-    }
 }
 
 impl IndexStats for VpDualIndex {
@@ -718,36 +701,21 @@ impl IndexStats for VpDualIndex {
         format!("vp-dual (k={}, c={})", self.bands(), self.cfg.c)
     }
 
-    fn clear_buffers(&mut self) {
-        for sub in &mut self.subs {
-            sub.clear_buffers();
+    /// Each band's sub-index stores, labelled `b{band}/…`.
+    fn stores(&self, visit: &mut dyn FnMut(fmt::Arguments<'_>, &dyn Store)) {
+        for (b, sub) in self.subs.iter().enumerate() {
+            sub.stores(&mut |label, store| visit(format_args!("b{b}/{label}"), store));
         }
     }
 
-    fn io_totals(&self) -> IoTotals {
-        self.subs
-            .iter()
-            .fold(IoTotals::default(), |acc, sub| acc.merge(sub.io_totals()))
-    }
-
-    fn reset_io(&self) {
-        for sub in &self.subs {
-            sub.reset_io();
+    fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
+        for sub in &mut self.subs {
+            sub.stores_mut(visit);
         }
     }
 
     fn last_candidates(&self) -> u64 {
         self.last_candidates
-    }
-
-    fn store_io(&self) -> Vec<(String, IoTotals)> {
-        let mut stores = Vec::new();
-        for (b, sub) in self.subs.iter().enumerate() {
-            for (label, totals) in sub.store_io() {
-                stores.push((format!("b{b}/{label}"), totals));
-            }
-        }
-        stores
     }
 
     fn band_io(&self) -> Option<Vec<BandIo>> {
@@ -766,12 +734,6 @@ impl IndexStats for VpDualIndex {
                 })
                 .collect(),
         )
-    }
-
-    fn set_backends(&mut self, make: &mut dyn FnMut() -> Box<dyn mobidx_pager::Backend>) {
-        for sub in &mut self.subs {
-            sub.set_backends(make);
-        }
     }
 
     fn commit_group(&mut self) -> Result<(), (String, String)> {

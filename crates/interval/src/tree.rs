@@ -1,8 +1,7 @@
 //! The augmented interval B+-tree.
 
 use mobidx_pager::{
-    page_capacity, Backend, IoStats, PageId, PageStore, PagerError, DEFAULT_BUFFER_PAGES,
-    DEFAULT_PAGE_SIZE,
+    page_capacity, PageId, PageStore, PagerError, Store, DEFAULT_BUFFER_PAGES, DEFAULT_PAGE_SIZE,
 };
 use std::cmp::Ordering;
 use std::fmt::Debug;
@@ -162,38 +161,21 @@ impl<V: Copy + Ord + Debug> IntervalTree<V> {
         self.len == 0
     }
 
-    /// I/O statistics.
+    /// The underlying page store: I/O counters, buffer pool, backend.
     #[must_use]
-    pub fn stats(&self) -> &IoStats {
-        self.store.stats()
+    pub fn store(&self) -> &dyn Store {
+        &self.store
+    }
+
+    /// The underlying page store, mutably.
+    pub fn store_mut(&mut self) -> &mut dyn Store {
+        &mut self.store
     }
 
     /// Live pages.
     #[must_use]
     pub fn live_pages(&self) -> u64 {
         self.store.live_pages()
-    }
-
-    /// Flushes and empties the buffer pool.
-    ///
-    /// # Panics
-    /// Panics on an injected fault; see [`IntervalTree::try_clear_buffer`].
-    pub fn clear_buffer(&mut self) {
-        self.try_clear_buffer().expect(INFALLIBLE);
-    }
-
-    /// Flushes and empties the buffer pool.
-    ///
-    /// # Errors
-    /// Propagates a rejected write-back from the backend.
-    pub fn try_clear_buffer(&mut self) -> Result<(), PagerError> {
-        self.store.try_clear_buffer()
-    }
-
-    /// Swaps the storage backend (fault policy), returning the previous
-    /// one. Page contents are untouched.
-    pub fn set_backend(&mut self, backend: Box<dyn Backend>) -> Box<dyn Backend> {
-        self.store.set_backend(backend)
     }
 
     /// Inserts the interval `[start, end]` with payload `value`.
@@ -996,11 +978,11 @@ mod tests {
             let s = i as f64 * 10.0;
             t.insert(s, s + 5.0, i);
         }
-        t.clear_buffer();
-        let snap = t.stats().snapshot();
+        t.store_mut().try_clear_buffer().unwrap();
+        let snap = t.store().stats().snapshot();
         let hits = t.stab(20_005.0);
         assert_eq!(hits.len(), 1);
-        let cost = t.stats().since(&snap).reads;
+        let cost = t.store().stats().since(&snap).reads;
         assert!(cost <= 8, "stab cost {cost} too high");
     }
 }

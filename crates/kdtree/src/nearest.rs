@@ -279,15 +279,15 @@ mod tests {
         for (i, &p) in pts.iter().enumerate() {
             t.insert(p, i as u64);
         }
-        t.clear_buffer();
-        let snap = t.stats().snapshot();
+        t.store_mut().try_clear_buffer().unwrap();
+        let snap = t.store().stats().snapshot();
         let scorer = AffineDistance {
             w: [1.0, 1.0],
             b: -900.0,
         };
         let got = t.nearest(&scorer, 5);
         assert_eq!(got.len(), 5);
-        let cost = t.stats().since(&snap).reads;
+        let cost = t.store().stats().since(&snap).reads;
         assert!(
             cost < t.live_pages() / 3,
             "kNN read {cost} of {} pages",

@@ -2,7 +2,7 @@
 
 use crate::page::{KdConfig, KdPage, NodeIdx, Ref, Split};
 use mobidx_geom::{Aabb, QueryRegion, Relation};
-use mobidx_pager::{Backend, IoStats, PageId, PageStore, PagerError};
+use mobidx_pager::{PageId, PageStore, PagerError, Store};
 use std::fmt::Debug;
 
 const INFALLIBLE: &str = "pager fault (use the try_* API with fault-injecting backends)";
@@ -66,37 +66,21 @@ impl<const D: usize, T: Copy + PartialEq + Debug> KdTree<D, T> {
         self.len == 0
     }
 
-    /// I/O statistics of the underlying page store.
+    /// The underlying page store: I/O counters, buffer pool, backend.
     #[must_use]
-    pub fn stats(&self) -> &IoStats {
-        self.store.stats()
+    pub fn store(&self) -> &dyn Store {
+        &self.store
+    }
+
+    /// The underlying page store, mutably.
+    pub fn store_mut(&mut self) -> &mut dyn Store {
+        &mut self.store
     }
 
     /// Live pages — the space metric of Figure 8.
     #[must_use]
     pub fn live_pages(&self) -> u64 {
         self.store.live_pages()
-    }
-
-    /// Flushes and empties the buffer pool.
-    ///
-    /// # Panics
-    /// Panics on a pager fault; see [`KdTree::try_clear_buffer`].
-    pub fn clear_buffer(&mut self) {
-        self.try_clear_buffer().expect(INFALLIBLE);
-    }
-
-    /// Fallible twin of [`KdTree::clear_buffer`].
-    ///
-    /// # Errors
-    /// Returns the first write-back fault; the buffer is drained anyway.
-    pub fn try_clear_buffer(&mut self) -> Result<(), PagerError> {
-        self.store.try_clear_buffer()
-    }
-
-    /// Replaces the page-store backend, returning the previous one.
-    pub fn set_backend(&mut self, backend: Box<dyn Backend>) -> Box<dyn Backend> {
-        self.store.set_backend(backend)
     }
 
     /// The root page (for sibling modules, e.g. nearest-neighbor search).
@@ -966,11 +950,11 @@ mod tests {
     fn query_io_less_than_full_scan() {
         let pts = pseudo_points(5000, 17);
         let mut t = build(&pts, KdConfig::small(16, 8));
-        t.clear_buffer();
-        let snap = t.stats().snapshot();
+        t.store_mut().try_clear_buffer().unwrap();
+        let snap = t.store().stats().snapshot();
         let q = Aabb::new([100.0, 100.0], [150.0, 150.0]);
         let _ = t.query_collect(&q);
-        let cost = t.stats().since(&snap).reads;
+        let cost = t.store().stats().since(&snap).reads;
         assert!(
             cost < t.live_pages() / 2,
             "small query should not scan most pages ({cost} of {})",

@@ -5,9 +5,9 @@
 //! [`SloEngine`] holds a set of declarative objectives ([`SloSpec`]:
 //! latency percentile targets, error/fault budgets, snapshot-age
 //! staleness bounds — anything expressible as a per-sample pass/fail
-//! over a registered [`TimeSeries`]) plus optional [`AnomalySpec`]
-//! detectors, and is evaluated once per sampler tick against the
-//! [`Telemetry`] registry.
+//! over a registered [`TimeSeries`](crate::TimeSeries)) plus optional
+//! [`AnomalySpec`] detectors, and is evaluated once per sampler tick
+//! against the [`Telemetry`] registry.
 //!
 //! ## Burn-rate semantics
 //!

@@ -41,7 +41,7 @@ pub use error::PagerError;
 pub use file::{DurableFaultStore, FileBackend, FsyncPolicy, RecoveredImage, PAGE_FILE, WAL_FILE};
 pub use scratch::ScratchDir;
 pub use stats::{IoSnapshot, IoStats};
-pub use store::{FrozenPages, PageId, PageStore};
+pub use store::{FrozenPages, PageId, PageStore, Store};
 
 /// Default logical page size used throughout the reproduction, in bytes.
 ///

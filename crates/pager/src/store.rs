@@ -116,6 +116,40 @@ pub struct PageStore<P> {
     pinned: Option<(u32, PinState)>,
 }
 
+/// One page store seen without its page type: its counters, its buffer
+/// pool and its backend. Every paged structure lends its store as a
+/// `dyn Store`, so an index built from many structures lists its stores
+/// once and walks them all alike.
+pub trait Store {
+    /// The store's I/O counters ([`PageStore::stats`]).
+    fn stats(&self) -> &IoStats;
+
+    /// Flushes and empties the buffer pool
+    /// ([`PageStore::try_clear_buffer`]).
+    ///
+    /// # Errors
+    /// The first rejected write-back; the pool is emptied regardless.
+    fn try_clear_buffer(&mut self) -> Result<(), PagerError>;
+
+    /// Swaps in a new backend, returning the previous one
+    /// ([`PageStore::set_backend`]).
+    fn set_backend(&mut self, backend: Box<dyn Backend>) -> Box<dyn Backend>;
+}
+
+impl<P> Store for PageStore<P> {
+    fn stats(&self) -> &IoStats {
+        PageStore::stats(self)
+    }
+
+    fn try_clear_buffer(&mut self) -> Result<(), PagerError> {
+        PageStore::try_clear_buffer(self)
+    }
+
+    fn set_backend(&mut self, backend: Box<dyn Backend>) -> Box<dyn Backend> {
+        PageStore::set_backend(self, backend)
+    }
+}
+
 /// Residency of the pinned page (see [`PageStore::try_pin`]).
 #[derive(Debug, Clone, Copy)]
 struct PinState {
@@ -632,9 +666,10 @@ impl<P> PageStore<P> {
     ///
     /// Publication cost is O(live slots) reference-count bumps — no page
     /// contents are copied. Later mutations through this store
-    /// copy-on-write exactly the pages the snapshot still shares (see
-    /// [`PageStore::page_mut`]), so the amortized content-copy cost
-    /// between two snapshots is O(pages dirtied in between).
+    /// copy-on-write exactly the pages the snapshot still shares (every
+    /// [`PageStore::try_write`] goes through `Arc::make_mut`), so the
+    /// amortized content-copy cost between two snapshots is O(pages
+    /// dirtied in between).
     ///
     /// Snapshot reads are *not* I/O-counted here: a frozen page is a
     /// sealed in-memory image outside the buffer-pool residency model.

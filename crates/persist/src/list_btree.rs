@@ -17,7 +17,7 @@
 //! the interval they cover), giving partial persistence with `O(n + m)`
 //! pages and `O(log_B(n + m))`-page searches into any version.
 
-use mobidx_pager::{Backend, IoStats, PageId, PageStore, PagerError, DEFAULT_BUFFER_PAGES};
+use mobidx_pager::{PageId, PageStore, PagerError, Store, DEFAULT_BUFFER_PAGES};
 use std::collections::HashMap;
 
 const INFALLIBLE: &str = "pager fault (use the try_* API with fault-injecting backends)";
@@ -212,38 +212,21 @@ impl PersistentListBTree {
         self.swaps_applied
     }
 
-    /// I/O statistics.
+    /// The underlying page store: I/O counters, buffer pool, backend.
     #[must_use]
-    pub fn stats(&self) -> &IoStats {
-        self.store.stats()
+    pub fn store(&self) -> &dyn Store {
+        &self.store
+    }
+
+    /// The underlying page store, mutably.
+    pub fn store_mut(&mut self) -> &mut dyn Store {
+        &mut self.store
     }
 
     /// Live pages (all copies — persistence never frees).
     #[must_use]
     pub fn live_pages(&self) -> u64 {
         self.store.live_pages()
-    }
-
-    /// Flushes and empties the buffer pool.
-    ///
-    /// # Panics
-    /// Panics on a pager fault; see
-    /// [`PersistentListBTree::try_clear_buffer`].
-    pub fn clear_buffer(&mut self) {
-        self.try_clear_buffer().expect(INFALLIBLE);
-    }
-
-    /// Fallible twin of [`PersistentListBTree::clear_buffer`].
-    ///
-    /// # Errors
-    /// Returns the first write-back fault; the buffer is drained anyway.
-    pub fn try_clear_buffer(&mut self) -> Result<(), PagerError> {
-        self.store.try_clear_buffer()
-    }
-
-    /// Replaces the page-store backend, returning the previous one.
-    pub fn set_backend(&mut self, backend: Box<dyn Backend>) -> Box<dyn Backend> {
-        self.store.set_backend(backend)
     }
 
     /// Current position of an object, if present.
@@ -787,12 +770,12 @@ mod tests {
             })
             .collect();
         let mut t = PersistentListBTree::new(PersistConfig::default(), occupants);
-        t.clear_buffer();
-        let snap = t.stats().snapshot();
+        t.store_mut().try_clear_buffer().unwrap();
+        let snap = t.store().stats().snapshot();
         let mut hits = 0usize;
         t.query(10.0, 100.0, 105.0, |_| hits += 1);
         assert_eq!(hits, 6);
-        let cost = t.stats().since(&snap).reads;
+        let cost = t.store().stats().since(&snap).reads;
         assert!(cost <= 6, "narrow query cost {cost} pages");
     }
 

@@ -3,7 +3,7 @@
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Acceptable length specifications for [`vec`].
+/// Acceptable length specifications for [`vec()`].
 pub trait SizeRange {
     /// Draws a length.
     fn pick(&self, rng: &mut TestRng) -> usize;

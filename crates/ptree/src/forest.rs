@@ -3,7 +3,7 @@
 
 use mobidx_geom::{Aabb, QueryRegion, Relation};
 use mobidx_pager::{
-    page_capacity, IoStats, PageId, PageStore, DEFAULT_BUFFER_PAGES, DEFAULT_PAGE_SIZE,
+    page_capacity, PageId, PageStore, Store, DEFAULT_BUFFER_PAGES, DEFAULT_PAGE_SIZE,
 };
 use std::fmt::Debug;
 
@@ -100,21 +100,21 @@ impl<const D: usize, T: Copy + PartialEq + Debug> PartitionForest<D, T> {
         self.len == 0
     }
 
-    /// I/O statistics.
+    /// The underlying page store: I/O counters, buffer pool, backend.
     #[must_use]
-    pub fn stats(&self) -> &IoStats {
-        self.store.stats()
+    pub fn store(&self) -> &dyn Store {
+        &self.store
+    }
+
+    /// The underlying page store, mutably.
+    pub fn store_mut(&mut self) -> &mut dyn Store {
+        &mut self.store
     }
 
     /// Live pages.
     #[must_use]
     pub fn live_pages(&self) -> u64 {
         self.store.live_pages()
-    }
-
-    /// Flushes and empties the buffer pool.
-    pub fn clear_buffer(&mut self) {
-        self.store.clear_buffer();
     }
 
     /// Inserts a point (binary-counter merge of the low slots).
@@ -592,8 +592,8 @@ mod tests {
         for (i, &p) in pts.iter().enumerate() {
             f.insert(p, i as u64);
         }
-        f.clear_buffer();
-        let snap = f.stats().snapshot();
+        f.store_mut().try_clear_buffer().unwrap();
+        let snap = f.store().stats().snapshot();
         let slab = ConvexPolygon::new(vec![
             HalfPlane::new(-1.0, 1.0, 5.0),
             HalfPlane::new(1.0, -1.0, 5.0),
@@ -601,7 +601,7 @@ mod tests {
             HalfPlane::x_le(1000.0),
         ]);
         let _ = f.query_collect(&slab);
-        let cost = f.stats().since(&snap).reads;
+        let cost = f.store().stats().since(&snap).reads;
         assert!(
             cost < f.live_pages() / 2,
             "slab query scanned {cost} of {} pages",

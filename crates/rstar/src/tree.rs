@@ -2,7 +2,7 @@
 
 use crate::query::RectQuery;
 use mobidx_geom::{Rect2, Relation};
-use mobidx_pager::{Backend, IoStats, PageId, PageStore, PagerError, DEFAULT_BUFFER_PAGES};
+use mobidx_pager::{PageId, PageStore, PagerError, Store, DEFAULT_BUFFER_PAGES};
 use std::fmt::Debug;
 
 const INFALLIBLE: &str = "pager fault (use the try_* API with fault-injecting backends)";
@@ -122,37 +122,21 @@ impl<T: Copy + PartialEq + Debug> RStarTree<T> {
         self.height
     }
 
-    /// I/O statistics of the underlying page store.
+    /// The underlying page store: I/O counters, buffer pool, backend.
     #[must_use]
-    pub fn stats(&self) -> &IoStats {
-        self.store.stats()
+    pub fn store(&self) -> &dyn Store {
+        &self.store
+    }
+
+    /// The underlying page store, mutably.
+    pub fn store_mut(&mut self) -> &mut dyn Store {
+        &mut self.store
     }
 
     /// Live pages — the space metric of Figure 8.
     #[must_use]
     pub fn live_pages(&self) -> u64 {
         self.store.live_pages()
-    }
-
-    /// Flushes and empties the buffer pool.
-    ///
-    /// # Panics
-    /// Panics on a pager fault; see [`RStarTree::try_clear_buffer`].
-    pub fn clear_buffer(&mut self) {
-        self.try_clear_buffer().expect(INFALLIBLE);
-    }
-
-    /// Fallible twin of [`RStarTree::clear_buffer`].
-    ///
-    /// # Errors
-    /// Returns the first write-back fault; the buffer is drained anyway.
-    pub fn try_clear_buffer(&mut self) -> Result<(), PagerError> {
-        self.store.try_clear_buffer()
-    }
-
-    /// Replaces the page-store backend, returning the previous one.
-    pub fn set_backend(&mut self, backend: Box<dyn Backend>) -> Box<dyn Backend> {
-        self.store.set_backend(backend)
     }
 
     /// Inserts `(mbr, item)`.
@@ -958,11 +942,11 @@ mod tests {
         for (i, &r) in rects.iter().enumerate() {
             t.insert(r, i as u64);
         }
-        t.clear_buffer();
-        let snap = t.stats().snapshot();
+        t.store_mut().try_clear_buffer().unwrap();
+        let snap = t.store().stats().snapshot();
         let q = Rect2::from_bounds(100.0, 100.0, 110.0, 110.0);
         let _ = t.search(&q);
-        let cost = t.stats().since(&snap).reads;
+        let cost = t.store().stats().since(&snap).reads;
         let total_pages = t.live_pages();
         assert!(
             cost < total_pages / 2,

@@ -8,7 +8,7 @@
 //! serializes a single self-contained JSON **diagnostic bundle** into a
 //! bounded in-memory ring. Nothing is written on the hot path: the
 //! recorder piggybacks on the telemetry sampler's tick
-//! ([`FlightRecorder::on_tick`] runs on the sampler thread, after the
+//! (`FlightRecorder::on_tick` runs on the sampler thread, after the
 //! harvest), so a capture costs a few hundred microseconds of
 //! serialization *on the sampler thread* and zero on serving threads.
 //!

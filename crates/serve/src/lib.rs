@@ -6,8 +6,8 @@
 //!
 //! * **Shard ownership** — objects are partitioned across `S` index
 //!   instances by a pluggable [`ShardFn`]; each instance is owned by one
-//!   worker thread fed through a bounded queue ([`worker`] has the
-//!   model). No locks around index internals; backpressure by blocking
+//!   worker thread fed through a bounded queue (the `worker` module has
+//!   the model). No locks around index internals; backpressure by blocking
 //!   `send` on a full queue.
 //! * **Batched writes** — [`Batch`]es of insert/update/remove are
 //!   validated atomically against the facade's authoritative motion

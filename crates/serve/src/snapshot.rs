@@ -8,9 +8,9 @@
 //! a content copy for every page the next batch dirties while the view
 //! is shared, and the same page-table walk again when the view dies
 //! (DESIGN §10 prices all three). That is worth paying for a version
-//! somebody reads and for no other, so the [`SnapshotRegistry`] keeps
+//! somebody reads and for no other, so the `SnapshotRegistry` keeps
 //! one bit — *a snapshot read happened since the last apply looked* —
-//! and [`decide`] turns it into the whole protocol:
+//! and `decide` turns it into the whole protocol:
 //!
 //! * an `apply` that finds the bit **set** has its workers freeze in
 //!   line, once per drained group, and publishes a [`DbSnapshot`] at the
@@ -27,7 +27,7 @@
 //!
 //! Reads never touch a worker queue otherwise: any caller thread grabs
 //! the published snapshot (`Arc` clone under a read lock), fans its
-//! per-shard legs out across the [`ReadPool`], and k-way-merges the
+//! per-shard legs out across the `ReadPool`, and k-way-merges the
 //! answers. The result is *reads-see-a-prefix*: every answer equals the
 //! oracle state as of some sealed group commit ≤ the current epoch —
 //! never a torn mid-batch state — because a snapshot is only built

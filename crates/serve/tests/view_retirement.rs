@@ -9,7 +9,8 @@
 //! views record where they are born and where and when they die holds
 //! that in place.
 
-use mobidx_core::{FrozenIndex1D, FrozenReadStats, Index1D, IndexStats, IoTotals, QueryRequest};
+use mobidx_core::{FrozenIndex1D, FrozenReadStats, Index1D, IndexStats, QueryRequest};
+use mobidx_pager::Store;
 use mobidx_serve::{Batch, IdHashShard, ServeConfig, ServeError, ShardedDb};
 use mobidx_workload::{brute_force_1d, MorQuery1D, Motion1D};
 use std::collections::BTreeMap;
@@ -81,11 +82,8 @@ impl IndexStats for CountingIndex {
     fn name(&self) -> String {
         "counting".to_owned()
     }
-    fn clear_buffers(&mut self) {}
-    fn io_totals(&self) -> IoTotals {
-        IoTotals::default()
-    }
-    fn reset_io(&self) {}
+    fn stores(&self, _: &mut dyn FnMut(std::fmt::Arguments<'_>, &dyn Store)) {}
+    fn stores_mut(&mut self, _: &mut dyn FnMut(&mut dyn Store)) {}
 }
 
 impl Index1D for CountingIndex {

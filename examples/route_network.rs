@@ -12,6 +12,7 @@
 //! ```
 
 use mobidx_core::method::routes::{RouteIndexConfig, RouteMorIndex};
+use mobidx_core::IndexStats;
 use mobidx_geom::Rect2;
 use mobidx_workload::{RouteNetwork, RouteWorkloadConfig};
 
