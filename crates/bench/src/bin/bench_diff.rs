@@ -1,23 +1,19 @@
 //! Benchmark regression gate: diffs two `BENCH_*.json` reports.
 //!
 //! ```text
-//! bench-diff <baseline.json> <current.json> [--threshold PCT] [--include-wall-clock]
+//! bench-diff <baseline.json> <current.json> [--threshold PCT]
 //! bench-diff --beats <challenger> <incumbent> <report.json>
 //! ```
 //!
 //! Compares the deterministic metrics of a baseline report against a
 //! freshly measured one (figure reports: `avg_query_ios`,
-//! `avg_update_ios`, `pages`; serve reports: `reads_per_query`) and
-//! prints an aligned delta table. Exit status:
+//! `avg_update_ios`, `pages`; serve reports: `ios_per_op`,
+//! `reads_per_query`) and prints an aligned delta table. Exit status:
 //!
 //! * `0` — every metric within `--threshold` (default 10 %);
-//! * `1` — a metric regressed past the threshold, or a baseline row is
-//!   missing from the current report;
+//! * `1` — a metric regressed past the threshold, or a baseline row or
+//!   gated metric is missing from the current report;
 //! * `2` — usage, I/O, or parse error.
-//!
-//! `--include-wall-clock` adds serve throughput (`queries_per_sec`,
-//! `update_ops_per_sec`) to the gate — off by default because
-//! wall-clock on shared CI hosts is noise.
 //!
 //! `--beats` switches to the head-to-head mode: within a **single**
 //! figure report, the challenger method must be strictly better than
@@ -45,7 +41,6 @@ fn main() {
     }
     let mut paths: Vec<String> = Vec::new();
     let mut threshold = 10.0f64;
-    let mut include_wall_clock = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -56,10 +51,6 @@ fn main() {
                     .filter(|t: &f64| t.is_finite() && *t >= 0.0)
                     .unwrap_or_else(|| usage());
                 i += 2;
-            }
-            "--include-wall-clock" => {
-                include_wall_clock = true;
-                i += 1;
             }
             arg if arg.starts_with("--") => usage(),
             _ => {
@@ -74,7 +65,7 @@ fn main() {
 
     let baseline = load(&paths[0]);
     let current = load(&paths[1]);
-    let diff = diff_reports(&baseline, &current, threshold, include_wall_clock)
+    let diff = diff_reports(&baseline, &current, threshold)
         .unwrap_or_else(|e| fail(&format!("cannot diff {} vs {}: {e}", paths[0], paths[1])));
     println!("baseline: {}\ncurrent:  {}\n", paths[0], paths[1]);
     print!("{}", diff.render_table());
@@ -97,7 +88,7 @@ fn fail(msg: &str) -> ! {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench-diff <baseline.json> <current.json> [--threshold PCT] [--include-wall-clock]\n\
+        "usage: bench-diff <baseline.json> <current.json> [--threshold PCT]\n\
          \x20      bench-diff --beats <challenger> <incumbent> <report.json>"
     );
     std::process::exit(2);

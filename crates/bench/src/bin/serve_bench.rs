@@ -1,5 +1,5 @@
-//! Serving-tier throughput sweep: queries/sec and update ops/sec of the
-//! sharded front end at S = 1, 2, 4, 8.
+//! Serving-tier benchmarks of the sharded front end. Each flag runs one
+//! scenario; with none, the usage line prints and the exit status is 2.
 //!
 //! ```text
 //! serve_bench [--scale quick|smoke|full] [--seed N] [--json] [--batch] [--read-heavy]
@@ -8,51 +8,46 @@
 //! ```
 //!
 //! `--json` writes `BENCH_serve_<scale>.json` (schema in
-//! `EXPERIMENTS.md`). The speed-up column is disk-model queries/sec
-//! relative to S = 1 — speed-band sharding shrinks each shard's dual-B+
-//! query enlargement (fewer page I/Os per query) and the shard workers
-//! overlap their simulated-disk waits, so the gain holds even on a
-//! single core.
+//! `EXPERIMENTS.md`) with the cells of `--batch` and `--read-heavy`.
+//! Stores stay in memory, so the wall-clock columns are CPU cost; the
+//! page counts are deterministic per seed and are what CI gates.
 //!
-//! `--batch` additionally runs the batched-update sweep at S = 4: the
-//! same seeded update stream re-chunked into client batches of 1, 8, 32
-//! and 128 ops under the disk model. Its deterministic `ios/op` column
-//! shows the grouped write path amortizing page I/O across ops; with
-//! `--json` the cells land in the report's `batch_cells` array.
+//! `--batch` runs the batched-update sweep at S = 4: the same seeded
+//! update stream re-chunked into client batches of 1, 8, 32 and 128
+//! ops. Its `ios/op` column shows the grouped write path amortizing
+//! page I/O across ops; with `--json` the cells land in the report's
+//! `batch_cells` array.
 //!
-//! `--read-heavy` additionally runs the snapshot-read sweep at S = 4:
-//! reader threads replaying a seeded query set against the latest
-//! published snapshot while writer threads race group commits, at
-//! reader:writer ratios 2:1, 4:1 and 8:2, under the disk model (pager
-//! I/O on the queued baseline, frozen pages on the snapshot path, same
-//! latency). The `speedup` column is snapshot queries/sec over the same
-//! workload forced through the worker queues; the deterministic
-//! `reads/q` column (frozen pages per query, from a serial spanned
-//! probe of the settled tree) is what the regression gate compares.
-//! With `--json` the cells land in the report's `read_cells` array.
+//! `--read-heavy` runs the snapshot-read sweep at S = 4: reader threads
+//! replaying a seeded query set against the latest published snapshot
+//! while writer threads race group commits, at reader:writer ratios
+//! 2:1, 4:1 and 8:2. The `speedup` column is snapshot queries/sec over
+//! the same workload forced through the worker queues; the `reads/q`
+//! column (frozen pages per query, from a serial spanned probe of the
+//! settled tree) is what the regression gate compares. With `--json`
+//! the cells land in the report's `read_cells` array.
 //!
-//! `--trace-out FILE` additionally runs a short traced-query session at
-//! S = 4 under the disk model and writes its span trees as a Chrome
-//! trace-event document: open it in Perfetto (<https://ui.perfetto.dev>)
-//! or `chrome://tracing` to see the client lane fan out into one lane
-//! per shard worker.
+//! `--trace-out FILE` runs a short traced-query session at S = 4 and
+//! writes its span trees as a Chrome trace-event document: open it in
+//! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` to see the
+//! client lane fan out into one lane per shard worker.
 //!
-//! `--telemetry-out FILE` additionally runs a short serving session at
-//! S = 4 with the continuous-telemetry sampler attached (100 ms tick)
-//! and writes the JSON telemetry report — per-shard and aggregate time
-//! series plus the sampler-overhead measurement (schema in
-//! EXPERIMENTS.md). `mobidx-top --check FILE` validates such a report.
+//! `--telemetry-out FILE` runs a short serving session at S = 4 with
+//! the continuous-telemetry sampler attached (100 ms tick) and writes
+//! the JSON telemetry report — per-shard and aggregate time series plus
+//! the sampler-overhead measurement (schema in EXPERIMENTS.md).
+//! `mobidx-top --check FILE` validates such a report.
 //!
-//! `--diagnose FILE` additionally runs the induced-fault diagnostic
-//! scenario ([`mobidx_bench::diagnose`]): one shard WAL-fsync-stalled
+//! `--diagnose FILE` runs the induced-fault diagnostic scenario
+//! ([`mobidx_bench::diagnose`]): one shard WAL-fsync-stalled
 //! through `FsyncPolicy::Always` file stores, another poisoned mid-run,
 //! with the telemetry sampler, default SLOs, and flight recorder
 //! attached. The dumped diagnostic bundle lands in FILE and the
 //! doctor's ranked attribution prints; `mobidx-doctor --check FILE`
 //! re-validates and re-diagnoses the bundle (CI runs exactly that).
 //!
-//! `--repartition` additionally runs the drift → online-repartition
-//! acceptance scenario ([`mobidx_bench::repartition_bench`]): a
+//! `--repartition` runs the drift → online-repartition acceptance
+//! scenario ([`mobidx_bench::repartition_bench`]): a
 //! two-band velocity shift degrades a `VpDualIndex`-sharded database's
 //! cold query I/O, the drift subscription repartitions it online, and
 //! the recovered I/O must land within 10 % of a from-scratch rebuild
@@ -62,18 +57,18 @@
 //! drift event, repartition span, and `repartition_*` series included —
 //! instead of the generic serving-session capture.
 //!
-//! `--durable` additionally runs the durable sweep: the same seeded
-//! update stream against [`FileBackend`](mobidx_pager::FileBackend)-armed
-//! shards under each fsync policy, measuring update throughput with the
-//! write-ahead log in the write path, the WAL's record/fsync/byte cost
-//! (in total and per update of the measured phase), and — after
-//! dropping the database — the wall-clock time to reopen and
-//! replay every store (schema in EXPERIMENTS.md).
+//! `--durable` runs the durable sweep: the same seeded update stream
+//! against [`FileBackend`](mobidx_pager::FileBackend)-armed shards under
+//! each fsync policy, measuring update throughput with the write-ahead
+//! log in the write path, the WAL's record/fsync/byte cost (in total and
+//! per update of the measured phase), and — after dropping the database
+//! — the wall-clock time to reopen and replay every store (schema in
+//! EXPERIMENTS.md).
 
 use mobidx_bench::diagnose::{run_diagnose, DiagnoseConfig};
 use mobidx_bench::durable::{run_durable_sweep, DurableConfig};
 use mobidx_bench::repartition_bench::{run_repartition_e2e, RepartitionE2eConfig};
-use mobidx_bench::throughput::{run_batch_sweep, run_read_heavy, run_sweep, ThroughputConfig};
+use mobidx_bench::throughput::{run_batch_sweep, run_read_heavy, ThroughputConfig};
 use mobidx_bench::{throughput, Scale};
 
 /// Client batch sizes of the `--batch` sweep: 1 is the per-op baseline,
@@ -152,48 +147,26 @@ fn main() {
         }
     }
 
+    let any_mode = batch
+        || read_heavy
+        || durable
+        || repartition
+        || trace_out.is_some()
+        || telemetry_out.is_some()
+        || diagnose_out.is_some();
+    if !any_mode {
+        usage();
+    }
+
     let cfg = ThroughputConfig::from_scale(&scale, seed);
     println!(
-        "mobidx serving throughput — scale: {scale_name}, N = {}, seed: {seed}",
+        "mobidx serving benchmarks — scale: {scale_name}, N = {}, seed: {seed}",
         cfg.n
     );
     println!(
-        "{} measured update instants, {} queries ({} under the {}us disk model) across {} client threads, queue depth {}\n",
-        cfg.measure_instants,
-        cfg.queries,
-        cfg.disk_queries,
-        cfg.io_latency_us,
-        cfg.client_threads,
-        cfg.queue_depth
+        "{} measured update instants, queue depth {}",
+        cfg.measure_instants, cfg.queue_depth
     );
-
-    let cells = run_sweep(&cfg);
-    let base_qps = cells[0].queries_per_sec;
-    let base_mem = cells[0].queries_per_sec_mem;
-    println!(
-        "{:>7} {:>12} {:>12} {:>9} {:>12} {:>11} {:>9} {:>9}",
-        "shards",
-        "disk q/s",
-        "mem q/s",
-        "reads/q",
-        "updates/sec",
-        "avg result",
-        "speedup",
-        "mem spd"
-    );
-    for c in &cells {
-        println!(
-            "{:>7} {:>12.1} {:>12.1} {:>9.1} {:>12.1} {:>11.1} {:>8.2}x {:>8.2}x",
-            c.shards,
-            c.queries_per_sec,
-            c.queries_per_sec_mem,
-            c.reads_per_query,
-            c.update_ops_per_sec,
-            c.avg_result,
-            c.queries_per_sec / base_qps,
-            c.queries_per_sec_mem / base_mem
-        );
-    }
 
     let batch_cells = if batch {
         run_batch_sweep(&cfg, &BATCH_SIZES)
@@ -201,10 +174,7 @@ fn main() {
         Vec::new()
     };
     if batch {
-        println!(
-            "\nbatched updates (S = 4, {}us disk model):",
-            cfg.io_latency_us
-        );
+        println!("\nbatched updates (S = 4):");
         println!(
             "{:>7} {:>10} {:>12} {:>9} {:>12} {:>11}",
             "batch", "ops", "ops/sec", "ios/op", "drained avg", "drained max"
@@ -238,8 +208,8 @@ fn main() {
     };
     if read_heavy {
         println!(
-            "\nread-heavy (S = 4, {}us disk model, {} queries per reader):",
-            cfg.io_latency_us, cfg.disk_queries
+            "\nread-heavy (S = 4, {} queries per reader):",
+            cfg.reader_queries
         );
         println!(
             "{:>9} {:>9} {:>12} {:>12} {:>9} {:>9} {:>8}",
@@ -329,7 +299,7 @@ fn main() {
 
     if json {
         let path = format!("BENCH_serve_{scale_name}.json");
-        let text = throughput::render_report(scale_name, &cfg, &cells, &batch_cells, &read_cells);
+        let text = throughput::render_report(scale_name, &cfg, &batch_cells, &read_cells);
         std::fs::write(&path, text).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);

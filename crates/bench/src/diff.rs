@@ -8,17 +8,17 @@
 //!   keyed by `(mix, method, n)`; gated metrics are the deterministic
 //!   I/O counts `avg_query_ios`, `avg_update_ios`, and `pages` (lower
 //!   is better);
-//! * **serve reports** (`serve_bench --json`) — top-level `cells`, rows
-//!   keyed by shard count; the gated metric is the deterministic
-//!   `reads_per_query`. Wall-clock throughput (`queries_per_sec`,
-//!   `update_ops_per_sec`, higher is better) is compared only when
-//!   explicitly requested — wall-clock on shared CI hosts is noise, so
-//!   gating it would flake.
+//! * **serve reports** (`serve_bench --json`) — `batch_cells` keyed by
+//!   batch size, gated on `ios_per_op`, and `read_cells` keyed by
+//!   reader:writer ratio, gated on `reads_per_query`. Both are page
+//!   counts, deterministic per seed; wall-clock columns are not compared
+//!   (time belongs to `perf-ledger`).
 //!
 //! A row present in the baseline but missing from the current report is
 //! itself a regression (a method or cell silently dropped out of the
-//! run). Rows only present in the current report are ignored — adding
-//! coverage is not a regression.
+//! run), and so is a gated metric present in a baseline row but missing
+//! from the current one. Rows only present in the current report are
+//! ignored — adding coverage is not a regression.
 
 use mobidx_obs::json::Value;
 
@@ -44,7 +44,8 @@ pub struct MetricDelta {
 pub struct DiffReport {
     /// Every compared metric, in report order.
     pub deltas: Vec<MetricDelta>,
-    /// Rows present in the baseline but absent from the current report.
+    /// Rows present in the baseline but absent from the current report,
+    /// and `row/metric` for gated metrics a current row dropped.
     pub missing_rows: Vec<String>,
     /// The regression threshold, in percent.
     pub threshold_pct: f64,
@@ -116,33 +117,22 @@ impl std::fmt::Display for DiffError {
 
 impl std::error::Error for DiffError {}
 
-/// Metric direction: which way a change counts against the current run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    /// Cost metric — growing past threshold is a regression.
-    LowerIsBetter,
-    /// Throughput metric — shrinking past threshold is a regression.
-    HigherIsBetter,
-}
-
 /// Diffs two parsed benchmark reports.
 ///
 /// `threshold_pct` is the tolerated relative movement in the bad
-/// direction (10.0 = 10 %). `include_wall_clock` adds the wall-clock
-/// throughput metrics of serve reports to the comparison; figure
-/// reports are unaffected (their gated metrics are all deterministic).
+/// direction (10.0 = 10 %). Every gated metric is a cost: growing past
+/// the threshold is a regression.
 ///
 /// # Errors
-/// [`DiffError::Shape`] when the two documents are not the same kind of
-/// report, or neither `mixes` nor `cells` is present.
+/// [`DiffError::Shape`] when a document is neither a figure report nor a
+/// serve report.
 pub fn diff_reports(
     baseline: &Value,
     current: &Value,
     threshold_pct: f64,
-    include_wall_clock: bool,
 ) -> Result<DiffReport, DiffError> {
-    let base_rows = collect_rows(baseline, include_wall_clock)?;
-    let cur_rows = collect_rows(current, include_wall_clock)?;
+    let base_rows = collect_rows(baseline)?;
+    let cur_rows = collect_rows(current)?;
     let mut deltas = Vec::new();
     let mut missing_rows = Vec::new();
     for (row, metrics) in base_rows {
@@ -150,20 +140,12 @@ pub fn diff_reports(
             missing_rows.push(row);
             continue;
         };
-        for (metric, direction, base_val) in metrics {
-            // A metric absent from the current row (older schema) is
-            // skipped rather than failed: schemas only grow.
-            let Some((_, _, cur_val)) = cur_metrics.iter().find(|(m, _, _)| *m == metric) else {
+        for (metric, base_val) in metrics {
+            let Some((_, cur_val)) = cur_metrics.iter().find(|(m, _)| *m == metric) else {
+                missing_rows.push(format!("{row}/{metric}"));
                 continue;
             };
-            deltas.push(compare(
-                &row,
-                &metric,
-                direction,
-                base_val,
-                *cur_val,
-                threshold_pct,
-            ));
+            deltas.push(compare(&row, metric, base_val, *cur_val, threshold_pct));
         }
     }
     Ok(DiffReport {
@@ -173,37 +155,39 @@ pub fn diff_reports(
     })
 }
 
-/// One row's gated metrics: `(metric name, direction, value)`.
-type Row = (String, Vec<(String, Direction, f64)>);
+/// One row's gated metrics: `(metric name, value)`, each lower-is-better.
+type Row = (String, Vec<(&'static str, f64)>);
+
+/// The gated metrics `cell` carries, of those named in `names`.
+fn gated(cell: &Value, names: &[&'static str]) -> Vec<(&'static str, f64)> {
+    names
+        .iter()
+        .filter_map(|&name| cell.get(name).and_then(Value::as_f64).map(|v| (name, v)))
+        .collect()
+}
 
 /// Extracts the comparable rows of either report shape. A serve report
-/// may carry its shard sweep (`cells`), a batched-update sweep
-/// (`batch_cells`), and a read-heavy sweep (`read_cells`); their rows
-/// are concatenated.
-fn collect_rows(doc: &Value, include_wall_clock: bool) -> Result<Vec<Row>, DiffError> {
+/// may carry a batched-update sweep (`batch_cells`) and a read-heavy
+/// sweep (`read_cells`); their rows are concatenated.
+fn collect_rows(doc: &Value) -> Result<Vec<Row>, DiffError> {
     if let Some(mixes) = doc.get("mixes") {
         return figure_rows(mixes);
     }
     let mut rows = Vec::new();
     let mut any = false;
-    if let Some(cells) = doc.get("cells") {
-        rows.extend(serve_rows(cells, include_wall_clock)?);
-        any = true;
-    }
     if let Some(cells) = doc.get("batch_cells") {
-        rows.extend(batch_rows(cells, include_wall_clock)?);
+        rows.extend(batch_rows(cells)?);
         any = true;
     }
     if let Some(cells) = doc.get("read_cells") {
-        rows.extend(read_rows(cells, include_wall_clock)?);
+        rows.extend(read_rows(cells)?);
         any = true;
     }
     if any {
         return Ok(rows);
     }
     Err(DiffError::Shape(
-        "neither 'mixes' (figure report) nor 'cells'/'batch_cells'/'read_cells' (serve report) \
-         found"
+        "neither 'mixes' (figure report) nor 'batch_cells'/'read_cells' (serve report) found"
             .to_owned(),
     ))
 }
@@ -224,55 +208,25 @@ fn figure_rows(mixes: &Value) -> Result<Vec<Row>, DiffError> {
                 .and_then(Value::as_str)
                 .ok_or_else(|| DiffError::Shape(format!("mix '{mix}': cell without method")))?;
             let n = cell.get("n").and_then(Value::as_u64).unwrap_or(0);
-            let mut metrics = Vec::new();
-            for name in [
-                "avg_query_ios",
-                "avg_update_ios",
-                "avg_update_ios_batched",
-                "pages",
-            ] {
-                if let Some(v) = cell.get(name).and_then(Value::as_f64) {
-                    metrics.push((name.to_owned(), Direction::LowerIsBetter, v));
-                }
-            }
+            let metrics = gated(
+                cell,
+                &[
+                    "avg_query_ios",
+                    "avg_update_ios",
+                    "avg_update_ios_batched",
+                    "pages",
+                ],
+            );
             rows.push((format!("{mix}/{method}/n={n}"), metrics));
         }
     }
     Ok(rows)
 }
 
-/// Rows of a serve report: one per shard-count cell.
-fn serve_rows(cells: &Value, include_wall_clock: bool) -> Result<Vec<Row>, DiffError> {
-    let cells = cells
-        .as_array()
-        .ok_or_else(|| DiffError::Shape("'cells' is not an array".to_owned()))?;
-    let mut rows = Vec::new();
-    for cell in cells {
-        let shards = cell
-            .get("shards")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| DiffError::Shape("cell without shard count".to_owned()))?;
-        let mut metrics = Vec::new();
-        if let Some(v) = cell.get("reads_per_query").and_then(Value::as_f64) {
-            metrics.push(("reads_per_query".to_owned(), Direction::LowerIsBetter, v));
-        }
-        if include_wall_clock {
-            for name in ["queries_per_sec", "update_ops_per_sec"] {
-                if let Some(v) = cell.get(name).and_then(Value::as_f64) {
-                    metrics.push((name.to_owned(), Direction::HigherIsBetter, v));
-                }
-            }
-        }
-        rows.push((format!("shards={shards}"), metrics));
-    }
-    Ok(rows)
-}
-
 /// Rows of a serve report's batched-update sweep: one per batch size.
-/// The deterministic gate is `ios_per_op` (the per-op page I/O of the
-/// grouped write path); wall-clock `update_ops_per_sec` joins only on
-/// request, like the shard sweep's throughput metrics.
-fn batch_rows(cells: &Value, include_wall_clock: bool) -> Result<Vec<Row>, DiffError> {
+/// The gate is `ios_per_op`, the per-op page I/O of the grouped write
+/// path.
+fn batch_rows(cells: &Value) -> Result<Vec<Row>, DiffError> {
     let cells = cells
         .as_array()
         .ok_or_else(|| DiffError::Shape("'batch_cells' is not an array".to_owned()))?;
@@ -282,29 +236,15 @@ fn batch_rows(cells: &Value, include_wall_clock: bool) -> Result<Vec<Row>, DiffE
             .get("batch")
             .and_then(Value::as_u64)
             .ok_or_else(|| DiffError::Shape("batch cell without batch size".to_owned()))?;
-        let mut metrics = Vec::new();
-        if let Some(v) = cell.get("ios_per_op").and_then(Value::as_f64) {
-            metrics.push(("ios_per_op".to_owned(), Direction::LowerIsBetter, v));
-        }
-        if include_wall_clock {
-            if let Some(v) = cell.get("update_ops_per_sec").and_then(Value::as_f64) {
-                metrics.push((
-                    "update_ops_per_sec".to_owned(),
-                    Direction::HigherIsBetter,
-                    v,
-                ));
-            }
-        }
-        rows.push((format!("batch={batch}"), metrics));
+        rows.push((format!("batch={batch}"), gated(cell, &["ios_per_op"])));
     }
     Ok(rows)
 }
 
 /// Rows of a serve report's read-heavy sweep: one per reader:writer
-/// ratio. The deterministic gate is `reads_per_query` (frozen pages per
-/// snapshot query, from the settled-tree probe); the wall-clock
-/// throughput pair joins only on request.
-fn read_rows(cells: &Value, include_wall_clock: bool) -> Result<Vec<Row>, DiffError> {
+/// ratio. The gate is `reads_per_query`, frozen pages per snapshot
+/// query from the settled-tree probe.
+fn read_rows(cells: &Value) -> Result<Vec<Row>, DiffError> {
     let cells = cells
         .as_array()
         .ok_or_else(|| DiffError::Shape("'read_cells' is not an array".to_owned()))?;
@@ -318,18 +258,10 @@ fn read_rows(cells: &Value, include_wall_clock: bool) -> Result<Vec<Row>, DiffEr
             .get("writers")
             .and_then(Value::as_u64)
             .ok_or_else(|| DiffError::Shape("read cell without writer count".to_owned()))?;
-        let mut metrics = Vec::new();
-        if let Some(v) = cell.get("reads_per_query").and_then(Value::as_f64) {
-            metrics.push(("reads_per_query".to_owned(), Direction::LowerIsBetter, v));
-        }
-        if include_wall_clock {
-            for name in ["snapshot_queries_per_sec", "queued_queries_per_sec"] {
-                if let Some(v) = cell.get(name).and_then(Value::as_f64) {
-                    metrics.push((name.to_owned(), Direction::HigherIsBetter, v));
-                }
-            }
-        }
-        rows.push((format!("readers={readers}/writers={writers}"), metrics));
+        rows.push((
+            format!("readers={readers}/writers={writers}"),
+            gated(cell, &["reads_per_query"]),
+        ));
     }
     Ok(rows)
 }
@@ -477,11 +409,10 @@ pub fn beats_report(
     })
 }
 
-/// Scores one metric movement against the threshold.
+/// Scores one cost metric's movement against the threshold.
 fn compare(
     row: &str,
     metric: &str,
-    direction: Direction,
     baseline: f64,
     current: f64,
     threshold_pct: f64,
@@ -490,16 +421,11 @@ fn compare(
         if current.abs() < f64::EPSILON {
             0.0
         } else {
-            // From zero to anything: infinite relative growth; only a
-            // regression when growth is the bad direction.
+            // From zero to anything: infinite relative growth.
             f64::INFINITY
         }
     } else {
         (current - baseline) / baseline * 100.0
-    };
-    let regressed = match direction {
-        Direction::LowerIsBetter => delta_pct > threshold_pct,
-        Direction::HigherIsBetter => delta_pct < -threshold_pct,
     };
     MetricDelta {
         row: row.to_owned(),
@@ -507,7 +433,7 @@ fn compare(
         baseline,
         current,
         delta_pct,
-        regressed,
+        regressed: delta_pct > threshold_pct,
     }
 }
 
@@ -538,22 +464,10 @@ mod tests {
         )])
     }
 
-    fn serve_doc(reads_per_query: f64, qps: f64) -> Value {
-        Value::Obj(vec![(
-            "cells".to_owned(),
-            Value::Arr(vec![Value::Obj(vec![
-                ("shards".to_owned(), Value::from(4u64)),
-                ("reads_per_query".to_owned(), Value::Num(reads_per_query)),
-                ("queries_per_sec".to_owned(), Value::Num(qps)),
-                ("update_ops_per_sec".to_owned(), Value::Num(500.0)),
-            ])]),
-        )])
-    }
-
     #[test]
     fn identical_reports_pass() {
         let base = figure_doc(12.5, true);
-        let diff = diff_reports(&base, &base, 10.0, false).expect("diff");
+        let diff = diff_reports(&base, &base, 10.0).expect("diff");
         assert!(!diff.regressed());
         assert_eq!(diff.deltas.len(), 6);
         assert!(diff.deltas.iter().all(|d| d.delta_pct == 0.0));
@@ -563,7 +477,7 @@ mod tests {
     fn twenty_percent_io_growth_is_rejected_at_ten() {
         let base = figure_doc(10.0, false);
         let cur = figure_doc(12.0, false);
-        let diff = diff_reports(&base, &cur, 10.0, false).expect("diff");
+        let diff = diff_reports(&base, &cur, 10.0).expect("diff");
         assert!(diff.regressed());
         let d = diff
             .deltas
@@ -579,7 +493,7 @@ mod tests {
     fn growth_inside_threshold_passes() {
         let base = figure_doc(10.0, false);
         let cur = figure_doc(10.9, false);
-        let diff = diff_reports(&base, &cur, 10.0, false).expect("diff");
+        let diff = diff_reports(&base, &cur, 10.0).expect("diff");
         assert!(!diff.regressed());
     }
 
@@ -587,7 +501,7 @@ mod tests {
     fn improvement_is_never_a_regression() {
         let base = figure_doc(10.0, false);
         let cur = figure_doc(5.0, false);
-        let diff = diff_reports(&base, &cur, 10.0, false).expect("diff");
+        let diff = diff_reports(&base, &cur, 10.0).expect("diff");
         assert!(!diff.regressed());
     }
 
@@ -595,93 +509,70 @@ mod tests {
     fn missing_row_is_a_regression() {
         let base = figure_doc(10.0, true);
         let cur = figure_doc(10.0, false);
-        let diff = diff_reports(&base, &cur, 10.0, false).expect("diff");
+        let diff = diff_reports(&base, &cur, 10.0).expect("diff");
         assert!(diff.regressed());
         assert_eq!(diff.missing_rows, vec!["large/dual-kd/n=2000".to_owned()]);
     }
 
-    #[test]
-    fn serve_wall_clock_gated_only_on_request() {
-        let base = serve_doc(36.0, 250.0);
-        let cur = serve_doc(36.0, 100.0); // 60 % throughput drop
-        let quiet = diff_reports(&base, &cur, 10.0, false).expect("diff");
-        assert!(!quiet.regressed(), "wall-clock must not gate by default");
-        assert_eq!(quiet.deltas.len(), 1);
-        let loud = diff_reports(&base, &cur, 10.0, true).expect("diff");
-        assert!(loud.regressed());
-        assert!(loud
-            .deltas
-            .iter()
-            .any(|d| d.metric == "queries_per_sec" && d.regressed));
-    }
-
-    #[test]
-    fn serve_read_growth_is_gated() {
-        let base = serve_doc(36.0, 250.0);
-        let cur = serve_doc(50.0, 250.0);
-        let diff = diff_reports(&base, &cur, 10.0, false).expect("diff");
-        assert!(diff.regressed());
-    }
-
-    fn batch_doc(ios_per_op: f64, ops_per_sec: f64) -> Value {
+    /// A serve report with one batch cell; `None` leaves out the gated
+    /// `ios_per_op`.
+    fn batch_doc(ios_per_op: Option<f64>) -> Value {
+        let mut cell = vec![
+            ("batch".to_owned(), Value::from(32u64)),
+            ("update_ops_per_sec".to_owned(), Value::Num(500.0)),
+        ];
+        if let Some(v) = ios_per_op {
+            cell.push(("ios_per_op".to_owned(), Value::Num(v)));
+        }
         Value::Obj(vec![(
             "batch_cells".to_owned(),
-            Value::Arr(vec![Value::Obj(vec![
-                ("batch".to_owned(), Value::from(32u64)),
-                ("ios_per_op".to_owned(), Value::Num(ios_per_op)),
-                ("update_ops_per_sec".to_owned(), Value::Num(ops_per_sec)),
-            ])]),
+            Value::Arr(vec![Value::Obj(cell)]),
         )])
     }
 
     #[test]
     fn batch_io_growth_is_gated() {
-        let base = batch_doc(2.0, 500.0);
-        let cur = batch_doc(3.0, 500.0); // 50 % more I/O per op
-        let diff = diff_reports(&base, &cur, 10.0, false).expect("diff");
+        let base = batch_doc(Some(2.0));
+        let cur = batch_doc(Some(3.0)); // 50 % more I/O per op
+        let diff = diff_reports(&base, &cur, 10.0).expect("diff");
         assert!(diff.regressed());
-        let d = diff
-            .deltas
-            .iter()
-            .find(|d| d.metric == "ios_per_op")
-            .expect("row");
-        assert_eq!(d.row, "batch=32");
+        assert_eq!(diff.deltas.len(), 1, "wall-clock columns are not compared");
+        let d = &diff.deltas[0];
+        assert_eq!(
+            (d.row.as_str(), d.metric.as_str()),
+            ("batch=32", "ios_per_op")
+        );
         assert!(d.regressed);
     }
 
     #[test]
-    fn batch_wall_clock_gated_only_on_request() {
-        let base = batch_doc(2.0, 500.0);
-        let cur = batch_doc(2.0, 100.0); // throughput collapse, same I/O
-        let quiet = diff_reports(&base, &cur, 10.0, false).expect("diff");
-        assert!(!quiet.regressed(), "wall-clock must not gate by default");
-        assert_eq!(quiet.deltas.len(), 1);
-        let loud = diff_reports(&base, &cur, 10.0, true).expect("diff");
-        assert!(loud.regressed());
-        assert!(loud
-            .deltas
-            .iter()
-            .any(|d| d.metric == "update_ops_per_sec" && d.regressed));
+    fn a_dropped_gated_metric_is_a_regression() {
+        let base = batch_doc(Some(2.0));
+        let cur = batch_doc(None);
+        let diff = diff_reports(&base, &cur, 10.0).expect("diff");
+        assert!(diff.regressed());
+        assert!(diff.deltas.is_empty());
+        assert_eq!(diff.missing_rows, vec!["batch=32/ios_per_op".to_owned()]);
+        assert!(diff.render_table().contains("REGRESSION"));
     }
 
-    fn read_doc(reads_per_query: f64, snap_qps: f64) -> Value {
+    fn read_doc(reads_per_query: f64) -> Value {
         Value::Obj(vec![(
             "read_cells".to_owned(),
             Value::Arr(vec![Value::Obj(vec![
                 ("readers".to_owned(), Value::from(8u64)),
                 ("writers".to_owned(), Value::from(2u64)),
                 ("reads_per_query".to_owned(), Value::Num(reads_per_query)),
-                ("snapshot_queries_per_sec".to_owned(), Value::Num(snap_qps)),
-                ("queued_queries_per_sec".to_owned(), Value::Num(900.0)),
+                ("snapshot_queries_per_sec".to_owned(), Value::Num(3000.0)),
             ])]),
         )])
     }
 
     #[test]
     fn read_heavy_io_growth_is_gated() {
-        let base = read_doc(34.0, 3000.0);
-        let cur = read_doc(45.0, 3000.0); // snapshot queries touch more pages
-        let diff = diff_reports(&base, &cur, 10.0, false).expect("diff");
+        let base = read_doc(34.0);
+        let cur = read_doc(45.0); // snapshot queries touch more pages
+        let diff = diff_reports(&base, &cur, 10.0).expect("diff");
         assert!(diff.regressed());
         let d = diff
             .deltas
@@ -693,25 +584,10 @@ mod tests {
     }
 
     #[test]
-    fn read_heavy_wall_clock_gated_only_on_request() {
-        let base = read_doc(34.0, 3000.0);
-        let cur = read_doc(34.0, 1000.0); // throughput collapse, same I/O
-        let quiet = diff_reports(&base, &cur, 10.0, false).expect("diff");
-        assert!(!quiet.regressed(), "wall-clock must not gate by default");
-        assert_eq!(quiet.deltas.len(), 1);
-        let loud = diff_reports(&base, &cur, 10.0, true).expect("diff");
-        assert!(loud.regressed());
-        assert!(loud
-            .deltas
-            .iter()
-            .any(|d| d.metric == "snapshot_queries_per_sec" && d.regressed));
-    }
-
-    #[test]
     fn mismatched_shapes_error() {
         let fig = figure_doc(10.0, false);
         let bad = Value::Obj(vec![("nothing".to_owned(), Value::Null)]);
-        assert!(diff_reports(&fig, &bad, 10.0, false).is_err());
+        assert!(diff_reports(&fig, &bad, 10.0).is_err());
     }
 
     /// A two-method figure doc for the head-to-head gate: one
@@ -808,7 +684,7 @@ mod tests {
     fn beats_errors_when_methods_never_co_occur() {
         let doc = versus_doc(&[("large", 2000, 3.0, 0.4, 6.6, 0.72)]);
         assert!(beats_report(&doc, "vp", "absent").is_err());
-        let serve = serve_doc(30.0, 1000.0);
+        let serve = batch_doc(Some(2.0));
         assert!(
             beats_report(&serve, "vp", "flat").is_err(),
             "not a figure report"

@@ -26,8 +26,6 @@
 //! * `queue_wait` — mean `queue_wait_nanos` over the bundle's
 //!   `s<shard>/execute` span legs: time requests sat in the worker
 //!   queue before execution.
-//! * `disk_io` — the shard's charged per-I/O wait (`io_wait_us` p99),
-//!   nonzero only when a latency-charging backend is armed.
 //! * `merge` — per-query k-way-merge tail at the facade: root `query`
 //!   span end minus the last leg's end, averaged over the bundle's
 //!   span trees (whole-database scope).
@@ -364,18 +362,6 @@ pub fn diagnose(bundle: &Value) -> Result<DoctorReport, String> {
                 });
             }
         }
-        // Disk I/O: the charged per-I/O wait histogram (empty unless a
-        // latency-charging backend is armed on this shard).
-        let io_p99 = hist("io_wait_us", "p99");
-        let io_count = hist("io_wait_us", "count");
-        if io_p99 > 0.0 {
-            findings.push(Finding {
-                scope: Scope::Shard(shard),
-                phase: "disk_io",
-                score_us: io_p99,
-                evidence: format!("charged I/O wait p99 over {io_count:.0} I/Os"),
-            });
-        }
     }
 
     // Merge: facade time after the last leg returned, averaged over the
@@ -510,7 +496,9 @@ mod tests {
     use super::*;
 
     /// Builds a minimal well-formed bundle by hand: 2 shards, shard 1
-    /// poisoned, shard 0 fsync-bound, one traced query tree.
+    /// poisoned, shard 0 fsync-bound, one traced query tree. Shard 1
+    /// also carries the I/O-wait histogram of bundles dumped by older
+    /// builds, which the doctor ignores.
     fn bundle() -> Value {
         let text = r#"{
           "kind": "mobidx-bundle", "version": 1, "seq": 3,
@@ -520,7 +508,6 @@ mod tests {
             "shards": [
               {"shard": 0, "queue_depth": 0, "poisoned": false,
                "update_latency_us": {"count": 40, "p99": 9000},
-               "io_wait_us": {"count": 0, "p99": 0},
                "query_latency_us": {"count": 10, "p99": 300}},
               {"shard": 1, "queue_depth": 2, "poisoned": true,
                "update_latency_us": {"count": 40, "p99": 200},
@@ -600,11 +587,22 @@ mod tests {
             .find(|f| f.scope == Scope::Shard(0) && f.phase == "queue_wait")
             .expect("queue wait finding");
         assert!((qw.score_us - 800.0).abs() < 1e-9);
-        // Disk I/O charged only on shard 1.
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.scope == Scope::Shard(1) && f.phase == "disk_io"));
+        // The old I/O-wait histogram is ignored: no disk finding, and
+        // the other phases rank as they always did.
+        let ranked: Vec<(Scope, &str)> =
+            report.findings.iter().map(|f| (f.scope, f.phase)).collect();
+        assert_eq!(
+            ranked,
+            [
+                (Scope::Shard(1), "shard_poisoned"),
+                (Scope::Shard(0), "wal_fsync"),
+                (Scope::Db, "snapshot_staleness"),
+                (Scope::Shard(0), "queue_wait"),
+                (Scope::Shard(1), "queue_wait"),
+                (Scope::Db, "merge"),
+            ]
+        );
+        assert!(!report.findings.iter().any(|f| f.phase == "disk_io"));
         // Merge: root ends at 10000, last leg at 6500 → 3.5µs.
         let merge = report
             .findings

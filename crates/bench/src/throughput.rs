@@ -1,53 +1,37 @@
-//! Serving-tier throughput: queries/sec and update ops/sec of
-//! [`ShardedDb`] across shard counts.
+//! Serving-tier sweeps over a [`ShardedDb`] sharded by speed band: the
+//! grouped write path and the snapshot read path.
 //!
 //! The scenario is Figure 6's workload (uniform terrain, the paper's
 //! speed band, ~10 % queries) served *warm*: unlike the per-figure I/O
-//! protocol, buffers are **not** cleared between operations. Each cell
-//! measures the query phase twice:
+//! protocol, buffers are **not** cleared between operations. Stores
+//! keep their in-memory backend, so the wall-clock columns are CPU
+//! cost; the gated columns are page counts, deterministic per seed.
 //!
-//! * **in-memory** — the plain [`MemBackend`] store, where page I/O is
-//!   free and throughput is CPU-bound (`queries_per_sec_mem`);
-//! * **disk model** — every shard's backend wrapped in a
-//!   [`DelayBackend`], so each counted I/O (buffer-miss read or dirty
-//!   write-back) also *costs* its latency. This is the paper's cost
-//!   model made wall-clock: §5 evaluates everything in I/Os because the
-//!   index is disk-resident. The reported `queries_per_sec` (and the
-//!   headline `speedup_vs_1`) comes from this phase, together with the
-//!   deterministic `reads_per_query` evidence behind it.
+//! * [`run_batch_sweep`] re-chunks one seeded update stream into client
+//!   batches of each size; `ios_per_op` is the page I/O the grouped
+//!   write path spends per op.
+//! * [`run_read_heavy`] races reader threads against writer group
+//!   commits, once through the worker queues and once on the snapshot
+//!   path; `reads_per_query` is the frozen pages a snapshot query
+//!   visits, from a serial probe of the warm tree.
 //!
-//! Sharding is by speed band ([`mobidx_serve::SpeedBandShard`]): each shard's dual-B+
-//! instance is configured with its narrow geometric sub-band, which
-//! collapses the §3.5.2 query enlargement (quadratic in the band's
-//! spread) and with it the per-query leaf I/O. On top of that, each
-//! shard's worker sleeps through its own simulated-disk latency, so
-//! concurrent queries overlap their I/O waits across shards the way
-//! independent spindles would — both effects are why the speed-up holds
-//! on a single-core host.
-//!
-//! [`run_read_heavy`] adds the snapshot-read bracket: reader threads
-//! answer from the latest published snapshot (no worker queues at all)
-//! while writer threads race group commits, with the same per-I/O
-//! latency charged per frozen page
-//! ([`ShardedDb::set_snapshot_read_delay`]). The queued baseline runs
-//! the identical workload through the worker queues, so each cell's
-//! `read_speedup` isolates what snapshot publication buys the read
-//! path.
+//! Sharding is by speed band ([`mobidx_serve::SpeedBandShard`]): each
+//! shard's dual-B+ instance is configured with its narrow geometric
+//! sub-band, which collapses the §3.5.2 query enlargement (quadratic in
+//! the band's spread) and with it the pages a query reads.
 
 use crate::stack::{step_batch, warm_speed_band_stack};
 use crate::{QueryMix, Scale};
 use mobidx_core::method::dual_bplus::DualBPlusIndex;
 use mobidx_core::QueryRequest;
 use mobidx_obs::json::{chrome_trace, Value};
-use mobidx_obs::{Histogram, HistogramSnapshot};
-use mobidx_pager::{DelayBackend, MemBackend};
 use mobidx_serve::{Batch, ShardedDb};
 use mobidx_workload::{MorQuery1D, Simulator1D};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Sizing of one throughput run.
+/// Sizing of one serving-tier run.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputConfig {
     /// Number of mobile objects.
@@ -56,16 +40,8 @@ pub struct ThroughputConfig {
     pub warm_instants: usize,
     /// Instants of measured batched updates.
     pub measure_instants: usize,
-    /// Measured queries (split across the client threads).
-    pub queries: usize,
-    /// Queries measured under the disk model (a prefix of the in-memory
-    /// phase's query set — each simulated I/O sleeps, so this phase is
-    /// wall-clock expensive and uses a smaller sample).
-    pub disk_queries: usize,
-    /// Simulated-disk latency per I/O, in microseconds.
-    pub io_latency_us: u64,
-    /// Concurrent client threads submitting queries.
-    pub client_threads: usize,
+    /// Queries each reader of the read-heavy sweep replays.
+    pub reader_queries: usize,
     /// Per-worker queue bound.
     pub queue_depth: usize,
     /// Workload seed.
@@ -73,190 +49,33 @@ pub struct ThroughputConfig {
 }
 
 impl ThroughputConfig {
-    /// Derives a throughput run from a figure [`Scale`]: the sweep's
-    /// largest N, a quarter of its instants as measured update load, and
-    /// enough queries for stable wall-clock timing.
+    /// Derives a run from a figure [`Scale`]: the sweep's largest N and
+    /// a quarter of its instants as measured update load.
     #[must_use]
     pub fn from_scale(scale: &Scale, seed: u64) -> Self {
         Self {
             n: *scale.n_values().last().expect("nonempty sweep"),
             warm_instants: 5,
             measure_instants: (scale.instants / 4).max(1),
-            queries: (scale.query_instants * scale.queries_per_instant * 10).max(200),
-            disk_queries: 200,
-            io_latency_us: 50,
-            client_threads: 4,
+            reader_queries: 200,
             queue_depth: 64,
             seed,
         }
     }
 }
 
-/// One measured cell: the serving stack at one shard count.
-#[derive(Debug, Clone)]
-pub struct ThroughputCell {
-    /// Shard count.
-    pub shards: usize,
-    /// Queries answered per second under the disk model (wall clock,
-    /// all client threads, each counted I/O charged its latency). The
-    /// headline throughput number.
-    pub queries_per_sec: f64,
-    /// Queries answered per second over the raw in-memory store
-    /// (CPU-bound companion number).
-    pub queries_per_sec_mem: f64,
-    /// Average page reads per query in the disk-model phase
-    /// (deterministic — workload and shard routing are seeded).
-    pub reads_per_query: f64,
-    /// Update ops applied per second (wall clock, batched, in-memory
-    /// store).
-    pub update_ops_per_sec: f64,
-    /// Queries executed (in-memory phase; the disk phase uses a prefix).
-    pub queries: usize,
-    /// Update ops applied.
-    pub update_ops: usize,
-    /// Average result cardinality (sanity: ~10 % of N).
-    pub avg_result: f64,
-    /// Per-query wall-clock latency distribution under the disk model,
-    /// in microseconds (the phase behind `queries_per_sec`).
-    pub latency_us: HistogramSnapshot,
-}
-
-/// Runs the serving scenario at one shard count.
-///
-/// # Panics
-/// Panics on a serve error — the benchmark runs no fault injection, so
-/// any error is a harness bug.
-#[must_use]
-pub fn run_throughput(cfg: &ThroughputConfig, shards: usize) -> ThroughputCell {
-    let (db, mut sim) = warm_speed_band_stack(cfg, shards);
-
-    // Measured update phase: one batch per instant, warm buffers.
-    let mut update_ops = 0usize;
-    let update_start = Instant::now();
-    for _ in 0..cfg.measure_instants {
-        let batch = step_batch(&mut sim);
-        update_ops += batch.len();
-        db.apply(&batch).expect("measured updates");
-    }
-    let update_secs = update_start.elapsed().as_secs_f64();
-
-    // Measured query phases: pre-generated queries, submitted
-    // concurrently from the client threads, warm buffers. First over the
-    // raw in-memory store (CPU-bound), then with every shard's backend
-    // wrapped in a DelayBackend so each counted I/O costs wall-clock.
-    let (yqmax, tw) = QueryMix::Large.params();
-    let queries: Vec<MorQuery1D> = (0..cfg.queries).map(|_| sim.gen_query(yqmax, tw)).collect();
-    let (mem_secs, total_results) = timed_queries(&db, &queries, cfg.client_threads, None, true);
-
-    install_disk_model(&db, shards, cfg.io_latency_us);
-    db.reset_io().expect("reset I/O counters");
-    let disk_queries = &queries[..cfg.disk_queries.clamp(1, queries.len())];
-    let latency_us = Histogram::new();
-    let (disk_secs, _) = timed_queries(
-        &db,
-        disk_queries,
-        cfg.client_threads,
-        Some(&latency_us),
-        true,
-    );
-    let reads = db.io_totals().expect("I/O totals").reads;
-
-    #[allow(clippy::cast_precision_loss)]
-    ThroughputCell {
-        shards,
-        queries_per_sec: disk_queries.len() as f64 / disk_secs.max(1e-9),
-        queries_per_sec_mem: queries.len() as f64 / mem_secs.max(1e-9),
-        reads_per_query: reads as f64 / disk_queries.len().max(1) as f64,
-        update_ops_per_sec: update_ops as f64 / update_secs.max(1e-9),
-        queries: queries.len(),
-        update_ops,
-        avg_result: total_results as f64 / queries.len().max(1) as f64,
-        latency_us: latency_us.snapshot(),
-    }
-}
-
-/// Swaps every shard's backends for a [`DelayBackend`] charging
-/// `io_latency_us` per counted I/O, wired to the shard's `io_wait`
-/// histogram so [`ShardedDb::health`] reports the simulated stalls.
-fn install_disk_model(db: &ShardedDb<DualBPlusIndex>, shards: usize, io_latency_us: u64) {
-    let latency = Duration::from_micros(io_latency_us);
-    for shard in 0..shards {
-        let io_wait = Arc::clone(&db.shard_health(shard).io_wait);
-        db.with_shard(shard, move |idx: &mut DualBPlusIndex| {
-            idx.set_backends(&mut || {
-                Box::new(DelayBackend::with_histogram(
-                    MemBackend,
-                    latency,
-                    Arc::clone(&io_wait),
-                ))
-            });
-        })
-        .expect("swap in disk-model backend");
-    }
-}
-
-/// Runs `queries` against `db` from `client_threads` concurrent clients;
-/// returns (elapsed seconds, summed result cardinalities). When
-/// `latency_us` is given, each query's wall-clock is recorded into it in
-/// microseconds. `queued` pins the worker fan-out path (the disk-model
-/// phases measure the pager, which snapshot reads bypass); `false`
-/// serves from the published snapshot.
-fn timed_queries(
-    db: &ShardedDb<DualBPlusIndex>,
-    queries: &[MorQuery1D],
-    client_threads: usize,
-    latency_us: Option<&Histogram>,
-    queued: bool,
-) -> (f64, u64) {
-    let chunk = queries.len().div_ceil(client_threads.max(1));
-    let start = Instant::now();
-    let total_results: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|qs| {
-                scope.spawn(move || {
-                    let mut sum = 0u64;
-                    for q in qs {
-                        let sent = Instant::now();
-                        let req = QueryRequest::new(q);
-                        let req = if queued { req.queued() } else { req };
-                        sum += db.query(&req).expect("fan-out query").len() as u64;
-                        if let Some(h) = latency_us {
-                            h.record(u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX));
-                        }
-                    }
-                    sum
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).sum()
-    });
-    (start.elapsed().as_secs_f64(), total_results)
-}
-
-/// Runs the shard-count sweep (S = 1, 2, 4, 8).
-#[must_use]
-pub fn run_sweep(cfg: &ThroughputConfig) -> Vec<ThroughputCell> {
-    [1usize, 2, 4, 8]
-        .iter()
-        .map(|&s| run_throughput(cfg, s))
-        .collect()
-}
-
 /// One cell of the batched-update sweep: the serving stack's write path
-/// at one client batch size, fixed shard count, disk-model backends.
+/// at one client batch size, fixed shard count.
 #[derive(Debug, Clone)]
 pub struct BatchCell {
     /// Ops per client [`Batch`] submitted to [`ShardedDb::apply`].
     pub batch: usize,
     /// Update ops applied in the measured phase.
     pub update_ops: usize,
-    /// Update ops per second under the disk model (wall clock — every
-    /// counted I/O of the grouped write path costs its latency).
+    /// Update ops per second (wall clock, CPU cost).
     pub update_ops_per_sec: f64,
-    /// Counted page I/Os (reads + writes) per applied op — deterministic
-    /// evidence behind the throughput number: the workload, routing and
-    /// grouped apply are all seeded.
+    /// Counted page I/Os (reads + writes) per applied op — deterministic:
+    /// the workload, routing and grouped apply are all seeded.
     pub ios_per_op: f64,
     /// Mean worker-side drained group size across shards (from the
     /// per-shard `drained_batch_size` histograms), weighted by count.
@@ -304,7 +123,6 @@ pub fn run_batch_sweep(cfg: &ThroughputConfig, batch_sizes: &[usize]) -> Vec<Bat
         }
         let update_ops = (stream.len() / batch) * batch;
 
-        install_disk_model(&db, SHARDS, cfg.io_latency_us);
         db.reset_io().expect("reset I/O counters");
         let start = Instant::now();
         for chunk in stream[..update_ops].chunks(batch) {
@@ -349,8 +167,7 @@ pub fn run_batch_sweep(cfg: &ThroughputConfig, batch_sizes: &[usize]) -> Vec<Bat
 
 /// One cell of the read-heavy sweep: concurrent snapshot readers racing
 /// writer group commits at one reader:writer thread ratio, fixed shard
-/// count, both disk models armed (pager I/O on the queued path, frozen
-/// pages on the snapshot path — same per-I/O latency).
+/// count.
 #[derive(Debug, Clone)]
 pub struct ReadHeavyCell {
     /// Concurrent reader threads.
@@ -386,9 +203,8 @@ const READ_PROBE: usize = 32;
 /// threads replaying a seeded query set while writer threads
 /// continuously apply group commits. Each `(readers, writers)` ratio is
 /// measured twice over the same settled tree — once forced through the
-/// worker queues (the queued baseline, pager disk model) and once on
-/// the default snapshot path (frozen-page disk model, same per-I/O
-/// latency) — so `read_speedup` isolates the routing change.
+/// worker queues (the queued baseline) and once on the default snapshot
+/// path — so `read_speedup` isolates the routing change.
 ///
 /// The `reads_per_query` probe runs *before* any race, against the
 /// warm snapshot whose page layout is fully determined by the seeded
@@ -412,14 +228,8 @@ pub fn run_read_heavy(
         let writers = writers.max(1);
         let (db, mut sim) = warm_speed_band_stack(cfg, shards);
 
-        // Both disk models charge the same latency, so the comparison
-        // isolates the read path: queued legs pay per pager I/O,
-        // snapshot legs per frozen page.
-        install_disk_model(&db, shards, cfg.io_latency_us);
-        db.set_snapshot_read_delay(Duration::from_micros(cfg.io_latency_us));
-
         let (yqmax, tw) = QueryMix::Large.params();
-        let per_reader = cfg.disk_queries.max(1);
+        let per_reader = cfg.reader_queries.max(1);
         let queries: Vec<MorQuery1D> = (0..per_reader).map(|_| sim.gen_query(yqmax, tw)).collect();
         let commits: Vec<Batch> = (0..cfg.measure_instants.max(1))
             .map(|_| step_batch(&mut sim))
@@ -531,25 +341,18 @@ fn race_readers(
     (elapsed, total)
 }
 
-/// Renders the sweep as a `BENCH_serve_<scale>.json` document. The
-/// `speedup_vs_1` of each cell is its disk-model queries/sec relative to
-/// the S = 1 cell of the same sweep (`speedup_vs_1_mem` likewise for the
-/// in-memory phase). A non-empty `batch_cells` (from
-/// [`run_batch_sweep`]) is emitted as a sibling `batch_cells` array,
-/// each cell carrying its `amortization_vs_1` — per-op I/O relative to
-/// the batch = 1 cell. A non-empty `read_cells` (from
-/// [`run_read_heavy`]) likewise lands as a `read_cells` array.
+/// Renders the sweeps as a `BENCH_serve_<scale>.json` document. A
+/// non-empty `batch_cells` (from [`run_batch_sweep`]) is emitted as a
+/// `batch_cells` array, each cell carrying its `amortization_vs_1` —
+/// per-op I/O relative to the batch = 1 cell. A non-empty `read_cells`
+/// (from [`run_read_heavy`]) likewise lands as a `read_cells` array.
 #[must_use]
 pub fn render_report(
     scale_name: &str,
     cfg: &ThroughputConfig,
-    cells: &[ThroughputCell],
     batch_cells: &[BatchCell],
     read_cells: &[ReadHeavyCell],
 ) -> String {
-    let base = cells.iter().find(|c| c.shards == 1);
-    let base_qps = base.map_or(0.0, |c| c.queries_per_sec);
-    let base_mem = base.map_or(0.0, |c| c.queries_per_sec_mem);
     let base_iop = batch_cells
         .iter()
         .find(|c| c.batch == 1)
@@ -565,47 +368,7 @@ pub fn render_report(
         ("n".to_owned(), Value::from(cfg.n)),
         ("seed".to_owned(), Value::from(cfg.seed)),
         ("shard_fn".to_owned(), Value::from("speed-band")),
-        ("io_latency_us".to_owned(), Value::from(cfg.io_latency_us)),
         ("queue_depth".to_owned(), Value::from(cfg.queue_depth)),
-        ("client_threads".to_owned(), Value::from(cfg.client_threads)),
-        (
-            "cells".to_owned(),
-            Value::Arr(
-                cells
-                    .iter()
-                    .map(|c| {
-                        Value::Obj(vec![
-                            ("shards".to_owned(), Value::from(c.shards)),
-                            ("queries_per_sec".to_owned(), Value::Num(c.queries_per_sec)),
-                            (
-                                "queries_per_sec_mem".to_owned(),
-                                Value::Num(c.queries_per_sec_mem),
-                            ),
-                            ("reads_per_query".to_owned(), Value::Num(c.reads_per_query)),
-                            (
-                                "update_ops_per_sec".to_owned(),
-                                Value::Num(c.update_ops_per_sec),
-                            ),
-                            ("queries".to_owned(), Value::from(c.queries)),
-                            ("update_ops".to_owned(), Value::from(c.update_ops)),
-                            ("avg_result".to_owned(), Value::Num(c.avg_result)),
-                            (
-                                "latency_us".to_owned(),
-                                mobidx_serve::health::histogram_json(&c.latency_us),
-                            ),
-                            (
-                                "speedup_vs_1".to_owned(),
-                                ratio(c.queries_per_sec, base_qps),
-                            ),
-                            (
-                                "speedup_vs_1_mem".to_owned(),
-                                ratio(c.queries_per_sec_mem, base_mem),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
     ];
     if !batch_cells.is_empty() {
         members.push((
@@ -667,10 +430,8 @@ pub fn render_report(
 
 /// Runs a short traced-query session at `shards` shards and renders the
 /// resulting span trees as a Chrome trace-event document (load it in
-/// Perfetto or `chrome://tracing`). Each shard's backends are wrapped in
-/// a [`DelayBackend`] charging `cfg.io_latency_us` per counted I/O, so
-/// the per-worker lanes show where simulated-disk time actually goes;
-/// queue waits and per-store I/O ride on the span attributes.
+/// Perfetto or `chrome://tracing`): one lane per shard worker, with
+/// queue waits and per-store I/O on the span attributes.
 ///
 /// # Panics
 /// Panics on a serve error — trace capture runs no fault injection, so
@@ -678,8 +439,6 @@ pub fn render_report(
 #[must_use]
 pub fn capture_trace(cfg: &ThroughputConfig, shards: usize, queries: usize) -> String {
     let (db, mut sim) = warm_speed_band_stack(cfg, shards);
-    install_disk_model(&db, shards, cfg.io_latency_us);
-
     let (yqmax, tw) = QueryMix::Large.params();
     for _ in 0..queries.max(1) {
         let q = sim.gen_query(yqmax, tw);
@@ -837,45 +596,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_run_produces_sane_numbers() {
-        // Big enough that trees outgrow their buffer pools, so the
-        // disk-model phase actually performs (and charges) page reads.
-        let cfg = ThroughputConfig {
-            n: 5000,
-            warm_instants: 2,
-            measure_instants: 3,
-            queries: 40,
-            disk_queries: 10,
-            io_latency_us: 1,
-            client_threads: 2,
-            queue_depth: 8,
-            seed: 0xBEEF,
-        };
-        let cell = run_throughput(&cfg, 2);
-        assert_eq!(cell.shards, 2);
-        assert_eq!(cell.queries, 40);
-        assert!(cell.update_ops > 0);
-        assert!(cell.queries_per_sec > 0.0);
-        assert!(cell.queries_per_sec_mem > 0.0);
-        assert!(cell.reads_per_query > 0.0, "disk phase must hit the disk");
-        assert!(cell.update_ops_per_sec > 0.0);
-        assert_eq!(cell.latency_us.count, 10, "one sample per disk query");
-        assert!(cell.latency_us.max >= cell.latency_us.p50);
-        #[allow(clippy::cast_precision_loss)]
-        let sel = cell.avg_result / cfg.n as f64;
-        assert!((0.01..0.5).contains(&sel), "selectivity {sel}");
-    }
-
-    #[test]
     fn trace_capture_renders_chrome_events() {
         let cfg = ThroughputConfig {
             n: 2000,
             warm_instants: 1,
             measure_instants: 1,
-            queries: 4,
-            disk_queries: 2,
-            io_latency_us: 1,
-            client_threads: 1,
+            reader_queries: 2,
             queue_depth: 8,
             seed: 0xBEEF,
         };
@@ -902,10 +628,7 @@ mod tests {
             n: 2000,
             warm_instants: 1,
             measure_instants: 2,
-            queries: 4,
-            disk_queries: 2,
-            io_latency_us: 1,
-            client_threads: 1,
+            reader_queries: 2,
             queue_depth: 8,
             seed: 0xBEEF,
         };
@@ -941,45 +664,8 @@ mod tests {
             .is_some());
     }
 
-    fn snap() -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: 10,
-            mean: 2000.0,
-            min: 1000,
-            p50: 1800,
-            p90: 3000,
-            p95: 3300,
-            p99: 3500,
-            max: 4000,
-        }
-    }
-
     #[test]
     fn report_parses() {
-        let cells = vec![
-            ThroughputCell {
-                shards: 1,
-                queries_per_sec: 100.0,
-                queries_per_sec_mem: 4000.0,
-                reads_per_query: 99.0,
-                update_ops_per_sec: 500.0,
-                queries: 40,
-                update_ops: 60,
-                avg_result: 80.0,
-                latency_us: snap(),
-            },
-            ThroughputCell {
-                shards: 4,
-                queries_per_sec: 250.0,
-                queries_per_sec_mem: 4400.0,
-                reads_per_query: 36.0,
-                update_ops_per_sec: 450.0,
-                queries: 40,
-                update_ops: 60,
-                avg_result: 80.0,
-                latency_us: snap(),
-            },
-        ];
         let cfg = ThroughputConfig::from_scale(&Scale::smoke(), 7);
         let batch_cells = vec![
             BatchCell {
@@ -1009,22 +695,12 @@ mod tests {
             reads_per_query: 34.0,
             epochs_advanced: 12,
         }];
-        let text = render_report("smoke", &cfg, &cells, &batch_cells, &read_cells);
+        let text = render_report("smoke", &cfg, &batch_cells, &read_cells);
         let doc = Value::parse(&text).expect("valid JSON");
         assert_eq!(
             doc.get("benchmark").and_then(Value::as_str),
             Some("serve-throughput")
         );
-        let cells = doc.get("cells").and_then(Value::as_array).expect("cells");
-        assert_eq!(cells.len(), 2);
-        let speedup = cells[1]
-            .get("speedup_vs_1")
-            .and_then(Value::as_f64)
-            .expect("speedup");
-        assert!((speedup - 2.5).abs() < 1e-12);
-        let lat = cells[0].get("latency_us").expect("latency_us");
-        assert_eq!(lat.get("p95").and_then(Value::as_u64), Some(3300));
-        assert_eq!(lat.get("max").and_then(Value::as_u64), Some(4000));
         let bc = doc
             .get("batch_cells")
             .and_then(Value::as_array)
@@ -1053,7 +729,7 @@ mod tests {
     #[test]
     fn report_without_batch_sweep_omits_batch_cells() {
         let cfg = ThroughputConfig::from_scale(&Scale::smoke(), 7);
-        let text = render_report("smoke", &cfg, &[], &[], &[]);
+        let text = render_report("smoke", &cfg, &[], &[]);
         let doc = Value::parse(&text).expect("valid JSON");
         assert!(doc.get("batch_cells").is_none());
         assert!(doc.get("read_cells").is_none());
@@ -1065,10 +741,7 @@ mod tests {
             n: 5000,
             warm_instants: 2,
             measure_instants: 3,
-            queries: 0,
-            disk_queries: 20,
-            io_latency_us: 1,
-            client_threads: 1,
+            reader_queries: 20,
             queue_depth: 64,
             seed: 0xBEEF,
         };
@@ -1096,10 +769,7 @@ mod tests {
             n: 5000,
             warm_instants: 2,
             measure_instants: 3,
-            queries: 0,
-            disk_queries: 0,
-            io_latency_us: 1,
-            client_threads: 1,
+            reader_queries: 0,
             queue_depth: 64,
             seed: 0xBEEF,
         };
@@ -1110,7 +780,7 @@ mod tests {
         assert_eq!(single.batch, 1);
         assert_eq!(grouped.batch, 128);
         assert!(single.update_ops > 0 && grouped.update_ops > 0);
-        assert!(single.ios_per_op > 0.0, "disk model must count I/O");
+        assert!(single.ios_per_op > 0.0, "the pager must count I/O");
         // Amortization needs several ops per touched leaf: at batch = 128
         // each shard's slice (~32 net ops) covers its 341-entry leaves
         // several times over and per-op I/O collapses. Small batches sit

@@ -34,7 +34,11 @@ fn int(cell: &Value, key: &str) -> usize {
 fn smoke_cfg(doc: &Value) -> ThroughputConfig {
     let seed = doc.get("seed").and_then(Value::as_u64).expect("seed");
     let cfg = ThroughputConfig::from_scale(&Scale::smoke(), seed);
-    assert_eq!(cfg.n, int(doc, "n"), "baseline N is the smoke sweep's largest");
+    assert_eq!(
+        cfg.n,
+        int(doc, "n"),
+        "baseline N is the smoke sweep's largest"
+    );
     cfg
 }
 
@@ -70,7 +74,10 @@ fn read_heavy_probe_equals_the_committed_baseline() {
     let got = run_read_heavy(&smoke_cfg(&doc), 4, &ratios);
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(want) {
-        assert_eq!((g.readers, g.writers), (int(w, "readers"), int(w, "writers")));
+        assert_eq!(
+            (g.readers, g.writers),
+            (int(w, "readers"), int(w, "writers"))
+        );
         assert!(
             g.reads_per_query == num(w, "reads_per_query"),
             "readers={}/writers={}: reads_per_query {} != baseline {}",

@@ -198,122 +198,6 @@ impl Backend for MemBackend {
     }
 }
 
-/// A backend that charges wall-clock latency for each disk I/O — buffer-miss
-/// reads and dirty write-backs — before delegating the fault decision to the
-/// wrapped backend.
-///
-/// The pager's cost model counts I/Os instead of timing them because the
-/// simulated disk answers instantly; that is right for reproducing the
-/// paper's figures but makes wall-clock throughput numbers CPU-bound and
-/// unrepresentative of a disk-resident deployment. Wrapping a store's
-/// backend in a `DelayBackend` makes every *counted* I/O also *cost* its
-/// latency, so a throughput benchmark over the simulated disk is I/O-bound
-/// exactly where the paper's cost model says it should be. The thread
-/// sleeps (rather than spins) through the latency, so on a machine with
-/// fewer cores than shards, concurrent stores still overlap their I/O
-/// waits the way independent disks would.
-///
-/// `Mutate`, `Alloc`, and `Free` accesses are not I/Os in the
-/// external-memory model and are not delayed.
-#[derive(Debug)]
-pub struct DelayBackend<B> {
-    inner: B,
-    latency: std::time::Duration,
-    io_wait: Option<std::sync::Arc<mobidx_obs::Histogram>>,
-}
-
-impl<B: Backend> DelayBackend<B> {
-    /// Wraps `inner`, charging `latency` per read or write-back.
-    #[must_use]
-    pub fn new(inner: B, latency: std::time::Duration) -> Self {
-        Self {
-            inner,
-            latency,
-            io_wait: None,
-        }
-    }
-
-    /// Like [`DelayBackend::new`], additionally recording every charged
-    /// I/O wait into `io_wait` in microseconds — the health-snapshot
-    /// hook: a serving tier hands each shard's backend the shard's
-    /// `io_wait` histogram and the waits show up in
-    /// `ShardedDb::health()`.
-    #[must_use]
-    pub fn with_histogram(
-        inner: B,
-        latency: std::time::Duration,
-        io_wait: std::sync::Arc<mobidx_obs::Histogram>,
-    ) -> Self {
-        Self {
-            inner,
-            latency,
-            io_wait: Some(io_wait),
-        }
-    }
-
-    /// The per-I/O latency charged.
-    #[must_use]
-    pub fn latency(&self) -> std::time::Duration {
-        self.latency
-    }
-
-    /// The wrapped backend.
-    #[must_use]
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-}
-
-impl<B: Backend> Backend for DelayBackend<B> {
-    fn permit(&mut self, kind: IoKind, page: PageId) -> Result<(), Fault> {
-        if matches!(kind, IoKind::Read | IoKind::WriteBack) && !self.latency.is_zero() {
-            // Charged even when the inner backend then faults the access:
-            // a real device spends the time before reporting the error.
-            let start = std::time::Instant::now();
-            std::thread::sleep(self.latency);
-            if let Some(h) = &self.io_wait {
-                h.record(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
-            }
-        }
-        self.inner.permit(kind, page)
-    }
-
-    fn label(&self) -> &'static str {
-        "delay"
-    }
-
-    // Journal operations pass straight through: their latency is real
-    // (the inner durable backend actually writes and fsyncs), so the
-    // simulated per-I/O charge would double-count.
-    fn is_durable(&self) -> bool {
-        self.inner.is_durable()
-    }
-
-    fn journal_page(&mut self, page: PageId, bytes: &[u8]) -> Result<JournalAck, Fault> {
-        self.inner.journal_page(page, bytes)
-    }
-
-    fn journal_delta(&mut self, page: PageId, splices: &[u8]) -> Result<JournalAck, Fault> {
-        self.inner.journal_delta(page, splices)
-    }
-
-    fn journal_free(&mut self, page: PageId) -> Result<JournalAck, Fault> {
-        self.inner.journal_free(page)
-    }
-
-    fn journal_commit(&mut self, meta: &[u8]) -> Result<JournalAck, Fault> {
-        self.inner.journal_commit(meta)
-    }
-
-    fn checkpoint(
-        &mut self,
-        pages: &[(PageId, Vec<u8>)],
-        meta: &[u8],
-    ) -> Result<JournalAck, Fault> {
-        self.inner.checkpoint(pages, meta)
-    }
-}
-
 /// Bounded retry policy for transient faults, applied by the store.
 ///
 /// The backoff is *logical*: the store does not sleep (the whole disk is
@@ -738,43 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_backend_charges_ios_and_delegates() {
-        use std::time::{Duration, Instant};
-        let mut b = DelayBackend::new(MemBackend, Duration::from_millis(2));
-        assert_eq!(b.latency(), Duration::from_millis(2));
-        assert_eq!(b.label(), "delay");
-        let start = Instant::now();
-        assert!(b.permit(IoKind::Read, pid(0)).is_ok());
-        assert!(b.permit(IoKind::WriteBack, pid(0)).is_ok());
-        assert!(
-            start.elapsed() >= Duration::from_millis(4),
-            "both I/Os charged"
-        );
-        let start = Instant::now();
-        assert!(b.permit(IoKind::Mutate, pid(0)).is_ok());
-        assert!(b.permit(IoKind::Alloc, pid(1)).is_ok());
-        assert!(b.permit(IoKind::Free, pid(1)).is_ok());
-        assert!(
-            start.elapsed() < Duration::from_millis(2),
-            "non-I/O kinds are free"
-        );
-    }
-
-    #[test]
-    fn delay_backend_records_waits_into_histogram() {
-        use std::sync::Arc;
-        use std::time::Duration;
-        let h = Arc::new(mobidx_obs::Histogram::new());
-        let mut b =
-            DelayBackend::with_histogram(MemBackend, Duration::from_millis(1), Arc::clone(&h));
-        assert!(b.permit(IoKind::Read, pid(0)).is_ok());
-        assert!(b.permit(IoKind::WriteBack, pid(0)).is_ok());
-        assert!(b.permit(IoKind::Mutate, pid(0)).is_ok());
-        assert_eq!(h.count(), 2, "only charged I/Os are recorded");
-        assert!(h.min() >= 1_000, "waits recorded in microseconds");
-    }
-
-    #[test]
     fn crash_after_writes_ignores_read_traffic() {
         // The per-kind point: reads must not advance the write clock,
         // so "crash during the Nth write" is deterministic no matter
@@ -860,16 +707,5 @@ mod tests {
                 records: 3
             }
         );
-    }
-
-    #[test]
-    fn delay_backend_zero_latency_is_transparent() {
-        let mut b = DelayBackend::new(
-            FaultStore::new(FaultPlan::crash_after(1, 0)),
-            std::time::Duration::ZERO,
-        );
-        let f = b.permit(IoKind::Read, pid(0)).unwrap_err();
-        assert_eq!(f.kind, FaultKind::Crashed, "inner backend still decides");
-        assert_eq!(b.inner().injected(), 1);
     }
 }

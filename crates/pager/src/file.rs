@@ -694,7 +694,7 @@ impl Backend for DurableFaultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DelayBackend, FaultPlan, ScratchDir};
+    use crate::{FaultPlan, ScratchDir};
 
     fn pid(n: u32) -> PageId {
         PageId::from_index(n)
@@ -1006,18 +1006,6 @@ mod tests {
         assert_eq!(image.commit_seq, 3);
         assert_eq!(image.replayed_records, 9);
         assert_eq!(image.dropped_bytes, 0);
-    }
-
-    #[test]
-    fn delay_backend_forwards_deltas_to_the_backend_it_wraps() {
-        let dir = ScratchDir::new("pager-file-delay");
-        let (file, _) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
-        let mut b = DelayBackend::new(file, std::time::Duration::ZERO);
-        assert!(b.is_durable());
-        b.journal_page(pid(0), b"abc").unwrap();
-        let ack = b.journal_delta(pid(0), &[]).unwrap();
-        assert_eq!(ack.records, 1, "the record reached the log");
-        assert_eq!(b.inner().totals().records, 2);
     }
 
     #[test]

@@ -32,8 +32,7 @@ mod store;
 pub mod wal;
 
 pub use backend::{
-    Backend, DelayBackend, Fault, FaultKind, FaultPlan, FaultStore, IoKind, JournalAck, MemBackend,
-    RetryPolicy,
+    Backend, Fault, FaultKind, FaultPlan, FaultStore, IoKind, JournalAck, MemBackend, RetryPolicy,
 };
 pub use buffer::{BufferPool, INDEXED_THRESHOLD};
 pub use codec::{crc32, put_bytes, put_u32, put_u64, ByteReader, FixedCodec, PageCodec};

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, RwLock, TryLockError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How many recent query span trees the facade's [`EventLog`] retains.
 /// Sized for diagnostics, not archival: at the default 4 shards a span
@@ -562,15 +562,6 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         self.registry.epoch()
     }
 
-    /// Arms the snapshot read path's disk model: every frozen page a
-    /// snapshot leg visits charges `per_page` of wall-clock wait
-    /// (recorded in the shard's `io_wait` histogram). Zero — the default
-    /// — disables the model.
-    pub fn set_snapshot_read_delay(&self, per_page: Duration) {
-        self.registry
-            .set_read_delay_nanos(u64::try_from(per_page.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// The queued (worker fan-out) read path.
     fn query_queued(&self, req: &QueryRequest<'_, MorQuery1D>) -> Result<QueryOutput, ServeError> {
         let q = req.query();
@@ -691,7 +682,6 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             root.set_attr("snapshot_epoch", snap.epoch);
             root
         });
-        let delay_nanos = self.registry.read_delay_nanos();
         let (tx, rx) = channel::<(usize, SnapLeg)>();
         for shard in 1..n {
             let view = Arc::clone(&snap.views[shard]);
@@ -700,16 +690,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             let tx = tx.clone();
             let snap_epoch = snap.epoch;
             self.read_pool.submit(Box::new(move || {
-                let leg = snapshot_leg(
-                    &*view,
-                    &q,
-                    buf,
-                    shard,
-                    snap_epoch,
-                    delay_nanos,
-                    &health,
-                    span_epoch,
-                );
+                let leg = snapshot_leg(&*view, &q, buf, shard, snap_epoch, &health, span_epoch);
                 let _ = tx.send((shard, leg));
             }));
         }
@@ -722,7 +703,6 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             self.pop_buffer(),
             0,
             snap.epoch,
-            delay_nanos,
             &self.health[0],
             span_epoch,
         ));
@@ -788,7 +768,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
 
     /// A point-in-time health summary of every shard: queue depth and
     /// high-water gauges, applied/queued counters, poisoned state, and
-    /// query/update/io-wait latency percentiles. Reads shared atomics
+    /// query/update latency percentiles. Reads shared atomics
     /// directly — no worker round-trip, so it works even when a worker
     /// is wedged on a full queue or poisoned.
     #[must_use]
@@ -796,8 +776,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         self.flight.health()
     }
 
-    /// One shard's live health state — the hook for wiring a
-    /// `DelayBackend::with_histogram` to the shard's `io_wait`
+    /// One shard's live health state, e.g. its `drained_batch_size`
     /// histogram.
     ///
     /// # Panics
@@ -1140,18 +1119,15 @@ impl AsRef<[u64]> for SnapLeg {
     }
 }
 
-/// Runs one per-shard snapshot leg: searches the frozen view, charges
-/// the simulated disk wait, and bumps the shard's snapshot-read
-/// accounting. Runs on the caller's thread or a read-pool helper —
-/// never on the shard's worker.
-#[allow(clippy::too_many_arguments)]
+/// Runs one per-shard snapshot leg: searches the frozen view and bumps
+/// the shard's snapshot-read accounting. Runs on the caller's thread or
+/// a read-pool helper — never on the shard's worker.
 fn snapshot_leg(
     view: &dyn FrozenIndex1D,
     q: &MorQuery1D,
     mut buf: Vec<u64>,
     shard: usize,
     snapshot_epoch: u64,
-    delay_nanos: u64,
     health: &ShardHealth,
     span_epoch: Option<Instant>,
 ) -> SnapLeg {
@@ -1166,13 +1142,6 @@ fn snapshot_leg(
         leg
     });
     let stats = view.search(q, &mut buf);
-    if delay_nanos > 0 && stats.pages > 0 {
-        let wait = Duration::from_nanos(delay_nanos.saturating_mul(stats.pages));
-        std::thread::sleep(wait);
-        health
-            .io_wait
-            .record(u64::try_from(wait.as_micros()).unwrap_or(u64::MAX));
-    }
     // A snapshot leg is still a query answered on this shard's behalf:
     // count it so `queries` keeps matching the latency histogram.
     health.queries.incr();

@@ -60,11 +60,6 @@ pub struct ShardHealth {
     pub query_latency: Histogram,
     /// Per-batch apply wall-clock on the worker, in microseconds.
     pub update_latency: Histogram,
-    /// Per-I/O wait charged by a `DelayBackend::with_histogram` armed on
-    /// this shard's stores, in microseconds. Stays empty unless a
-    /// latency-charging backend is installed (see
-    /// `mobidx_pager::DelayBackend::with_histogram`).
-    pub io_wait: std::sync::Arc<Histogram>,
 }
 
 impl ShardHealth {
@@ -93,7 +88,6 @@ impl ShardHealth {
             poisoned: self.poisoned.get() != 0,
             query_latency_us: self.query_latency.snapshot(),
             update_latency_us: self.update_latency.snapshot(),
-            io_wait_us: self.io_wait.snapshot(),
         }
     }
 }
@@ -132,8 +126,6 @@ pub struct ShardHealthSnapshot {
     pub query_latency_us: HistogramSnapshot,
     /// Per-batch apply latency percentiles (µs).
     pub update_latency_us: HistogramSnapshot,
-    /// Charged per-I/O wait percentiles (µs).
-    pub io_wait_us: HistogramSnapshot,
 }
 
 impl ShardHealthSnapshot {
@@ -174,7 +166,6 @@ impl ShardHealthSnapshot {
                 "update_latency_us".to_owned(),
                 histogram_json(&self.update_latency_us),
             ),
-            ("io_wait_us".to_owned(), histogram_json(&self.io_wait_us)),
         ])
     }
 }

@@ -211,10 +211,6 @@ pub(crate) struct SnapshotRegistry {
     /// The published snapshot. Written only under `state`; `Some`
     /// whenever `state` holds [`Publication::Present`].
     current: RwLock<Option<Arc<DbSnapshot>>>,
-    /// Simulated per-frozen-page read latency, in nanoseconds (the
-    /// snapshot path bypasses the pager's pluggable backends, so the
-    /// disk model is charged here).
-    read_delay_nanos: AtomicU64,
     /// Times a snapshot was built by `Request::Freeze` round trips — for
     /// a read that found none, or behind a writer that owed one.
     pub(crate) snapshots_on_demand: Counter,
@@ -236,7 +232,6 @@ impl SnapshotRegistry {
             }),
             turn_over: Condvar::new(),
             current: RwLock::new(None),
-            read_delay_nanos: AtomicU64::new(0),
             snapshots_on_demand: Counter::new(),
             applies_unpublished: Counter::new(),
         };
@@ -393,14 +388,6 @@ impl SnapshotRegistry {
     /// The commit epoch.
     pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set_read_delay_nanos(&self, nanos: u64) {
-        self.read_delay_nanos.store(nanos, Ordering::Relaxed);
-    }
-
-    pub(crate) fn read_delay_nanos(&self) -> u64 {
-        self.read_delay_nanos.load(Ordering::Relaxed)
     }
 }
 
