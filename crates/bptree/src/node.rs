@@ -31,12 +31,13 @@ pub enum Node<K, V> {
     },
 }
 
-/// A node is cloned when the page store copies a page on write
-/// (`Arc::make_mut` on a page a snapshot still shares), and an edit
-/// always follows. The derived clone is exact-capacity, so the insert
-/// behind it would reallocate — copy the leaf a second time and leave a
-/// doubled buffer behind; a leaf copy therefore reserves the one slot
-/// that edit needs.
+/// A node is cloned when the page store copies a page on write (a page
+/// a snapshot still shares), and an edit always follows. The derived
+/// clone is exact-capacity, so the insert behind it would reallocate —
+/// copy the leaf a second time and leave a doubled buffer behind; a leaf
+/// copy therefore reserves the one slot that edit needs. When the store
+/// has a spare page to copy into, `clone_from` reuses that page's
+/// buffers instead of allocating.
 impl<K: Clone, V: Clone> Clone for Node<K, V> {
     fn clone(&self) -> Self {
         match self {
@@ -52,6 +53,34 @@ impl<K: Clone, V: Clone> Clone for Node<K, V> {
                 seps: seps.clone(),
                 children: children.clone(),
             },
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (
+                Node::Leaf { entries, next },
+                Node::Leaf {
+                    entries: from,
+                    next: from_next,
+                },
+            ) => {
+                entries.clear();
+                entries.reserve(from.len() + 1);
+                entries.extend_from_slice(from);
+                *next = *from_next;
+            }
+            (
+                Node::Branch { seps, children },
+                Node::Branch {
+                    seps: from_seps,
+                    children: from_children,
+                },
+            ) => {
+                seps.clone_from(from_seps);
+                children.clone_from(from_children);
+            }
+            (this, source) => *this = source.clone(),
         }
     }
 }
@@ -356,6 +385,12 @@ mod tests {
         assert_eq!(entries.len(), 342);
     }
 
+    fn image(node: &Node<f64, u64>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        node.encode(&mut bytes);
+        bytes
+    }
+
     fn round_trip(node: &Node<f64, u64>) -> Node<f64, u64> {
         let mut bytes = Vec::new();
         node.encode(&mut bytes);
@@ -565,6 +600,30 @@ mod tests {
         let b = branch(run(1..3), &[1, 2, 3]);
         assert_eq!(delta_len(&small, &b), None);
         assert_eq!(delta_len(&b, &small), None);
+    }
+
+    #[test]
+    fn clone_from_keeps_the_destination_allocation() {
+        let mut spare = leaf(run(0..300), Some(4));
+        let kept = match &spare {
+            Node::Leaf { entries, .. } => (entries.as_ptr(), entries.capacity()),
+            Node::Branch { .. } => unreachable!(),
+        };
+        let source = leaf(run(10..200), Some(9));
+        spare.clone_from(&source);
+        match &spare {
+            Node::Leaf { entries, next } => {
+                assert_eq!((entries.as_ptr(), entries.capacity()), kept);
+                assert!(entries.capacity() > entries.len(), "room for the edit");
+                assert_eq!(*next, Some(PageId::from_index(9)));
+            }
+            Node::Branch { .. } => panic!("a leaf copy stays a leaf"),
+        }
+        assert_eq!(image(&spare), image(&source));
+        // A spare of the other kind is simply replaced.
+        let b = branch(run(1..3), &[1, 2, 3]);
+        spare.clone_from(&b);
+        assert_eq!(image(&spare), image(&b));
     }
 
     #[test]

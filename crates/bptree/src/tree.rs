@@ -471,6 +471,24 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         }
     }
 
+    /// Turns `view` into the snapshot [`BPlusTree::freeze`] would
+    /// publish now, in place, and returns `true` — or returns `false`
+    /// and leaves `view` as it was when a clone of it is still alive.
+    ///
+    /// Only the pages that changed since `view` was sealed cost
+    /// anything (see [`mobidx_pager::PageStore::refreeze`]), and the
+    /// pre-images it lets go become the allocations the tree's next
+    /// copy-on-writes copy into.
+    pub fn refreeze(&mut self, view: &mut FrozenTree<K, V>) -> bool {
+        if !self.store.refreeze(&mut view.pages) {
+            return false;
+        }
+        view.root = self.root;
+        view.height = self.height;
+        view.len = self.len;
+        true
+    }
+
     /// Whether the exact entry `(key, value)` is present.
     ///
     /// # Panics
@@ -1314,6 +1332,25 @@ impl<K: Key, V: Copy + Ord + Debug> FrozenTree<K, V> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The root page at freeze time.
+    #[must_use]
+    pub fn root(&self) -> PageId {
+        self.root
+    }
+
+    /// Number of levels at freeze time (1 = root is a leaf).
+    #[must_use]
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
+    /// Whether both views hold the very same page allocations in every
+    /// slot ([`mobidx_pager::FrozenPages::shares_pages_with`]).
+    #[must_use]
+    pub fn shares_pages_with(&self, other: &FrozenTree<K, V>) -> bool {
+        self.pages.shares_pages_with(&other.pages)
     }
 
     /// Reads a frozen page; panics on a dangling id (structurally

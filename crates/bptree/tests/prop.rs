@@ -818,3 +818,157 @@ proptest! {
         prop_assert_eq!(bits(&tree.collect_all()), bits(&live));
     }
 }
+
+#[derive(Debug, Clone)]
+enum ViewOp {
+    Insert(u32, u32),
+    /// Removes the entry at this index (mod the population).
+    Remove(usize),
+    Batch(Vec<(u32, u32)>),
+}
+
+fn view_op_strategy() -> impl Strategy<Value = ViewOp> {
+    prop_oneof![
+        3 => (0u32..64, 0u32..1000).prop_map(|(k, v)| ViewOp::Insert(k, v)),
+        3 => (0usize..1000).prop_map(ViewOp::Remove),
+        1 => prop::collection::vec((0u32..64, 0u32..1000), 1..24).prop_map(ViewOp::Batch),
+    ]
+}
+
+/// Applies one op to the tree and to the sorted oracle.
+fn apply_view_op(tree: &mut BPlusTree<u32, u32>, oracle: &mut Vec<(u32, u32)>, op: &ViewOp) {
+    match op {
+        ViewOp::Insert(k, v) => {
+            if let Err(pos) = oracle.binary_search(&(*k, *v)) {
+                tree.insert(*k, *v);
+                oracle.insert(pos, (*k, *v));
+            }
+        }
+        ViewOp::Remove(pick) => {
+            if !oracle.is_empty() {
+                let (k, v) = oracle.remove(pick % oracle.len());
+                assert!(tree.remove(k, v));
+            }
+        }
+        ViewOp::Batch(entries) => {
+            let mut fresh: Vec<(u32, u32)> = entries
+                .iter()
+                .copied()
+                .filter(|e| oracle.binary_search(e).is_err())
+                .collect();
+            fresh.sort_unstable();
+            fresh.dedup();
+            tree.insert_batch(&fresh);
+            oracle.extend_from_slice(&fresh);
+            oracle.sort_unstable();
+        }
+    }
+}
+
+/// The view answers every range exactly as of `epoch` (the sorted
+/// entries it was sealed over).
+fn answers_as_of(
+    view: &FrozenTree<u32, u32>,
+    epoch: &[(u32, u32)],
+    ranges: &[(u32, u32)],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(view.len(), epoch.len());
+    for &(a, b) in ranges {
+        let (lo, hi) = (a.min(b), a.max(b));
+        let mut got = Vec::new();
+        view.range_for_each(lo, hi, |k, v| got.push((k, v)));
+        let want: Vec<(u32, u32)> = epoch
+            .iter()
+            .copied()
+            .filter(|&(k, _)| lo <= k && k <= hi)
+            .collect();
+        prop_assert_eq!(got, want);
+    }
+    Ok(())
+}
+
+/// A refrozen view is the view a fresh freeze publishes: same shape,
+/// the same page allocation in every slot, the same answers.
+fn same_as_fresh(
+    view: &FrozenTree<u32, u32>,
+    fresh: &FrozenTree<u32, u32>,
+    ranges: &[(u32, u32)],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(view.root(), fresh.root());
+    prop_assert_eq!(view.height(), fresh.height());
+    prop_assert_eq!(view.len(), fresh.len());
+    prop_assert!(view.shares_pages_with(fresh));
+    for &(a, b) in ranges {
+        let (lo, hi) = (a.min(b), a.max(b));
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let pages = view.range_for_each(lo, hi, |k, v| got.push((k, v)));
+        let fresh_pages = fresh.range_for_each(lo, hi, |k, v| want.push((k, v)));
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(pages, fresh_pages);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The serving worker's view cycle on one tree: `prev` is refrozen
+    /// up to the live tree at the start of each window (its pre-images
+    /// become the window's copy-on-write targets), the window's inserts,
+    /// removes and batches run, and `prev` is refrozen again and
+    /// published as the new `current`. Each refrozen view must be the
+    /// view a fresh `freeze` would publish at that instant. Sometimes a
+    /// reader clones `prev` first: the refreeze must then refuse, and the
+    /// reader's view — like `current`, which every refreeze leaves
+    /// alone — keeps answering as of its own epoch while later windows
+    /// copy the pages it shares.
+    #[test]
+    fn refreeze_publishes_what_a_fresh_freeze_would(
+        ops in prop::collection::vec(view_op_strategy(), 1..300),
+        every in 1usize..12,
+        pins in prop::collection::vec(0u8..4, 1..32),
+        ranges in prop::collection::vec((0u32..64, 0u32..64), 4..10),
+    ) {
+        type View = (FrozenTree<u32, u32>, Vec<(u32, u32)>);
+        let mut tree: BPlusTree<u32, u32> = BPlusTree::new(small_cfg());
+        let mut oracle: Vec<(u32, u32)> = Vec::new();
+        let mut prev: Option<View> = None;
+        let mut current: Option<View> = None;
+        let mut pinned: Vec<View> = Vec::new();
+        for (w, window) in ops.chunks(every).enumerate() {
+            let mut recycled = None;
+            if let Some((mut view, epoch)) = prev.take() {
+                let reader = (pins[w % pins.len()] == 0).then(|| view.clone());
+                if tree.refreeze(&mut view) {
+                    prop_assert!(reader.is_none(), "a view a reader shares was patched");
+                    same_as_fresh(&view, &tree.freeze(), &ranges)?;
+                    recycled = Some(view);
+                } else {
+                    let reader = reader.expect("an unshared view must refreeze");
+                    answers_as_of(&view, &epoch, &ranges)?;
+                    pinned.push((reader, epoch));
+                }
+            }
+            for op in window {
+                apply_view_op(&mut tree, &mut oracle, op);
+            }
+            let view = match recycled {
+                Some(mut view) => {
+                    prop_assert!(tree.refreeze(&mut view));
+                    view
+                }
+                None => tree.freeze(),
+            };
+            same_as_fresh(&view, &tree.freeze(), &ranges)?;
+            answers_as_of(&view, &oracle, &ranges)?;
+            prev = current.replace((view, oracle.clone()));
+            for (view, epoch) in prev.iter().chain(&pinned) {
+                answers_as_of(view, epoch, &ranges)?;
+            }
+            if pinned.len() > 2 {
+                pinned.remove(0);
+            }
+        }
+        tree.check_invariants(true);
+    }
+}

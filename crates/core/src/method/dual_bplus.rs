@@ -682,6 +682,26 @@ impl Index1D for DualBPlusIndex {
             band: self.cfg.band,
         }))
     }
+
+    /// Refreezes the `2c + 1` trees of a view [`Index1D::freeze`] built,
+    /// in place. `false` where `freeze` gives `None` (live subterrain
+    /// indices), and for a view of another shape.
+    fn refreeze(&mut self, view: &mut dyn crate::method::FrozenIndex1D) -> bool {
+        let Some(view) = view
+            .as_any_mut()
+            .and_then(|view| view.downcast_mut::<FrozenDualBPlus>())
+        else {
+            return false;
+        };
+        if !self.sub.is_empty() || view.obs.len() != self.obs.len() {
+            return false;
+        }
+        view.band = self.cfg.band;
+        self.obs.iter_mut().zip(&mut view.obs).all(|(o, frozen)| {
+            frozen.y_r = o.y_r;
+            o.pos_tree.refreeze(&mut frozen.pos) && o.neg_tree.refreeze(&mut frozen.neg)
+        }) && self.static_tree.refreeze(&mut view.static_tree)
+    }
 }
 
 /// One frozen observation index: the `y_r` element plus its two
@@ -735,6 +755,10 @@ impl crate::method::FrozenIndex1D for FrozenDualBPlus {
             }
         });
         stats
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
     }
 }
 
@@ -933,6 +957,37 @@ mod tests {
                 assert_eq!(from_frozen, want, "frozen, c={c} {q:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_refrozen_view_answers_as_of_the_refreeze() {
+        let mut sim = Simulator1D::new(WorkloadConfig {
+            n: 600,
+            updates_per_instant: 30,
+            seed: 91,
+            ..WorkloadConfig::default()
+        });
+        let mut idx = DualBPlusIndex::new(small_cfg(4, false));
+        for m in sim.objects() {
+            idx.insert(m);
+        }
+        let mut view = idx.freeze().expect("no subterrain indices");
+        let mut out = Vec::new();
+        for step in 0..8 {
+            for u in sim.step() {
+                assert!(idx.remove(&u.old));
+                idx.insert(&u.new);
+            }
+            assert!(idx.refreeze(view.as_mut()), "step {step}");
+            for _ in 0..8 {
+                let q = sim.gen_query(150.0, 60.0);
+                view.search(&q, &mut out);
+                assert_eq!(out, brute_force_1d(sim.objects(), &q), "step {step} {q:?}");
+            }
+        }
+        // Another shape, or an index that cannot freeze, refuses.
+        assert!(!DualBPlusIndex::new(small_cfg(2, false)).refreeze(view.as_mut()));
+        assert!(!DualBPlusIndex::new(small_cfg(4, true)).refreeze(view.as_mut()));
     }
 
     /// A speed magnitude of a shape the sign-specialised filter must

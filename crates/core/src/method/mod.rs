@@ -270,6 +270,13 @@ pub trait FrozenIndex1D: Send + Sync {
     /// Answers a MOR query into `out` (cleared, then filled with the
     /// sorted, deduplicated ids), reporting the read cost.
     fn search(&self, q: &MorQuery1D, out: &mut Vec<u64>) -> FrozenReadStats;
+
+    /// The view as [`Any`](std::any::Any), for the index that built it
+    /// to recognise its own view type in [`Index1D::refreeze`]. `None`
+    /// (the default) for views that cannot be refrozen.
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        None
+    }
 }
 
 /// Aggregated I/O and space counters across all page stores of a method
@@ -636,10 +643,29 @@ pub trait Index1D: IndexStats {
     /// Publishes an immutable, `Send + Sync` snapshot of the index for
     /// the zero-queueing snapshot read path, or `None` when the method
     /// has no frozen representation (the default). Implementors back it
-    /// with page-level copy-on-write ([`mobidx_pager::PageStore::freeze`])
-    /// so publication is O(pages dirtied since the last freeze).
+    /// with page-level copy-on-write ([`mobidx_pager::PageStore::freeze`]):
+    /// no page contents are copied, but every live page slot costs one
+    /// reference-count bump, so publication is O(live slots) — and so is
+    /// the view's death.
     fn freeze(&self) -> Option<Box<dyn FrozenIndex1D>> {
         None
+    }
+
+    /// Turns `view` — a view this index built earlier, which nobody else
+    /// holds — into the snapshot [`Index1D::freeze`] would publish now,
+    /// in place, and returns `true`. Implementors back it with
+    /// [`mobidx_pager::PageStore::refreeze`]: O(live slots) pointer
+    /// compares plus O(pages dirtied since `view` was sealed) reference
+    /// counts, and the pre-images it lets go become the allocations the
+    /// index's next copy-on-writes copy into.
+    ///
+    /// `false` (the default) when the method cannot refreeze, when
+    /// `view` is not of its own shape, or when part of it is shared; the
+    /// view may then be partly patched and is to be dropped, and the
+    /// caller freezes afresh.
+    fn refreeze(&mut self, view: &mut dyn FrozenIndex1D) -> bool {
+        let _ = view;
+        false
     }
 }
 

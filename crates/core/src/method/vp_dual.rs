@@ -514,6 +514,12 @@ impl VpDualIndex {
         &self.residents
     }
 
+    /// The bands holding at least one record, in order: the bands a
+    /// frozen view covers.
+    fn resident_bands(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.subs.len()).filter(|&b| self.residents[b] != 0)
+    }
+
     /// Completed repartitions since construction.
     #[must_use]
     pub fn repartitions(&self) -> u64 {
@@ -837,17 +843,36 @@ impl Index1D for VpDualIndex {
     }
 
     fn freeze(&self) -> Option<Box<dyn FrozenIndex1D>> {
+        let mut bands = Vec::new();
         let mut views = Vec::new();
-        for (b, sub) in self.subs.iter().enumerate() {
-            if self.residents[b] == 0 {
-                continue;
-            }
-            views.push(sub.freeze()?);
+        for b in self.resident_bands() {
+            bands.push(b);
+            views.push(self.subs[b].freeze()?);
         }
         Some(Box::new(FrozenVpDual {
+            bands,
             views,
             spare: Mutex::default(),
         }))
+    }
+
+    /// Refreezes each resident band's view through its sub-index.
+    /// `false` for a view of another type, and when a band filled or
+    /// emptied since the view was sealed — the set of views changed.
+    fn refreeze(&mut self, view: &mut dyn FrozenIndex1D) -> bool {
+        let Some(view) = view
+            .as_any_mut()
+            .and_then(|view| view.downcast_mut::<FrozenVpDual>())
+        else {
+            return false;
+        };
+        if !self.resident_bands().eq(view.bands.iter().copied()) {
+            return false;
+        }
+        view.bands
+            .iter()
+            .zip(&mut view.views)
+            .all(|(&b, band)| self.subs[b].refreeze(band.as_mut()))
     }
 }
 
@@ -855,6 +880,8 @@ impl Index1D for VpDualIndex {
 /// dual-B+ views (empty bands omitted), answers merged through the
 /// sorted-dedup contract.
 struct FrozenVpDual {
+    /// The band of each view.
+    bands: Vec<usize>,
     views: Vec<Box<dyn FrozenIndex1D>>,
     /// Per-band answer buffers between searches: a search takes a set
     /// (concurrent readers each get their own) and puts it back.
@@ -877,6 +904,10 @@ impl FrozenIndex1D for FrozenVpDual {
         merge_sorted_ids(&bands, out);
         self.spare.lock().expect("spare buffers").push(bands);
         stats
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
     }
 }
 
@@ -1111,6 +1142,37 @@ mod tests {
             assert_eq!(out, brute_force_1d(sim.objects(), &q), "{q:?}");
             if !out.is_empty() {
                 assert!(stats.candidates > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_view_refreezes_while_its_bands_stay_resident() {
+        let mut sim = Simulator1D::new(WorkloadConfig {
+            n: 500,
+            updates_per_instant: 25,
+            seed: 211,
+            ..WorkloadConfig::default()
+        });
+        let mut idx = VpDualIndex::new(small_cfg(3, 2));
+        let mut empty = idx.freeze().expect("no subterrain => freezable");
+        for m in sim.objects() {
+            idx.insert(m);
+        }
+        // The bands that filled since are views the empty one lacks.
+        assert!(!idx.refreeze(empty.as_mut()));
+        let mut view = idx.freeze().expect("freezable");
+        let mut out = Vec::new();
+        for step in 0..6 {
+            for u in sim.step() {
+                assert!(idx.remove(&u.old));
+                idx.insert(&u.new);
+            }
+            assert!(idx.refreeze(view.as_mut()), "step {step}");
+            for _ in 0..8 {
+                let q = sim.gen_query(150.0, 60.0);
+                view.search(&q, &mut out);
+                assert_eq!(out, brute_force_1d(sim.objects(), &q), "step {step} {q:?}");
             }
         }
     }

@@ -73,13 +73,29 @@ impl std::fmt::Display for PageId {
 /// faults surface as typed [`PagerError`]s.
 ///
 /// Pages are held behind [`Arc`] so the store can be [frozen]
-/// (`PageStore::freeze`) into an immutable [`FrozenPages`] snapshot in
-/// O(live slots) pointer bumps. Mutations go through [`Arc::make_mut`]:
-/// a page is deep-copied only when a live snapshot still references it
-/// (copy-on-write), so the content-copy cost between two snapshots is
-/// O(pages dirtied in between). None of this changes the I/O
-/// accounting — residency, misses, and write-backs are modeled by the
-/// buffer pool exactly as before.
+/// (`PageStore::freeze`) into an immutable [`FrozenPages`] snapshot.
+/// Mutations go through [`Arc::make_mut`]: a page is deep-copied only
+/// when a live snapshot still references it (copy-on-write), so the
+/// content-copy cost between two snapshots is O(pages dirtied in
+/// between). None of this changes the I/O accounting — residency,
+/// misses, and write-backs are modeled by the buffer pool exactly as
+/// before.
+///
+/// A snapshot is published one of two ways:
+///
+/// * [`PageStore::freeze`] copies the page table: one reference-count
+///   bump per **live slot**, O(index) however few pages changed — and
+///   the view it eventually replaces pays as much again in decrements
+///   when it dies, plus one deallocation per page only it held.
+/// * [`PageStore::refreeze`] patches a view nobody else holds up to the
+///   live table: one pointer compare per slot, reference-count traffic
+///   only for the slots that differ (O(pages dirtied since the view was
+///   sealed)). The pages the patch displaces and nobody else holds are
+///   kept as *spares*, and the next copy-on-writes copy into them
+///   instead of allocating; the spares a refreeze does not use are
+///   dropped by the next one, so the store never keeps more than one
+///   window's pre-images — and a store that is never refrozen keeps
+///   none.
 ///
 /// [frozen]: PageStore::freeze
 #[derive(Debug)]
@@ -114,6 +130,10 @@ pub struct PageStore<P> {
     sealed_meta: Option<Vec<u8>>,
     /// The pinned page (at most one) and its residency state.
     pinned: Option<(u32, PinState)>,
+    /// Page allocations nobody else references, displaced from a view
+    /// by the last [`PageStore::refreeze`]: a copy-on-write copies into
+    /// one of these instead of allocating.
+    spares: Vec<Arc<P>>,
 }
 
 /// One page store seen without its page type: its counters, its buffer
@@ -193,6 +213,7 @@ impl<P> PageStore<P> {
             images_only: false,
             sealed_meta: None,
             pinned: None,
+            spares: Vec::new(),
         }
     }
 
@@ -506,16 +527,41 @@ impl<P> PageStore<P> {
 
     /// Exclusive access to a live page's contents. Copy-on-write: when a
     /// [`FrozenPages`] snapshot still shares the page, `Arc::make_mut`
-    /// clones it first — the snapshot keeps the sealed version.
+    /// clones it first — the snapshot keeps the sealed version — unless
+    /// [`PageStore::refreeze`] left a spare to copy it into.
     fn page_mut(&mut self, id: PageId) -> &mut P
     where
         P: Clone,
     {
+        if !self.spares.is_empty() {
+            self.copy_into_spare(id);
+        }
         Arc::make_mut(
             self.pages[id.0 as usize]
                 .as_mut()
                 .expect("write of dead page"),
         )
+    }
+
+    /// Copies page `id` into a spare allocation and puts that in its
+    /// slot, when a snapshot still shares the page. Out of line, so that
+    /// a store with no spares — never refrozen — writes through the code
+    /// it did before spares existed.
+    #[inline(never)]
+    fn copy_into_spare(&mut self, id: PageId)
+    where
+        P: Clone,
+    {
+        let slot = self.pages[id.0 as usize]
+            .as_mut()
+            .expect("write of dead page");
+        if Arc::get_mut(slot).is_none() {
+            let mut spare = self.spares.pop().expect("a spare is left");
+            Arc::get_mut(&mut spare)
+                .expect("a spare has no other owner")
+                .clone_from(slot.as_ref());
+            *slot = spare;
+        }
     }
 
     /// Replaces the contents of page `id` wholesale.
@@ -665,10 +711,12 @@ impl<P> PageStore<P> {
     /// snapshot.
     ///
     /// Publication cost is O(live slots) reference-count bumps — no page
-    /// contents are copied. Later mutations through this store
-    /// copy-on-write exactly the pages the snapshot still shares (every
-    /// [`PageStore::try_write`] goes through `Arc::make_mut`), so the
-    /// amortized content-copy cost between two snapshots is O(pages
+    /// contents are copied — and the snapshot's death costs as many
+    /// decrements; [`PageStore::refreeze`] reuses a retired snapshot for
+    /// O(pages dirtied) of them instead. Later mutations through this
+    /// store copy-on-write exactly the pages the snapshot still shares
+    /// (every [`PageStore::try_write`] goes through `Arc::make_mut`), so
+    /// the amortized content-copy cost between two snapshots is O(pages
     /// dirtied in between).
     ///
     /// Snapshot reads are *not* I/O-counted here: a frozen page is a
@@ -680,6 +728,38 @@ impl<P> PageStore<P> {
         FrozenPages {
             pages: Arc::new(self.pages.clone()),
         }
+    }
+
+    /// Brings `view` up to the current page contents in place — the
+    /// same snapshot [`PageStore::freeze`] would seal now — and returns
+    /// `true`; or returns `false` and leaves `view` untouched when
+    /// another handle shares its page table (a reader still holds that
+    /// snapshot, which must keep its own contents).
+    ///
+    /// The cost is one pointer compare per slot plus reference-count
+    /// traffic for the slots that differ: O(pages dirtied since `view`
+    /// was sealed), not O(live slots). A displaced page nothing else
+    /// references — a pre-image the live store copied away from, a page
+    /// freed since — becomes a spare allocation that a later
+    /// copy-on-write copies into; the spares the previous refreeze left
+    /// unused are dropped first. No I/O is accounted.
+    pub fn refreeze(&mut self, view: &mut FrozenPages<P>) -> bool {
+        let Some(table) = Arc::get_mut(&mut view.pages) else {
+            return false;
+        };
+        self.spares.clear();
+        table.resize(self.pages.len(), None);
+        for (frozen, live) in table.iter_mut().zip(&self.pages) {
+            if same_page(frozen, live) {
+                continue;
+            }
+            if let Some(mut displaced) = std::mem::replace(frozen, live.clone()) {
+                if Arc::get_mut(&mut displaced).is_some() {
+                    self.spares.push(displaced);
+                }
+            }
+        }
+        true
     }
 
     fn try_fault_in(&mut self, id: PageId, dirty: bool) -> Result<(), PagerError> {
@@ -833,6 +913,30 @@ impl<P> FrozenPages<P> {
     #[must_use]
     pub fn live_pages(&self) -> usize {
         self.pages.iter().filter(|p| p.is_some()).count()
+    }
+
+    /// Whether both snapshots hold the very same page allocation in
+    /// every slot (and free slots in the same places) — what a
+    /// [`PageStore::refreeze`] and a [`PageStore::freeze`] of the same
+    /// store state have in common.
+    #[must_use]
+    pub fn shares_pages_with(&self, other: &FrozenPages<P>) -> bool {
+        self.pages.len() == other.pages.len()
+            && self
+                .pages
+                .iter()
+                .zip(other.pages.iter())
+                .all(|(a, b)| same_page(a, b))
+    }
+}
+
+/// Whether two page-table slots hold the same allocation, or are both
+/// free.
+fn same_page<P>(a: &Option<Arc<P>>, b: &Option<Arc<P>>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        (None, None) => true,
+        _ => false,
     }
 }
 
@@ -1494,6 +1598,112 @@ mod tests {
         assert_eq!(s.pending_commit(), (2, 0));
         s.try_commit(b"m").unwrap();
         assert!(s.dirty_since_commit.is_empty(), "sealed: the bases go");
+    }
+
+    fn slot(s: &PageStore<Vec<u32>>, id: PageId) -> *const Vec<u32> {
+        Arc::as_ptr(s.pages[id.0 as usize].as_ref().unwrap())
+    }
+
+    #[test]
+    fn refreeze_patches_an_unshared_view_into_a_fresh_freeze() {
+        let mut s: PageStore<Vec<u32>> = PageStore::new(2);
+        let a = s.allocate(vec![1]);
+        let b = s.allocate(vec![2]);
+        let c = s.allocate(vec![3]);
+        let mut view = s.freeze();
+        s.write(a, |v| v.push(10));
+        let _ = s.free(b);
+        let d = s.allocate(vec![4]);
+        let e = s.allocate(vec![5]);
+        assert!(s.refreeze(&mut view));
+        assert!(view.shares_pages_with(&s.freeze()));
+        assert_eq!(view.get(a), Some(&vec![1, 10]));
+        assert_eq!(view.get(d), Some(&vec![4]), "the recycled slot");
+        assert_eq!((view.get(c), view.get(e)), (Some(&vec![3]), Some(&vec![5])));
+        // `a`'s pre-image and freed `b` were the view's alone.
+        assert_eq!(s.spares.len(), 2);
+
+        // A reader's clone shares the table: the view keeps its epoch.
+        let reader = view.clone();
+        s.write(c, |v| v.push(30));
+        assert!(!s.refreeze(&mut view));
+        assert_eq!(view.get(c), Some(&vec![3]));
+        assert!(view.shares_pages_with(&reader));
+    }
+
+    #[test]
+    fn a_spare_is_consumed_only_by_a_copy_on_write_of_a_shared_page() {
+        let mut s: PageStore<Vec<u32>> = PageStore::new(4);
+        let a = s.allocate(vec![1]);
+        let b = s.allocate(vec![2]);
+        let mut view = s.freeze();
+        s.write(a, |v| v.push(10));
+        assert!(s.refreeze(&mut view));
+        assert_eq!(s.spares.len(), 1, "the pre-image only the view held");
+        let spare = Arc::as_ptr(&s.spares[0]);
+
+        // Neither an allocation nor a write of a page nobody shares
+        // takes it.
+        let c = s.allocate(vec![3]);
+        let before = slot(&s, c);
+        s.write(c, |v| v.push(30));
+        assert_eq!(slot(&s, c), before);
+        assert_eq!(s.spares.len(), 1);
+
+        // The first write of a page the view shares copies into it.
+        s.write(b, |v| v.push(20));
+        assert_eq!(s.spares.len(), 0);
+        assert_eq!(slot(&s, b), spare);
+        assert_eq!(s.peek(b), &vec![2, 20]);
+        assert_eq!(view.get(b), Some(&vec![2]), "the view keeps its page");
+        // With no spare left, the next copy allocates as before.
+        s.write(a, |v| v.push(11));
+        assert_eq!(view.get(a), Some(&vec![1, 10]));
+        assert_eq!(s.peek(a), &vec![1, 10, 11]);
+    }
+
+    #[test]
+    fn spares_left_when_the_view_is_published_are_dropped() {
+        // A shard worker's two views: `prev`, an epoch older than the
+        // published `current`.
+        let mut s: PageStore<Vec<u32>> = PageStore::new(4);
+        let ids: Vec<PageId> = (0..4).map(|i| s.allocate(vec![i])).collect();
+        let mut prev = s.freeze();
+        for &id in &ids {
+            s.write(id, |v| v.push(9));
+        }
+        let current = s.freeze();
+        // The window opens: `prev` catches up, and the four pre-images
+        // only it held are spare …
+        assert!(s.refreeze(&mut prev));
+        assert_eq!(s.spares.len(), 4);
+        // … the window writes one page …
+        s.write(ids[0], |v| v.push(7));
+        assert_eq!(s.spares.len(), 3);
+        // … and publishing `prev` drops the other three. The page it
+        // lets go is `current`'s, so it is no spare.
+        assert!(s.refreeze(&mut prev));
+        assert!(s.spares.is_empty());
+        assert_eq!(current.get(ids[0]), Some(&vec![0, 9]));
+        assert_eq!(prev.get(ids[0]), Some(&vec![0, 9, 7]));
+    }
+
+    #[test]
+    fn with_no_view_alive_a_write_copies_nothing() {
+        let mut s: PageStore<Vec<u32>> = PageStore::new(2);
+        let a = s.allocate(vec![1]);
+        let before = slot(&s, a);
+        s.write(a, |v| v.push(2));
+        assert_eq!(slot(&s, a), before, "written in place");
+        // Once the last view is gone, writes are in place again.
+        let view = s.freeze();
+        s.write(a, |v| v.push(3));
+        let copied = slot(&s, a);
+        assert_ne!(copied, before);
+        drop(view);
+        s.write(a, |v| v.push(4));
+        assert_eq!(slot(&s, a), copied);
+        assert!(s.spares.is_empty(), "a store never refrozen keeps no spare");
     }
 
     #[test]

@@ -28,15 +28,16 @@ pub struct ShardHealth {
     pub dequeued: Counter,
     /// Write batches applied (one per `Apply` request).
     pub applied_batches: Counter,
-    /// Read views this worker froze: in line, at the end of an `Apply`
-    /// that followed a snapshot read, or on a `Freeze` request from a
-    /// read that found none published. Standing still under write
-    /// traffic means nobody reads snapshots.
+    /// Read views this worker froze or refroze: in line, at the end of
+    /// an `Apply` that followed a snapshot read, or on a `Freeze`
+    /// request from a read that found none published. Standing still
+    /// under write traffic means nobody reads snapshots.
     pub views_built: Counter,
-    /// Views this worker freed itself, as the last owner, at the start
-    /// of a later request (see `worker::run`). It trails `views_built`
-    /// by at most the two views a worker keeps; a wider gap counts views
-    /// that a lingering reader (a held `ReadView`) freed instead.
+    /// Views this worker retired itself, as the last owner, at the start
+    /// of a later request — freed, or recycled into the next view by a
+    /// refreeze (see `worker::run`). It trails `views_built` by at most
+    /// the two views a worker keeps; a wider gap counts views that a
+    /// lingering reader (a held `ReadView`) freed instead.
     pub views_retired: Counter,
     /// Individual shard ops applied across all batches.
     pub applied_ops: Counter,
@@ -107,9 +108,10 @@ pub struct ShardHealthSnapshot {
     pub dequeued: u64,
     /// Write batches applied.
     pub applied_batches: u64,
-    /// Read views the worker froze (see [`ShardHealth::views_built`]).
+    /// Read views the worker froze or refroze (see
+    /// [`ShardHealth::views_built`]).
     pub views_built: u64,
-    /// Views the worker itself freed (see
+    /// Views the worker itself retired (see
     /// [`ShardHealth::views_retired`]).
     pub views_retired: u64,
     /// Individual shard ops applied.

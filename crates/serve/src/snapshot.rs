@@ -6,9 +6,12 @@
 //! [`Index1D::freeze`] publishes an immutable, page-level copy-on-write
 //! view ([`FrozenIndex1D`]): one handle bump per live page at the freeze,
 //! a content copy for every page the next batch dirties while the view
-//! is shared, and the same page-table walk again when the view dies
-//! (DESIGN §10 prices all three). That is worth paying for a version
-//! somebody reads and for no other, so the `SnapshotRegistry` keeps
+//! is shared, and the same page-table walk again when the view dies —
+//! or, where the worker recycles its retired view
+//! ([`Index1D::refreeze`]), a pointer compare per page and a handle
+//! bump per changed one (DESIGN §10 prices all of it). That is worth
+//! paying for a version somebody reads and for no other, so the
+//! `SnapshotRegistry` keeps
 //! one bit — *a snapshot read happened since the last apply looked* —
 //! and `decide` turns it into the whole protocol:
 //!
@@ -34,6 +37,7 @@
 //! between two applies, after a whole group both applied and committed.
 //!
 //! [`Index1D::freeze`]: mobidx_core::Index1D::freeze
+//! [`Index1D::refreeze`]: mobidx_core::Index1D::refreeze
 //! [`FrozenIndex1D`]: mobidx_core::FrozenIndex1D
 
 use crate::health::ReadPoolSnapshot;

@@ -15,11 +15,12 @@
 //! worker keeps draining its queue) until the facade ships a freshly
 //! rebuilt index via [`Request::Rebuild`].
 //!
-//! A worker also builds, and frees, the read views of its index — but
-//! only when told somebody reads them: at the end of an `Apply` that
-//! carries `publish`, or on a [`Request::Freeze`] from a read that found
-//! none. An `Apply` without `publish` first drops the views the worker
-//! holds and then writes pages nobody shares (see [`crate::snapshot`]).
+//! A worker also builds, recycles and frees the read views of its index
+//! — but only when told somebody reads them: at the end of an `Apply`
+//! that carries `publish`, or on a [`Request::Freeze`] from a read that
+//! found none. An `Apply` without `publish` first drops the views the
+//! worker holds and then writes pages nobody shares (see
+//! [`crate::snapshot`]).
 //!
 //! [`Index1D`]: mobidx_core::Index1D
 
@@ -132,17 +133,23 @@ pub(crate) fn run<I: Index1D>(
 ) {
     let mut poisoned = false;
     // The last two views this worker built, older first. The shard that
-    // built a view also retires it: `prev` is dropped at the start of
-    // the next `Apply`, by which time the facade has displaced it (the
-    // `apply` that published `current` has returned), so unless a
-    // `ReadView` lingers this is the last reference and the page-table
-    // decrements and page frees run here — in parallel across shards,
-    // in the allocating thread's arena, outside every facade lock.
-    // Dropping it *before* the batch keeps the peak at two generations;
-    // holding it across the batch's copy-on-write would make it three.
-    // An `Apply` that is not to publish drops `current` too — the
-    // registry let go of it before dispatching — and so writes its
-    // pages in place.
+    // built a view also retires it, at the start of the next `Apply`: by
+    // then the facade has displaced `prev` (the `apply` that published
+    // `current` has returned), so unless a `ReadView` lingers this is
+    // its last reference. A publishing `Apply` then recycles it instead
+    // of freeing it: `prev` is refrozen up to the index as it stands,
+    // which lets go of exactly the pages only it held (the pre-images
+    // of the last batch) — kept as the allocations this batch's
+    // copy-on-writes copy into — and refrozen again after the batch to
+    // become the published view. Both refreezes cost pointer compares
+    // plus reference counts for the pages that changed, in parallel
+    // across shards and outside every facade lock. Patching it *before*
+    // the batch keeps the peak at two generations; holding its old
+    // pages across the batch's copy-on-write would make it three. A view
+    // a reader still holds is never patched: it is let go, and the batch
+    // ends in a fresh freeze. An `Apply` that is not to publish drops
+    // `current` too — the registry let go of it before dispatching — and
+    // so writes its pages in place.
     let mut prev: Option<Arc<dyn FrozenIndex1D>> = None;
     let mut current: Option<Arc<dyn FrozenIndex1D>> = None;
     let retire = |view: Option<Arc<dyn FrozenIndex1D>>| {
@@ -190,10 +197,16 @@ pub(crate) fn run<I: Index1D>(
                     }
                     health.drained_batch_size.record(group.len() as u64);
                     let n_ops = group.len() as u64;
-                    // The clock covers the retire: the cost left the
-                    // client, it must not leave the books.
+                    // The clock covers the retire (or the recycle): the
+                    // cost left the client, it must not leave the books.
                     let started = Instant::now();
-                    retire(prev.take());
+                    let mut recycled = match prev.take() {
+                        Some(view) if publish && !poisoned => recycle(&mut index, view, health),
+                        stale => {
+                            retire(stale);
+                            None
+                        }
+                    };
                     if !publish {
                         retire(current.take());
                     }
@@ -224,12 +237,21 @@ pub(crate) fn run<I: Index1D>(
                             }
                         }
                         if publish {
-                            // One freeze per drained group: the sealed
+                            // One view per drained group: the sealed
                             // post-commit state becomes the shard's next
-                            // published read view (O(live pages) handle
-                            // bumps — page contents are shared, not
-                            // copied).
-                            view = freeze(&index, health);
+                            // published read view — `prev` patched up
+                            // to it, or a fresh freeze where `prev`
+                            // could not be recycled.
+                            view = if recycled
+                                .as_mut()
+                                .and_then(Arc::get_mut)
+                                .is_some_and(|view| index.refreeze(view))
+                            {
+                                health.views_built.incr();
+                                recycled.take()
+                            } else {
+                                freeze(&index, health)
+                            };
                             prev = std::mem::replace(&mut current, view.clone());
                         }
                     }
@@ -349,6 +371,22 @@ fn freeze<I: Index1D>(index: &I, health: &ShardHealth) -> Option<Arc<dyn FrozenI
         health.views_built.incr();
     }
     view
+}
+
+/// Retires `view`'s epoch at the start of a publishing apply. When this
+/// worker is its last owner the view is patched up to `index` as it
+/// stands and returned — the pre-images only it held are now the
+/// allocations the batch copies into — and otherwise, or when the index
+/// cannot refreeze it, let go. Counted like a retire: only a view this
+/// worker was the last owner of.
+fn recycle<I: Index1D>(
+    index: &mut I,
+    mut view: Arc<dyn FrozenIndex1D>,
+    health: &ShardHealth,
+) -> Option<Arc<dyn FrozenIndex1D>> {
+    let only = Arc::get_mut(&mut view)?;
+    health.views_retired.incr();
+    index.refreeze(only).then_some(view)
 }
 
 /// Elapsed wall-clock since `started`, in microseconds.

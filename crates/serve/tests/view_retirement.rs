@@ -1,13 +1,17 @@
 //! Who builds a snapshot, when, and who frees it. A view is built for
 //! an apply that follows a snapshot read, or for a read that finds none
 //! published — never for an apply nobody read behind. A shard worker
-//! keeps the last two views it built and drops the older one at the
+//! keeps the last two views it built and retires the older one at the
 //! start of its next `Apply` (both, if that apply is not to publish), so
 //! a view's death — a page table of reference-count decrements plus
 //! every page only it still held — is paid by the thread that built it
-//! and never by the client inside `apply`. A counting index whose frozen
-//! views record where they are born and where and when they die holds
-//! that in place.
+//! and never by the client inside `apply`. An index that can refreeze
+//! has the retired view recycled instead: patched up to the live state
+//! at the start of the apply and again, as the next published view, at
+//! its end — the same births, deaths and counts, on the same thread.
+//! A counting index whose frozen views record where they are born and
+//! where and when they die holds that in place, once freezing afresh
+//! and once refreezing.
 
 use mobidx_core::{FrozenIndex1D, FrozenReadStats, Index1D, IndexStats, QueryRequest};
 use mobidx_pager::Store;
@@ -28,6 +32,8 @@ struct Event {
     generation: u64,
     thread: ThreadId,
     thread_name: Option<String>,
+    /// Whether a refreeze did it (a freeze, or a drop, otherwise).
+    refrozen: bool,
 }
 
 /// Births and deaths of every frozen view of one database.
@@ -51,29 +57,52 @@ impl Ledger {
     }
 }
 
-fn event_here(shard: usize, generation: u64) -> Event {
+fn event_here(shard: usize, generation: u64, refrozen: bool) -> Event {
     let current = std::thread::current();
     Event {
         shard,
         generation,
         thread: current.id(),
         thread_name: current.name().map(str::to_owned),
+        refrozen,
+    }
+}
+
+impl Ledger {
+    fn born(&mut self, shard: usize, generation: u64, refrozen: bool) {
+        self.births.push(event_here(shard, generation, refrozen));
+        self.alive[shard] += 1;
+        self.peak[shard] = self.peak[shard].max(self.alive[shard]);
+    }
+
+    fn died(&mut self, shard: usize, generation: u64, refrozen: bool) {
+        self.alive[shard] -= 1;
+        self.deaths.push(event_here(shard, generation, refrozen));
     }
 }
 
 /// A brute-force index that counts its frozen views. Generation 0 is
 /// the freeze `ShardedDb` takes at construction, on the constructing
-/// thread; generation `k` the shard's `k`-th freeze after it.
+/// thread; generation `k` the shard's `k`-th view after it.
+///
+/// With `refreezes` set it also refreezes: a refreeze of a view that
+/// carries a generation retires that generation (a death) and leaves a
+/// *vessel* — the live state, published to nobody — and a refreeze of a
+/// vessel gives it the next generation (a birth). That is the worker's
+/// use of it: the retired view caught up at the start of an apply,
+/// published again at its end.
 struct CountingIndex {
     shard: usize,
     motions: BTreeMap<u64, Motion1D>,
     generation: AtomicU64,
     ledger: Arc<Mutex<Ledger>>,
+    refreezes: bool,
 }
 
 struct CountingView {
     shard: usize,
-    generation: u64,
+    /// `None` for a vessel.
+    generation: Option<u64>,
     motions: Vec<Motion1D>,
     ledger: Arc<Mutex<Ledger>>,
 }
@@ -99,16 +128,39 @@ impl Index1D for CountingIndex {
     }
     fn freeze(&self) -> Option<Box<dyn FrozenIndex1D>> {
         let generation = self.generation.fetch_add(1, Ordering::Relaxed);
-        let mut ledger = self.ledger.lock().unwrap();
-        ledger.births.push(event_here(self.shard, generation));
-        ledger.alive[self.shard] += 1;
-        ledger.peak[self.shard] = ledger.peak[self.shard].max(ledger.alive[self.shard]);
+        self.ledger
+            .lock()
+            .unwrap()
+            .born(self.shard, generation, false);
         Some(Box::new(CountingView {
             shard: self.shard,
-            generation,
+            generation: Some(generation),
             motions: self.motions.values().copied().collect(),
             ledger: Arc::clone(&self.ledger),
         }))
+    }
+
+    fn refreeze(&mut self, view: &mut dyn FrozenIndex1D) -> bool {
+        if !self.refreezes {
+            return false;
+        }
+        let Some(view) = view
+            .as_any_mut()
+            .and_then(|view| view.downcast_mut::<CountingView>())
+        else {
+            return false;
+        };
+        let mut ledger = self.ledger.lock().unwrap();
+        match view.generation.take() {
+            Some(retired) => ledger.died(self.shard, retired, true),
+            None => {
+                let generation = self.generation.fetch_add(1, Ordering::Relaxed);
+                ledger.born(self.shard, generation, true);
+                view.generation = Some(generation);
+            }
+        }
+        view.motions = self.motions.values().copied().collect();
+        true
     }
 }
 
@@ -120,17 +172,28 @@ impl FrozenIndex1D for CountingView {
             pages: 1,
         }
     }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
 }
 
 impl Drop for CountingView {
     fn drop(&mut self) {
-        let mut ledger = self.ledger.lock().unwrap();
-        ledger.alive[self.shard] -= 1;
-        ledger.deaths.push(event_here(self.shard, self.generation));
+        if let Some(generation) = self.generation {
+            self.ledger
+                .lock()
+                .unwrap()
+                .died(self.shard, generation, false);
+        }
     }
 }
 
 fn counting_db() -> (ShardedDb<CountingIndex>, Arc<Mutex<Ledger>>) {
+    counting_db_refreezing(false)
+}
+
+fn counting_db_refreezing(refreezes: bool) -> (ShardedDb<CountingIndex>, Arc<Mutex<Ledger>>) {
     let ledger = Arc::new(Mutex::new(Ledger::default()));
     let for_factory = Arc::clone(&ledger);
     let db = ShardedDb::new(
@@ -145,6 +208,7 @@ fn counting_db() -> (ShardedDb<CountingIndex>, Arc<Mutex<Ledger>>) {
             motions: BTreeMap::new(),
             generation: AtomicU64::new(0),
             ledger: Arc::clone(&for_factory),
+            refreezes,
         },
     );
     (db, ledger)
@@ -189,14 +253,46 @@ fn read(db: &ShardedDb<CountingIndex>, commits: u64) {
     assert_eq!(out.ids, brute_force_1d(&db.objects(), &PROBE));
 }
 
+/// The generations born of a fresh freeze, not of a refreeze.
+fn fresh_generations(births: &[&Event]) -> Vec<u64> {
+    births
+        .iter()
+        .filter(|b| !b.refrozen)
+        .map(|b| b.generation)
+        .collect()
+}
+
 fn on_its_worker(event: &Event) -> bool {
     event.thread_name.as_deref() == Some(format!("mobidx-shard-{}", event.shard).as_str())
 }
 
 #[test]
 fn the_shard_that_built_a_view_retires_it() {
+    the_shard_that_built_a_view_retires_it_refreezing(false);
+}
+
+/// As above, with every apply from the third on recycling the view it
+/// retires: refrozen up to the live state first (the death), then again
+/// after the batch (the birth), always on the shard's worker.
+#[test]
+fn a_recycled_view_is_retired_and_rebuilt_by_its_worker() {
+    let ledger = the_shard_that_built_a_view_retires_it_refreezing(true);
+    let ledger = ledger.lock().unwrap();
+    for shard in 0..SHARDS {
+        let (births, deaths) = (ledger.births_of(shard), ledger.deaths_of(shard));
+        // Applies 1 and 2 find no `prev` yet: they freeze.
+        assert_eq!(fresh_generations(&births), [0, 1, 2]);
+        assert_eq!(births.iter().filter(|b| b.refrozen).count(), 48);
+        let retired = deaths.iter().filter(|d| d.refrozen).count();
+        assert_eq!(retired, 48, "every death but generation 0's");
+        let mut refrozen = births.iter().chain(&deaths).filter(|e| e.refrozen);
+        assert!(refrozen.all(|e| on_its_worker(e)));
+    }
+}
+
+fn the_shard_that_built_a_view_retires_it_refreezing(refreezes: bool) -> Arc<Mutex<Ledger>> {
     let caller = std::thread::current().id();
-    let (db, ledger) = counting_db();
+    let (db, ledger) = counting_db_refreezing(refreezes);
     for step in 1..=50 {
         read(&db, step - 1);
         apply_step(&db, step);
@@ -238,12 +334,15 @@ fn the_shard_that_built_a_view_retires_it() {
         assert_eq!(shard.views_retired, 48, "all but the two it still keeps");
     }
     drop(db);
-    let ledger = ledger.lock().unwrap();
-    assert_eq!(
-        ledger.alive, [0; SHARDS],
-        "the database took its views with it"
-    );
-    assert_eq!(ledger.deaths.len(), 51 * SHARDS);
+    {
+        let ledger = ledger.lock().unwrap();
+        assert_eq!(
+            ledger.alive, [0; SHARDS],
+            "the database took its views with it"
+        );
+        assert_eq!(ledger.deaths.len(), 51 * SHARDS);
+    }
+    ledger
 }
 
 #[test]
@@ -385,7 +484,30 @@ fn a_rebuild_after_a_write_only_stretch_leaves_the_next_read_a_whole_snapshot() 
 
 #[test]
 fn a_held_read_view_owns_its_views_until_dropped() {
-    let (db, ledger) = counting_db();
+    a_held_read_view_owns_its_views_until_dropped_refreezing(false);
+}
+
+/// As above, refreezing: the pinned view is never patched, and the
+/// apply that finds it in `prev` freezes afresh.
+#[test]
+fn a_held_read_view_is_never_refrozen() {
+    let ledger = a_held_read_view_owns_its_views_until_dropped_refreezing(true);
+    let ledger = ledger.lock().unwrap();
+    for shard in 0..SHARDS {
+        let (births, deaths) = (ledger.births_of(shard), ledger.deaths_of(shard));
+        // 1 for the read, 2 for apply 6 (no `prev`), 3 for apply 7
+        // (`prev` is the pinned view); applies 8 to 15 recycle.
+        assert_eq!(fresh_generations(&births), [0, 1, 2, 3]);
+        assert_eq!(births.len(), 12);
+        let mut refrozen = births.iter().chain(&deaths).filter(|e| e.refrozen);
+        assert!(refrozen.all(|e| on_its_worker(e)));
+        let pinned = deaths.iter().find(|d| d.generation == 1).expect("died");
+        assert!(!pinned.refrozen, "the pinned view was patched");
+    }
+}
+
+fn a_held_read_view_owns_its_views_until_dropped_refreezing(refreezes: bool) -> Arc<Mutex<Ledger>> {
+    let (db, ledger) = counting_db_refreezing(refreezes);
     for step in 1..=5 {
         apply_step(&db, step);
     }
@@ -435,4 +557,5 @@ fn a_held_read_view_owns_its_views_until_dropped() {
     }
     drop(db);
     assert_eq!(ledger.lock().unwrap().alive, [0; SHARDS]);
+    ledger
 }
