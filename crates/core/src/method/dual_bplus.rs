@@ -24,7 +24,7 @@
 //! harness; Lemma 1's bound needs them.
 
 use crate::dual::{enlargement_e, hough_y_b, hough_y_interval, SpeedBand};
-use crate::ids::assemble;
+use crate::ids::{assemble, assemble_set, IdSet};
 use crate::method::{Index1D, IndexStats};
 use mobidx_bptree::{BPlusTree, FrozenTree, TreeConfig};
 use mobidx_interval::{IntervalConfig, IntervalTree};
@@ -726,10 +726,10 @@ struct FrozenDualBPlus {
 }
 
 impl crate::method::FrozenIndex1D for FrozenDualBPlus {
-    fn search(&self, q: &MorQuery1D, out: &mut Vec<u64>) -> crate::method::FrozenReadStats {
+    fn search_set(&self, q: &MorQuery1D, out: &mut IdSet) -> crate::method::FrozenReadStats {
         debug_assert!(q.t1 <= q.t2, "inverted time window {q:?}");
         let mut stats = crate::method::FrozenReadStats::default();
-        assemble(out, |candidates| {
+        assemble_set(out, |candidates| {
             // Case i: single E-minimizing observation index (the frozen
             // view is only published when subterrain maintenance is off,
             // so the live index would take the same route).

@@ -9,6 +9,7 @@ use crate::snapshot::{
 };
 use crate::worker::{self, Request};
 use crate::ServeError;
+use mobidx_core::ids::{union, IdSet};
 use mobidx_core::{FrozenIndex1D, FrozenReadStats, Index1D, IoTotals, QueryOutput, QueryRequest};
 use mobidx_obs::telemetry::{ProfileConfig, WorkloadProfile};
 use mobidx_obs::{EventLog, OpenSpan, QueryTrace, Span, SpanIo};
@@ -74,8 +75,9 @@ impl Default for ServeConfig {
 /// from any thread: by default they run against the published snapshot
 /// (built on demand if the writes before it published none) with zero
 /// queueing behind writes, fanned out across a small work-stealing read
-/// pool, and k-way-merged back into the sorted, deduplicated contract
-/// of a single index. [`QueryRequest::queued`] opts back into the
+/// pool, and fanned back in — one union of the legs' answers, dense
+/// ones ORed as bitmaps — to the sorted, deduplicated contract of a
+/// single index. [`QueryRequest::queued`] opts back into the
 /// worker-queue read path (read-your-own-write against an apply the
 /// caller just enqueued).
 ///
@@ -658,9 +660,10 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
 
     /// The snapshot read path: per-shard legs against the frozen views,
     /// fanned out across the read pool (the calling thread runs shard
-    /// 0's leg inline and steals queued legs while waiting), then k-way
-    /// merged. No worker queue is touched, so concurrent writers never
-    /// delay this path.
+    /// 0's leg inline and steals queued legs while waiting), each
+    /// finishing its answer into a pooled [`IdSet`], then fanned in by
+    /// one [`union`] that writes the ids once. No worker queue is
+    /// touched, so concurrent writers never delay this path.
     fn query_snapshot(
         &self,
         snap: &Arc<DbSnapshot>,
@@ -729,7 +732,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         }
         let legs: Vec<SnapLeg> = legs.into_iter().map(|l| l.expect("all legs ran")).collect();
         let mut merged = Vec::new();
-        merge_sorted_ids(&legs, &mut merged);
+        union(&legs, &mut merged);
         let candidates = legs.iter().map(|l| l.stats.candidates).sum();
         let span = root.map(|mut root| {
             for leg in &legs {
@@ -743,9 +746,8 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         });
         {
             let mut pool = self.buffers.lock().expect("buffer pool");
-            for mut leg in legs {
-                leg.ids.clear();
-                pool.push(leg.ids);
+            for leg in legs {
+                pool.push(leg.ids.into_buffer());
             }
         }
         self.profile
@@ -1011,6 +1013,18 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         Ok(old)
     }
 
+    /// The address and capacity of every buffer in the facade's query
+    /// buffer pool: a read that leaves them unchanged took its legs'
+    /// buffers from the pool, grew none and gave them all back.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn pooled_buffers(&self) -> Vec<(usize, usize)> {
+        let pool = self.buffers.lock().expect("buffer pool");
+        pool.iter()
+            .map(|buf| (buf.as_ptr() as usize, buf.capacity()))
+            .collect()
+    }
+
     /// Pops a pooled result buffer (or a fresh one).
     fn pop_buffer(&self) -> Vec<u64> {
         self.buffers
@@ -1107,14 +1121,14 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
 
 /// One shard's snapshot-read result.
 struct SnapLeg {
-    ids: Vec<u64>,
+    ids: IdSet,
     stats: FrozenReadStats,
     span: Option<Span>,
 }
 
-/// A leg lends its id buffer to the merge.
-impl AsRef<[u64]> for SnapLeg {
-    fn as_ref(&self) -> &[u64] {
+/// A leg lends its set to the fan-in.
+impl AsRef<IdSet> for SnapLeg {
+    fn as_ref(&self) -> &IdSet {
         &self.ids
     }
 }
@@ -1125,7 +1139,7 @@ impl AsRef<[u64]> for SnapLeg {
 fn snapshot_leg(
     view: &dyn FrozenIndex1D,
     q: &MorQuery1D,
-    mut buf: Vec<u64>,
+    buf: Vec<u64>,
     shard: usize,
     snapshot_epoch: u64,
     health: &ShardHealth,
@@ -1141,7 +1155,8 @@ fn snapshot_leg(
         leg.set_attr("snapshot_epoch", snapshot_epoch);
         leg
     });
-    let stats = view.search(q, &mut buf);
+    let mut ids = IdSet::from(buf);
+    let stats = view.search_set(q, &mut ids);
     // A snapshot leg is still a query answered on this shard's behalf:
     // count it so `queries` keeps matching the latency histogram.
     health.queries.incr();
@@ -1157,11 +1172,7 @@ fn snapshot_leg(
         });
         leg.finish()
     });
-    SnapLeg {
-        ids: buf,
-        stats,
-        span,
-    }
+    SnapLeg { ids, stats, span }
 }
 
 /// A detached handle on one published [`DbSnapshot`] (see
@@ -1182,12 +1193,12 @@ impl ReadView {
     /// read pool), infallible, identical answers forever.
     #[must_use]
     pub fn query(&self, q: &MorQuery1D) -> Vec<u64> {
-        let mut lists = vec![Vec::new(); self.snap.views.len()];
-        for (view, ids) in self.snap.views.iter().zip(&mut lists) {
-            view.search(q, ids);
+        let mut sets = vec![IdSet::new(); self.snap.views.len()];
+        for (view, ids) in self.snap.views.iter().zip(&mut sets) {
+            view.search_set(q, ids);
         }
         let mut merged = Vec::new();
-        merge_sorted_ids(&lists, &mut merged);
+        union(&sets, &mut merged);
         merged
     }
 }

@@ -6,8 +6,13 @@
 //! produced, so callers cannot tell a sharded database from a plain one.
 //!
 //! The merge itself is `mobidx-core`'s id-assembly kernel
-//! ([`mobidx_core::ids`]), shared with the velocity-partitioned method's
-//! band merge; it is re-exported here under its historical path.
+//! ([`mobidx_core::ids`]); it is re-exported here under its historical
+//! path and serves the queued read path, whose workers answer in sorted
+//! lists. Snapshot legs answer in [`IdSet`]s instead and fan in through
+//! [`union`], which ORs dense legs' bitmaps and writes the ids once.
+//!
+//! [`IdSet`]: mobidx_core::ids::IdSet
+//! [`union`]: mobidx_core::ids::union
 //!
 //! [`Index1D`]: mobidx_core::Index1D
 

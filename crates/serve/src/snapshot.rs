@@ -569,15 +569,15 @@ impl std::fmt::Debug for ReadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobidx_core::ids::IdSet;
     use mobidx_core::FrozenReadStats;
     use mobidx_workload::MorQuery1D;
     use std::sync::atomic::AtomicUsize;
 
     struct FixedView(Vec<u64>);
     impl FrozenIndex1D for FixedView {
-        fn search(&self, _q: &MorQuery1D, out: &mut Vec<u64>) -> FrozenReadStats {
-            out.clear();
-            out.extend_from_slice(&self.0);
+        fn search_set(&self, _q: &MorQuery1D, out: &mut IdSet) -> FrozenReadStats {
+            out.fill_sorted(|ids| ids.extend_from_slice(&self.0));
             FrozenReadStats {
                 candidates: self.0.len() as u64,
                 pages: 1,

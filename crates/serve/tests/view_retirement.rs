@@ -13,6 +13,7 @@
 //! where and when they die holds that in place, once freezing afresh
 //! and once refreezing.
 
+use mobidx_core::ids::IdSet;
 use mobidx_core::{FrozenIndex1D, FrozenReadStats, Index1D, IndexStats, QueryRequest};
 use mobidx_pager::Store;
 use mobidx_serve::{Batch, IdHashShard, ServeConfig, ServeError, ShardedDb};
@@ -165,8 +166,8 @@ impl Index1D for CountingIndex {
 }
 
 impl FrozenIndex1D for CountingView {
-    fn search(&self, q: &MorQuery1D, out: &mut Vec<u64>) -> FrozenReadStats {
-        *out = brute_force_1d(&self.motions, q);
+    fn search_set(&self, q: &MorQuery1D, out: &mut IdSet) -> FrozenReadStats {
+        out.fill_sorted(|ids| *ids = brute_force_1d(&self.motions, q));
         FrozenReadStats {
             candidates: self.motions.len() as u64,
             pages: 1,

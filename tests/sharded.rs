@@ -5,7 +5,9 @@
 
 use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use mobidx_core::{MorQuery1D, Motion1D, MotionDb, QueryRequest, SpeedBand};
-use mobidx_serve::{Batch, IdHashShard, ServeConfig, ServeError, ShardedDb, SpeedBandShard};
+use mobidx_serve::{
+    Batch, IdHashShard, ServeConfig, ServeError, ShardFn, ShardedDb, SpeedBandShard,
+};
 use mobidx_workload::{brute_force_1d, brute_force_1d_speed, Simulator1D, WorkloadConfig};
 use proptest::prelude::*;
 
@@ -731,5 +733,137 @@ fn a_sparse_reader_between_looping_writers_waits_for_an_apply_at_most() {
             "S={shards}: a read took {slowest_read:?}, the slowest apply {slowest_apply:?}"
         );
         assert_eq!(db.len(), 2 * PER_WRITER as usize);
+    }
+}
+
+/// Whether the id kernel keeps a leg's answer of `ids` (sorted,
+/// distinct) as a presence bitmap: at least 256 ids, and a span of at
+/// most one 64-id word per two of them.
+fn packed_leg(ids: &[u64]) -> bool {
+    match (ids.first(), ids.last()) {
+        (Some(&lo), Some(&hi)) => ids.len() >= 256 && (hi - lo) / 64 < ids.len() as u64 / 2,
+        _ => false,
+    }
+}
+
+/// The snapshot fan-in ORs the legs' bitmaps and writes the union once;
+/// whatever mix of packed and listed legs a query meets, the snapshot
+/// answer must equal the queued path's (which merges sorted worker
+/// answers), a pinned [`ReadView`](mobidx_serve::ReadView)'s and brute
+/// force. Runs both shard functions at S ∈ {1, 2, 3, 8} over query
+/// widths from a handful of ids to most of the terrain, and requires
+/// each configuration to have met queries whose legs were all packed
+/// and all listed, and the skewed speed-band shards from two up to have
+/// met queries with some of each.
+///
+/// A steady-state snapshot read allocates only its answer: its legs
+/// take their sets from the facade's buffer pool, grow none of them and
+/// give them all back, and the answer is written once at its length.
+#[test]
+fn snapshot_fan_in_agrees_with_every_read_path() {
+    let mut sim = Simulator1D::new(WorkloadConfig {
+        n: 16_000,
+        seed: 33,
+        ..WorkloadConfig::default()
+    });
+    let now = 300.0;
+    for _ in 0..now as usize {
+        sim.step();
+    }
+    let widths = (0..40).map(|i| 1.0 + f64::from(i) * f64::from(i) * 0.6);
+    let queries: Vec<MorQuery1D> = widths
+        .flat_map(|w| {
+            [0.0, 0.35, 0.7].map(move |at| {
+                let y1 = at * (TERRAIN - w);
+                MorQuery1D {
+                    y1,
+                    y2: y1 + w,
+                    t1: now,
+                    t2: now + 10.0,
+                }
+            })
+        })
+        .collect();
+    for f in [Fn_::IdHash, Fn_::SpeedBand] {
+        for shards in [1usize, 2, 3, 8] {
+            let (db, _) = build_pair(f, shards, 64);
+            let shard_of = |m: &Motion1D| match f {
+                Fn_::IdHash => IdHashShard.shard_of(m, shards),
+                Fn_::SpeedBand => SpeedBandShard::new(SpeedBand::paper()).shard_of(m, shards),
+            };
+            let mut load = Batch::new();
+            for m in sim.objects() {
+                load.insert(*m);
+            }
+            db.apply(&load).expect("valid load");
+            let view = db.read_view().expect("a snapshot after the load");
+            let (mut all_packed, mut all_listed, mut mixed) = (false, false, false);
+            for q in &queries {
+                let want = brute_force_1d(sim.objects(), q);
+                let mut legs = vec![Vec::new(); shards];
+                for m in sim
+                    .objects()
+                    .iter()
+                    .filter(|m| want.binary_search(&m.id).is_ok())
+                {
+                    legs[shard_of(m)].push(m.id);
+                }
+                let packed = legs
+                    .iter_mut()
+                    .map(|leg| {
+                        leg.sort_unstable();
+                        packed_leg(leg)
+                    })
+                    .fold([0, 0], |[p, l], is| {
+                        [p + usize::from(is), l + usize::from(!is)]
+                    });
+                all_packed |= packed == [shards, 0];
+                all_listed |= packed == [0, shards];
+                mixed |= packed[0] > 0 && packed[1] > 0;
+                let what = format!("{f:?} S={shards} {q:?} packed/listed legs {packed:?}");
+                let snapshot = db.query(&QueryRequest::new(q)).expect("snapshot read");
+                assert_eq!(snapshot.epoch, Some(view.epoch()), "{what}");
+                assert_eq!(snapshot.ids, want, "snapshot: {what}");
+                let queued = db
+                    .query(&QueryRequest::new(q).queued())
+                    .expect("queued read");
+                assert_eq!(queued.ids, want, "queued: {what}");
+                assert_eq!(view.query(q), want, "read view: {what}");
+            }
+            assert!(
+                all_packed && all_listed,
+                "{f:?} S={shards}: widths miss a mix"
+            );
+            // Id hashing balances the legs; speed bands skew them.
+            if f == Fn_::SpeedBand && shards > 1 {
+                assert!(
+                    mixed,
+                    "{f:?} S={shards}: no query mixes packed and listed legs"
+                );
+            }
+
+            // Steady state: the widest query, repeated.
+            let widest = queries.last().expect("queries");
+            for _ in 0..3 {
+                let _ = db.query(&QueryRequest::new(widest)).expect("warm-up read");
+            }
+            let mut pooled = db.pooled_buffers();
+            pooled.sort_unstable();
+            assert_eq!(pooled.len(), shards, "{f:?} S={shards}: one set per leg");
+            for _ in 0..5 {
+                let out = db.query(&QueryRequest::new(widest)).expect("snapshot read");
+                assert_eq!(
+                    out.ids.capacity(),
+                    out.ids.len(),
+                    "{f:?} S={shards}: answer written once"
+                );
+                let mut after = db.pooled_buffers();
+                after.sort_unstable();
+                assert_eq!(
+                    after, pooled,
+                    "{f:?} S={shards}: leg sets recycled, none grown"
+                );
+            }
+        }
     }
 }
