@@ -18,9 +18,18 @@
 //!
 //! Page capacity comes from the paper's arithmetic: a 12-byte entry
 //! (4-byte `b`-coordinate, 4-byte speed, 4-byte pointer) on a 4096-byte
-//! page gives `B = 341` ([`paper_leaf_capacity`]).
+//! page gives `B = 341` ([`paper_leaf_capacity`]). In memory a dual-B+
+//! leaf entry is wider: an `f64` key and a `(u64, u64)` value (speed
+//! bits, object id), 24 bytes, so a full B = 341 leaf is ≈ 8 KB. That is
+//! what an update pays for: a search into a cold 8 KB leaf and a shift
+//! of the entries above the slot, once to remove and once to insert in
+//! each of the `c` trees. Every search inside a page goes through one
+//! interpolation-guided search that returns exactly the position a
+//! binary search does (see [`Key::position`]), so the pages touched and
+//! their order are those of a binary search.
 
 mod node;
+mod search;
 mod tree;
 
 pub use node::Node;
@@ -36,9 +45,37 @@ pub fn paper_leaf_capacity() -> usize {
 }
 
 /// A key usable in the tree: totally ordered in practice (`f64` keys must
-/// not be NaN), copiable, printable.
-pub trait Key: Copy + PartialOrd + std::fmt::Debug {}
-impl<T: Copy + PartialOrd + std::fmt::Debug> Key for T {}
+/// not be NaN), copiable, printable, and placeable on a line.
+pub trait Key: Copy + PartialOrd + std::fmt::Debug {
+    /// Where the key sits on the real line, for the in-page search's
+    /// first probe: any map into `f64` that is **monotone
+    /// non-decreasing** in the key order (`a <= b` implies
+    /// `a.position() <= b.position()`). Precision loss is fine — equal
+    /// positions for distinct keys, as for `u64` keys above 2⁵³, only
+    /// make the guess coarser. The map never decides an answer; the
+    /// search stays exact (and touches the same pages) whatever it
+    /// returns, it is merely fastest when positions are spread evenly.
+    fn position(&self) -> f64;
+}
+
+impl Key for f64 {
+    fn position(&self) -> f64 {
+        *self
+    }
+}
+
+impl Key for u64 {
+    #[allow(clippy::cast_precision_loss)]
+    fn position(&self) -> f64 {
+        *self as f64
+    }
+}
+
+impl Key for u32 {
+    fn position(&self) -> f64 {
+        f64::from(*self)
+    }
+}
 
 /// Compares two keys, panicking on incomparable values (NaN keys are a
 /// caller bug — dual transforms never produce them).

@@ -2,6 +2,7 @@
 //! scans, bulk loading, and structural invariant checks.
 
 use crate::node::Node;
+use crate::search::page_search;
 use crate::{cmp_entry, cmp_key, Key};
 use mobidx_pager::{
     put_u32, put_u64, Backend, ByteReader, FixedCodec, PageId, PageStore, PagerError,
@@ -514,7 +515,7 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
             };
         }
         Ok(match self.store.try_read(node)? {
-            Node::Leaf { entries, .. } => entries.binary_search_by(|x| cmp_entry(x, &e)).is_ok(),
+            Node::Leaf { entries, .. } => find_entry(entries, &e).is_some(),
             Node::Branch { .. } => unreachable!(),
         })
     }
@@ -776,7 +777,7 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
 
     /// Routes entry `e` in a branch: first child whose subtree can hold it.
     fn route(seps: &[(K, V)], e: &(K, V)) -> usize {
-        seps.partition_point(|s| cmp_entry(s, e) != Ordering::Greater)
+        page_search(seps, &e.0, |s| cmp_entry(s, e) != Ordering::Greater)
     }
 
     #[allow(clippy::type_complexity)]
@@ -789,7 +790,7 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         if level == 1 {
             let overflow = self.store.try_write(node, |n| match n {
                 Node::Leaf { entries, .. } => {
-                    let pos = entries.partition_point(|x| cmp_entry(x, &e) != Ordering::Greater);
+                    let pos = page_search(entries, &e.0, |x| cmp_entry(x, &e) != Ordering::Greater);
                     entries.insert(pos, e);
                     entries.len()
                 }
@@ -883,15 +884,18 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
 
     /// Merges the sorted `batch` into the sorted `entries` in place:
     /// the batch is appended, then from the back each batch entry finds
-    /// its slot by binary search and the existing entries above it move
-    /// up as one block — a single entry is `partition_point` + `insert`.
+    /// its slot among the existing entries not yet moved, with
+    /// [`page_search`], and the existing entries above it move up as one
+    /// block — a single entry is one search + `insert`.
     /// Existing entries win ties (a batch entry lands behind every
     /// entry it equals), so the layout is that of sequential insertion.
     fn merge_sorted(entries: &mut Vec<(K, V)>, batch: &[(K, V)]) {
         let mut live = entries.len();
         entries.extend_from_slice(batch);
         for (pending, e) in batch.iter().enumerate().rev() {
-            let pos = entries[..live].partition_point(|x| cmp_entry(x, e) != Ordering::Greater);
+            let pos = page_search(&entries[..live], &e.0, |x| {
+                cmp_entry(x, e) != Ordering::Greater
+            });
             entries.copy_within(pos..live, pos + pending + 1);
             entries[pos + pending] = *e;
             live = pos;
@@ -1073,13 +1077,13 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
     ) -> Result<(bool, bool), PagerError> {
         if level == 1 {
             let (removed, occ) = self.store.try_write(node, |n| match n {
-                Node::Leaf { entries, .. } => match entries.binary_search_by(|x| cmp_entry(x, e)) {
-                    Ok(pos) => {
+                Node::Leaf { entries, .. } => {
+                    let found = find_entry(entries, e);
+                    if let Some(pos) = found {
                         entries.remove(pos);
-                        (true, entries.len())
                     }
-                    Err(_) => (false, entries.len()),
-                },
+                    (found.is_some(), entries.len())
+                }
                 Node::Branch { .. } => unreachable!(),
             })?;
             return Ok((removed, occ < self.cfg.min_leaf()));
@@ -1416,10 +1420,17 @@ impl<K: Key, V: Copy + Ord + Debug> FrozenTree<K, V> {
     }
 }
 
+/// Where the exact entry `e` sits in a sorted page, if it is there.
+fn find_entry<K: Key, V: Ord>(entries: &[(K, V)], e: &(K, V)) -> Option<usize> {
+    let pos = page_search(entries, &e.0, |x| cmp_entry(x, e) == Ordering::Less);
+    let equal = cmp_entry(entries.get(pos)?, e) == Ordering::Equal;
+    equal.then_some(pos)
+}
+
 /// The child of a branch to follow for the leftmost entry with key
 /// `>= lo`: the number of separators whose key is below `lo`.
 fn branch_slot<K: Key, V>(seps: &[(K, V)], lo: &K) -> usize {
-    seps.partition_point(|s| cmp_key(&s.0, lo) == Ordering::Less)
+    page_search(seps, lo, |s| cmp_key(&s.0, lo) == Ordering::Less)
 }
 
 /// One leaf's share of a `[lo, hi]` scan: the sub-slice of `entries`
@@ -1430,12 +1441,12 @@ fn branch_slot<K: Key, V>(seps: &[(K, V)], lo: &K) -> usize {
 /// costs one comparison instead of two per entry.
 fn leaf_run<'a, K: Key, V>(entries: &'a [(K, V)], lo: Option<&K>, hi: &K) -> (&'a [(K, V)], bool) {
     let from = lo.map_or(0, |lo| {
-        entries.partition_point(|e| cmp_key(&e.0, lo) == Ordering::Less)
+        page_search(entries, lo, |e| cmp_key(&e.0, lo) == Ordering::Less)
     });
     let run = &entries[from..];
     match run.last() {
         Some(last) if cmp_key(&last.0, hi) == Ordering::Greater => {
-            let to = run.partition_point(|e| cmp_key(&e.0, hi) != Ordering::Greater);
+            let to = page_search(run, hi, |e| cmp_key(&e.0, hi) != Ordering::Greater);
             (&run[..to], true)
         }
         _ => (run, false),

@@ -2,8 +2,9 @@
 //!
 //! The build container has no crates.io access; this shim is patched
 //! over `crates-io` in the workspace manifest. It runs each registered
-//! benchmark for a bounded number of timed iterations and prints
-//! mean/min wall-clock times — enough to eyeball regressions locally.
+//! benchmark for a bounded number of timed iterations and prints the
+//! median wall-clock time with its quartiles and the sample count, so a
+//! difference between two runs can be held against their spread.
 //! (The I/O-count reproduction of the paper's figures lives in the
 //! `figures` binary, which does not use criterion at all.)
 
@@ -62,17 +63,22 @@ impl Bencher {
         }
     }
 
+    /// The lower quartile, median and upper quartile of the samples
+    /// (nearest rank), or `None` without samples.
+    fn quartiles(&self) -> Option<[Duration; 3]> {
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        let last = sorted.len().checked_sub(1)?;
+        Some([1, 2, 3].map(|q| sorted[(last * q).div_ceil(4)]))
+    }
+
     fn report(&self, name: &str) {
-        if self.samples.is_empty() {
+        let Some([q1, median, q3]) = self.quartiles() else {
             println!("{name:<50} (no samples)");
             return;
-        }
-        let total: Duration = self.samples.iter().sum();
-        #[allow(clippy::cast_possible_truncation)]
-        let mean = total / self.samples.len() as u32;
-        let min = self.samples.iter().min().expect("nonempty");
+        };
         println!(
-            "{name:<50} mean {mean:>12.3?}   min {min:>12.3?}   ({} samples)",
+            "{name:<50} median {median:>12.3?}   q1 {q1:>12.3?}   q3 {q3:>12.3?}   ({} samples)",
             self.samples.len()
         );
     }
@@ -185,5 +191,15 @@ mod tests {
         });
         group.finish();
         assert!(count >= 3);
+    }
+
+    #[test]
+    fn quartiles_are_nearest_rank() {
+        let mut b = Bencher::new(0);
+        assert_eq!(b.quartiles(), None);
+        b.samples = [5, 1, 4, 2, 3].map(Duration::from_nanos).to_vec();
+        assert_eq!(b.quartiles(), Some([2, 3, 4].map(Duration::from_nanos)));
+        b.samples = vec![Duration::from_nanos(7)];
+        assert_eq!(b.quartiles(), Some([Duration::from_nanos(7); 3]));
     }
 }
