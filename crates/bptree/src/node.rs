@@ -1,7 +1,7 @@
 //! B+-tree node layout.
 
 use crate::{cmp_entry, Key};
-use mobidx_pager::wal::put_splice;
+use mobidx_pager::wal::{put_splice, put_splice_head};
 use mobidx_pager::{ByteReader, FixedCodec, PageCodec, PageId};
 use std::cmp::Ordering;
 
@@ -204,11 +204,11 @@ impl<K: Key + FixedCodec, V: Ord + FixedCodec> PageCodec for Node<K, V> {
                     .count();
                 let (gone, came) = (was.len() - head - tail, children.len() - head - tail);
                 if gone + came > 0 {
-                    let mut ids = Vec::with_capacity(came * 4);
+                    let at = children_at + 4 * to_u32(head);
+                    put_splice_head(out, at, 4 * to_u32(gone), 4 * to_u32(came));
                     for child in &children[head..head + came] {
-                        child.index().write(&mut ids);
+                        child.index().write(out);
                     }
-                    put_splice(out, children_at + 4 * to_u32(head), 4 * to_u32(gone), &ids);
                 }
                 image_len + 4 * children.len()
             }
@@ -282,11 +282,82 @@ fn to_u32(n: usize) -> u32 {
 /// (where a leaf's `next` or a branch's child ids start) and the length
 /// of header plus entries in the *new* image.
 ///
+/// The walk runs on the typed entries and encodes nothing but the `now`
+/// entries of each run, straight into `out`; offsets and lengths are
+/// arithmetic on the entry width. Two entries are the same only when
+/// their images are ([`FixedCodec::same_image`]): [`cmp_entry`] calls
+/// −0.0 and 0.0 equal, the image does not. The order only decides which
+/// side of a difference the walk steps over, so the splices rebuild the
+/// new entries whatever it says.
+fn splice_entry_runs<K: Key + FixedCodec, V: Ord + FixedCodec>(
+    was: &[(K, V)],
+    now: &[(K, V)],
+    out: &mut Vec<u8>,
+) -> (u32, usize) {
+    let Some(first) = was.first().or(now.first()) else {
+        return (HEADER_LEN, HEADER_LEN as usize);
+    };
+    // `FixedCodec`: every entry has the width of the first — measured
+    // in `out` and taken back.
+    let start = out.len();
+    first.write(out);
+    let width = out.len() - start;
+    out.truncate(start);
+    let at = |i: usize| HEADER_LEN + to_u32(i * width);
+    let paired = |i: usize, j: usize| i < was.len() && j < now.len() && was[i].same_image(&now[j]);
+    let (mut i, mut j) = (0, 0);
+    loop {
+        while paired(i, j) {
+            i += 1;
+            j += 1;
+        }
+        if i == was.len() && j == now.len() {
+            break;
+        }
+        // A run: up to the next pair of same entries, or both ends.
+        let (gone_from, came_from) = (i, j);
+        loop {
+            if i == was.len() {
+                j = now.len();
+            } else if j == now.len() {
+                i = was.len();
+            } else {
+                match cmp_entry(&was[i], &now[j]) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+            if paired(i, j) || (i == was.len() && j == now.len()) {
+                break;
+            }
+        }
+        let (gone, came) = (i - gone_from, j - came_from);
+        put_splice_head(
+            out,
+            at(gone_from),
+            to_u32(gone * width),
+            to_u32(came * width),
+        );
+        for entry in &now[came_from..j] {
+            entry.write(out);
+        }
+    }
+    (at(was.len()), HEADER_LEN as usize + now.len() * width)
+}
+
+/// The walk [`splice_entry_runs`] replaced, kept as its oracle: it
+/// encodes both sides whole and compares entries by their bytes.
+///
 /// Two entries are the same only when their encoded bytes are:
 /// [`cmp_entry`] calls −0.0 and 0.0 equal, the image does not. The order
 /// only decides which side of a difference the walk steps over, so the
 /// splices rebuild the new entries whatever it says.
-fn splice_entry_runs<K: Key + FixedCodec, V: Ord + FixedCodec>(
+#[cfg(test)]
+fn splice_entry_runs_by_bytes<K: Key + FixedCodec, V: Ord + FixedCodec>(
     was: &[(K, V)],
     now: &[(K, V)],
     out: &mut Vec<u8>,
@@ -351,6 +422,7 @@ fn splice_entry_runs<K: Key + FixedCodec, V: Ord + FixedCodec>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn occupancy_counts_the_right_thing() {
@@ -600,6 +672,155 @@ mod tests {
         let b = branch(run(1..3), &[1, 2, 3]);
         assert_eq!(delta_len(&small, &b), None);
         assert_eq!(delta_len(&b, &small), None);
+    }
+
+    /// An observation-tree entry: `(b, (velocity bits, id))`.
+    type ObsEntry = (f64, (u64, u64));
+
+    /// Keys from a handful of values, so runs, duplicates and ties are
+    /// common: both zeros, the infinities and NaNs of three payloads
+    /// among them.
+    fn delta_key() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            12 => (0u32..24).prop_map(f64::from),
+            2 => Just(0.0f64),
+            2 => Just(-0.0f64),
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NEG_INFINITY),
+            1 => (0u64..3).prop_map(|p| f64::from_bits(0x7FF8_0000_0000_0000 | p)),
+        ]
+    }
+
+    /// Values that break key ties: few velocities (among them a NaN's
+    /// bits), few ids.
+    fn delta_value() -> impl Strategy<Value = (u64, u64)> {
+        (0u64..4, 0u64..3).prop_map(|(v, id)| {
+            let bits = [1.0f64.to_bits(), (-1.0f64).to_bits(), f64::NAN.to_bits(), 0];
+            (bits[v as usize], id)
+        })
+    }
+
+    /// The page's order as far as it has one: by key (NaNs by their
+    /// bits, last), then by value.
+    fn page_order(a: &ObsEntry, b: &ObsEntry) -> Ordering {
+        a.0.partial_cmp(&b.0)
+            .unwrap_or_else(|| a.0.total_cmp(&b.0))
+            .then_with(|| a.1.cmp(&b.1))
+    }
+
+    /// `was` edited into `now`: each edit removes the entry at a spot,
+    /// inserts one, or swaps a zero key for the other zero.
+    fn edited(was: &[ObsEntry], edits: &[(u8, usize, ObsEntry)]) -> Vec<ObsEntry> {
+        let mut now = was.to_vec();
+        for &(kind, at, entry) in edits {
+            match kind % 3 {
+                0 if !now.is_empty() => drop(now.remove(at % now.len())),
+                1 if !now.is_empty() => {
+                    let n = now.len();
+                    let e = &mut now[at % n];
+                    if e.0 == 0.0 {
+                        e.0 = -e.0;
+                    }
+                }
+                _ => now.push(entry),
+            }
+        }
+        now.sort_by(page_order);
+        now.truncate(341);
+        now
+    }
+
+    /// What a walk appends and returns — or that it panicked (a NaN key
+    /// the order cannot place), which both walks must do alike.
+    fn walk(
+        typed: bool,
+        was: &[ObsEntry],
+        now: &[ObsEntry],
+    ) -> std::thread::Result<(Vec<u8>, u32, usize)> {
+        std::panic::catch_unwind(|| {
+            let mut out = vec![0xEE; 3];
+            let (at, len) = if typed {
+                splice_entry_runs(was, now, &mut out)
+            } else {
+                splice_entry_runs_by_bytes(was, now, &mut out)
+            };
+            (out, at, len)
+        })
+    }
+
+    /// `now.encode_delta(was)` rebuilds `now`'s image from `was`'s, or
+    /// declines and leaves `out` as found.
+    fn rebuilds(was: &Node<f64, (u64, u64)>, now: &Node<f64, (u64, u64)>) -> bool {
+        let mut out = vec![0xEE; 2];
+        if !now.encode_delta(was, &mut out) {
+            return out == [0xEE; 2];
+        }
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        was.encode(&mut before);
+        now.encode(&mut after);
+        out.len() - 2 < after.len()
+            && mobidx_pager::wal::apply_splices(&before, &out[2..]).as_deref() == Some(&after[..])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The typed walk emits the byte walk's splices, byte for byte,
+        /// and returns the same offsets — on empty pages and full ones,
+        /// duplicate keys broken by value, both zeros and NaN keys.
+        #[test]
+        fn the_typed_walk_equals_the_byte_walk(
+            base in prop::collection::vec((delta_key(), delta_value()), 0..342),
+            edits in prop::collection::vec(
+                (0u8..3, 0usize..400, (delta_key(), delta_value())),
+                0..12,
+            ),
+            full in 0u8..8,
+        ) {
+            let mut was = base;
+            if full == 0 {
+                // A full page: pad to 341 entries past every key drawn.
+                let mut id = 0;
+                while was.len() < 341 {
+                    was.push((1e6, (0, id)));
+                    id += 1;
+                }
+            }
+            was.sort_by(page_order);
+            let now = edited(&was, &edits);
+            let (typed, bytes) = (walk(true, &was, &now), walk(false, &was, &now));
+            match (&typed, &bytes) {
+                (Ok(t), Ok(b)) => prop_assert_eq!(t, b),
+                (Err(_), Err(_)) => {}
+                _ => prop_assert!(false, "one walk panicked, the other did not"),
+            }
+            if typed.is_ok() {
+                let leaf = |entries: Vec<ObsEntry>, next: Option<u32>| Node::Leaf {
+                    entries,
+                    next: next.map(PageId::from_index),
+                };
+                let next = if full == 1 { None } else { Some(4) };
+                let rebuilt = rebuilds(&leaf(was.clone(), Some(4)), &leaf(now.clone(), next));
+                prop_assert!(rebuilt, "leaf delta");
+                // The same entries as branch separators, each page with
+                // one child id more than separators; a child or two
+                // replaced where the separators changed.
+                let ids = |n: usize, shift: u32| -> Vec<PageId> {
+                    (0..=n)
+                        .map(|c| {
+                            let c = u32::try_from(c).unwrap();
+                            PageId::from_index(if c % 7 == 3 { c + shift } else { c })
+                        })
+                        .collect()
+                };
+                let (seps_was, seps_now) = (was.len(), now.len());
+                let rebuilt = rebuilds(
+                    &Node::Branch { seps: was, children: ids(seps_was, 0) },
+                    &Node::Branch { seps: now, children: ids(seps_now, u32::from(full)) },
+                );
+                prop_assert!(rebuilt, "branch delta");
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,18 @@ pub trait FixedCodec: Sized {
 
     /// Reads one value from `r`, advancing it. `None` on underflow.
     fn read(r: &mut ByteReader<'_>) -> Option<Self>;
+
+    /// Whether [`FixedCodec::write`] writes the same bytes for `self` and
+    /// `other` — equality of images, not of values: −0.0 and 0.0 differ,
+    /// two NaNs are the same exactly when their bits are. A page codec
+    /// asks this to find what changed without encoding either side. The
+    /// default encodes both and compares.
+    fn same_image(&self, other: &Self) -> bool {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        self.write(&mut a);
+        other.write(&mut b);
+        a == b
+    }
 }
 
 macro_rules! fixed_codec_prim {
@@ -55,6 +67,9 @@ macro_rules! fixed_codec_prim {
             }
             fn read(r: &mut ByteReader<'_>) -> Option<Self> {
                 r.$read()
+            }
+            fn same_image(&self, other: &Self) -> bool {
+                self.to_le_bytes() == other.to_le_bytes()
             }
         }
     )*};
@@ -78,6 +93,10 @@ impl<A: FixedCodec, B: FixedCodec> FixedCodec for (A, B) {
 
     fn read(r: &mut ByteReader<'_>) -> Option<Self> {
         Some((A::read(r)?, B::read(r)?))
+    }
+
+    fn same_image(&self, other: &Self) -> bool {
+        self.0.same_image(&other.0) && self.1.same_image(&other.1)
     }
 }
 
@@ -332,6 +351,60 @@ mod tests {
         assert_eq!(<(u32, u64)>::read(&mut r), Some((3, 4)));
         assert_eq!(r.bytes(), Some(&b"tail"[..]));
         assert!(r.is_empty());
+    }
+
+    /// `same_image` says what comparing the written bytes says.
+    fn images_agree<T: FixedCodec>(a: &T, b: &T) -> bool {
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        a.write(&mut x);
+        b.write(&mut y);
+        let same = a.same_image(b);
+        assert_eq!(same, x == y, "same_image disagrees with the bytes");
+        same
+    }
+
+    #[test]
+    fn same_image_is_equality_of_the_written_bytes() {
+        // The signed zeros are one value and two images.
+        assert!(!images_agree(&0.0f64, &-0.0f64));
+        assert!(!images_agree(&0.0f32, &-0.0f32));
+        assert!(images_agree(&-0.0f64, &-0.0f64));
+        // NaNs compare by their bits: the same payload is the same
+        // image, another payload or sign is not.
+        let nan = f64::from_bits(0x7FF8_0000_0000_0001);
+        assert!(images_agree(&nan, &f64::from_bits(nan.to_bits())));
+        assert!(!images_agree(&nan, &f64::from_bits(0x7FF8_0000_0000_0002)));
+        assert!(!images_agree(&nan, &-nan));
+        let nan32 = f32::from_bits(0x7FC0_0001);
+        assert!(images_agree(&nan32, &f32::from_bits(0x7FC0_0001)));
+        assert!(!images_agree(&nan32, &f32::NAN));
+        // Integers, and tuples field by field.
+        assert!(images_agree(&7u16, &7u16));
+        assert!(!images_agree(&-1i32, &1i32));
+        assert!(images_agree(&(1.5f64, (3u64, 4u64)), &(1.5, (3, 4))));
+        assert!(!images_agree(&(1.5f64, (3u64, 4u64)), &(1.5, (3, 5))));
+        assert!(!images_agree(&(0.0f64, 9u64), &(-0.0, 9)));
+        assert!(!images_agree(&(2u32, -0.0f32), &(2, 0.0)));
+    }
+
+    /// An implementor that keeps the provided `same_image`.
+    struct Tagged(u8);
+
+    impl FixedCodec for Tagged {
+        fn write(&self, out: &mut Vec<u8>) {
+            out.push(self.0);
+        }
+
+        fn read(r: &mut ByteReader<'_>) -> Option<Self> {
+            r.u8().map(Tagged)
+        }
+    }
+
+    #[test]
+    fn the_provided_same_image_compares_the_encodings() {
+        assert!(images_agree(&Tagged(3), &Tagged(3)));
+        assert!(!images_agree(&Tagged(3), &Tagged(4)));
+        assert!(!images_agree(&(Tagged(1), 0.0f64), &(Tagged(1), -0.0)));
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //!   [`Backend::journal_commit`] to seal the window. Fsyncs follow the
 //!   [`FsyncPolicy`]; the default (`OnCommit`) is group commit — one
 //!   fsync per window regardless of how many pages it carries.
+//! * **One write per window** — framed records are held in a buffer of
+//!   [`WINDOW_BUFFER`] bytes and reach the file in one `write` when the
+//!   commit record does, before its fsync (or earlier, when the window
+//!   outgrows the buffer). What the file holds at any fault point is
+//!   what a write per record would have left there: a torn append
+//!   writes the held frames and then its prefix, a surfaced fault and
+//!   `Drop` write what was appended, a checkpoint writes it before it
+//!   truncates. `FsyncPolicy::Always` writes and syncs every record.
 //! * **Checkpoint** — [`Backend::checkpoint`] writes every live page to
 //!   `pages.mdb.tmp`, fsyncs, renames over `pages.mdb` (atomic on
 //!   POSIX), then truncates the log. A crash anywhere in between leaves
@@ -45,6 +53,11 @@ pub const WAL_FILE: &str = "wal.log";
 const PAGE_TMP: &str = "pages.mdb.tmp";
 const PAGE_MAGIC: &[u8; 8] = b"MOBIDXPF";
 const PAGE_VERSION: u32 = 1;
+/// Bytes of framed records a [`FileBackend`] holds before writing them
+/// out: a commit window's frames, unless the window outgrows it. Bounded
+/// so that a window of every page of an index (a bulk load's) costs a
+/// write per 64 KiB instead of its size in memory.
+const WINDOW_BUFFER: usize = 64 * 1024;
 
 /// When the durable backend issues `fsync`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -136,6 +149,9 @@ pub struct FileBackend {
     total: JournalAck,
     /// The frame of the record being appended; every append reuses it.
     frame: Vec<u8>,
+    /// Whole frames appended since the last write to `wal`, at most
+    /// [`WINDOW_BUFFER`] bytes (see the module docs).
+    held: Vec<u8>,
 }
 
 impl FileBackend {
@@ -206,6 +222,7 @@ impl FileBackend {
                 commit_seq,
                 total: JournalAck::default(),
                 frame: Vec::new(),
+                held: Vec::with_capacity(WINDOW_BUFFER),
             },
             image,
         ))
@@ -229,7 +246,8 @@ impl FileBackend {
         self.commit_seq
     }
 
-    /// Current WAL length in bytes.
+    /// Current WAL length in bytes: every byte appended, the ones held
+    /// for the window's write included.
     #[must_use]
     pub fn wal_len(&self) -> u64 {
         self.wal_len
@@ -246,25 +264,31 @@ impl FileBackend {
         self.commit_seq + 1
     }
 
-    /// The one append path. Frames `rec` in the reused buffer, writes
-    /// the frame whole, fsyncs as the policy says for its kind, and
-    /// advances `commit_seq` when a commit record lands.
+    /// The one append path. Frames `rec` in the reused buffer and holds
+    /// the frame; a commit record (every record, under
+    /// [`FsyncPolicy::Always`]) writes what is held, this frame last,
+    /// and fsyncs as the policy says. Advances `commit_seq` when a
+    /// commit record lands.
     ///
-    /// `tear` is the fault adapter's interrupted write: with a draw,
-    /// only a prefix of that very frame lands ([`torn_len`]) and nothing
-    /// else happens — no sync, no sequence number, no record counted.
+    /// `tear` is the fault adapter's interrupted write: with a draw, the
+    /// held frames are written and then only a prefix of this very frame
+    /// ([`torn_len`]), and nothing else happens — no sync, no sequence
+    /// number, no record counted.
     fn append_record(&mut self, rec: &WalRecord<'_>, tear: Option<u64>) -> io::Result<JournalAck> {
         self.frame.clear();
         wal::encode_record(rec, &mut self.frame);
         let landed = tear.map_or(self.frame.len(), |draw| torn_len(draw, self.frame.len()));
-        self.wal.write_all(&self.frame[..landed])?;
+        let seals = matches!(rec, WalRecord::Commit { .. });
+        self.hold(landed)?;
+        if tear.is_some() || seals || self.policy == FsyncPolicy::Always {
+            self.write_held()?;
+        }
         self.wal_len += landed as u64;
         let mut ack = JournalAck {
             bytes: landed as u64,
             ..JournalAck::default()
         };
         if tear.is_none() {
-            let seals = matches!(rec, WalRecord::Commit { .. });
             if self.policy == FsyncPolicy::Always || (seals && self.policy == FsyncPolicy::OnCommit)
             {
                 self.wal.sync_all()?;
@@ -279,6 +303,35 @@ impl FileBackend {
         Ok(ack)
     }
 
+    /// Holds the first `len` bytes of the frame, writing out what is held
+    /// first when they do not fit beside it, and the bytes themselves
+    /// when they do not fit at all — a `BufWriter` of [`WINDOW_BUFFER`]
+    /// bytes.
+    fn hold(&mut self, len: usize) -> io::Result<()> {
+        if self.held.len() + len > WINDOW_BUFFER {
+            self.write_held()?;
+        }
+        let bytes = &self.frame[..len];
+        if len > WINDOW_BUFFER {
+            self.wal.write_all(bytes)
+        } else {
+            self.held.extend_from_slice(bytes);
+            Ok(())
+        }
+    }
+
+    /// Writes the held frames to the file in one call. A failed write
+    /// drops them: what reached the file of them is unknown, as it was
+    /// of a failed write of one frame.
+    fn write_held(&mut self) -> io::Result<()> {
+        if self.held.is_empty() {
+            return Ok(());
+        }
+        let written = self.wal.write_all(&self.held);
+        self.held.clear();
+        written
+    }
+
     /// [`Self::append_record`] untorn, for the [`Backend`] methods.
     fn append(&mut self, rec: &WalRecord<'_>) -> Result<JournalAck, Fault> {
         self.append_record(rec, None).map_err(|e| io_fault(&e))
@@ -291,6 +344,9 @@ impl FileBackend {
         pages: &[(PageId, Vec<u8>)],
         meta: &[u8],
     ) -> io::Result<JournalAck> {
+        // The frames of an open window land before the log is truncated,
+        // as they did when each append was its own write.
+        self.write_held()?;
         let seq = self.next_seq();
         let buf = encode_page_file(seq, meta, pages);
         let tmp = self.dir.join(PAGE_TMP);
@@ -323,6 +379,16 @@ impl FileBackend {
         };
         self.total = self.total.merge(ack);
         Ok(ack)
+    }
+}
+
+/// A backend that goes away leaves the log every byte appended to it.
+/// Every commit record writes what is held, so what is left here is an
+/// unsealed window, which recovery drops whether or not it lands: a
+/// failed write has nothing to report.
+impl Drop for FileBackend {
+    fn drop(&mut self) {
+        let _ = self.write_held();
     }
 }
 
@@ -596,22 +662,31 @@ impl DurableFaultStore {
             .permit(IoKind::Mutate, PageId::from_index(slot))
         {
             Ok(()) => self.file.append(rec),
-            Err(fault) => match fault.kind {
-                FaultKind::Failed => Err(fault),
-                FaultKind::Torn => {
-                    // An interrupted write: a prefix of the frame
-                    // physically lands, then the process dies.
-                    let draw = self.next_torn_draw();
-                    let _ = self.file.append_record(rec, Some(draw));
-                    self.dead = true;
-                    Err(fault)
+            Err(fault) => {
+                match fault.kind {
+                    FaultKind::Failed => {}
+                    FaultKind::Torn => {
+                        // An interrupted write: the frames before it and
+                        // a prefix of this one physically land, then the
+                        // process dies.
+                        let draw = self.next_torn_draw();
+                        let _ = self.file.append_record(rec, Some(draw));
+                        self.dead = true;
+                    }
+                    FaultKind::Crashed => self.dead = true,
                 }
-                FaultKind::Crashed => {
-                    self.dead = true;
-                    Err(fault)
-                }
-            },
+                Err(self.surface(fault))
+            }
         }
+    }
+
+    /// A fault leaves the adapter: the frames appended before it reach
+    /// the file now, where a write per record would have put them, so
+    /// whoever opens the directory next — a recovery check, a reboot —
+    /// finds every byte the fault left behind.
+    fn surface(&mut self, fault: Fault) -> Fault {
+        let _ = self.file.write_held();
+        fault
     }
 }
 
@@ -626,7 +701,7 @@ impl Backend for DurableFaultStore {
                 if fault.kind == FaultKind::Crashed {
                     self.dead = true;
                 }
-                Err(fault)
+                Err(self.surface(fault))
             }
         }
     }
@@ -669,24 +744,23 @@ impl Backend for DurableFaultStore {
             .permit(IoKind::Mutate, PageId::from_index(CHECKPOINT_SLOT))
         {
             Ok(()) => self.file.checkpoint(pages, meta),
-            Err(fault) => match fault.kind {
-                FaultKind::Failed => Err(fault),
-                FaultKind::Torn => {
-                    // A torn checkpoint: a partial tmp file lands, the
-                    // rename never happens, the process dies. The old
-                    // image + full log stay authoritative.
-                    let seq = self.file.next_seq();
-                    let buf = encode_page_file(seq, meta, pages);
-                    let cut = torn_len(self.next_torn_draw(), buf.len());
-                    let _ = std::fs::write(self.file.dir().join(PAGE_TMP), &buf[..cut]);
-                    self.dead = true;
-                    Err(fault)
+            Err(fault) => {
+                match fault.kind {
+                    FaultKind::Failed => {}
+                    FaultKind::Torn => {
+                        // A torn checkpoint: a partial tmp file lands, the
+                        // rename never happens, the process dies. The old
+                        // image + full log stay authoritative.
+                        let seq = self.file.next_seq();
+                        let buf = encode_page_file(seq, meta, pages);
+                        let cut = torn_len(self.next_torn_draw(), buf.len());
+                        let _ = std::fs::write(self.file.dir().join(PAGE_TMP), &buf[..cut]);
+                        self.dead = true;
+                    }
+                    FaultKind::Crashed => self.dead = true,
                 }
-                FaultKind::Crashed => {
-                    self.dead = true;
-                    Err(fault)
-                }
-            },
+                Err(self.surface(fault))
+            }
         }
     }
 }
@@ -1060,6 +1134,237 @@ mod tests {
             image.replayed_records, 2,
             "window 1 is stale, window 3 is not"
         );
+    }
+
+    /// The frames of `recs`, end to end: the bytes a write per record
+    /// leaves in the log.
+    fn frames(recs: &[WalRecord<'_>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for rec in recs {
+            wal::encode_record(rec, &mut out);
+        }
+        out
+    }
+
+    fn log_bytes(dir: &Path) -> Vec<u8> {
+        std::fs::read(dir.join(WAL_FILE)).unwrap()
+    }
+
+    /// Appends `rec` through the [`Backend`] method of its kind.
+    fn journal(b: &mut dyn Backend, rec: &WalRecord<'_>) -> JournalAck {
+        match *rec {
+            WalRecord::PageImage { page, bytes } => b.journal_page(page, bytes),
+            WalRecord::PageDelta { page, splices } => b.journal_delta(page, splices),
+            WalRecord::Free { page } => b.journal_free(page),
+            WalRecord::Commit { meta, .. } => b.journal_commit(meta),
+        }
+        .unwrap()
+    }
+
+    #[test]
+    fn a_window_reaches_the_file_in_one_write_at_its_commit_record() {
+        let dir = ScratchDir::new("pager-file-window");
+        let mut splices = Vec::new();
+        wal::put_splice(&mut splices, 1, 2, b"xy");
+        let windows: [&[WalRecord<'_>]; 3] = [
+            &[
+                WalRecord::PageImage {
+                    page: pid(0),
+                    bytes: b"root",
+                },
+                WalRecord::PageImage {
+                    page: pid(3),
+                    bytes: &[7; 300],
+                },
+                WalRecord::Commit {
+                    seq: 1,
+                    meta: b"m1",
+                },
+            ],
+            &[
+                WalRecord::PageDelta {
+                    page: pid(3),
+                    splices: &splices,
+                },
+                WalRecord::Free { page: pid(0) },
+                WalRecord::Commit {
+                    seq: 2,
+                    meta: b"m2",
+                },
+            ],
+            &[WalRecord::Commit {
+                seq: 3,
+                meta: b"m3",
+            }],
+        ];
+        let mut sealed = Vec::new();
+        {
+            let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::OnCommit).unwrap();
+            for window in windows {
+                let (body, commit) = window.split_at(window.len() - 1);
+                for rec in body {
+                    journal(&mut b, rec);
+                    // Held: the file has only the windows sealed so far,
+                    // while the backend counts every byte appended.
+                    assert_eq!(log_bytes(&dir), sealed);
+                    assert!(b.wal_len() > sealed.len() as u64);
+                }
+                let ack = journal(&mut b, &commit[0]);
+                assert_eq!(ack.fsyncs, 1);
+                sealed.extend_from_slice(&frames(window));
+                assert_eq!(log_bytes(&dir), sealed, "the window, written whole");
+                assert_eq!(b.wal_len(), sealed.len() as u64);
+            }
+            // An open window at `Drop` reaches the file too.
+            journal(&mut b, &windows[0][0]);
+        }
+        sealed.extend_from_slice(&frames(&windows[0][..1]));
+        assert_eq!(log_bytes(&dir), sealed);
+        let (_, image) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(image.commit_seq, 3);
+        let mut page3 = vec![7; 300];
+        page3.splice(1..3, *b"xy");
+        assert_eq!(image.pages, vec![None, None, None, Some(page3)]);
+    }
+
+    #[test]
+    fn a_record_larger_than_the_buffer_lands_intact() {
+        let dir = ScratchDir::new("pager-file-large");
+        let big: Vec<u8> = (0..3 * WINDOW_BUFFER / 2)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let recs = [
+            WalRecord::PageImage {
+                page: pid(1),
+                bytes: b"small",
+            },
+            WalRecord::PageImage {
+                page: pid(2),
+                bytes: &big,
+            },
+            WalRecord::Free { page: pid(4) },
+            WalRecord::Commit { seq: 1, meta: b"m" },
+        ];
+        let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
+        journal(&mut b, &recs[0]);
+        journal(&mut b, &recs[1]);
+        // Too large to hold: written at once, after what was held.
+        assert_eq!(log_bytes(&dir), frames(&recs[..2]));
+        journal(&mut b, &recs[2]);
+        assert_eq!(log_bytes(&dir), frames(&recs[..2]));
+        journal(&mut b, &recs[3]);
+        assert_eq!(log_bytes(&dir), frames(&recs));
+        drop(b);
+        let (_, image) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(image.pages[2].as_deref(), Some(&big[..]));
+        assert_eq!(image.replayed_records, 4);
+    }
+
+    #[test]
+    fn always_still_writes_and_syncs_every_record() {
+        let dir = ScratchDir::new("pager-file-always");
+        let recs = [
+            WalRecord::PageImage {
+                page: pid(0),
+                bytes: b"a",
+            },
+            WalRecord::Free { page: pid(1) },
+            WalRecord::PageImage {
+                page: pid(2),
+                bytes: b"c",
+            },
+            WalRecord::Commit { seq: 1, meta: b"m" },
+        ];
+        let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::Always).unwrap();
+        for (n, rec) in recs.iter().enumerate() {
+            let ack = journal(&mut b, rec);
+            assert_eq!((ack.records, ack.fsyncs), (1, 1));
+            assert_eq!(
+                log_bytes(&dir),
+                frames(&recs[..=n]),
+                "record {n} is on file"
+            );
+        }
+        assert_eq!(b.totals().fsyncs, 4);
+        assert_eq!(b.totals().records, 4);
+    }
+
+    #[test]
+    fn a_torn_append_after_held_frames_leaves_them_and_its_prefix() {
+        let dir = ScratchDir::new("pager-file-torn-held");
+        let recs = [
+            WalRecord::PageImage {
+                page: pid(0),
+                bytes: b"sealed",
+            },
+            WalRecord::Commit { seq: 1, meta: b"m" },
+            WalRecord::PageImage {
+                page: pid(1),
+                bytes: b"held",
+            },
+            WalRecord::Free { page: pid(0) },
+            WalRecord::PageImage {
+                page: pid(2),
+                bytes: &[5; 40],
+            },
+        ];
+        let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::Never).unwrap();
+        for rec in &recs[..4] {
+            journal(&mut b, rec);
+        }
+        assert_eq!(log_bytes(&dir), frames(&recs[..2]));
+        let draw = 0x1234_5678_9ABC;
+        let ack = b.append_record(&recs[4], Some(draw)).unwrap();
+        let frame = frames(&recs[4..]);
+        let landed = torn_len(draw, frame.len());
+        assert!(landed > 0 && landed < frame.len());
+        let mut want = frames(&recs[..4]);
+        want.extend_from_slice(&frame[..landed]);
+        assert_eq!(log_bytes(&dir), want, "held frames, then the prefix");
+        assert_eq!(b.wal_len(), want.len() as u64);
+        assert_eq!((ack.bytes, ack.records), (landed as u64, 0));
+    }
+
+    #[test]
+    fn a_surfaced_fault_leaves_the_held_frames_on_file() {
+        let recs = [
+            WalRecord::PageImage {
+                page: pid(0),
+                bytes: b"one",
+            },
+            WalRecord::PageImage {
+                page: pid(1),
+                bytes: b"two",
+            },
+        ];
+        // A crash at the third append, and a clean failure there.
+        let failing = FaultPlan {
+            write_fault_per_mille: 1000,
+            ..FaultPlan::none(6)
+        };
+        for (n, plan) in [FaultPlan::crash_after_writes(6, 2), failing]
+            .into_iter()
+            .enumerate()
+        {
+            let dir = ScratchDir::new("pager-file-surfaced");
+            let (mut b, _) =
+                DurableFaultStore::open(&dir, FsyncPolicy::Never, FaultPlan::none(6), plan)
+                    .unwrap();
+            if n == 1 {
+                // A plan that fails every append fails these too; the
+                // frames come from the file backend underneath.
+                for rec in &recs {
+                    journal(&mut b.file, rec);
+                }
+            } else {
+                for rec in &recs {
+                    journal(&mut b, rec);
+                }
+            }
+            assert!(log_bytes(&dir).is_empty(), "held");
+            assert!(b.journal_commit(b"m").is_err());
+            assert_eq!(log_bytes(&dir), frames(&recs), "plan {n}");
+        }
     }
 
     #[test]

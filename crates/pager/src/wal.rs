@@ -186,9 +186,19 @@ pub fn records(buf: &[u8]) -> impl Iterator<Item = (WalRecord<'_>, usize)> {
 /// # Panics
 /// Panics if `insert` is longer than `u32::MAX`.
 pub fn put_splice(out: &mut Vec<u8>, offset: u32, remove: u32, insert: &[u8]) {
+    let len = u32::try_from(insert.len()).expect("splice exceeds u32");
+    put_splice_head(out, offset, remove, len);
+    out.extend_from_slice(insert);
+}
+
+/// Appends the head of one splice whose `insert_len` inserted bytes the
+/// caller appends right after it — [`put_splice`] for a codec that
+/// writes the inserted bytes straight into the delta instead of
+/// encoding them elsewhere first.
+pub fn put_splice_head(out: &mut Vec<u8>, offset: u32, remove: u32, insert_len: u32) {
     put_u32(out, offset);
     put_u32(out, remove);
-    put_bytes(out, insert);
+    put_u32(out, insert_len);
 }
 
 /// Applies the splices of one delta to `base`, the page's previous
