@@ -1517,8 +1517,8 @@ impl<K: Key + FixedCodec, V: Copy + Ord + Debug + FixedCodec> BPlusTree<K, V> {
         self.store.pending_commit()
     }
 
-    /// Seals the current commit window: every node dirtied since the
-    /// last commit, every freed page, and the tree shape (root, height,
+    /// Commits the current window: every node dirtied since the last
+    /// commit, every freed page, and the tree shape (root, height,
     /// length) reach the write-ahead log under one group-commit fsync.
     /// No-op on non-durable backends.
     ///
@@ -1529,6 +1529,30 @@ impl<K: Key + FixedCodec, V: Copy + Ord + Debug + FixedCodec> BPlusTree<K, V> {
     pub fn try_commit(&mut self) -> Result<(), PagerError> {
         let meta = self.encode_meta();
         self.store.try_commit(&meta)
+    }
+
+    /// The first half of [`BPlusTree::try_commit`]: journals the window
+    /// and the tree shape and starts its fsync without waiting for it
+    /// ([`PageStore::try_seal`]). The tree takes no write until
+    /// [`BPlusTree::try_settle`] has run. No-op on non-durable backends.
+    ///
+    /// # Errors
+    /// As [`BPlusTree::try_commit`]; nothing is left to settle.
+    pub fn try_seal(&mut self) -> Result<(), PagerError> {
+        let meta = self.encode_meta();
+        self.store.try_seal(&meta)
+    }
+
+    /// The second half of [`BPlusTree::try_commit`]: waits for the
+    /// window [`BPlusTree::try_seal`] sealed to become durable
+    /// ([`PageStore::try_settle`]). Returns at once when nothing is
+    /// sealed.
+    ///
+    /// # Errors
+    /// The backend's fault; the window is kept, as after a failed
+    /// commit.
+    pub fn try_settle(&mut self) -> Result<(), PagerError> {
+        self.store.try_settle()
     }
 
     /// Writes a full checkpoint (every live node plus the tree shape)

@@ -39,8 +39,8 @@ pub use method::vp_dual::{
     analytic_edges, geometric_edges, optimize_boundaries, VpDualConfig, VpDualIndex,
 };
 pub use method::{
-    BandIo, FrozenIndex1D, FrozenReadStats, Index1D, Index2D, IndexStats, IoTotals, QueryOutput,
-    QueryRequest,
+    BandIo, CommitError, FrozenIndex1D, FrozenReadStats, Index1D, Index2D, IndexStats, IoTotals,
+    QueryOutput, QueryRequest,
 };
 
 // Re-export the vocabulary types so downstream users need only this crate.

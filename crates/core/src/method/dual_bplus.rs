@@ -25,10 +25,10 @@
 
 use crate::dual::{enlargement_e, hough_y_b, hough_y_interval, SpeedBand};
 use crate::ids::{assemble, assemble_set, IdSet};
-use crate::method::{Index1D, IndexStats};
+use crate::method::{CommitError, Index1D, IndexStats};
 use mobidx_bptree::{BPlusTree, FrozenTree, TreeConfig};
 use mobidx_interval::{IntervalConfig, IntervalTree};
-use mobidx_pager::Store;
+use mobidx_pager::{PagerError, Store};
 use mobidx_workload::{MorQuery1D, Motion1D};
 use std::cmp::Ordering;
 use std::fmt;
@@ -366,29 +366,45 @@ impl DualBPlusIndex {
         IndexStats::set_backends(self, make);
     }
 
-    /// Seals one commit window on every durable B+-tree (the static
-    /// tree and each observation tree); trees on non-durable backends
-    /// are unaffected (their commit is a no-op). The subterrain
+    /// Commits one window on every durable B+-tree (the static tree and
+    /// each observation tree): seals them all, then settles them all, so
+    /// their fsyncs are in flight together. Trees on non-durable
+    /// backends are unaffected (their commit is a no-op). The subterrain
     /// interval indices carry no byte codec yet and stay
     /// memory-resident even when the trees are durable.
     ///
     /// # Errors
-    /// Reports the first tree whose journal rejected the window as
-    /// `(store label, error description)`; that tree's window is kept
-    /// and retried on the next commit.
-    pub fn commit_group(&mut self) -> Result<(), (String, String)> {
-        self.static_tree
-            .try_commit()
-            .map_err(|e| ("static".to_owned(), e.to_string()))?;
+    /// Reports the first tree, in store order, whose journal rejected
+    /// the window. Sealing stops at a tree that fails to seal, and every
+    /// tree sealed before it is settled all the same; a tree that failed
+    /// keeps its window and retries it on the next commit, as does every
+    /// tree after a failed seal.
+    pub fn commit_group(&mut self) -> Result<(), CommitError> {
+        let sealed = self.seal_group();
+        self.settle_group().and(sealed)
+    }
+
+    /// Seals the window of every tree in store order, up to the first
+    /// that fails; the trees before it are left sealed.
+    pub(crate) fn seal_group(&mut self) -> Result<(), CommitError> {
+        self.static_tree.try_seal().map_err(static_failed)?;
         for (i, obs) in self.obs.iter_mut().enumerate() {
-            obs.pos_tree
-                .try_commit()
-                .map_err(|e| (format!("obs{i}.pos"), e.to_string()))?;
-            obs.neg_tree
-                .try_commit()
-                .map_err(|e| (format!("obs{i}.neg"), e.to_string()))?;
+            obs.pos_tree.try_seal().map_err(obs_failed(i, "pos"))?;
+            obs.neg_tree.try_seal().map_err(obs_failed(i, "neg"))?;
         }
         Ok(())
+    }
+
+    /// Settles every tree (one with nothing sealed settles at once) and
+    /// reports the first that fails, in store order.
+    pub(crate) fn settle_group(&mut self) -> Result<(), CommitError> {
+        let mut settled = self.static_tree.try_settle().map_err(static_failed);
+        for (i, obs) in self.obs.iter_mut().enumerate() {
+            let pos = obs.pos_tree.try_settle().map_err(obs_failed(i, "pos"));
+            let neg = obs.neg_tree.try_settle().map_err(obs_failed(i, "neg"));
+            settled = settled.and(pos).and(neg);
+        }
+        settled
     }
 
     /// Like [`Index1D::query`] but returning the matching motions as the
@@ -512,8 +528,22 @@ impl IndexStats for DualBPlusIndex {
         self.last_candidates
     }
 
-    fn commit_group(&mut self) -> Result<(), (String, String)> {
+    fn commit_group(&mut self) -> Result<(), CommitError> {
         DualBPlusIndex::commit_group(self)
+    }
+}
+
+fn static_failed(error: PagerError) -> CommitError {
+    CommitError {
+        store: "static".to_owned(),
+        error,
+    }
+}
+
+fn obs_failed(i: usize, sign: &'static str) -> impl Fn(PagerError) -> CommitError {
+    move |error| CommitError {
+        store: format!("obs{i}.{sign}"),
+        error,
     }
 }
 

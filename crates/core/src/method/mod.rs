@@ -14,7 +14,7 @@ pub mod vp_dual;
 
 use crate::ids::IdSet;
 use mobidx_obs::{OpenSpan, QueryTrace, Span, SpanIo};
-use mobidx_pager::{Backend, IoStats, Store};
+use mobidx_pager::{Backend, IoStats, PagerError, Store};
 use mobidx_workload::{MorQuery1D, MorQuery2D, Motion1D, Motion2D};
 use std::cell::Cell;
 use std::fmt;
@@ -502,18 +502,47 @@ pub trait IndexStats {
         self.stores_mut(&mut |store| drop(store.set_backend(make())));
     }
 
-    /// Seals one commit window on every durable internal page store:
-    /// pages dirtied since the last commit reach the write-ahead log
-    /// under one group-commit fsync each. The serving tier calls this
-    /// after draining a group of applies (group commit); methods
-    /// without durable storage keep the default no-op.
+    /// Commits one window on every durable internal page store: pages
+    /// dirtied since the last commit reach the write-ahead log under one
+    /// group-commit fsync each, and every store is sealed before any is
+    /// settled, so those fsyncs are in flight together. The serving tier
+    /// calls this after draining a group of applies (group commit);
+    /// methods without durable storage keep the default no-op.
     ///
     /// # Errors
-    /// Reports the first store whose journal rejected the window, as
-    /// `(store label, error description)`. The window is kept and
-    /// retried by the next commit.
-    fn commit_group(&mut self) -> Result<(), (String, String)> {
+    /// Reports the first store, in store order, whose journal rejected
+    /// the window. That store's window is kept and retried by the next
+    /// commit; the stores before it committed, the ones after it kept
+    /// their windows too.
+    fn commit_group(&mut self) -> Result<(), CommitError> {
         Ok(())
+    }
+}
+
+/// A commit window one store of an index rejected
+/// ([`IndexStats::commit_group`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CommitError {
+    /// The store that rejected it: `static`, `obs{i}.pos` or
+    /// `obs{i}.neg`, behind `b{band}/` in a velocity-partitioned index.
+    pub store: String,
+    /// What the store's journal reported.
+    pub error: PagerError,
+}
+
+impl fmt::Display for CommitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "commit window rejected on {}: {}",
+            self.store, self.error
+        )
+    }
+}
+
+impl std::error::Error for CommitError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
     }
 }
 

@@ -73,7 +73,7 @@
 use crate::db::sort_by_dual_locality;
 use crate::dual::SpeedBand;
 use crate::ids::{merge_sorted_ids, union_set, IdSet};
-use crate::method::{BandIo, FrozenIndex1D, FrozenReadStats, Index1D, IndexStats};
+use crate::method::{BandIo, CommitError, FrozenIndex1D, FrozenReadStats, Index1D, IndexStats};
 use mobidx_bptree::TreeConfig;
 use mobidx_pager::Store;
 use mobidx_workload::{MorQuery1D, Motion1D};
@@ -742,12 +742,22 @@ impl IndexStats for VpDualIndex {
         )
     }
 
-    fn commit_group(&mut self) -> Result<(), (String, String)> {
+    /// Seals every band's trees before it settles any band's, so the
+    /// fsyncs of the whole index are in flight together.
+    fn commit_group(&mut self) -> Result<(), CommitError> {
+        let in_band = |b: usize| {
+            move |e: CommitError| CommitError {
+                store: format!("b{b}/{}", e.store),
+                ..e
+            }
+        };
+        let sealed = (self.subs.iter_mut().enumerate())
+            .try_for_each(|(b, sub)| sub.seal_group().map_err(in_band(b)));
+        let mut settled = Ok(());
         for (b, sub) in self.subs.iter_mut().enumerate() {
-            sub.commit_group()
-                .map_err(|(label, err)| (format!("b{b}/{label}"), err))?;
+            settled = settled.and(sub.settle_group().map_err(in_band(b)));
         }
-        Ok(())
+        settled.and(sealed)
     }
 }
 

@@ -165,6 +165,31 @@ pub trait Backend: std::fmt::Debug + Send {
         Ok(JournalAck::default())
     }
 
+    /// The first half of [`Backend::journal_commit`]: journals the
+    /// commit record carrying `meta` and starts making the window
+    /// durable, without waiting for it. The window counts as committed
+    /// only once [`Backend::journal_settle`] succeeds; until then the
+    /// caller journals nothing else. A backend whose seal has nothing to
+    /// wait for keeps the default, which commits outright.
+    ///
+    /// # Errors
+    /// Same failure modes as [`Backend::journal_commit`]; after a fault
+    /// there is nothing to settle.
+    fn journal_seal(&mut self, meta: &[u8]) -> Result<JournalAck, Fault> {
+        self.journal_commit(meta)
+    }
+
+    /// The second half of [`Backend::journal_commit`]: waits until the
+    /// window [`Backend::journal_seal`] sealed is durable per the
+    /// backend's fsync policy. With no sealed window it returns at once.
+    ///
+    /// # Errors
+    /// A fault means the window did not commit, as a fault of
+    /// [`Backend::journal_commit`] does.
+    fn journal_settle(&mut self) -> Result<JournalAck, Fault> {
+        Ok(JournalAck::default())
+    }
+
     /// Writes a full checkpoint image — every live page plus `meta` —
     /// and truncates the journal. A checkpoint *is* a commit (it seals
     /// current state durably); on success recovery starts from this
@@ -688,6 +713,8 @@ mod tests {
         assert_eq!(b.journal_delta(pid(0), &[]).unwrap(), JournalAck::default());
         assert_eq!(b.journal_free(pid(0)).unwrap(), JournalAck::default());
         assert_eq!(b.journal_commit(&[]).unwrap(), JournalAck::default());
+        assert_eq!(b.journal_seal(&[]).unwrap(), JournalAck::default());
+        assert_eq!(b.journal_settle().unwrap(), JournalAck::default());
         assert_eq!(b.checkpoint(&[], &[]).unwrap(), JournalAck::default());
         let merged = JournalAck {
             bytes: 3,

@@ -12,6 +12,13 @@
 //!   [`Backend::journal_commit`] to seal the window. Fsyncs follow the
 //!   [`FsyncPolicy`]; the default (`OnCommit`) is group commit — one
 //!   fsync per window regardless of how many pages it carries.
+//! * **Seal, then settle** — under `OnCommit` a commit is two steps:
+//!   [`Backend::journal_seal`] writes the window and its commit record
+//!   and hands the log to a parked syncer thread ([`crate::crew`]), and
+//!   [`Backend::journal_settle`] waits for that fsync and only then
+//!   counts the window as committed. A caller with many logs seals them
+//!   all before it settles any, so their fsyncs are in flight together;
+//!   `journal_commit` is the two back to back.
 //! * **One write per window** — framed records are held in a buffer of
 //!   [`WINDOW_BUFFER`] bytes and reach the file in one `write` when the
 //!   commit record does, before its fsync (or earlier, when the window
@@ -22,9 +29,10 @@
 //!   truncates. `FsyncPolicy::Always` writes and syncs every record.
 //! * **Checkpoint** — [`Backend::checkpoint`] writes every live page to
 //!   `pages.mdb.tmp`, fsyncs, renames over `pages.mdb` (atomic on
-//!   POSIX), then truncates the log. A crash anywhere in between leaves
-//!   either the old image + full log or the new image + (stale but
-//!   seq-filtered) log — both recover correctly. The page file is never
+//!   POSIX), fsyncs the directory (a rename is durable only once its
+//!   directory is), then truncates the log. A crash anywhere in between
+//!   leaves either the old image + full log or the new image + (stale
+//!   but seq-filtered) log — both recover correctly. The page file is never
 //!   written in place, so it is never torn: that is why a delta may
 //!   refer to "the previous image" without the log first holding one.
 //! * **Recovery** — [`FileBackend::open`] loads the checkpoint image,
@@ -40,6 +48,7 @@
 
 use crate::backend::{Backend, Fault, FaultKind, FaultStore, IoKind, JournalAck};
 use crate::codec::{crc32, put_bytes, put_u32, put_u64, ByteReader};
+use crate::crew::LogSyncer;
 use crate::store::PageId;
 use crate::wal::{self, WalOp, WalRecord};
 use std::fs::{File, OpenOptions};
@@ -152,6 +161,12 @@ pub struct FileBackend {
     /// Whole frames appended since the last write to `wal`, at most
     /// [`WINDOW_BUFFER`] bytes (see the module docs).
     held: Vec<u8>,
+    /// The syncer of the crew that fsyncs the log under
+    /// [`FsyncPolicy::OnCommit`], hired for the backend's lifetime.
+    syncer: Option<LogSyncer>,
+    /// The sequence number of the window sealed and not yet settled,
+    /// whose fsync the syncer has in flight.
+    sealed: Option<u64>,
 }
 
 impl FileBackend {
@@ -171,12 +186,21 @@ impl FileBackend {
             Err(e) => return Err(e),
         };
         let wal_path = dir.join(WAL_FILE);
+        let created = !wal_path.exists();
         let mut wal = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&wal_path)?;
+        if created && policy != FsyncPolicy::Never {
+            // A new log is durable only once its directory entry is.
+            sync_dir(dir)?;
+        }
+        let syncer = match policy {
+            FsyncPolicy::OnCommit => Some(LogSyncer::hire(&wal)?),
+            FsyncPolicy::Always | FsyncPolicy::Never => None,
+        };
         let mut log = Vec::new();
         wal.read_to_end(&mut log)?;
         // The log up to `sealed` stays: windows installed below, and
@@ -223,6 +247,8 @@ impl FileBackend {
                 total: JournalAck::default(),
                 frame: Vec::new(),
                 held: Vec::with_capacity(WINDOW_BUFFER),
+                syncer,
+                sealed: None,
             },
             image,
         ))
@@ -240,7 +266,8 @@ impl FileBackend {
         self.policy
     }
 
-    /// The newest committed sequence number.
+    /// The newest committed sequence number. A sealed window counts
+    /// from its settle on.
     #[must_use]
     pub fn commit_seq(&self) -> u64 {
         self.commit_seq
@@ -268,7 +295,9 @@ impl FileBackend {
     /// the frame; a commit record (every record, under
     /// [`FsyncPolicy::Always`]) writes what is held, this frame last,
     /// and fsyncs as the policy says. Advances `commit_seq` when a
-    /// commit record lands.
+    /// commit record lands — except under [`FsyncPolicy::OnCommit`],
+    /// where the commit record only starts its fsync on the crew and
+    /// [`Backend::journal_settle`] waits for it and advances the number.
     ///
     /// `tear` is the fault adapter's interrupted write: with a draw, the
     /// held frames are written and then only a prefix of this very frame
@@ -289,13 +318,18 @@ impl FileBackend {
             ..JournalAck::default()
         };
         if tear.is_none() {
-            if self.policy == FsyncPolicy::Always || (seals && self.policy == FsyncPolicy::OnCommit)
-            {
+            if self.policy == FsyncPolicy::Always {
                 self.wal.sync_all()?;
                 ack.fsyncs = 1;
             }
             if let WalRecord::Commit { seq, .. } = *rec {
-                self.commit_seq = seq;
+                match &self.syncer {
+                    Some(syncer) => {
+                        syncer.start()?;
+                        self.sealed = Some(seq);
+                    }
+                    None => self.commit_seq = seq,
+                }
             }
             ack.records = 1;
         }
@@ -334,7 +368,24 @@ impl FileBackend {
 
     /// [`Self::append_record`] untorn, for the [`Backend`] methods.
     fn append(&mut self, rec: &WalRecord<'_>) -> Result<JournalAck, Fault> {
+        debug_assert!(self.sealed.is_none(), "a sealed window awaits its settle");
         self.append_record(rec, None).map_err(|e| io_fault(&e))
+    }
+
+    /// Waits for the sealed window's fsync; on success the window is
+    /// committed. Nothing to wait for is a success that syncs nothing.
+    fn settle(&mut self) -> io::Result<JournalAck> {
+        let (Some(seq), Some(syncer)) = (self.sealed.take(), &self.syncer) else {
+            return Ok(JournalAck::default());
+        };
+        syncer.wait()?;
+        self.commit_seq = seq;
+        let ack = JournalAck {
+            fsyncs: 1,
+            ..JournalAck::default()
+        };
+        self.total = self.total.merge(ack);
+        Ok(ack)
     }
 
     /// Writes the checkpoint image atomically (tmp + rename) and
@@ -344,6 +395,7 @@ impl FileBackend {
         pages: &[(PageId, Vec<u8>)],
         meta: &[u8],
     ) -> io::Result<JournalAck> {
+        debug_assert!(self.sealed.is_none(), "a sealed window awaits its settle");
         // The frames of an open window land before the log is truncated,
         // as they did when each append was its own write.
         self.write_held()?;
@@ -362,12 +414,20 @@ impl FileBackend {
         // of the log below: a window sealed after a failed truncation
         // must not reuse it, or recovery skips that window as stale.
         self.commit_seq = seq;
+        if self.policy != FsyncPolicy::Never {
+            // The rename must be durable before the log is cut: a crash
+            // that kept the truncation and lost the rename would leave
+            // the old image and an empty log.
+            sync_dir(&self.dir)?;
+        }
         self.wal.set_len(0)?;
         self.wal.seek(SeekFrom::Start(0))?;
         if self.policy != FsyncPolicy::Never {
             self.wal.sync_all()?;
         }
         self.wal_len = 0;
+        // The directory's fsync is not counted: `fsyncs` counts the
+        // page file's and the log's, what a checkpoint costs per byte.
         let ack = JournalAck {
             bytes: buf.len() as u64,
             fsyncs: if self.policy == FsyncPolicy::Never {
@@ -385,11 +445,21 @@ impl FileBackend {
 /// A backend that goes away leaves the log every byte appended to it.
 /// Every commit record writes what is held, so what is left here is an
 /// unsealed window, which recovery drops whether or not it lands: a
-/// failed write has nothing to report.
+/// failed write has nothing to report. A sealed window's fsync is
+/// waited for, so that it is done when the backend is gone.
 impl Drop for FileBackend {
     fn drop(&mut self) {
         let _ = self.write_held();
+        let _ = self.settle();
     }
+}
+
+/// Fsyncs a directory, making the entries created or renamed in it
+/// durable. Directory fsyncs are never counted in
+/// [`JournalAck::fsyncs`], so that `fsyncs` keeps counting the syncs of
+/// the log and the page file a commit or checkpoint pays for.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// Maps a real filesystem error to a hard (non-transient) fault.
@@ -473,8 +543,17 @@ impl Backend for FileBackend {
     }
 
     fn journal_commit(&mut self, meta: &[u8]) -> Result<JournalAck, Fault> {
+        let sealed = self.journal_seal(meta)?;
+        Ok(sealed.merge(self.journal_settle()?))
+    }
+
+    fn journal_seal(&mut self, meta: &[u8]) -> Result<JournalAck, Fault> {
         let seq = self.next_seq();
         self.append(&WalRecord::Commit { seq, meta })
+    }
+
+    fn journal_settle(&mut self) -> Result<JournalAck, Fault> {
+        self.settle().map_err(|e| io_fault(&e))
     }
 
     fn checkpoint(
@@ -727,8 +806,22 @@ impl Backend for DurableFaultStore {
     }
 
     fn journal_commit(&mut self, meta: &[u8]) -> Result<JournalAck, Fault> {
+        let sealed = self.journal_seal(meta)?;
+        Ok(sealed.merge(self.journal_settle()?))
+    }
+
+    fn journal_seal(&mut self, meta: &[u8]) -> Result<JournalAck, Fault> {
         let seq = self.file.next_seq();
         self.arbitrated_append(&WalRecord::Commit { seq, meta })
+    }
+
+    /// Not arbitrated: the plan's write clock counts appends, and the
+    /// commit record was one.
+    fn journal_settle(&mut self) -> Result<JournalAck, Fault> {
+        if self.dead {
+            return Err(Self::DEAD);
+        }
+        self.file.journal_settle()
     }
 
     fn checkpoint(
@@ -1365,6 +1458,107 @@ mod tests {
             assert!(b.journal_commit(b"m").is_err());
             assert_eq!(log_bytes(&dir), frames(&recs), "plan {n}");
         }
+    }
+
+    /// One window per backend, the same windows as
+    /// [`a_window_reaches_the_file_in_one_write_at_its_commit_record`]'s
+    /// first.
+    fn journal_window(b: &mut dyn Backend, n: u8) {
+        b.journal_page(pid(0), &[n; 20]).unwrap();
+        b.journal_page(pid(u32::from(n)), b"leaf").unwrap();
+    }
+
+    #[test]
+    fn sealing_every_log_then_settling_them_leaves_what_commits_one_by_one_do() {
+        const LOGS: u8 = 5;
+        let sequential = ScratchDir::new("pager-file-seq");
+        let grouped = ScratchDir::new("pager-file-group");
+        for n in 0..LOGS {
+            let dir = sequential.join(format!("log{n}"));
+            let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::OnCommit).unwrap();
+            journal_window(&mut b, n);
+            b.journal_commit(b"m1").unwrap();
+        }
+        let mut backends: Vec<FileBackend> = (0..LOGS)
+            .map(|n| {
+                let dir = grouped.join(format!("log{n}"));
+                FileBackend::open(&dir, FsyncPolicy::OnCommit).unwrap().0
+            })
+            .collect();
+        for (n, b) in (0..LOGS).zip(&mut backends) {
+            journal_window(b, n);
+            let ack = b.journal_seal(b"m1").unwrap();
+            assert_eq!((ack.records, ack.fsyncs), (1, 0), "sealed, not synced");
+            assert_eq!(b.commit_seq(), 0, "counted only once settled");
+            assert_eq!(b.totals().fsyncs, 0);
+        }
+        for b in &mut backends {
+            let ack = b.journal_settle().unwrap();
+            assert_eq!(
+                ack,
+                JournalAck {
+                    fsyncs: 1,
+                    ..JournalAck::default()
+                }
+            );
+            assert_eq!(b.commit_seq(), 1);
+            assert_eq!(b.totals().fsyncs, 1);
+            assert_eq!(b.totals().records, 3);
+            // Nothing is left to settle.
+            assert_eq!(b.journal_settle().unwrap(), JournalAck::default());
+        }
+        drop(backends);
+        for n in 0..LOGS {
+            let name = format!("log{n}");
+            let log = log_bytes(&grouped.join(&name));
+            assert!(!log.is_empty());
+            assert_eq!(log, log_bytes(&sequential.join(&name)), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_backend_dropped_with_a_sealed_window_waits_for_it_and_reopens_to_it() {
+        let dir = ScratchDir::new("pager-file-drop-sealed");
+        {
+            let (mut b, _) = FileBackend::open(&dir, FsyncPolicy::OnCommit).unwrap();
+            journal_window(&mut b, 1);
+            b.journal_commit(b"m1").unwrap();
+            journal_window(&mut b, 2);
+            b.journal_seal(b"m2").unwrap();
+        }
+        let (b, image) = FileBackend::open(&dir, FsyncPolicy::OnCommit).unwrap();
+        assert_eq!(image.commit_seq, 2);
+        assert_eq!(image.meta, b"m2");
+        assert_eq!(image.dropped_bytes, 0);
+        assert_eq!(image.pages[0].as_deref(), Some(&[2; 20][..]));
+        assert_eq!(b.commit_seq(), 2);
+    }
+
+    #[test]
+    fn durable_fault_store_seals_and_settles_through_the_file_backend() {
+        let dir = ScratchDir::new("pager-file-fault-seal");
+        let (mut b, _) = DurableFaultStore::open(
+            &dir,
+            FsyncPolicy::OnCommit,
+            FaultPlan::none(8),
+            FaultPlan::none(8),
+        )
+        .unwrap();
+        journal_window(&mut b, 1);
+        b.journal_seal(b"m1").unwrap();
+        assert_eq!(b.file().commit_seq(), 0);
+        assert_eq!(b.journal_settle().unwrap().fsyncs, 1);
+        assert_eq!(b.file().commit_seq(), 1);
+        // A dead adapter settles nothing.
+        let (mut dead, _) = DurableFaultStore::open(
+            &dir,
+            FsyncPolicy::OnCommit,
+            FaultPlan::none(9),
+            FaultPlan::crash_after_writes(9, 0),
+        )
+        .unwrap();
+        assert!(dead.journal_seal(b"m2").is_err());
+        assert_eq!(dead.journal_settle().unwrap_err(), DurableFaultStore::DEAD);
     }
 
     #[test]

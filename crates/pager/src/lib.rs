@@ -24,6 +24,7 @@
 mod backend;
 mod buffer;
 mod codec;
+mod crew;
 mod error;
 mod file;
 mod scratch;

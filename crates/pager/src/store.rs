@@ -128,6 +128,10 @@ pub struct PageStore<P> {
     /// is sealed on, or recovered from, this backend): a window that
     /// changes neither a page nor this appends nothing.
     sealed_meta: Option<Vec<u8>>,
+    /// The window [`PageStore::try_seal`] sealed and
+    /// [`PageStore::try_settle`] has not yet settled: the metadata it
+    /// carries and what journaling it cost.
+    sealing: Option<(Vec<u8>, JournalAck)>,
     /// The pinned page (at most one) and its residency state.
     pinned: Option<(u32, PinState)>,
     /// Page allocations nobody else references, displaced from a view
@@ -212,6 +216,7 @@ impl<P> PageStore<P> {
             freed_since_commit: BTreeSet::new(),
             images_only: false,
             sealed_meta: None,
+            sealing: None,
             pinned: None,
             spares: Vec::new(),
         }
@@ -274,6 +279,7 @@ impl<P> PageStore<P> {
     /// backend yet, so the first commit must carry the full image of
     /// each (no page has a base to take a delta against).
     pub fn set_backend(&mut self, backend: Box<dyn Backend>) -> Box<dyn Backend> {
+        self.debug_assert_settled();
         let prev = std::mem::replace(&mut self.backend, backend);
         self.durable = self.backend.is_durable();
         if self.durable {
@@ -303,6 +309,12 @@ impl<P> PageStore<P> {
     #[must_use]
     pub fn pending_commit(&self) -> (usize, usize) {
         (self.dirty_since_commit.len(), self.freed_since_commit.len())
+    }
+
+    /// A store with a sealed, unsettled window takes no write, seal,
+    /// checkpoint or backend until the window settles.
+    fn debug_assert_settled(&self) {
+        debug_assert!(self.sealing.is_none(), "a sealed window awaits its settle");
     }
 
     /// The retry policy applied to transient faults.
@@ -355,6 +367,7 @@ impl<P> PageStore<P> {
     /// is still allocated in that case — its write I/O simply never
     /// completed).
     pub fn try_allocate(&mut self, page: P) -> Result<PageId, PagerError> {
+        self.debug_assert_settled();
         let prospective = PageId(match self.free_list.last() {
             Some(&idx) => idx,
             None => u32::try_from(self.pages.len()).expect("page count exceeds u32"),
@@ -409,6 +422,7 @@ impl<P> PageStore<P> {
     where
         P: Clone,
     {
+        self.debug_assert_settled();
         self.permit(IoKind::Free, id)?;
         // No write-back is owed for a page that ceases to exist.
         let _ = self.buffer.remove(id);
@@ -488,6 +502,7 @@ impl<P> PageStore<P> {
     where
         P: Clone,
     {
+        self.debug_assert_settled();
         self.try_fault_in(id, true)?;
         match self.permit(IoKind::Mutate, id) {
             Ok(()) => {
@@ -982,16 +997,10 @@ impl<P: PageCodec> PageStore<P> {
         Some(store)
     }
 
-    /// Seals the current commit window: journals every page dirtied
-    /// since the last commit — as a delta against the page as the log
-    /// last knew it when the codec offers one
-    /// ([`PageCodec::encode_delta`]), as its byte image otherwise — then
-    /// the freed pages and a commit record carrying `meta`, and clears
-    /// the window. With the default [`crate::FsyncPolicy::OnCommit`]
-    /// this is group commit: one fsync for the whole window.
-    ///
-    /// A window that dirtied no page, freed none and carries the `meta`
-    /// of the last sealed one appends nothing and syncs nothing.
+    /// Commits the current commit window: [`PageStore::try_seal`], then
+    /// [`PageStore::try_settle`]. With the default
+    /// [`crate::FsyncPolicy::OnCommit`] this is group commit: one fsync
+    /// for the whole window.
     ///
     /// No-op (`Ok`) on non-durable backends.
     ///
@@ -1004,6 +1013,33 @@ impl<P: PageCodec> PageStore<P> {
     /// page images in one window resolve to the same bytes, a delta
     /// applied twice does not.
     pub fn try_commit(&mut self, meta: &[u8]) -> Result<(), PagerError> {
+        self.try_seal(meta)?;
+        self.try_settle()
+    }
+
+    /// Seals the current commit window without waiting for it to become
+    /// durable: journals every page dirtied since the last commit — as a
+    /// delta against the page as the log last knew it when the codec
+    /// offers one ([`PageCodec::encode_delta`]), as its byte image
+    /// otherwise — then the freed pages and a commit record carrying
+    /// `meta` ([`Backend::journal_seal`]). The window is committed, and
+    /// cleared, by the [`PageStore::try_settle`] that follows; until
+    /// then the store takes no write, seal, checkpoint or backend.
+    /// Sealing many stores before settling any puts their fsyncs in
+    /// flight together.
+    ///
+    /// A window that dirtied no page, freed none and carries the `meta`
+    /// of the last sealed one appends nothing and leaves nothing to
+    /// settle.
+    ///
+    /// No-op (`Ok`) on non-durable backends.
+    ///
+    /// # Errors
+    /// Fails with the first unabsorbed journal fault, as
+    /// [`PageStore::try_commit`] does; the window is kept, nothing is
+    /// left to settle, and the next seal journals images only.
+    pub fn try_seal(&mut self, meta: &[u8]) -> Result<(), PagerError> {
+        self.debug_assert_settled();
         if !self.durable {
             return Ok(());
         }
@@ -1013,7 +1049,7 @@ impl<P: PageCodec> PageStore<P> {
         {
             return Ok(());
         }
-        // Up until this window is sealed; a failure below leaves it up.
+        // Up until this window is settled; a failure leaves it up.
         let images_only = std::mem::replace(&mut self.images_only, true);
         let mut total = JournalAck::default();
         let dirty: Vec<(u32, Option<Arc<P>>)> = self
@@ -1054,19 +1090,44 @@ impl<P: PageCodec> PageStore<P> {
             let ack = self.journal_retry(id, |b| b.journal_free(id))?;
             total = total.merge(ack);
         }
-        let ack = self.journal_retry(COMMIT_PAGE, |b| b.journal_commit(meta))?;
-        total = total.merge(ack);
-        self.window_sealed(meta);
-        self.stats.add_wal(total.records, total.bytes, total.fsyncs);
+        let ack = self.journal_retry(COMMIT_PAGE, |b| b.journal_seal(meta))?;
+        self.sealing = Some((meta.to_vec(), total.merge(ack)));
         Ok(())
     }
 
+    /// Settles the window [`PageStore::try_seal`] sealed: waits until
+    /// the backend has made it durable ([`Backend::journal_settle`]),
+    /// then clears it and counts its journal work in the store's
+    /// [`IoStats`]. With no sealed window this returns at once.
+    ///
+    /// # Errors
+    /// Fails with the backend's fault, which is not retried: the window
+    /// did not commit, and stays open to be journaled again, images
+    /// only, as after a failed [`PageStore::try_commit`].
+    pub fn try_settle(&mut self) -> Result<(), PagerError> {
+        let Some((meta, total)) = self.sealing.take() else {
+            return Ok(());
+        };
+        match self.backend.journal_settle() {
+            Ok(ack) => {
+                let total = total.merge(ack);
+                self.window_sealed(meta);
+                self.stats.add_wal(total.records, total.bytes, total.fsyncs);
+                Ok(())
+            }
+            Err(fault) => {
+                self.stats.add_fault_injected();
+                Err(self.map_fault(IoKind::Mutate, COMMIT_PAGE, fault))
+            }
+        }
+    }
+
     /// The open window reached the disk with `meta`: forget it.
-    fn window_sealed(&mut self, meta: &[u8]) {
+    fn window_sealed(&mut self, meta: Vec<u8>) {
         self.dirty_since_commit.clear();
         self.freed_since_commit.clear();
         self.images_only = false;
-        self.sealed_meta = Some(meta.to_vec());
+        self.sealed_meta = Some(meta);
     }
 
     /// Writes a full checkpoint — every live page plus `meta` — and
@@ -1084,6 +1145,7 @@ impl<P: PageCodec> PageStore<P> {
     /// which, so the window that follows journals images only, as after
     /// a failed [`PageStore::try_commit`].
     pub fn try_checkpoint(&mut self, meta: &[u8]) -> Result<(), PagerError> {
+        self.debug_assert_settled();
         if !self.durable {
             return Ok(());
         }
@@ -1099,7 +1161,7 @@ impl<P: PageCodec> PageStore<P> {
         // are no longer what recovery starts from.
         self.images_only = true;
         let ack = self.journal_retry(COMMIT_PAGE, |b| b.checkpoint(&live, meta))?;
-        self.window_sealed(meta);
+        self.window_sealed(meta.to_vec());
         self.stats.add_wal(ack.records, ack.bytes, ack.fsyncs);
         Ok(())
     }

@@ -219,10 +219,10 @@ pub(crate) fn run<I: Index1D>(
                         // backends). A rejection leaves the index state
                         // valid and the window pending, so the shard is
                         // not poisoned.
-                        if let Err((store, error)) = index.commit_group() {
+                        if let Err(rejected) = index.commit_group() {
                             r = Err(ServeError::ShardFault {
                                 shard,
-                                panic: format!("commit window rejected on {store}: {error}"),
+                                panic: rejected.to_string(),
                             });
                         }
                     }
@@ -348,10 +348,10 @@ pub(crate) fn run<I: Index1D>(
                         }
                     });
                     if r.is_ok() && commit_on_apply {
-                        if let Err((store, error)) = index.commit_group() {
+                        if let Err(rejected) = index.commit_group() {
                             r = Err(ServeError::ShardFault {
                                 shard,
-                                panic: format!("commit window rejected on {store}: {error}"),
+                                panic: rejected.to_string(),
                             });
                         }
                     }
