@@ -21,16 +21,15 @@
 //! `--read-heavy` runs the snapshot-read sweep at S = 4: reader threads
 //! replaying a seeded query set against the latest published snapshot
 //! while writer threads race group commits, at reader:writer ratios
-//! 2:1, 4:1 and 8:2. The `speedup` column is snapshot queries/sec over
-//! the same workload forced through the worker queues; the `reads/q`
-//! column (frozen pages per query, from a serial spanned probe of the
-//! settled tree) is what the regression gate compares. With `--json`
+//! 2:1, 4:1 and 8:2. The `reads/q` column (frozen pages per query,
+//! from a serial spanned probe of the warm tree) is what the regression
+//! gate compares. With `--json`
 //! the cells land in the report's `read_cells` array.
 //!
 //! `--trace-out FILE` runs a short traced-query session at S = 4 and
 //! writes its span trees as a Chrome trace-event document: open it in
 //! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` to see the
-//! client lane fan out into one lane per shard worker.
+//! client lane fan out into one lane per shard's read leg.
 //!
 //! `--telemetry-out FILE` runs a short serving session at S = 4 with
 //! the continuous-telemetry sampler attached (100 ms tick) and writes
@@ -212,19 +211,17 @@ fn main() {
             cfg.reader_queries
         );
         println!(
-            "{:>9} {:>9} {:>12} {:>12} {:>9} {:>9} {:>8}",
-            "readers", "writers", "snap q/s", "queued q/s", "reads/q", "epochs", "speedup"
+            "{:>9} {:>9} {:>12} {:>9} {:>9}",
+            "readers", "writers", "snap q/s", "reads/q", "epochs"
         );
         for c in &read_cells {
             println!(
-                "{:>9} {:>9} {:>12.1} {:>12.1} {:>9.1} {:>9} {:>7.2}x",
+                "{:>9} {:>9} {:>12.1} {:>9.1} {:>9}",
                 c.readers,
                 c.writers,
                 c.snapshot_queries_per_sec,
-                c.queued_queries_per_sec,
                 c.reads_per_query,
-                c.epochs_advanced,
-                c.read_speedup
+                c.epochs_advanced
             );
         }
     }

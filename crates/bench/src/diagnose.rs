@@ -14,7 +14,7 @@
 //!   poisons the shard.
 //!
 //! With the telemetry sampler (and its default SLOs) attached, the run
-//! drives seeded update batches and traced queued queries, springs the
+//! drives seeded update batches and traced snapshot queries, springs the
 //! fault, waits for the flight recorder's automatic `shard_poison`
 //! capture, and finally dumps a manual bundle. The doctor must then
 //! rank `shard_poisoned` on the fault shard and `wal_fsync` as the
@@ -102,10 +102,9 @@ pub fn run_diagnose(cfg: &DiagnoseConfig) -> DiagnoseOutcome {
         capacity: 512,
     });
 
-    // Healthy phase: seeded update batches and traced queued queries,
-    // so the bundle's span trees carry real `queue_wait_nanos` legs and
-    // the stall shard's WAL counters accumulate fsync-per-record
-    // evidence.
+    // Healthy phase: seeded update batches and traced snapshot queries,
+    // so the bundle carries real query span trees and the stall shard's
+    // WAL counters accumulate fsync-per-record evidence.
     let span_epoch = Instant::now();
     for _ in 0..cfg.instants {
         db.apply(&step_batch(&mut sim))
@@ -113,7 +112,7 @@ pub fn run_diagnose(cfg: &DiagnoseConfig) -> DiagnoseOutcome {
         for _ in 0..2 {
             let q = sim.gen_query(150.0, 60.0);
             let _ = db
-                .query(&QueryRequest::new(&q).spanned(span_epoch).queued())
+                .query(&QueryRequest::new(&q).spanned(span_epoch))
                 .expect("healthy traced query");
         }
     }

@@ -23,15 +23,17 @@
 //!   fsyncs per WAL record — the signature of `FsyncPolicy::Always`
 //!   (one fsync per record) as opposed to group commit (one per
 //!   drained batch, amortized toward zero per record).
-//! * `queue_wait` — mean `queue_wait_nanos` over the bundle's
-//!   `s<shard>/execute` span legs: time requests sat in the worker
-//!   queue before execution.
-//! * `merge` — per-query k-way-merge tail at the facade: root `query`
+//! * `merge` — per-query fan-in tail at the facade: root `query`
 //!   span end minus the last leg's end, averaged over the bundle's
 //!   span trees (whole-database scope).
 //! * `snapshot_staleness` — the published snapshot's age
 //!   (`snapshot_age_ticks` × the sampler tick, both recovered from the
 //!   telemetry section; whole-database scope).
+//!
+//! Queue wait is not scored: every read is a snapshot read and never
+//! waits in a worker queue, so no span leg carries one. It returns as
+//! the `serve.queue_wait` apply span once the write path is traced
+//! (ROADMAP item 4(a)).
 //!
 //! Findings are ranked by score, descending; ties break on
 //! (scope, phase) so the report is deterministic for a given bundle.
@@ -333,35 +335,6 @@ pub fn diagnose(bundle: &Value) -> Result<DoctorReport, String> {
                 });
             }
         }
-        // Queue wait: mean over this shard's execute legs in the
-        // bundle's recent span trees.
-        let (mut wait_sum, mut wait_n) = (0.0f64, 0u64);
-        let leg_name = format!("s{shard}/execute");
-        for root in &spans {
-            root.visit(&mut |s| {
-                if s.name == leg_name {
-                    if let Some(w) = s.attr_u64("queue_wait_nanos") {
-                        #[allow(clippy::cast_precision_loss)]
-                        {
-                            wait_sum += w as f64 / 1_000.0;
-                        }
-                        wait_n += 1;
-                    }
-                }
-            });
-        }
-        if wait_n > 0 {
-            #[allow(clippy::cast_precision_loss)]
-            let mean = wait_sum / wait_n as f64;
-            if mean > 0.0 {
-                findings.push(Finding {
-                    scope: Scope::Shard(shard),
-                    phase: "queue_wait",
-                    score_us: mean,
-                    evidence: format!("mean over {wait_n} traced legs"),
-                });
-            }
-        }
     }
 
     // Merge: facade time after the last leg returned, averaged over the
@@ -537,10 +510,10 @@ mod tests {
              "reads": 0, "writes": 0, "hits": 0, "children": [
                {"name": "s0/execute", "start_nanos": 2000,
                 "duration_nanos": 3000, "reads": 2, "writes": 0, "hits": 1,
-                "attrs": {"shard": 0, "queue_wait_nanos": 800000}},
+                "attrs": {"shard": 0}},
                {"name": "s1/execute", "start_nanos": 2500,
                 "duration_nanos": 4000, "reads": 1, "writes": 0, "hits": 0,
-                "attrs": {"shard": 1, "queue_wait_nanos": 200000}}
+                "attrs": {"shard": 1}}
              ]},
             {"name": "alert", "start_nanos": 4000, "duration_nanos": 0,
              "reads": 0, "writes": 0, "hits": 0,
@@ -580,13 +553,6 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.scope == Scope::Shard(1) && f.phase == "wal_fsync"));
-        // Queue wait: shard 0's single leg waited 800µs.
-        let qw = report
-            .findings
-            .iter()
-            .find(|f| f.scope == Scope::Shard(0) && f.phase == "queue_wait")
-            .expect("queue wait finding");
-        assert!((qw.score_us - 800.0).abs() < 1e-9);
         // The old I/O-wait histogram is ignored: no disk finding, and
         // the other phases rank as they always did.
         let ranked: Vec<(Scope, &str)> =
@@ -597,8 +563,6 @@ mod tests {
                 (Scope::Shard(1), "shard_poisoned"),
                 (Scope::Shard(0), "wal_fsync"),
                 (Scope::Db, "snapshot_staleness"),
-                (Scope::Shard(0), "queue_wait"),
-                (Scope::Shard(1), "queue_wait"),
                 (Scope::Db, "merge"),
             ]
         );

@@ -30,7 +30,7 @@
 //! scenario exists to compare.
 
 use mobidx_core::method::vp_dual::{VpDualConfig, VpDualIndex};
-use mobidx_core::QueryRequest;
+use mobidx_core::Index1D;
 use mobidx_obs::json::Value;
 use mobidx_obs::telemetry::ProfileConfig;
 use mobidx_serve::{Batch, IdHashShard, RepartitionPolicy, SamplerConfig, ServeConfig, ShardedDb};
@@ -187,14 +187,18 @@ fn apply_step(db: &ShardedDb<VpDualIndex>, updates: &[Update1D]) {
     db.apply(&batch).expect("apply step batch");
 }
 
-/// Cold reads per query through the worker (pager) read path: buffers
-/// cleared before every query, physical reads counted by the stores —
-/// the §5 protocol, so the number is deterministic.
+/// Cold reads per query through the live indexes' pager read path:
+/// buffers cleared before every query, each shard's index searched on
+/// its worker, physical reads counted by the stores — the §5 protocol,
+/// so the number is deterministic.
 fn cold_reads_per_query(db: &ShardedDb<VpDualIndex>, queries: &[MorQuery1D]) -> f64 {
     db.reset_io().expect("reset I/O counters");
-    for q in queries {
+    for &q in queries {
         db.clear_buffers().expect("clear buffer pools");
-        let _ = db.query(&QueryRequest::new(q).queued()).expect("query");
+        for shard in 0..db.shards() {
+            db.with_shard(shard, move |index| index.search(&q, &mut Vec::new()))
+                .expect("cold query");
+        }
     }
     let reads = db.io_totals().expect("I/O totals").reads;
     #[allow(clippy::cast_precision_loss)]

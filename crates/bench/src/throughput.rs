@@ -11,8 +11,7 @@
 //!   batches of each size; `ios_per_op` is the page I/O the grouped
 //!   write path spends per op.
 //! * [`run_read_heavy`] races reader threads against writer group
-//!   commits, once through the worker queues and once on the snapshot
-//!   path; `reads_per_query` is the frozen pages a snapshot query
+//!   commits; `reads_per_query` is the frozen pages a snapshot query
 //!   visits, from a serial probe of the warm tree.
 //!
 //! Sharding is by speed band ([`mobidx_serve::SpeedBandShard`]): each
@@ -180,12 +179,6 @@ pub struct ReadHeavyCell {
     /// Queries/sec of the snapshot path (epoch-stamped reads, zero
     /// queueing) under concurrent commits.
     pub snapshot_queries_per_sec: f64,
-    /// Queries/sec of the same workload forced through the worker
-    /// queues ([`QueryRequest::queued`]) — the pre-snapshot baseline.
-    pub queued_queries_per_sec: f64,
-    /// `snapshot_queries_per_sec / queued_queries_per_sec` — the
-    /// headline read-path gain.
-    pub read_speedup: f64,
     /// Frozen pages visited per snapshot query, from a serial spanned
     /// probe run against the warm pre-race snapshot (deterministic: the
     /// load and warm-up history is seeded and single-threaded, so the
@@ -201,17 +194,13 @@ const READ_PROBE: usize = 32;
 
 /// Runs the read-heavy sweep: a fixed-shard serving stack, reader
 /// threads replaying a seeded query set while writer threads
-/// continuously apply group commits. Each `(readers, writers)` ratio is
-/// measured twice over the same settled tree — once forced through the
-/// worker queues (the queued baseline) and once on the default snapshot
-/// path — so `read_speedup` isolates the routing change.
+/// continuously apply group commits, once per `(readers, writers)`
+/// ratio.
 ///
-/// The `reads_per_query` probe runs *before* any race, against the
+/// The `reads_per_query` probe runs *before* the race, against the
 /// warm snapshot whose page layout is fully determined by the seeded
 /// single-threaded load — tree layout is history-dependent, so a
-/// post-race probe would not be deterministic. Between the two race
-/// phases the writer batches are re-applied serially so both phases
-/// start from the same logical object states.
+/// post-race probe would not be deterministic.
 ///
 /// # Panics
 /// Panics on a serve error — the benchmark runs no fault injection, so
@@ -235,12 +224,6 @@ pub fn run_read_heavy(
             .map(|_| step_batch(&mut sim))
             .collect();
 
-        let settle = |db: &ShardedDb<DualBPlusIndex>| {
-            for b in &commits {
-                db.apply(b).expect("settling re-apply");
-            }
-        };
-
         // Serial spanned probe over the warm pre-race snapshot: frozen
         // pages per query, deterministic because the seeded load/warm
         // history (and so the frozen page layout) is.
@@ -254,29 +237,19 @@ pub fn run_read_heavy(
             probe_reads += span.total_io().reads;
         }
 
-        let (queued_secs, _) = race_readers(&db, &queries, readers, writers, &commits, true);
-        settle(&db);
         let epoch_before = db.snapshot_epoch();
-        let (snap_secs, _) = race_readers(&db, &queries, readers, writers, &commits, false);
+        let (snap_secs, _) = race_readers(&db, &queries, readers, writers, &commits);
         let epochs_advanced = db.snapshot_epoch() - epoch_before;
 
         let total_queries = per_reader * readers;
         #[allow(clippy::cast_precision_loss)]
         let snapshot_qps = total_queries as f64 / snap_secs.max(1e-9);
         #[allow(clippy::cast_precision_loss)]
-        let queued_qps = total_queries as f64 / queued_secs.max(1e-9);
-        #[allow(clippy::cast_precision_loss)]
         out.push(ReadHeavyCell {
             readers,
             writers,
             queries: total_queries,
             snapshot_queries_per_sec: snapshot_qps,
-            queued_queries_per_sec: queued_qps,
-            read_speedup: if queued_qps > 0.0 {
-                snapshot_qps / queued_qps
-            } else {
-                0.0
-            },
             reads_per_query: probe_reads as f64 / probe.len().max(1) as f64,
             epochs_advanced,
         });
@@ -285,7 +258,7 @@ pub fn run_read_heavy(
 }
 
 /// One read-heavy race phase: `readers` threads each replay the full
-/// query list (`queued` picks the routing) while `writers` threads
+/// query list while `writers` threads
 /// apply the commit batches cyclically until the readers finish.
 /// Returns (elapsed seconds over the read phase, summed result
 /// cardinalities).
@@ -295,7 +268,6 @@ fn race_readers(
     readers: usize,
     writers: usize,
     commits: &[Batch],
-    queued: bool,
 ) -> (f64, u64) {
     let stop = AtomicBool::new(false);
     let start = Instant::now();
@@ -319,9 +291,8 @@ fn race_readers(
                 scope.spawn(move || {
                     let mut sum = 0u64;
                     for q in queries {
-                        let req = QueryRequest::new(q);
-                        let req = if queued { req.queued() } else { req };
-                        sum += db.query(&req).expect("race query").len() as u64;
+                        let out = db.query(&QueryRequest::new(q)).expect("race query");
+                        sum += out.len() as u64;
                     }
                     sum
                 })
@@ -412,11 +383,6 @@ pub fn render_report(
                                 "snapshot_queries_per_sec".to_owned(),
                                 Value::Num(c.snapshot_queries_per_sec),
                             ),
-                            (
-                                "queued_queries_per_sec".to_owned(),
-                                Value::Num(c.queued_queries_per_sec),
-                            ),
-                            ("read_speedup".to_owned(), Value::Num(c.read_speedup)),
                             ("reads_per_query".to_owned(), Value::Num(c.reads_per_query)),
                             ("epochs_advanced".to_owned(), Value::from(c.epochs_advanced)),
                         ])
@@ -430,8 +396,9 @@ pub fn render_report(
 
 /// Runs a short traced-query session at `shards` shards and renders the
 /// resulting span trees as a Chrome trace-event document (load it in
-/// Perfetto or `chrome://tracing`): one lane per shard worker, with
-/// queue waits and per-store I/O on the span attributes.
+/// Perfetto or `chrome://tracing`): one lane per shard's read leg, with
+/// the snapshot epoch, candidates and frozen pages on the span
+/// attributes.
 ///
 /// # Panics
 /// Panics on a serve error — trace capture runs no fault injection, so
@@ -611,7 +578,7 @@ mod tests {
             .get("traceEvents")
             .and_then(Value::as_array)
             .expect("traceEvents");
-        // 3 lane-name metadata events (client + 2 workers) plus at
+        // 3 lane-name metadata events (client + 2 read legs) plus at
         // least root/leg/index spans per query.
         assert!(events.len() > 3, "only {} events", events.len());
         assert!(events
@@ -690,8 +657,6 @@ mod tests {
             writers: 2,
             queries: 1600,
             snapshot_queries_per_sec: 3000.0,
-            queued_queries_per_sec: 1000.0,
-            read_speedup: 3.0,
             reads_per_query: 34.0,
             epochs_advanced: 12,
         }];
@@ -719,11 +684,11 @@ mod tests {
         assert_eq!(rc.len(), 1);
         assert_eq!(rc[0].get("readers").and_then(Value::as_u64), Some(8));
         assert_eq!(rc[0].get("writers").and_then(Value::as_u64), Some(2));
-        let spd = rc[0]
-            .get("read_speedup")
+        let qps = rc[0]
+            .get("snapshot_queries_per_sec")
             .and_then(Value::as_f64)
-            .expect("read_speedup");
-        assert!((spd - 3.0).abs() < 1e-12);
+            .expect("snapshot_queries_per_sec");
+        assert!((qps - 3000.0).abs() < 1e-12);
     }
 
     #[test]
@@ -751,8 +716,6 @@ mod tests {
         assert_eq!((c.readers, c.writers), (2, 1));
         assert_eq!(c.queries, 40, "2 readers x 20 queries");
         assert!(c.snapshot_queries_per_sec > 0.0);
-        assert!(c.queued_queries_per_sec > 0.0);
-        assert!(c.read_speedup > 0.0);
         assert!(
             c.reads_per_query > 0.0,
             "snapshot probe must visit frozen pages"

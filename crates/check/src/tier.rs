@@ -207,7 +207,7 @@ impl<I: TierIndex> TierTarget<I> {
         )
     }
 
-    /// Fan-out MOR query vs brute force over the oracle table. The 1/128
+    /// Snapshot MOR query vs brute force over the oracle table. The 1/128
     /// edge offset keeps every trajectory strictly off the query
     /// boundary (see `new_motion`).
     fn query(&mut self, run: &mut Run) -> Result<(), String> {
@@ -219,15 +219,13 @@ impl<I: TierIndex> TierTarget<I> {
         let q = MorQuery1D { y1, y2, t1, t2 };
         let objects: Vec<Motion1D> = self.oracle.values().copied().collect();
         let want = brute_force_1d(&objects, &q);
-        // Route through the worker queues: the snapshot path is
-        // infallible by design (a faulted shard just pauses
-        // publication), but this target exists to exercise the tier's
-        // typed-error surfacing and rebuild protocol. Retry until every
-        // faulted shard has been rebuilt — each turn replaces one
-        // shard's fault backend with the factory's clean one, so at most
-        // `SHARDS` turns can fault.
+        // A snapshot read fails only when nothing is published and some
+        // shard has no view to give; it names that shard. Heal and
+        // retry until every such shard has been rebuilt — each turn
+        // replaces one shard's fault backend with the factory's clean
+        // one, so at most `SHARDS` turns can fail.
         let got = loop {
-            match self.db.query(&QueryRequest::new(&q).queued()) {
+            match self.db.query(&QueryRequest::new(&q)) {
                 Ok(answer) => break answer.into_ids(),
                 Err(e) => self.heal("query", e)?,
             }

@@ -48,12 +48,13 @@ use std::time::Instant;
 ///
 /// The request is a plain value: `q` borrows the caller's query, and the
 /// optional out-buffer rides in a [`Cell`] so the (single-threaded)
-/// executor can take it without the request being `&mut`.
+/// executor can take it without the request being `&mut`. The options
+/// shape the answer, never the route: a sharded facade serves every
+/// request from its snapshot read path.
 pub struct QueryRequest<'a, Q> {
     q: &'a Q,
     trace: bool,
     span_epoch: Option<Instant>,
-    queued: bool,
     speed: Option<(f64, f64)>,
     reuse: Cell<Option<Vec<u64>>>,
 }
@@ -64,7 +65,6 @@ impl<Q: std::fmt::Debug> std::fmt::Debug for QueryRequest<'_, Q> {
             .field("q", &self.q)
             .field("trace", &self.trace)
             .field("span_epoch", &self.span_epoch)
-            .field("queued", &self.queued)
             .field("speed", &self.speed)
             .finish_non_exhaustive()
     }
@@ -78,7 +78,6 @@ impl<'a, Q> QueryRequest<'a, Q> {
             q,
             trace: false,
             span_epoch: None,
-            queued: false,
             speed: None,
             reuse: Cell::new(None),
         }
@@ -100,19 +99,10 @@ impl<'a, Q> QueryRequest<'a, Q> {
         self
     }
 
-    /// Forces the queued (worker fan-out) read path on surfaces that
-    /// default to snapshot reads — the knob for callers that need
-    /// read-your-own-write against an apply they just enqueued, or that
-    /// deliberately measure queueing. Index-level surfaces ignore it.
-    #[must_use]
-    pub fn queued(mut self) -> Self {
-        self.queued = true;
-        self
-    }
-
     /// Restricts the answer to objects whose absolute speed lies in
     /// `[v_lo, v_hi]` (the historical `query_filtered`). Only the
-    /// sharded facade honors it; index-level surfaces ignore it.
+    /// sharded facade honors it — it filters its snapshot answer against
+    /// the motion table; index-level surfaces ignore it.
     #[must_use]
     pub fn speed_band(mut self, v_lo: f64, v_hi: f64) -> Self {
         self.speed = Some((v_lo, v_hi));
@@ -155,12 +145,6 @@ impl<'a, Q> QueryRequest<'a, Q> {
     #[must_use]
     pub fn wants_span(&self) -> bool {
         self.trace || self.span_epoch.is_some()
-    }
-
-    /// Whether the queued read path was forced.
-    #[must_use]
-    pub fn is_queued(&self) -> bool {
-        self.queued
     }
 
     /// The speed filter, if any.

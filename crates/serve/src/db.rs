@@ -2,7 +2,6 @@
 
 use crate::batch::{Batch, Op, ShardOp};
 use crate::health::{HealthSnapshot, ShardHealth};
-use crate::merge::merge_sorted_ids;
 use crate::shard::ShardFn;
 use crate::snapshot::{
     decide, Action, DbSnapshot, Looker, Publication, Read, ReadPool, Slot, SnapshotRegistry, Turn,
@@ -77,9 +76,9 @@ impl Default for ServeConfig {
 /// queueing behind writes, fanned out across a small work-stealing read
 /// pool, and fanned back in — one union of the legs' answers, dense
 /// ones ORed as bitmaps — to the sorted, deduplicated contract of a
-/// single index. [`QueryRequest::queued`] opts back into the
-/// worker-queue read path (read-your-own-write against an apply the
-/// caller just enqueued).
+/// single index. Every read is a snapshot read: `apply` returns only
+/// after every shard replied, so a read that follows it sees the
+/// caller's own write.
 ///
 /// The facade owns the authoritative motion table (id → current motion
 /// record), exactly like [`MotionDb`]: updates are routed by id, and a
@@ -127,9 +126,9 @@ pub struct ShardedDb<I: Index1D + Send + 'static> {
     shard_fn: Box<dyn ShardFn>,
     #[allow(clippy::type_complexity)]
     factory: Box<dyn Fn(usize, usize) -> I + Send + Sync>,
-    /// Pooled query buffers: capacity is recycled across requests so a
-    /// steady query load settles into zero per-query allocation inside
-    /// the workers.
+    /// Pooled leg sets: the buffers snapshot legs answer into, recycled
+    /// across requests so a steady query load allocates only its
+    /// answers.
     buffers: Mutex<Vec<Vec<u64>>>,
     shards: usize,
     /// Per-shard health state, shared with the workers.
@@ -169,7 +168,10 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     /// [`sub_band`](crate::SpeedBandShard::sub_band).
     ///
     /// # Panics
-    /// Panics if `cfg.shards` or `cfg.queue_depth` is zero.
+    /// Panics if `cfg.shards` or `cfg.queue_depth` is zero, or if a fresh
+    /// shard index cannot freeze ([`Index1D::freeze`] returns `None`, as
+    /// dual-B+ does with `maintain_subterrain` set): every read is a
+    /// snapshot read.
     #[must_use]
     pub fn new(
         cfg: ServeConfig,
@@ -185,7 +187,8 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     /// tune drift detection here.
     ///
     /// # Panics
-    /// Panics if `cfg.shards` or `cfg.queue_depth` is zero, or if
+    /// Panics if `cfg.shards` or `cfg.queue_depth` is zero, if a fresh
+    /// shard index cannot freeze (see [`ShardedDb::new`]), or if
     /// `profile_cfg` is degenerate (see [`WorkloadProfile::new`]).
     #[must_use]
     pub fn with_profile(
@@ -210,7 +213,12 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             // Freeze the empty index before it moves into its worker —
             // the initial snapshot (epoch 0) is published at
             // construction, so snapshot reads work before any write.
-            initial_views.push(index.freeze().map(Arc::from));
+            let view = index.freeze().unwrap_or_else(|| {
+                panic!(
+                    "shard {shard}'s index cannot freeze: every ShardedDb read is a snapshot read"
+                )
+            });
+            initial_views.push(Arc::from(view));
             let shard_health = Arc::new(ShardHealth::new());
             let worker_health = Arc::clone(&shard_health);
             let worker_profile = Arc::clone(&profile);
@@ -344,7 +352,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     ///   its index from the table. Snapshot publication pauses and the
     ///   commit epoch stands until the rebuild: reads keep serving the
     ///   last good snapshot — or, if nobody was reading and this apply
-    ///   had let it go, take the worker queues and see the error.
+    ///   had let it go, fail with [`ServeError::ShardPoisoned`].
     ///
     /// # Panics
     /// Panics if the table lock is poisoned (a prior `apply` panicked).
@@ -489,11 +497,13 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     /// two applies, or by the apply in flight (see [`crate::snapshot`]).
     /// Never blocks on the table lock: `apply` holds it across its whole
     /// round trip and writers looping on it would starve a reader.
-    /// `None` when some shard cannot offer a view at all.
-    fn snapshot(&self) -> Option<Arc<DbSnapshot>> {
+    /// [`ServeError::ShardPoisoned`] names the first shard with no view
+    /// when publication is paused with nothing published.
+    fn snapshot(&self) -> Result<Arc<DbSnapshot>, ServeError> {
         loop {
             match self.registry.read() {
-                Read::Snapshot(snapshot) => return snapshot,
+                Read::Snapshot(snapshot) => return Ok(snapshot),
+                Read::Paused(shard) => return Err(ServeError::ShardPoisoned { shard }),
                 Read::OnDemand => match self.table.try_write() {
                     Ok(table) => {
                         let turn = self.registry.begin_turn();
@@ -514,161 +524,35 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     /// that replaced the historical `query` / `query_filtered` /
     /// `query_traced` family.
     ///
-    /// Routing: plain requests run against the published
-    /// [`DbSnapshot`] — no worker queue, fan-out across the read pool,
-    /// `epoch` stamped on the output. The first one after a stretch of
-    /// writes nobody read behind finds none published and has it built
-    /// (one `Freeze` round trip per shard, or a wait for the apply in
-    /// flight to do it). Requests that force [`QueryRequest::queued`],
-    /// carry a [`speed filter`](QueryRequest::speed_band), or find a
-    /// shard that cannot offer a view take the worker-queue path instead
-    /// (and leave `epoch` as `None`).
+    /// Every read runs against the published [`DbSnapshot`]: no worker
+    /// queue, per-shard legs fanned out across the read pool (the
+    /// calling thread runs shard 0's leg inline and steals queued legs
+    /// while it waits), each finishing its answer into a pooled
+    /// [`IdSet`], fanned back in by one [`union`] that writes the ids
+    /// once, `epoch` stamped on the output. The first read after a
+    /// stretch of writes nobody read behind finds none published and
+    /// has it built (one `Freeze` round trip per shard, or a wait for
+    /// the apply in flight to do it). `apply` returns only after every
+    /// shard replied, so a read that follows it sees its write. A
+    /// [`speed filter`](QueryRequest::speed_band) is applied to the
+    /// union against the motion table, under its read lock, so a
+    /// filtered read waits out an apply in flight.
     ///
-    /// Both paths honor tracing: [`QueryRequest::traced`] /
-    /// [`QueryRequest::spanned`] produce a root `query` span with one
-    /// `s<shard>/execute` leg per shard. Queued legs carry
-    /// `queue_wait_nanos`; snapshot legs instead carry
-    /// `snapshot_epoch` and the frozen-page read count — snapshot reads
-    /// never wait in a queue, which is the point.
+    /// Tracing: [`QueryRequest::traced`] / [`QueryRequest::spanned`]
+    /// produce a root `query` span (`snapshot_epoch`, summed
+    /// `candidates`, `results`) with one `s<shard>/execute` leg per
+    /// shard, each carrying `snapshot_epoch`, its candidates and the
+    /// frozen pages it read. The finished tree is also pushed into the
+    /// facade's [`EventLog`] ([`ShardedDb::recent_spans`]).
     ///
     /// # Errors
-    /// [`ServeError::ShardFault`] / [`ServeError::ShardPoisoned`] /
-    /// [`ServeError::ShardDown`] when a queued-path worker cannot
-    /// answer. The snapshot path is infallible once a snapshot exists.
+    /// [`ServeError::ShardPoisoned`] for the first shard with no view
+    /// when no snapshot is published at all: an apply nobody read
+    /// behind let the last one go and then failed, and the shard awaits
+    /// [`ShardedDb::rebuild_shard`]. While a snapshot is published a
+    /// read cannot fail: a failed apply leaves it serving.
     pub fn query(&self, req: &QueryRequest<'_, MorQuery1D>) -> Result<QueryOutput, ServeError> {
-        if req.is_queued() || req.speed_filter().is_some() {
-            return self.query_queued(req);
-        }
-        match self.snapshot() {
-            Some(snap) => Ok(self.query_snapshot(&snap, req)),
-            None => self.query_queued(req),
-        }
-    }
-
-    /// A detached, immutable read handle on the snapshot of the latest
-    /// commit (a snapshot read like any other: it is built on demand if
-    /// none is published): queries against it are serial, infallible,
-    /// and keep answering from the *same* epoch no matter how many
-    /// commits land after — the hook for "query a stale snapshot against
-    /// a pre-commit oracle" checks.
-    #[must_use]
-    pub fn read_view(&self) -> Option<ReadView> {
-        self.snapshot().map(|snap| ReadView { snap })
-    }
-
-    /// The commit epoch: the group commits applied so far (0 until the
-    /// first), whether or not a snapshot was published at each. It
-    /// stands still while a faulted shard awaits its rebuild.
-    #[must_use]
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.registry.epoch()
-    }
-
-    /// The queued (worker fan-out) read path.
-    fn query_queued(&self, req: &QueryRequest<'_, MorQuery1D>) -> Result<QueryOutput, ServeError> {
-        let q = req.query();
-        if let Some((v_lo, v_hi)) = req.speed_filter() {
-            let targets = self
-                .shard_fn
-                .shards_for_speed(v_lo, v_hi, self.shards)
-                .unwrap_or_else(|| (0..self.shards).collect());
-            let mut ids = self.fan_out(q, &targets)?;
-            let table = self.table.read().expect("motion table");
-            ids.retain(|id| {
-                table.get(id).is_some_and(|m| {
-                    let s = m.v.abs();
-                    v_lo <= s && s <= v_hi
-                })
-            });
-            drop(table);
-            return Ok(QueryOutput {
-                ids,
-                ..QueryOutput::default()
-            });
-        }
-        if req.wants_span() {
-            return self.query_queued_span(req);
-        }
-        let all: Vec<usize> = (0..self.shards).collect();
-        Ok(QueryOutput {
-            ids: self.fan_out(q, &all)?,
-            ..QueryOutput::default()
-        })
-    }
-
-    /// The queued read path with a span tree: the root `query` span
-    /// (method, summed candidates, merged result count) has one
-    /// `s<shard>/execute` child per fan-out leg, each carrying its queue
-    /// wait and the worker's `index.query` subtree down to per-store I/O
-    /// leaves. All spans measure from the facade's shared epoch, so the
-    /// tree renders as one timeline (one lane per worker) in the Chrome
-    /// trace export, and [`Span::total_io`] reconciles with the
-    /// [`ShardedDb::io_totals`] delta. The finished tree is also pushed
-    /// into the facade's [`EventLog`] ([`ShardedDb::recent_spans`]).
-    fn query_queued_span(
-        &self,
-        req: &QueryRequest<'_, MorQuery1D>,
-    ) -> Result<QueryOutput, ServeError> {
-        let q = req.query();
-        let span_epoch = req.span_epoch().unwrap_or(self.epoch);
-        let mut root = OpenSpan::begin("query", span_epoch);
-        root.set_attr(
-            "method",
-            format!("sharded[{}x {}]", self.shards, self.shard_fn.name()).as_str(),
-        );
-        root.set_attr("lane", 0u64);
-        root.set_attr("lane_name", "client");
-        let sent_nanos = root.start_nanos();
-        let mut waits = Vec::with_capacity(self.shards);
-        for shard in 0..self.shards {
-            let (reply, rx) = channel();
-            self.send(
-                shard,
-                Request::Traced {
-                    q: *q,
-                    epoch: span_epoch,
-                    sent_nanos,
-                    reply,
-                },
-            )?;
-            waits.push((shard, rx));
-        }
-        let mut candidates = 0u64;
-        let mut lists = Vec::with_capacity(self.shards);
-        for (shard, rx) in waits {
-            let (ids, leg) = rx.recv().map_err(|_| ServeError::ShardDown { shard })??;
-            candidates += leg.attr_u64("candidates").unwrap_or(0);
-            root.push(leg);
-            lists.push(ids);
-        }
-        let mut merged = Vec::new();
-        merge_sorted_ids(&lists, &mut merged);
-        root.set_attr("candidates", candidates);
-        root.set_attr("results", merged.len() as u64);
-        let span = root.finish();
-        self.events.push(Arc::new(span.clone()));
-        self.profile
-            .record_query(merged.len() as u64, self.len() as u64);
-        Ok(QueryOutput {
-            trace: req.wants_trace().then(|| QueryTrace::from_span(&span)),
-            span: req.span_epoch().is_some().then_some(span),
-            ids: merged,
-            candidates,
-            epoch: None,
-        })
-    }
-
-    /// The snapshot read path: per-shard legs against the frozen views,
-    /// fanned out across the read pool (the calling thread runs shard
-    /// 0's leg inline and steals queued legs while waiting), each
-    /// finishing its answer into a pooled [`IdSet`], then fanned in by
-    /// one [`union`] that writes the ids once. No worker queue is
-    /// touched, so concurrent writers never delay this path.
-    fn query_snapshot(
-        &self,
-        snap: &Arc<DbSnapshot>,
-        req: &QueryRequest<'_, MorQuery1D>,
-    ) -> QueryOutput {
+        let snap = self.snapshot()?;
         let q = *req.query();
         let n = snap.shards();
         let span_epoch = req
@@ -733,6 +617,16 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         let legs: Vec<SnapLeg> = legs.into_iter().map(|l| l.expect("all legs ran")).collect();
         let mut merged = Vec::new();
         union(&legs, &mut merged);
+        if let Some((v_lo, v_hi)) = req.speed_filter() {
+            // Frozen views keep no speeds; the motion table does.
+            let table = self.table.read().expect("motion table");
+            merged.retain(|id| {
+                table.get(id).is_some_and(|m| {
+                    let s = m.v.abs();
+                    v_lo <= s && s <= v_hi
+                })
+            });
+        }
         let candidates = legs.iter().map(|l| l.stats.candidates).sum();
         let span = root.map(|mut root| {
             for leg in &legs {
@@ -752,7 +646,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         }
         self.profile
             .record_query(merged.len() as u64, self.len() as u64);
-        QueryOutput {
+        Ok(QueryOutput {
             trace: match (&span, req.wants_trace()) {
                 (Some(span), true) => Some(QueryTrace::from_span(span)),
                 _ => None,
@@ -765,7 +659,27 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             ids: merged,
             candidates,
             epoch: Some(snap.epoch),
-        }
+        })
+    }
+
+    /// A detached, immutable read handle on the snapshot of the latest
+    /// commit (a snapshot read like any other: it is built on demand if
+    /// none is published): queries against it are serial, infallible,
+    /// and keep answering from the *same* epoch no matter how many
+    /// commits land after — the hook for "query a stale snapshot against
+    /// a pre-commit oracle" checks. `None` where [`ShardedDb::query`]
+    /// fails: publication is paused with nothing published.
+    #[must_use]
+    pub fn read_view(&self) -> Option<ReadView> {
+        self.snapshot().ok().map(|snap| ReadView { snap })
+    }
+
+    /// The commit epoch: the group commits applied so far (0 until the
+    /// first), whether or not a snapshot was published at each. It
+    /// stands still while a faulted shard awaits its rebuild.
+    #[must_use]
+    pub fn snapshot_epoch(&self) -> u64 {
+        self.registry.epoch()
     }
 
     /// A point-in-time health summary of every shard: queue depth and
@@ -1034,36 +948,6 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
             .unwrap_or_default()
     }
 
-    /// Sends a fan-out query to `targets` and merges the answers,
-    /// recycling result buffers through the pool.
-    fn fan_out(&self, q: &MorQuery1D, targets: &[usize]) -> Result<Vec<u64>, ServeError> {
-        if targets.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut waits = Vec::with_capacity(targets.len());
-        for &shard in targets {
-            let buf = self.pop_buffer();
-            let (reply, rx) = channel();
-            self.send(shard, Request::Query { q: *q, buf, reply })?;
-            waits.push((shard, rx));
-        }
-        let mut lists = Vec::with_capacity(waits.len());
-        for (shard, rx) in waits {
-            lists.push(rx.recv().map_err(|_| ServeError::ShardDown { shard })??);
-        }
-        let mut merged = Vec::new();
-        merge_sorted_ids(&lists, &mut merged);
-        let mut pool = self.buffers.lock().expect("buffer pool");
-        for mut l in lists {
-            l.clear();
-            pool.push(l);
-        }
-        drop(pool);
-        self.profile
-            .record_query(merged.len() as u64, self.len() as u64);
-        Ok(merged)
-    }
-
     /// Collects `(io_totals, store_io)` from every shard.
     #[allow(clippy::type_complexity)]
     fn stats(&self) -> Result<Vec<(IoTotals, Vec<(String, IoTotals)>)>, ServeError> {
@@ -1151,7 +1035,6 @@ fn snapshot_leg(
         leg.set_attr("shard", shard as u64);
         leg.set_attr("lane", shard as u64 + 1);
         leg.set_attr("lane_name", format!("mobidx-read-s{shard}").as_str());
-        leg.set_attr("read_path", "snapshot");
         leg.set_attr("snapshot_epoch", snapshot_epoch);
         leg
     });

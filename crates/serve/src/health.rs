@@ -1,10 +1,11 @@
 //! Per-shard health instrumentation.
 //!
 //! Each shard worker shares one [`ShardHealth`] with the facade: the
-//! facade updates the queue gauges on enqueue, the worker updates them
-//! on dequeue and feeds the latency histograms around every request it
-//! executes. All fields are relaxed atomics ([`Counter`] / [`Gauge`] /
-//! [`Histogram`]), so [`crate::ShardedDb::health`] reads a snapshot
+//! facade updates the queue gauges on enqueue and the query counters
+//! around every snapshot leg, the worker updates the queue gauges on
+//! dequeue and the apply counters around every batch. All fields are
+//! relaxed atomics ([`Counter`] / [`Gauge`] / [`Histogram`]), so
+//! [`crate::ShardedDb::health`] reads a snapshot
 //! without a queue round-trip — which is the point: a wedged or poisoned
 //! worker can't block its own diagnosis.
 
@@ -41,13 +42,14 @@ pub struct ShardHealth {
     pub views_retired: Counter,
     /// Individual shard ops applied across all batches.
     pub applied_ops: Counter,
-    /// Query legs answered for this shard — queued (worker-run, traced
-    /// or untraced) and snapshot (run on the caller / read pool)
-    /// alike. Always matches `query_latency`'s sample count.
+    /// Query legs answered for this shard: one per read, run against the
+    /// shard's frozen view on the caller or a read-pool thread, never on
+    /// the worker. Always matches `query_latency`'s sample count.
     pub queries: Counter,
     /// Snapshot-path reads served against this shard's frozen view —
     /// these never touch the worker queue, so they are invisible to
-    /// `queries`/`enqueued`. Incremented by the facade per fan-out leg.
+    /// `enqueued`. Incremented by the facade per fan-out leg; every read
+    /// is a snapshot read, so it moves with `queries`.
     pub reads_on_snapshot: Counter,
     /// Ops per group commit: each `Apply` the worker dequeues drains
     /// every `Apply` queued behind it and applies their ops as one
@@ -57,7 +59,7 @@ pub struct ShardHealth {
     pub drained_batch_size: Histogram,
     /// 1 while the shard is poisoned (awaiting a rebuild), else 0.
     pub poisoned: Gauge,
-    /// Per-query wall-clock on the worker, in microseconds.
+    /// Per-leg wall-clock of a snapshot read, in microseconds.
     pub query_latency: Histogram,
     /// Per-batch apply wall-clock on the worker, in microseconds.
     pub update_latency: Histogram,

@@ -13,24 +13,25 @@
 //!   validated atomically against the facade's authoritative motion
 //!   table, split into per-shard op lists, and dispatched as one message
 //!   per shard ([`batch`]).
-//! * **Fan-out queries** — MOR queries go to every shard (or, for
-//!   speed-filtered queries under [`SpeedBandShard`], only the shards
-//!   whose sub-band overlaps the filter) and the sorted per-shard
-//!   answers are k-way-merged back into the single-index contract
-//!   ([`merge`]).
-//! * **Epoch-stamped snapshot reads, built on demand** — plain queries
-//!   run against an immutable [`DbSnapshot`] (one frozen view per shard;
-//!   page-level copy-on-write: one handle bump per live page, contents
-//!   copied only for pages the next batch dirties) from any caller
-//!   thread with zero queueing behind writes. An apply that follows a
-//!   snapshot read has its workers freeze in line and publishes the next
-//!   snapshot; an apply nobody read behind builds none and only advances
-//!   the commit epoch — the first read after it has the shards freeze
-//!   ([`snapshot`]).
+//! * **Snapshot reads** — every MOR query runs against an immutable,
+//!   epoch-stamped [`DbSnapshot`] (one frozen view per shard; page-level
+//!   copy-on-write: one handle bump per live page, contents copied only
+//!   for pages the next batch dirties) from any caller thread, with zero
+//!   queueing behind writes. Its per-shard legs fan out across a small
+//!   read pool and fan back in through one union of their answers into
+//!   the single-index contract: sorted, deduplicated, equal to what one
+//!   index gives. An apply that follows a snapshot read has its workers
+//!   freeze in line and publishes the next snapshot; an apply nobody
+//!   read behind builds none and only advances the commit epoch — the
+//!   first read after it has the shards freeze ([`snapshot`]). Since
+//!   `apply` returns only after every shard replied, a read after it
+//!   sees the caller's own write.
 //! * **Fault isolation** — a worker converts an index panic (e.g. an
 //!   unrecovered pager fault) into a typed [`ServeError`]; the shard is
 //!   poisoned until [`ShardedDb::rebuild_shard`] re-syncs it from the
-//!   motion table, and the rest of the pool keeps serving.
+//!   motion table, and the rest of the pool keeps serving. Reads keep
+//!   the last published snapshot meanwhile; one that finds none gets
+//!   [`ServeError::ShardPoisoned`].
 //!
 //! [`SpeedBandShard`] is where sharding pays beyond concurrency: each
 //! shard's index covers a narrow speed band, so the dual-B+ method's
@@ -41,7 +42,6 @@ pub mod batch;
 pub mod db;
 pub mod flight;
 pub mod health;
-pub mod merge;
 pub mod repartition;
 pub mod shard;
 pub mod snapshot;
@@ -80,7 +80,8 @@ pub enum ServeError {
         /// The panic payload.
         panic: String,
     },
-    /// The shard faulted earlier and awaits a rebuild.
+    /// The shard faulted earlier and awaits a rebuild. A read gets it
+    /// for the first shard with no view when no snapshot is published.
     ShardPoisoned {
         /// The poisoned shard.
         shard: usize,

@@ -17,21 +17,10 @@ pub trait ShardFn: Send + Sync {
 
     /// The shard owning `m`, in `0..shards`.
     fn shard_of(&self, m: &Motion1D, shards: usize) -> usize;
-
-    /// The shards that can possibly hold an object whose absolute speed
-    /// lies in `[v_lo, v_hi]` — `None` when the partition carries no
-    /// speed information (query all shards). Used by
-    /// [`crate::ShardedDb::query`] when the request carries a
-    /// [`mobidx_core::QueryRequest::speed_band`] filter, to prune the
-    /// fan-out.
-    fn shards_for_speed(&self, v_lo: f64, v_hi: f64, shards: usize) -> Option<Vec<usize>> {
-        let _ = (v_lo, v_hi, shards);
-        None
-    }
 }
 
 /// Hash partitioning on the object id (SplitMix64 finalizer): uniform
-/// load, no pruning. The baseline shard function.
+/// load. The baseline shard function.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdHashShard;
 
@@ -96,18 +85,6 @@ impl SpeedBandShard {
         let b = self.sub_band(i, shards);
         SpeedBand::new(b.v_min * (1.0 - 1e-6), b.v_max * (1.0 + 1e-6))
     }
-
-    /// The shard whose sub-band contains absolute speed `s` (clamped to
-    /// the global band).
-    fn shard_of_speed(&self, s: f64, shards: usize) -> usize {
-        let r = self.band.v_max / self.band.v_min;
-        let s = s.clamp(self.band.v_min, self.band.v_max);
-        #[allow(clippy::cast_precision_loss)]
-        let raw = (shards as f64 * (s / self.band.v_min).ln() / r.ln()).floor();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let i = raw.max(0.0) as usize;
-        i.min(shards - 1)
-    }
 }
 
 impl ShardFn for SpeedBandShard {
@@ -115,17 +92,16 @@ impl ShardFn for SpeedBandShard {
         "speed-band".to_owned()
     }
 
+    /// The shard whose sub-band contains `m`'s absolute speed (clamped
+    /// to the global band).
     fn shard_of(&self, m: &Motion1D, shards: usize) -> usize {
-        self.shard_of_speed(m.v.abs(), shards)
-    }
-
-    fn shards_for_speed(&self, v_lo: f64, v_hi: f64, shards: usize) -> Option<Vec<usize>> {
-        if v_hi < v_lo {
-            return Some(Vec::new());
-        }
-        let first = self.shard_of_speed(v_lo, shards);
-        let last = self.shard_of_speed(v_hi, shards);
-        Some((first..=last).collect())
+        let r = self.band.v_max / self.band.v_min;
+        let s = m.v.abs().clamp(self.band.v_min, self.band.v_max);
+        #[allow(clippy::cast_precision_loss)]
+        let raw = (shards as f64 * (s / self.band.v_min).ln() / r.ln()).floor();
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let i = raw.max(0.0) as usize;
+        i.min(shards - 1)
     }
 }
 
@@ -150,7 +126,6 @@ mod tests {
             assert!(s < 7);
             assert_eq!(s, f.shard_of(&m(id, -0.5), 7), "id decides, not speed");
         }
-        assert!(f.shards_for_speed(0.2, 0.3, 7).is_none());
     }
 
     #[test]
@@ -193,21 +168,5 @@ mod tests {
             );
             assert_eq!(s, f.shard_of(&m(1, -v), shards), "speed is |v|");
         }
-    }
-
-    #[test]
-    fn speed_pruning_covers_the_range() {
-        let f = SpeedBandShard::new(SpeedBand::paper());
-        let shards = 8;
-        let pruned = f.shards_for_speed(0.3, 0.5, shards).expect("prunable");
-        assert!(!pruned.is_empty() && pruned.len() < shards);
-        // Every object with speed in range maps to a listed shard.
-        for k in 0..100 {
-            let v = 0.3 + 0.2 * f64::from(k) / 100.0;
-            assert!(pruned.contains(&f.shard_of(&m(1, v), shards)));
-        }
-        // Degenerate and full-range cases.
-        assert!(f.shards_for_speed(0.5, 0.4, shards).unwrap().is_empty());
-        assert_eq!(f.shards_for_speed(0.0, 99.0, shards).unwrap().len(), shards);
     }
 }

@@ -26,12 +26,17 @@
 //!   (`Request::Freeze` to every shard that let its view go) when no
 //!   writer is in flight, else by the writer in flight, which re-checks
 //!   the bit before it releases the table lock — the reader waits on
-//!   that publication, for at most one apply.
+//!   that publication, for at most one apply;
+//! * a snapshot read that finds publication paused — some shard's apply
+//!   failed — reads what was published last; if nothing was, it fails
+//!   with [`ServeError::ShardPoisoned`] for the first shard with no view
+//!   until a rebuild completes the set.
 //!
-//! Reads never touch a worker queue otherwise: any caller thread grabs
-//! the published snapshot (`Arc` clone under a read lock), fans its
-//! per-shard legs out across the `ReadPool`, and k-way-merges the
-//! answers. The result is *reads-see-a-prefix*: every answer equals the
+//! Every read is a snapshot read, and it touches a worker queue for
+//! nothing else: any caller thread grabs the published snapshot (`Arc`
+//! clone under a read lock), fans its per-shard legs out across the
+//! `ReadPool`, and unions the answers. The result is
+//! *reads-see-a-prefix*: every answer equals the
 //! oracle state as of some sealed group commit ≤ the current epoch —
 //! never a torn mid-batch state — because a snapshot is only built
 //! between two applies, after a whole group both applied and committed.
@@ -39,6 +44,7 @@
 //! [`Index1D::freeze`]: mobidx_core::Index1D::freeze
 //! [`Index1D::refreeze`]: mobidx_core::Index1D::refreeze
 //! [`FrozenIndex1D`]: mobidx_core::FrozenIndex1D
+//! [`ServeError::ShardPoisoned`]: crate::ServeError::ShardPoisoned
 
 use crate::health::ReadPoolSnapshot;
 use mobidx_core::FrozenIndex1D;
@@ -85,9 +91,8 @@ pub(crate) enum Publication {
     /// No snapshot, and nothing in the way of one: some shard let its
     /// view go and will freeze again when asked.
     Retired,
-    /// Some shard has no view to give — its last apply failed, or its
-    /// index cannot freeze (dual-B+ with subterrain interval trees
-    /// armed). Publication is paused: whatever was published last, if
+    /// Some shard has no view to give — its last apply failed, or it is
+    /// poisoned. Publication is paused: whatever was published last, if
     /// anything, keeps serving until a rebuild.
     Paused,
 }
@@ -108,7 +113,7 @@ pub(crate) enum Looker {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Action {
     /// Nothing: use what is published (a paused reader may find nothing
-    /// and falls back to the worker queues).
+    /// and is told which shard has no view).
     Keep,
     /// Let go of the published views, then apply with nothing shared.
     Retire,
@@ -174,11 +179,13 @@ impl Slots {
 
 /// What a snapshot read found (see [`SnapshotRegistry::read`]).
 pub(crate) enum Read {
-    /// The snapshot to read — `None` when publication is paused with
-    /// nothing published, which sends the caller to the worker queues.
-    Snapshot(Option<Arc<DbSnapshot>>),
+    /// The snapshot to read.
+    Snapshot(Arc<DbSnapshot>),
     /// No snapshot and no writer in flight: the caller builds one.
     OnDemand,
+    /// Publication is paused with nothing published: the first shard
+    /// with no view to give, which awaits a rebuild.
+    Paused(usize),
 }
 
 /// A writer's turn at the registry, from [`SnapshotRegistry::begin_turn`]
@@ -225,8 +232,8 @@ pub(crate) struct SnapshotRegistry {
 
 impl SnapshotRegistry {
     /// A registry over `initial`, the freshly built indexes' views,
-    /// published as epoch 0 (nothing has committed yet) if complete.
-    pub(crate) fn new(initial: Vec<Option<Arc<dyn FrozenIndex1D>>>) -> Self {
+    /// published as epoch 0 (nothing has committed yet).
+    pub(crate) fn new(initial: Vec<Arc<dyn FrozenIndex1D>>) -> Self {
         let registry = Self {
             epoch: AtomicU64::new(0),
             wanted: AtomicBool::new(false),
@@ -239,10 +246,7 @@ impl SnapshotRegistry {
             snapshots_on_demand: Counter::new(),
             applies_unpublished: Counter::new(),
         };
-        let slots = initial
-            .into_iter()
-            .map(|view| view.map_or(Slot::Absent, Slot::View));
-        registry.install(slots.enumerate().collect(), 0);
+        registry.install(initial.into_iter().map(Slot::View).enumerate().collect(), 0);
         registry
     }
 
@@ -360,7 +364,8 @@ impl SnapshotRegistry {
     /// returns what is published — wait-free while anything is. If
     /// nothing is, sleeps through the turn of a writer in flight (which
     /// re-checks the bit before it ends) and looks again; with no writer
-    /// in flight the caller is told to build the snapshot itself.
+    /// in flight the caller is told to build the snapshot itself, and
+    /// with publication paused it is told which shard has no view.
     pub(crate) fn read(&self) -> Read {
         // Test before set: every reader shares this line, only the
         // first after an apply looked has to write it.
@@ -368,7 +373,7 @@ impl SnapshotRegistry {
             self.wanted.store(true, Ordering::SeqCst);
         }
         if let Some(snapshot) = self.current() {
-            return Read::Snapshot(Some(snapshot));
+            return Read::Snapshot(snapshot);
         }
         let mut state = self.state();
         loop {
@@ -379,7 +384,14 @@ impl SnapshotRegistry {
             match decide(Looker::Reader, true, state.held(), state.writer_active) {
                 Action::Wait => state = self.turn_over.wait(state).expect("snapshot registry"),
                 Action::FreezeOnDemand => return Read::OnDemand,
-                _ => return Read::Snapshot(self.current()),
+                _ => break,
+            }
+        }
+        match self.current() {
+            Some(snapshot) => Read::Snapshot(snapshot),
+            None => {
+                let absent = state.slots.iter().position(|s| matches!(s, Slot::Absent));
+                Read::Paused(absent.expect("nothing published: publication is paused"))
             }
         }
     }
@@ -591,36 +603,42 @@ mod tests {
 
     #[test]
     fn publication_requires_every_shard() {
-        let reg = SnapshotRegistry::new(vec![None, None]);
-        assert!(reg.current().is_none());
-        assert_eq!(
-            reg.install(vec![(0, view(vec![1]))], 1),
-            Publication::Paused
-        );
-        assert!(reg.current().is_none());
-        assert_eq!(reg.epoch(), 0, "a pause holds the epoch");
-        assert_eq!(
-            reg.install(vec![(1, view(vec![2]))], 1),
-            Publication::Present
-        );
-        let snap = reg.current().expect("published");
-        assert_eq!(snap.epoch, 1);
+        let views = [1, 2].map(|id| Arc::new(FixedView(vec![id])) as _);
+        let reg = SnapshotRegistry::new(views.to_vec());
+        let snap = reg.current().expect("published at construction");
+        assert_eq!(snap.epoch, 0);
         assert_eq!(snap.shards(), 2);
         // A shard with nothing to give (e.g. a fault) keeps the old
         // snapshot serving.
         assert_eq!(reg.install(vec![(0, Slot::Absent)], 1), Publication::Paused);
-        assert_eq!(reg.current().expect("stale snapshot").epoch, 1);
+        assert_eq!(reg.current().expect("stale snapshot").epoch, 0);
+        assert_eq!(reg.epoch(), 0, "a pause holds the epoch");
         // Recovery advances the epoch and drops what is a commit behind
-        // — the next read has the rebuilt shard freeze — and a complete
-        // set of views is published at that epoch.
+        // — the next read has the rebuilt shard freeze.
         assert_eq!(
             reg.install(vec![(0, Slot::Retired)], 1),
             Publication::Retired
         );
         assert!(reg.current().is_none());
         assert_eq!(reg.retired_shards(), vec![0]);
+        // A fault with nothing published leaves a read nothing to serve:
+        // it is told the first shard with no view, and one view is not
+        // a snapshot.
+        assert_eq!(reg.install(vec![(1, Slot::Absent)], 1), Publication::Paused);
+        assert!(matches!(reg.read(), Read::Paused(1)));
         assert_eq!(
             reg.install(vec![(0, view(vec![3]))], 0),
+            Publication::Paused
+        );
+        assert!(reg.current().is_none());
+        assert_eq!(reg.epoch(), 1, "a pause holds the epoch");
+        // The rebuild completes the set, published at its epoch.
+        assert_eq!(
+            reg.install(vec![(1, Slot::Retired)], 1),
+            Publication::Retired
+        );
+        assert_eq!(
+            reg.install(vec![(1, view(vec![4]))], 0),
             Publication::Present
         );
         assert_eq!(reg.current().expect("built on demand").epoch, 2);
@@ -628,8 +646,8 @@ mod tests {
 
     #[test]
     fn an_apply_nobody_read_behind_lets_the_snapshot_go() {
-        let reg = SnapshotRegistry::new(vec![Some(Arc::new(FixedView(vec![1])) as _); 2]);
-        assert!(matches!(reg.read(), Read::Snapshot(Some(_))), "epoch 0");
+        let reg = SnapshotRegistry::new(vec![Arc::new(FixedView(vec![1])) as _; 2]);
+        assert!(matches!(reg.read(), Read::Snapshot(_)), "epoch 0");
         let (turn, eager) = reg.begin_apply([0].into_iter());
         assert!(eager, "a read happened: freeze in line, keep the snapshot");
         assert!(reg.current().is_some());

@@ -15,8 +15,9 @@
 //! worker keeps draining its queue) until the facade ships a freshly
 //! rebuilt index via [`Request::Rebuild`].
 //!
-//! A worker also builds, recycles and frees the read views of its index
-//! — but only when told somebody reads them: at the end of an `Apply`
+//! A worker answers no queries: every read runs on a frozen view of its
+//! index, off the queue. The worker builds, recycles and frees those
+//! views — but only when told somebody reads them: at the end of an `Apply`
 //! that carries `publish`, or on a [`Request::Freeze`] from a read that
 //! found none. An `Apply` without `publish` first drops the views the
 //! worker holds and then writes pages nobody shares (see
@@ -27,10 +28,9 @@
 use crate::batch::ShardOp;
 use crate::health::ShardHealth;
 use crate::ServeError;
-use mobidx_core::{FrozenIndex1D, Index1D, IoTotals, QueryRequest};
+use mobidx_core::{FrozenIndex1D, Index1D, IoTotals};
 use mobidx_obs::telemetry::WorkloadProfile;
-use mobidx_obs::{OpenSpan, Span};
-use mobidx_workload::{MorQuery1D, Motion1D};
+use mobidx_workload::Motion1D;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -52,24 +52,6 @@ pub(crate) enum Request<I> {
         publish: bool,
         #[allow(clippy::type_complexity)]
         reply: Sender<Result<Option<Arc<dyn FrozenIndex1D>>, ServeError>>,
-    },
-    /// Answer a MOR query into `buf` (a pooled buffer whose capacity is
-    /// reused across requests) and send it back.
-    Query {
-        q: MorQuery1D,
-        buf: Vec<u64>,
-        reply: Sender<Result<Vec<u64>, ServeError>>,
-    },
-    /// Answer a MOR query inside a hierarchical trace span. `epoch` is
-    /// the facade-wide time base every span of the tree measures from,
-    /// and `sent_nanos` the enqueue time against that base (the worker
-    /// derives its queue wait from it).
-    Traced {
-        q: MorQuery1D,
-        epoch: Instant,
-        sent_nanos: u64,
-        #[allow(clippy::type_complexity)]
-        reply: Sender<Result<(Vec<u64>, Span), ServeError>>,
     },
     /// Report I/O totals and the per-store breakdown.
     Stats {
@@ -258,54 +240,6 @@ pub(crate) fn run<I: Index1D>(
                     for reply in replies {
                         let _ = reply.send(r.clone().map(|()| view.clone()));
                     }
-                }
-                Request::Query { q, mut buf, reply } => {
-                    let started = Instant::now();
-                    let r = guarded(shard, &mut poisoned, || {
-                        index.search(&q, &mut buf);
-                        buf
-                    });
-                    if r.is_ok() {
-                        health.query_latency.record(elapsed_us(started));
-                        health.queries.incr();
-                    }
-                    let _ = reply.send(r);
-                }
-                Request::Traced {
-                    q,
-                    epoch,
-                    sent_nanos,
-                    reply,
-                } => {
-                    let started = Instant::now();
-                    // The worker's leg of the query tree: carries shard
-                    // identity, Chrome-trace lane routing, the `s<i>/` store
-                    // attribution prefix, and the time the request sat in
-                    // the queue; the index's own span nests inside it.
-                    let mut leg = OpenSpan::begin(format!("s{shard}/execute"), epoch);
-                    leg.set_attr("shard", shard as u64);
-                    leg.set_attr("lane", shard as u64 + 1);
-                    leg.set_attr("lane_name", format!("mobidx-shard-{shard}").as_str());
-                    leg.set_attr("store_prefix", format!("s{shard}/").as_str());
-                    leg.set_attr(
-                        "queue_wait_nanos",
-                        leg.start_nanos().saturating_sub(sent_nanos),
-                    );
-                    let r = guarded(shard, &mut poisoned, || {
-                        let out = index.query(&QueryRequest::new(&q).spanned(epoch));
-                        let span = out.span.clone().expect("spanned request yields a span");
-                        (out.into_ids(), span)
-                    });
-                    let r = r.map(|(ids, span)| {
-                        if let Some(c) = span.attr_u64("candidates") {
-                            leg.set_attr("candidates", c);
-                        }
-                        leg.push(span);
-                        health.query_latency.record(elapsed_us(started));
-                        health.queries.incr();
-                        (ids, leg.finish())
-                    });
-                    let _ = reply.send(r);
                 }
                 Request::Stats { reply } => {
                     let _ = reply.send((index.io_totals(), index.store_io()));

@@ -426,7 +426,7 @@ fn a_write_only_stream_builds_no_view() {
 
 /// A shard poisoned behind the registry's back (here by a panicking
 /// `with_shard` closure) after a write-only stretch: the read that asks
-/// it to freeze gets no view and a typed error from the worker queues,
+/// it to freeze gets no view and `ShardPoisoned` for that shard,
 /// publication pauses as it does behind a failed apply, and the rebuild
 /// leaves the registry for the next read to complete — never half a
 /// snapshot.

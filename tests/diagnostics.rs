@@ -144,9 +144,7 @@ fn slo_breach_triggers_automatic_capture() {
             "no slo_breach capture within 10s"
         );
         let q = sim.gen_query(150.0, 60.0);
-        let _ = db
-            .query(&QueryRequest::new(&q).queued())
-            .expect("queued query");
+        let _ = db.query(&QueryRequest::new(&q)).expect("query");
         std::thread::sleep(Duration::from_millis(2));
     }
     let bundle = db.flight_recorder().last_bundle().expect("captured bundle");

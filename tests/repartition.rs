@@ -6,7 +6,7 @@
 //! cleanly.
 
 use mobidx_core::method::vp_dual::{VpDualConfig, VpDualIndex};
-use mobidx_core::QueryRequest;
+use mobidx_core::{merge_sorted_ids, Index1D, QueryRequest};
 use mobidx_obs::telemetry::ProfileConfig;
 use mobidx_serve::{
     start_repartitioner, Batch, IdHashShard, RepartitionConfig, RepartitionPolicy, ServeConfig,
@@ -33,6 +33,24 @@ fn build_db() -> ShardedDb<VpDualIndex> {
         Box::new(IdHashShard),
         |_, _| VpDualIndex::new(VpDualConfig::default()),
     )
+}
+
+/// The live indexes' answer: every shard's index searched on its worker
+/// through its pager, the lists merged.
+fn live_answer(db: &ShardedDb<VpDualIndex>, q: MorQuery1D) -> Vec<u64> {
+    let lists: Vec<Vec<u64>> = (0..SHARDS)
+        .map(|shard| {
+            db.with_shard(shard, move |index| {
+                let mut buf = Vec::new();
+                index.search(&q, &mut buf);
+                buf
+            })
+            .expect("live search")
+        })
+        .collect();
+    let mut ids = Vec::new();
+    merge_sorted_ids(&lists, &mut ids);
+    ids
 }
 
 fn sim() -> Simulator1D {
@@ -102,12 +120,9 @@ fn drift_event_triggers_exact_online_repartition() {
 
     drive_drift(&db, &mut sim);
 
-    // Reference answers through the worker (pager) path, pre-migration.
+    // Reference answers through the live indexes, pre-migration.
     let queries: Vec<MorQuery1D> = (0..20).map(|_| sim.gen_query(150.0, 60.0)).collect();
-    let before: Vec<Vec<u64>> = queries
-        .iter()
-        .map(|q| db.query(&QueryRequest::new(q).queued()).expect("query").ids)
-        .collect();
+    let before: Vec<Vec<u64>> = queries.iter().map(|&q| live_answer(&db, q)).collect();
 
     let report = db
         .maybe_repartition(&policy)
@@ -143,13 +158,10 @@ fn drift_event_triggers_exact_online_repartition() {
     assert_eq!(span.attr_u64("moved"), Some(report.moved as u64));
 
     // Exactness: the same queries answer identically after migration —
-    // on the queued path and on the republished snapshot path.
+    // from the live indexes and on the republished snapshot path.
     for (q, expect) in queries.iter().zip(&before) {
-        let queued = db
-            .query(&QueryRequest::new(q).queued())
-            .expect("queued")
-            .ids;
-        assert_eq!(&queued, expect, "queued answers must survive migration");
+        let live = live_answer(&db, *q);
+        assert_eq!(&live, expect, "live answers must survive migration");
         let snap = db.query(&QueryRequest::new(q)).expect("snapshot").ids;
         assert_eq!(
             &snap, expect,
@@ -278,6 +290,6 @@ fn background_repartitioner_answers_drift_and_stops_cleanly() {
 
     let q = sim.gen_query(150.0, 60.0);
     let _ = db
-        .query(&QueryRequest::new(&q).queued())
+        .query(&QueryRequest::new(&q))
         .expect("query after scheduler stop");
 }

@@ -185,11 +185,13 @@ proptest! {
         }
     }
 
-    /// The fan-out span tree reconciles across threads: for every traced
-    /// query, the recursive sum of leaf I/O over the whole
-    /// `query → s<i>/execute → index.query → store/...` tree equals the
-    /// facade-wide `IoTotals` delta, even though the legs were built on
-    /// different worker threads.
+    /// The snapshot span tree reconciles across threads: for every
+    /// traced query, the root `query` span has one `s<i>/execute` leg
+    /// per shard, each naming the epoch the output is stamped with; the
+    /// root's `results` is the answer's length, its `candidates` and
+    /// frozen-page reads are the sums over the legs, even though the
+    /// legs ran on different read threads — and the facade-wide
+    /// `IoTotals` do not move, because a snapshot read touches no store.
     #[test]
     fn sharded_span_trees_reconcile_with_io_totals(
         motions in prop::collection::vec(motion_strategy(), 1..100),
@@ -206,24 +208,30 @@ proptest! {
             for q in &queries {
                 let before = db.io_totals().expect("totals before");
                 let out = db
-                    .query(&QueryRequest::new(q).queued().spanned(std::time::Instant::now()))
+                    .query(&QueryRequest::new(q).spanned(std::time::Instant::now()))
                     .expect("traced query");
                 let span = out.span.clone().expect("spanned request carries the tree");
-                let ids = out.ids;
                 let delta = db.io_totals().expect("totals after").delta_since(before);
-                let total = span.total_io();
-                prop_assert_eq!(total.reads, delta.reads, "S={} reads", shards);
-                prop_assert_eq!(total.writes, delta.writes, "S={} writes", shards);
-                prop_assert_eq!(total.hits, delta.hits, "S={} hits", shards);
+                prop_assert_eq!(
+                    (delta.reads, delta.writes, delta.hits),
+                    (0, 0, 0),
+                    "S={} store I/O", shards
+                );
+                let epoch = out.epoch.expect("epoch-stamped");
+                prop_assert_eq!(span.attr_u64("snapshot_epoch"), Some(epoch));
+                prop_assert_eq!(span.attr_u64("results"), Some(out.ids.len() as u64));
                 prop_assert_eq!(span.children.len(), shards, "one leg per shard");
-                prop_assert_eq!(span.attr_u64("results"), Some(ids.len() as u64));
-                for leg in &span.children {
-                    prop_assert!(leg.attr_u64("shard").is_some(), "leg without shard attr");
-                    prop_assert!(
-                        leg.attr_u64("queue_wait_nanos").is_some(),
-                        "leg without queue wait"
-                    );
+                let (mut candidates, mut reads) = (0, 0);
+                for (shard, leg) in span.children.iter().enumerate() {
+                    prop_assert_eq!(&leg.name, &format!("s{shard}/execute"));
+                    prop_assert_eq!(leg.attr_u64("shard"), Some(shard as u64));
+                    prop_assert_eq!(leg.attr_u64("snapshot_epoch"), Some(epoch));
+                    candidates += leg.attr_u64("candidates").expect("leg candidates");
+                    reads += leg.total_io().reads;
                 }
+                prop_assert_eq!(span.attr_u64("candidates"), Some(candidates));
+                prop_assert_eq!(out.candidates, candidates);
+                prop_assert_eq!(span.total_io().reads, reads, "S={} frozen pages", shards);
             }
         }
     }
@@ -283,6 +291,79 @@ fn invalid_batches_are_rejected_atomically() {
     );
 }
 
+/// Every read is a snapshot read, so a shard index that cannot freeze
+/// (dual-B+ with its subterrain interval indices maintained) is refused
+/// at construction.
+#[test]
+#[should_panic(expected = "shard 0's index cannot freeze")]
+fn an_index_that_cannot_freeze_is_refused_at_construction() {
+    let _ = ShardedDb::new(
+        ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        },
+        Box::new(IdHashShard),
+        |_, _| {
+            DualBPlusIndex::new(DualBPlusConfig {
+                maintain_subterrain: true,
+                ..DualBPlusConfig::default()
+            })
+        },
+    );
+}
+
+/// With nothing published a read cannot be answered, and says why: an
+/// apply nobody read behind lets the snapshot go, a poisoned shard then
+/// fails the next apply, and a read names that shard. The rebuild
+/// completes the set, and the same read answers like the oracle.
+#[test]
+fn a_read_with_no_view_to_serve_names_the_poisoned_shard() {
+    let mut sim = Simulator1D::new(WorkloadConfig {
+        n: 500,
+        updates_per_instant: 60,
+        seed: 5,
+        ..WorkloadConfig::default()
+    });
+    let (db, mut oracle) = build_pair(Fn_::IdHash, 3, 16);
+    let mut load = Batch::new();
+    for m in sim.objects() {
+        load.insert(*m);
+        oracle.insert(*m);
+    }
+    db.apply(&load).expect("valid load");
+    let fault = db.with_shard(1, |_| panic!("injected"));
+    assert!(matches!(
+        fault,
+        Err(ServeError::ShardFault { shard: 1, .. })
+    ));
+    let mut batch = Batch::new();
+    for u in sim.step() {
+        batch.update(u.new);
+        oracle.update(u.new);
+    }
+    assert_eq!(
+        db.apply(&batch),
+        Err(ServeError::ShardPoisoned { shard: 1 })
+    );
+    let q = MorQuery1D {
+        y1: 0.0,
+        y2: TERRAIN,
+        t1: 0.0,
+        t2: 60.0,
+    };
+    assert_eq!(
+        db.query(&QueryRequest::new(&q)).err(),
+        Some(ServeError::ShardPoisoned { shard: 1 })
+    );
+    assert!(db.read_view().is_none(), "no view to pin either");
+    db.rebuild_shard(1).expect("rebuild");
+    assert_eq!(
+        db.query(&QueryRequest::new(&q))
+            .expect("read after the rebuild"),
+        oracle.query(&QueryRequest::new(&q))
+    );
+}
+
 /// Many client threads hammer one `&ShardedDb` concurrently; every
 /// answer must equal the oracle's, regardless of interleaving.
 #[test]
@@ -332,7 +413,9 @@ fn concurrent_clients_see_oracle_answers() {
 }
 
 /// A queue depth of 1 forces constant backpressure; the stack must
-/// stay correct (and not deadlock) when every send blocks.
+/// stay correct (and not deadlock) when every send blocks. What still
+/// travels the queues — applies and `io_totals()` round trips — is
+/// sent from six client threads at once while readers race them.
 #[test]
 fn tiny_queue_depth_only_slows_things_down() {
     let mut sim = Simulator1D::new(WorkloadConfig {
@@ -355,10 +438,14 @@ fn tiny_queue_depth_only_slows_things_down() {
         }
         db.apply(&batch).expect("update batch");
     }
+    // Each writer re-applies the current records of its own slice of
+    // the objects: a valid update that leaves the oracle's state as is.
+    let objects = db.objects();
     std::thread::scope(|scope| {
         let db = &db;
-        let handles: Vec<_> = (0..6)
-            .map(|_| {
+        let handles: Vec<_> = objects
+            .chunks(objects.len().div_ceil(6))
+            .map(|slice| {
                 scope.spawn(move || {
                     let q = MorQuery1D {
                         y1: 100.0,
@@ -366,9 +453,15 @@ fn tiny_queue_depth_only_slows_things_down() {
                         t1: 0.0,
                         t2: 50.0,
                     };
-                    for _ in 0..20 {
-                        db.query(&QueryRequest::new(&q).queued())
-                            .expect("backpressured query");
+                    for round in 0..20 {
+                        let mut batch = Batch::new();
+                        for m in slice.iter().skip(round % 4).step_by(4) {
+                            batch.update(*m);
+                        }
+                        db.apply(&batch).expect("backpressured apply");
+                        db.io_totals().expect("backpressured stats");
+                        db.query(&QueryRequest::new(&q))
+                            .expect("query under backpressure");
                     }
                 })
             })
@@ -418,7 +511,7 @@ fn tiny_queue_depth_only_slows_things_down() {
 
 /// Per-shard I/O accounting must roll up: the facade's totals are the
 /// sum over the `s<shard>/`-prefixed store listings, and a fan-out
-/// trace absorbs one leg per shard.
+/// trace absorbs one leg per shard and lands in the event ring.
 #[test]
 fn observability_rolls_up_across_shards() {
     let mut sim = Simulator1D::new(WorkloadConfig {
@@ -436,11 +529,7 @@ fn observability_rolls_up_across_shards() {
 
     let q = sim.gen_query(150.0, 60.0);
     let out = db
-        .query(
-            &QueryRequest::new(&q)
-                .queued()
-                .spanned(std::time::Instant::now()),
-        )
+        .query(&QueryRequest::new(&q).spanned(std::time::Instant::now()))
         .expect("traced query");
     let span = out.span.clone().expect("spanned request carries the tree");
     let ids = out.ids;
@@ -449,20 +538,15 @@ fn observability_rolls_up_across_shards() {
     // The flat QueryTrace is a leaf view over the span tree.
     let trace = mobidx_obs::QueryTrace::from_span(&span);
     assert_eq!(trace.results as usize, ids.len());
-    assert_eq!(trace.method, "sharded[4x speed-band]");
-    assert!(
-        trace.stores.iter().any(|s| s.store.starts_with("s0/")),
-        "per-shard stores must be prefixed: {:?}",
-        trace.stores
-    );
+    assert_eq!(trace.method, "snapshot[4x speed-band]");
 
     let totals = db.io_totals().expect("totals");
-    let store_sum: u64 = db
-        .store_io()
-        .expect("stores")
-        .iter()
-        .map(|(_, io)| io.reads + io.writes)
-        .sum();
+    let stores = db.store_io().expect("stores");
+    assert!(
+        stores.iter().any(|(label, _)| label.starts_with("s0/")),
+        "per-shard stores must be prefixed: {stores:?}"
+    );
+    let store_sum: u64 = stores.iter().map(|(_, io)| io.reads + io.writes).sum();
     assert_eq!(totals.reads + totals.writes, store_sum);
 
     // Every traced query also lands in the facade's event ring.
@@ -475,10 +559,8 @@ fn observability_rolls_up_across_shards() {
 
 /// Snapshot span legs are queue-free by construction: each leg names
 /// the epoch it read (`snapshot_epoch`, matching the stamped output)
-/// and carries no `queue_wait_nanos` — the queued path's wait attr has
-/// no meaning off the worker queues. The same request shape on the
-/// queued path keeps the wait attr, so the two routings stay
-/// distinguishable from their traces alone.
+/// and carries no `queue_wait_nanos` — a wait attr has no meaning off
+/// the worker queues.
 #[test]
 fn snapshot_span_legs_carry_epoch_and_no_queue_wait() {
     let mut sim = Simulator1D::new(WorkloadConfig {
@@ -512,22 +594,6 @@ fn snapshot_span_legs_carry_epoch_and_no_queue_wait() {
             "snapshot legs never queue"
         );
     }
-
-    // The queued routing of the identical request still waits in line.
-    let queued = db
-        .query(
-            &QueryRequest::new(&q)
-                .queued()
-                .spanned(std::time::Instant::now()),
-        )
-        .expect("queued query");
-    assert_eq!(queued.epoch, None, "queued path is not epoch-stamped");
-    let span = queued.span.expect("spanned request carries the tree");
-    for leg in &span.children {
-        assert!(leg.attr_u64("queue_wait_nanos").is_some(), "queued leg");
-        assert_eq!(leg.attr_u64("snapshot_epoch"), None, "no epoch attr");
-    }
-    assert_eq!(queued.ids, out.ids, "both routings agree");
 }
 
 /// The snapshot tier's reads-see-a-prefix property: eight reader
@@ -748,9 +814,8 @@ fn packed_leg(ids: &[u64]) -> bool {
 
 /// The snapshot fan-in ORs the legs' bitmaps and writes the union once;
 /// whatever mix of packed and listed legs a query meets, the snapshot
-/// answer must equal the queued path's (which merges sorted worker
-/// answers), a pinned [`ReadView`](mobidx_serve::ReadView)'s and brute
-/// force. Runs both shard functions at S ∈ {1, 2, 3, 8} over query
+/// answer must equal a pinned [`ReadView`](mobidx_serve::ReadView)'s
+/// and brute force. Runs both shard functions at S ∈ {1, 2, 3, 8} over query
 /// widths from a handful of ids to most of the terrain, and requires
 /// each configuration to have met queries whose legs were all packed
 /// and all listed, and the skewed speed-band shards from two up to have
@@ -824,10 +889,6 @@ fn snapshot_fan_in_agrees_with_every_read_path() {
                 let snapshot = db.query(&QueryRequest::new(q)).expect("snapshot read");
                 assert_eq!(snapshot.epoch, Some(view.epoch()), "{what}");
                 assert_eq!(snapshot.ids, want, "snapshot: {what}");
-                let queued = db
-                    .query(&QueryRequest::new(q).queued())
-                    .expect("queued read");
-                assert_eq!(queued.ids, want, "queued: {what}");
                 assert_eq!(view.query(q), want, "read view: {what}");
             }
             assert!(
