@@ -249,7 +249,7 @@ fn render(sampler: &ServeSampler, frame: u64, frames: u64, tick: Duration) {
         "p99 µs",
         "reads/s",
         "writes/s",
-        "snap/s",
+        "queries/s",
         "views/s",
         "bands",
         "rp-age",
@@ -288,7 +288,7 @@ fn render(sampler: &ServeSampler, frame: u64, frames: u64, tick: Duration) {
             latest("query_p99_us", shard),
             latest("io_reads", shard) * per_sec,
             latest("io_writes", shard) * per_sec,
-            latest("reads_on_snapshot", shard) * per_sec,
+            latest("queries", shard) * per_sec,
             latest("views_built", shard) * per_sec,
             latest("bands", shard),
             rp_age,
@@ -317,11 +317,11 @@ fn render(sampler: &ServeSampler, frame: u64, frames: u64, tick: Duration) {
         aggregate("repartition_last_ms"),
     );
     println!(
-        "commit epoch {:.0} (age {:.0} ticks) | {:.0} snapshot reads total | \
+        "commit epoch {:.0} (age {:.0} ticks) | {:.0} queries total | \
          {:.0} applies unpublished, {:.0} snapshots on demand",
         aggregate("snapshot_epoch"),
         aggregate("snapshot_age_ticks"),
-        aggregate("reads_on_snapshot_total"),
+        aggregate("queries_total"),
         aggregate("applies_unpublished"),
         aggregate("snapshots_on_demand"),
     );

@@ -141,9 +141,9 @@ mod tests {
         let text = report(
             2,
             &[
-                ("reads_on_snapshot{shard=\"0\"}", 40),
-                ("reads_on_snapshot{shard=\"1\"}", 40),
-                ("reads_on_snapshot_total", 80),
+                ("queries{shard=\"0\"}", 40),
+                ("queries{shard=\"1\"}", 40),
+                ("queries_total", 80),
                 ("snapshot_epoch", 12),
                 ("snapshot_age_ticks", 1),
             ],

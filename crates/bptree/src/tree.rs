@@ -11,9 +11,15 @@ use mobidx_pager::{
 use std::cmp::Ordering;
 use std::fmt::Debug;
 
-/// Panic message of the infallible wrappers; fires only if a
-/// fault-injecting backend is installed but the infallible API is used.
+/// Panic message of the panicking twins the benchmark under `perf/` still
+/// calls, and of [`BPlusTree::set_pin_root`]; fires only if a
+/// fault-injecting backend is installed under them.
 const INFALLIBLE: &str = "pager fault (use the try_* API with fault-injecting backends)";
+
+/// Panic message of the construction paths ([`BPlusTree::new`],
+/// [`BPlusTree::bulk_load`]): they build on a fresh store, whose
+/// [`mobidx_pager::MemBackend`] permits every access.
+const FRESH_STORE: &str = "a fresh store's MemBackend never faults";
 
 /// Sizing parameters of a tree.
 #[derive(Debug, Clone, Copy)]
@@ -55,8 +61,8 @@ impl TreeConfig {
 ///
 /// Values participate in the order, so entries are unique as long as the
 /// caller never inserts the same `(key, value)` pair twice — which makes
-/// [`BPlusTree::remove`] exact. (Exact duplicates are still tolerated;
-/// `remove` then deletes one of them.)
+/// [`BPlusTree::try_remove`] exact. (Exact duplicates are still
+/// tolerated; `try_remove` then deletes one of them.)
 #[derive(Debug)]
 pub struct BPlusTree<K: Key, V: Copy + Ord + Debug> {
     store: PageStore<Node<K, V>>,
@@ -80,7 +86,7 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         assert!(cfg.leaf_cap >= 2, "leaf capacity must be at least 2");
         assert!(cfg.branch_cap >= 3, "branch capacity must be at least 3");
         let mut store = PageStore::new(cfg.buffer_pages);
-        let root = store.allocate(Node::empty_leaf());
+        let root = store.try_allocate(Node::empty_leaf()).expect(FRESH_STORE);
         Self {
             store,
             root,
@@ -169,10 +175,12 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         self.store.set_backend(backend)
     }
 
-    /// Inserts the entry `(key, value)`.
+    /// [`BPlusTree::try_insert`], panicking on a pager fault.
+    /// Kept only because the benchmark under `perf/` calls it; it goes
+    /// with ROADMAP item 1(d). Product code calls the `try_` method.
     ///
     /// # Panics
-    /// Panics on an injected fault; see [`BPlusTree::try_insert`].
+    /// On a fault the backend injects.
     pub fn insert(&mut self, key: K, value: V) {
         self.try_insert(key, value).expect(INFALLIBLE);
     }
@@ -202,15 +210,6 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
     /// Inserts a batch of entries **sorted lexicographically**, grouping
     /// same-leaf entries so that `k` inserts landing in one leaf pay a
     /// single root-to-leaf descent and dirty a single page instead of `k`.
-    ///
-    /// # Panics
-    /// Panics on an injected fault (see [`BPlusTree::try_insert_batch`]),
-    /// and in debug builds if the entries are not sorted.
-    pub fn insert_batch(&mut self, entries: &[(K, V)]) {
-        self.try_insert_batch(entries).expect(INFALLIBLE);
-    }
-
-    /// Inserts a batch of entries **sorted lexicographically**.
     ///
     /// Entries are routed down the tree in sorted groups: each branch page
     /// on the combined root-to-leaf paths is read once, and each touched
@@ -285,22 +284,24 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         Ok(())
     }
 
-    /// Applies sorted removals followed by sorted insertions.
-    ///
-    /// Removals stay per-entry (delete rebalancing is inherently
-    /// page-at-a-time) but benefit from sorted order through buffer hits
-    /// on shared root-to-leaf paths; insertions go through the grouped
-    /// [`BPlusTree::insert_batch`] path. Returns how many removals found
-    /// their entry.
+    /// [`BPlusTree::try_apply_batch`], panicking on a pager fault.
+    /// Kept only because the benchmark under `perf/` calls it; it goes
+    /// with ROADMAP item 1(d). Product code calls the `try_` method.
     ///
     /// # Panics
-    /// Panics on an injected fault (see [`BPlusTree::try_apply_batch`]),
-    /// and in debug builds if either slice is not sorted.
+    /// On a fault the backend injects, and in debug builds if either
+    /// slice is not sorted.
     pub fn apply_batch(&mut self, removes: &[(K, V)], inserts: &[(K, V)]) -> usize {
         self.try_apply_batch(removes, inserts).expect(INFALLIBLE)
     }
 
     /// Applies sorted removals followed by sorted insertions.
+    ///
+    /// Removals stay per-entry (delete rebalancing is inherently
+    /// page-at-a-time) but benefit from sorted order through buffer hits
+    /// on shared root-to-leaf paths; insertions go through the grouped
+    /// [`BPlusTree::try_insert_batch`] path. Returns how many removals
+    /// found their entry.
     ///
     /// # Errors
     /// Propagates the first unrecovered storage fault; operations already
@@ -329,10 +330,12 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         Ok(removed)
     }
 
-    /// Removes the entry `(key, value)`. Returns `true` if it was present.
+    /// [`BPlusTree::try_remove`], panicking on a pager fault.
+    /// Kept only because the benchmark under `perf/` calls it; it goes
+    /// with ROADMAP item 1(d). Product code calls the `try_` method.
     ///
     /// # Panics
-    /// Panics on an injected fault; see [`BPlusTree::try_remove`].
+    /// On a fault the backend injects.
     pub fn remove(&mut self, key: K, value: V) -> bool {
         self.try_remove(key, value).expect(INFALLIBLE)
     }
@@ -369,14 +372,6 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
 
     /// Reports every value whose key lies in `[lo, hi]`, in key order.
     ///
-    /// # Panics
-    /// Panics on an injected fault; see [`BPlusTree::try_range`].
-    pub fn range(&mut self, lo: K, hi: K) -> Vec<(K, V)> {
-        self.try_range(lo, hi).expect(INFALLIBLE)
-    }
-
-    /// Reports every value whose key lies in `[lo, hi]`, in key order.
-    ///
     /// # Errors
     /// Propagates the first unrecovered read fault; the scan stops there.
     pub fn try_range(&mut self, lo: K, hi: K) -> Result<Vec<(K, V)>, PagerError> {
@@ -385,10 +380,12 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         Ok(out)
     }
 
-    /// Visits every entry with key in `[lo, hi]`, in key order.
+    /// [`BPlusTree::try_range_for_each`], panicking on a pager fault.
+    /// Kept only because the benchmark under `perf/` calls it; it goes
+    /// with ROADMAP item 1(d). Product code calls the `try_` method.
     ///
     /// # Panics
-    /// Panics on an injected fault; see [`BPlusTree::try_range_for_each`].
+    /// On a fault the backend injects.
     pub fn range_for_each(&mut self, lo: K, hi: K, visit: impl FnMut(K, V)) {
         self.try_range_for_each(lo, hi, visit).expect(INFALLIBLE);
     }
@@ -492,14 +489,6 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
 
     /// Whether the exact entry `(key, value)` is present.
     ///
-    /// # Panics
-    /// Panics on an injected fault; see [`BPlusTree::try_contains`].
-    pub fn contains(&mut self, key: K, value: V) -> bool {
-        self.try_contains(key, value).expect(INFALLIBLE)
-    }
-
-    /// Whether the exact entry `(key, value)` is present.
-    ///
     /// # Errors
     /// Propagates the first unrecovered read fault.
     pub fn try_contains(&mut self, key: K, value: V) -> Result<bool, PagerError> {
@@ -546,23 +535,28 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
         let mut level: Vec<((K, V), PageId)> = Vec::new();
         let mut prev_leaf: Option<PageId> = None;
         for chunk in entries.chunks(per_leaf) {
-            let pid = tree.store.allocate(Node::Leaf {
-                entries: chunk.to_vec(),
-                next: None,
-            });
+            let pid = tree
+                .store
+                .try_allocate(Node::Leaf {
+                    entries: chunk.to_vec(),
+                    next: None,
+                })
+                .expect(FRESH_STORE);
             if let Some(prev) = prev_leaf {
-                tree.store.write(prev, |n| {
-                    if let Node::Leaf { next, .. } = n {
-                        *next = Some(pid);
-                    }
-                });
+                tree.store
+                    .try_write(prev, |n| {
+                        if let Node::Leaf { next, .. } = n {
+                            *next = Some(pid);
+                        }
+                    })
+                    .expect(FRESH_STORE);
             }
             prev_leaf = Some(pid);
             level.push((chunk[0], pid));
         }
         // Reuse the pre-allocated empty root as the first leaf? Simpler to
         // free it and re-point the root.
-        let _ = tree.store.free(tree.root);
+        let _ = tree.store.try_free(tree.root).expect(FRESH_STORE);
 
         // Upper levels.
         #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
@@ -573,7 +567,10 @@ impl<K: Key, V: Copy + Ord + Debug> BPlusTree<K, V> {
             for group in level.chunks(per_branch) {
                 let seps: Vec<(K, V)> = group[1..].iter().map(|(min, _)| *min).collect();
                 let children: Vec<PageId> = group.iter().map(|&(_, pid)| pid).collect();
-                let pid = tree.store.allocate(Node::Branch { seps, children });
+                let pid = tree
+                    .store
+                    .try_allocate(Node::Branch { seps, children })
+                    .expect(FRESH_STORE);
                 upper.push((group[0].0, pid));
             }
             level = upper;
@@ -1612,7 +1609,7 @@ mod tests {
         }
         t.check_invariants(true);
         assert_eq!(t.len(), 100);
-        let hits = t.range(3.0, 4.0);
+        let hits = t.try_range(3.0, 4.0).unwrap();
         assert_eq!(hits.len(), 20);
         assert!(hits.iter().all(|&(k, _)| (3.0..=4.0).contains(&k)));
         // Results are in (key, value) order.
@@ -1623,9 +1620,9 @@ mod tests {
     fn empty_tree_behaviour() {
         let mut t: BPlusTree<f64, u64> = BPlusTree::new(small_cfg());
         assert!(t.is_empty());
-        assert_eq!(t.range(0.0, 100.0), vec![]);
+        assert_eq!(t.try_range(0.0, 100.0).unwrap(), vec![]);
         assert!(!t.remove(1.0, 1));
-        assert!(!t.contains(1.0, 1));
+        assert!(!t.try_contains(1.0, 1).unwrap());
         t.check_invariants(true);
     }
 
@@ -1638,8 +1635,8 @@ mod tests {
         }
         let snap = t.freeze();
         assert_eq!(snap.len(), 100);
-        assert_eq!(snap.range(3.0, 4.0), t.range(3.0, 4.0));
-        assert_eq!(snap.range(-1.0, 100.0), t.range(-1.0, 100.0));
+        assert_eq!(snap.range(3.0, 4.0), t.try_range(3.0, 4.0).unwrap());
+        assert_eq!(snap.range(-1.0, 100.0), t.try_range(-1.0, 100.0).unwrap());
         assert_eq!(snap.range(5.0, 4.0), vec![]);
         // Mutations after the freeze are invisible to the snapshot …
         for i in 100..300u64 {
@@ -1763,7 +1760,7 @@ mod tests {
     fn inverted_range_is_empty() {
         let mut t: BPlusTree<f64, u64> = BPlusTree::new(small_cfg());
         t.insert(1.0, 1);
-        assert_eq!(t.range(5.0, 4.0), vec![]);
+        assert_eq!(t.try_range(5.0, 4.0).unwrap(), vec![]);
     }
 
     #[test]
@@ -1772,9 +1769,9 @@ mod tests {
         for v in 0..50u64 {
             t.insert(7.0, v);
         }
-        assert!(t.contains(7.0, 23));
+        assert!(t.try_contains(7.0, 23).unwrap());
         assert!(t.remove(7.0, 23));
-        assert!(!t.contains(7.0, 23));
+        assert!(!t.try_contains(7.0, 23).unwrap());
         assert!(!t.remove(7.0, 23), "double delete must fail");
         assert_eq!(t.len(), 49);
         t.check_invariants(true);
@@ -1860,7 +1857,7 @@ mod tests {
         let mut t = BPlusTree::bulk_load(cfg, &entries, 1.0);
         t.store_mut().try_clear_buffer().unwrap();
         let snap = t.store().stats().snapshot();
-        let hits = t.range(0, 1023);
+        let hits = t.try_range(0, 1023).unwrap();
         assert_eq!(hits.len(), 1024);
         let cost = t.store().stats().since(&snap);
         let leaves = 1024 / 8;
@@ -1880,7 +1877,7 @@ mod tests {
         let mut t = BPlusTree::bulk_load(cfg, &entries, 1.0);
         t.store_mut().try_clear_buffer().unwrap();
         let snap = t.store().stats().snapshot();
-        assert!(t.contains(2048, 2048));
+        assert!(t.try_contains(2048, 2048).unwrap());
         let cost = t.store().stats().since(&snap);
         assert_eq!(cost.reads, t.height() as u64);
     }
@@ -1898,22 +1895,25 @@ mod tests {
         }
         let mut batched: BPlusTree<u64, u64> = BPlusTree::new(small_cfg());
         for chunk in sorted.chunks(37) {
-            batched.insert_batch(chunk);
+            batched.try_insert_batch(chunk).unwrap();
             batched.check_invariants(true);
         }
         assert_eq!(batched.len(), sequential.len());
         assert_eq!(batched.collect_all(), sequential.collect_all());
-        assert_eq!(batched.range(3, 9), sequential.range(3, 9));
+        assert_eq!(
+            batched.try_range(3, 9).unwrap(),
+            sequential.try_range(3, 9).unwrap()
+        );
     }
 
     #[test]
     fn batch_insert_empty_and_single() {
         let mut t: BPlusTree<u64, u64> = BPlusTree::new(small_cfg());
-        t.insert_batch(&[]);
+        t.try_insert_batch(&[]).unwrap();
         assert!(t.is_empty());
-        t.insert_batch(&[(5, 5)]);
+        t.try_insert_batch(&[(5, 5)]).unwrap();
         assert_eq!(t.len(), 1);
-        assert!(t.contains(5, 5));
+        assert!(t.try_contains(5, 5).unwrap());
         t.check_invariants(true);
     }
 
@@ -1923,7 +1923,7 @@ mod tests {
         // the root leaf and possibly several new root levels at once.
         let sorted: Vec<(u64, u64)> = (0..1000u64).map(|i| (i, i)).collect();
         let mut t: BPlusTree<u64, u64> = BPlusTree::new(small_cfg());
-        t.insert_batch(&sorted);
+        t.try_insert_batch(&sorted).unwrap();
         t.check_invariants(true);
         assert_eq!(t.len(), 1000);
         assert_eq!(t.collect_all(), sorted);
@@ -1933,7 +1933,8 @@ mod tests {
     #[test]
     fn batch_insert_duplicate_entries_tolerated() {
         let mut t: BPlusTree<u64, u64> = BPlusTree::new(small_cfg());
-        t.insert_batch(&[(1, 1), (1, 1), (1, 1), (2, 2)]);
+        t.try_insert_batch(&[(1, 1), (1, 1), (1, 1), (2, 2)])
+            .unwrap();
         t.check_invariants(true);
         assert_eq!(t.len(), 4);
         assert!(t.remove(1, 1));
@@ -1946,7 +1947,7 @@ mod tests {
         let base: Vec<(u64, u64)> = (0..512u64).map(|i| (i * 2, i)).collect();
         let mut t = BPlusTree::bulk_load(small_cfg(), &base, 0.9);
         let odds: Vec<(u64, u64)> = (0..512u64).map(|i| (i * 2 + 1, i)).collect();
-        t.insert_batch(&odds);
+        t.try_insert_batch(&odds).unwrap();
         t.check_invariants(false);
         assert_eq!(t.len(), 1024);
         let all = t.collect_all();
@@ -1968,7 +1969,7 @@ mod tests {
         let snap = t.store().stats().snapshot();
         // Eight entries wedged between keys 1000 and 1100: one leaf.
         let batch: Vec<(u64, u64)> = (0..8u64).map(|i| (1001 + i, 9000 + i)).collect();
-        t.insert_batch(&batch);
+        t.try_insert_batch(&batch).unwrap();
         t.store_mut().try_clear_buffer().unwrap();
         let cost = t.store().stats().since(&snap);
         assert_eq!(cost.reads, t.height() as u64, "one descent for the batch");
@@ -1998,7 +1999,7 @@ mod tests {
         let batch: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 60, i)).collect();
         let mut sorted = batch;
         sorted.sort_unstable();
-        t.insert_batch(&sorted);
+        t.try_insert_batch(&sorted).unwrap();
         t.check_leaf_links();
         for i in (0..300u64).step_by(3) {
             assert!(t.remove(i % 60, i));
@@ -2014,7 +2015,7 @@ mod tests {
         t.insert(-0.1, 2);
         t.insert(0.0, 3);
         t.insert(2.25, 4);
-        let hits = t.range(-1.0, 1.0);
+        let hits = t.try_range(-1.0, 1.0).unwrap();
         assert_eq!(hits, vec![(-0.1, 2), (0.0, 3)]);
     }
 }

@@ -113,7 +113,7 @@ fn recovered_tree_keeps_growing_and_committing() {
     let mut t = open_tree(&dir);
     t.check_invariants(true);
     assert_eq!(t.collect_all(), expected);
-    assert_eq!(t.range(0, 199).len(), 200);
+    assert_eq!(t.try_range(0, 199).unwrap().len(), 200);
 }
 
 /// Crash at seeded write indices mid-commit; reopen must always yield

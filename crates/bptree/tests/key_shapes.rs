@@ -100,13 +100,13 @@ fn churn<K: Key, V: Copy + Ord + Debug>(
                     .filter(|&(k, v)| model.insert((Ordered(k), v)))
                     .collect();
                 batch.sort_by(|a, b| Ordered(a.0).cmp(&Ordered(b.0)).then(a.1.cmp(&b.1)));
-                tree.insert_batch(&batch);
+                tree.try_insert_batch(&batch).unwrap();
                 tree.check_invariants(false);
             }
             Op::Contains(i, v) => {
                 let (k, v) = entry(*i, *v);
                 prop_assert_eq!(
-                    tree.contains(k, v),
+                    tree.try_contains(k, v).unwrap(),
                     model.contains(&(Ordered(k), v)),
                     "contains {:?}",
                     (k, v)

@@ -56,7 +56,7 @@ proptest! {
                     }
                 }
                 Op::Range(lo, hi) => {
-                    let got = tree.range(lo, hi);
+                    let got = tree.try_range(lo, hi).unwrap();
                     let want: Vec<(u32, u32)> = oracle
                         .iter()
                         .copied()
@@ -163,7 +163,7 @@ proptest! {
             prop_assert_eq!(tree.collect_all(), oracle.clone());
         }
         prop_assert!(tree.is_empty());
-        prop_assert_eq!(tree.range(0, u32::MAX), vec![]);
+        prop_assert_eq!(tree.try_range(0, u32::MAX).unwrap(), vec![]);
 
         // The emptied tree must remain fully usable.
         tree.insert(3, 7);
@@ -251,7 +251,7 @@ fn check_scan(
     prop_assert_eq!(&each, &want);
     prop_assert_eq!(each_pages, pages);
     prop_assert_eq!(&frozen.range(lo, hi), &want);
-    prop_assert_eq!(&tree.range(lo, hi), &want);
+    prop_assert_eq!(&tree.try_range(lo, hi).unwrap(), &want);
 
     if lo > hi {
         prop_assert_eq!(pages, 0, "an inverted range touches nothing");
@@ -419,7 +419,7 @@ fn check_batch(
     batch: &[(f64, u32)],
 ) -> Result<(), TestCaseError> {
     let [batched, sequential] = pair;
-    batched.insert_batch(batch);
+    batched.try_insert_batch(batch).unwrap();
     for &(k, v) in batch {
         sequential.insert(k, v);
     }
@@ -858,7 +858,7 @@ fn apply_view_op(tree: &mut BPlusTree<u32, u32>, oracle: &mut Vec<(u32, u32)>, o
                 .collect();
             fresh.sort_unstable();
             fresh.dedup();
-            tree.insert_batch(&fresh);
+            tree.try_insert_batch(&fresh).unwrap();
             oracle.extend_from_slice(&fresh);
             oracle.sort_unstable();
         }

@@ -49,7 +49,8 @@ impl PersistEpoch {
         let occupants = ids.map(|(id, &(y0, v))| Occupant { id, y0, v }).collect();
         let mut t = PersistentListBTree::new(PersistConfig::small(16), occupants);
         for &(time, pos) in &self.applied {
-            t.apply_swap(time, pos);
+            t.try_apply_swap(time, pos)
+                .expect("a rebuild runs before its store is armed");
         }
         t
     }

@@ -43,5 +43,10 @@ pub use method::{
     QueryOutput, QueryRequest,
 };
 
+/// The panic message of the infallible layer ([`Index1D`], [`Index2D`],
+/// [`MotionDb`]): a page store under it reported a fault. Arm
+/// fault-injecting backends only under the index crates' `try_*` API.
+pub use mobidx_pager::PAGER_FAULT;
+
 // Re-export the vocabulary types so downstream users need only this crate.
 pub use mobidx_workload::{MorQuery1D, MorQuery2D, Motion1D, Motion2D};

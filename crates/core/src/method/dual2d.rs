@@ -25,7 +25,7 @@ use crate::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use crate::method::{Index1D, Index2D, IndexStats};
 use mobidx_geom::ProductRegion;
 use mobidx_kdtree::{KdConfig, KdTree};
-use mobidx_pager::Store;
+use mobidx_pager::{Store, PAGER_FAULT};
 use mobidx_ptree::{PartitionConfig, PartitionForest};
 use mobidx_workload::{MorQuery2D, Motion1D, Motion2D};
 use std::fmt;
@@ -113,23 +113,29 @@ impl IndexStats for Dual4KdIndex {
 
 impl Index2D for Dual4KdIndex {
     fn insert(&mut self, m: &Motion2D) {
-        self.tree.insert(dual4_point(m), m.id);
+        self.tree
+            .try_insert(dual4_point(m), m.id)
+            .expect(PAGER_FAULT);
     }
 
     fn remove(&mut self, m: &Motion2D) -> bool {
-        self.tree.remove(dual4_point(m), m.id)
+        self.tree
+            .try_remove(dual4_point(m), m.id)
+            .expect(PAGER_FAULT)
     }
 
     fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>) {
         let mut candidates = 0u64;
         assemble(out, |ids| {
             for region in dual4_regions(q, &self.band) {
-                self.tree.query(&region, |p, id| {
-                    candidates += 1;
-                    if q.matches(&motion_of_dual4(p, id)) {
-                        ids.push(id);
-                    }
-                });
+                self.tree
+                    .try_query(&region, |p, id| {
+                        candidates += 1;
+                        if q.matches(&motion_of_dual4(p, id)) {
+                            ids.push(id);
+                        }
+                    })
+                    .expect(PAGER_FAULT);
             }
         });
         self.last_candidates = candidates;

@@ -28,7 +28,7 @@ use crate::ids::{assemble, assemble_set, IdSet};
 use crate::method::{CommitError, Index1D, IndexStats};
 use mobidx_bptree::{BPlusTree, FrozenTree, TreeConfig};
 use mobidx_interval::{IntervalConfig, IntervalTree};
-use mobidx_pager::{PagerError, Store};
+use mobidx_pager::{PagerError, Store, PAGER_FAULT};
 use mobidx_workload::{MorQuery1D, Motion1D};
 use std::cmp::Ordering;
 use std::fmt;
@@ -72,7 +72,7 @@ type ObsValue = (u64, u64);
 
 /// The B+-trees' own entry order: by key — −0.0 and 0.0 are one key —
 /// then by value. The grouped write path sorts by it because
-/// `insert_batch` requires it; `f64::total_cmp` alone puts −0.0 first,
+/// `try_insert_batch` requires it; `f64::total_cmp` alone puts −0.0 first,
 /// which hands the tree an unsorted run when both zeros share a batch.
 /// Adding 0.0 turns −0.0 into 0.0 and changes no other key, so
 /// `total_cmp` of the sums is the key order without the branch of
@@ -349,8 +349,7 @@ impl DualBPlusIndex {
                 } else {
                     &mut obs.neg_tree
                 };
-                tree.range_runs(lo, hi, visit)
-                    .expect("pager fault in a range scan (Index1D reads are infallible)");
+                tree.range_runs(lo, hi, visit).expect(PAGER_FAULT);
             });
     }
 
@@ -458,19 +457,21 @@ impl DualBPlusIndex {
         // for this component).
         let before = out.len();
         for j in j_first..j_last {
-            self.sub[j].window_for_each(q.t1, q.t2, |id| {
-                // The interval index knows residence, not the motion;
-                // report with a placeholder motion reconstructed lazily
-                // by the caller if needed. For id-level answers this is
-                // enough; query_motions callers (2-D decomposition) use
-                // narrow queries that never reach case ii.
-                out.push(pick(Motion1D {
-                    id,
-                    t0: f64::NAN,
-                    y0: f64::NAN,
-                    v: f64::NAN,
-                }));
-            });
+            self.sub[j]
+                .try_window_for_each(q.t1, q.t2, |id| {
+                    // The interval index knows residence, not the motion;
+                    // report with a placeholder motion reconstructed lazily
+                    // by the caller if needed. For id-level answers this is
+                    // enough; query_motions callers (2-D decomposition) use
+                    // narrow queries that never reach case ii.
+                    out.push(pick(Motion1D {
+                        id,
+                        t0: f64::NAN,
+                        y0: f64::NAN,
+                        v: f64::NAN,
+                    }));
+                })
+                .expect(PAGER_FAULT);
         }
         self.last_candidates += (out.len() - before) as u64;
         // Endpoint slivers.
@@ -550,39 +551,44 @@ fn obs_failed(i: usize, sign: &'static str) -> impl Fn(PagerError) -> CommitErro
 impl Index1D for DualBPlusIndex {
     fn insert(&mut self, m: &Motion1D) {
         if Self::is_static(m) {
-            self.static_tree.insert(m.y0, m.id);
+            self.static_tree.try_insert(m.y0, m.id).expect(PAGER_FAULT);
             return;
         }
         for obs in &mut self.obs {
             let b = hough_y_b(m, obs.y_r);
             let v = m.v;
-            obs.tree_for(v).insert(b, (v.to_bits(), m.id));
+            obs.tree_for(v)
+                .try_insert(b, (v.to_bits(), m.id))
+                .expect(PAGER_FAULT);
         }
         let strip = self.strip();
         for (j, sub) in self.sub.iter_mut().enumerate() {
             #[allow(clippy::cast_precision_loss)]
             let z_lo = j as f64 * strip;
             let (t_in, t_out) = Self::residence(m, z_lo, z_lo + strip);
-            sub.insert(t_in, t_out, m.id);
+            sub.try_insert(t_in, t_out, m.id).expect(PAGER_FAULT);
         }
     }
 
     fn remove(&mut self, m: &Motion1D) -> bool {
         if Self::is_static(m) {
-            return self.static_tree.remove(m.y0, m.id);
+            return self.static_tree.try_remove(m.y0, m.id).expect(PAGER_FAULT);
         }
         let mut found = true;
         for obs in &mut self.obs {
             let b = hough_y_b(m, obs.y_r);
             let v = m.v;
-            found &= obs.tree_for(v).remove(b, (v.to_bits(), m.id));
+            found &= obs
+                .tree_for(v)
+                .try_remove(b, (v.to_bits(), m.id))
+                .expect(PAGER_FAULT);
         }
         let strip = self.strip();
         for (j, sub) in self.sub.iter_mut().enumerate() {
             #[allow(clippy::cast_precision_loss)]
             let z_lo = j as f64 * strip;
             let (t_in, t_out) = Self::residence(m, z_lo, z_lo + strip);
-            found &= sub.remove(t_in, t_out, m.id);
+            found &= sub.try_remove(t_in, t_out, m.id).expect(PAGER_FAULT);
         }
         found
     }
@@ -591,7 +597,7 @@ impl Index1D for DualBPlusIndex {
     /// and insertions as **one** merged key-ordered pass. Removals stay
     /// per-entry (delete rebalancing is inherently page-at-a-time) while
     /// runs of consecutive insertions go through the grouped
-    /// `insert_batch` descent — `k` records landing in the same leaf
+    /// `try_insert_batch` descent — `k` records landing in the same leaf
     /// dirty it once instead of `k` times. Interleaving matters as much
     /// as sorting: with the deliberately tiny buffer pools of the I/O
     /// model, a remove-all-then-insert-all schedule evicts each touched
@@ -605,7 +611,7 @@ impl Index1D for DualBPlusIndex {
         // Static objects: position tree only.
         for (j, m) in removes.iter().enumerate() {
             if Self::is_static(m) {
-                found[j] = self.static_tree.remove(m.y0, m.id);
+                found[j] = self.static_tree.try_remove(m.y0, m.id).expect(PAGER_FAULT);
             }
         }
 
@@ -621,7 +627,7 @@ impl Index1D for DualBPlusIndex {
                     #[allow(clippy::cast_precision_loss)]
                     let z_lo = s as f64 * strip;
                     let (t_in, t_out) = Self::residence(m, z_lo, z_lo + strip);
-                    found[j] &= sub.remove(t_in, t_out, m.id);
+                    found[j] &= sub.try_remove(t_in, t_out, m.id).expect(PAGER_FAULT);
                 }
             }
             for m in inserts.iter().filter(|m| !Self::is_static(m)) {
@@ -629,7 +635,7 @@ impl Index1D for DualBPlusIndex {
                     #[allow(clippy::cast_precision_loss)]
                     let z_lo = s as f64 * strip;
                     let (t_in, t_out) = Self::residence(m, z_lo, z_lo + strip);
-                    sub.insert(t_in, t_out, m.id);
+                    sub.try_insert(t_in, t_out, m.id).expect(PAGER_FAULT);
                 }
             }
         }
@@ -667,11 +673,11 @@ impl Index1D for DualBPlusIndex {
                         .iter()
                         .take_while(|e| tree_order((e.0, &e.1), (b, &val)).is_lt())
                         .count();
-                    tree.insert_batch(&es[ei..ei + run]);
+                    tree.try_insert_batch(&es[ei..ei + run]).expect(PAGER_FAULT);
                     ei += run;
-                    found[j] &= tree.remove(b, val);
+                    found[j] &= tree.try_remove(b, val).expect(PAGER_FAULT);
                 }
-                tree.insert_batch(&es[ei..]);
+                tree.try_insert_batch(&es[ei..]).expect(PAGER_FAULT);
             }
         }
 
@@ -682,7 +688,9 @@ impl Index1D for DualBPlusIndex {
             .map(|m| (m.y0, m.id))
             .collect();
         statics.sort_unstable_by(|a, b| tree_order((a.0, &a.1), (b.0, &b.1)));
-        self.static_tree.insert_batch(&statics);
+        self.static_tree
+            .try_insert_batch(&statics)
+            .expect(PAGER_FAULT);
 
         found.into_iter().filter(|&f| f).count()
     }
@@ -696,7 +704,8 @@ impl Index1D for DualBPlusIndex {
             if !self.static_tree.is_empty() {
                 let before = candidates.len();
                 self.static_tree
-                    .range_for_each(q.y1, q.y2, |_, id| candidates.push(id));
+                    .try_range_for_each(q.y1, q.y2, |_, id| candidates.push(id))
+                    .expect(PAGER_FAULT);
                 self.last_candidates += (candidates.len() - before) as u64;
             }
         });
@@ -953,7 +962,7 @@ mod tests {
     }
 
     /// Static objects at −0.0 and 0.0 in one batch: one key to the tree,
-    /// so the batch must reach `insert_batch` in that order, ties broken
+    /// so the batch must reach `try_insert_batch` in that order, ties broken
     /// by id — not with −0.0 first.
     #[test]
     fn a_batch_of_static_objects_at_both_zeros_is_sorted_as_the_tree_sorts() {

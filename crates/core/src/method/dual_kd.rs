@@ -13,7 +13,7 @@ use crate::method::rotating::{DualPlaneStore, RotatingDual};
 use crate::method::{Index1D, IndexStats};
 use mobidx_geom::ConvexPolygon;
 use mobidx_kdtree::{KdConfig, KdTree};
-use mobidx_pager::Store;
+use mobidx_pager::{Store, PAGER_FAULT};
 use mobidx_workload::{MorQuery1D, Motion1D};
 use std::fmt;
 
@@ -46,22 +46,26 @@ struct KdStore {
 
 impl DualPlaneStore for KdStore {
     fn insert_point(&mut self, p: [f64; 2], id: u64) {
-        self.tree.insert(p, id);
+        self.tree.try_insert(p, id).expect(PAGER_FAULT);
     }
 
     fn remove_point(&mut self, p: [f64; 2], id: u64) -> bool {
-        self.tree.remove(p, id)
+        self.tree.try_remove(p, id).expect(PAGER_FAULT)
     }
 
     fn query_polygons(&mut self, pos: &ConvexPolygon, neg: &ConvexPolygon, out: &mut Vec<u64>) {
-        self.tree.query(pos, |_, id| out.push(id));
-        self.tree.query(neg, |_, id| out.push(id));
+        self.tree
+            .try_query(pos, |_, id| out.push(id))
+            .expect(PAGER_FAULT);
+        self.tree
+            .try_query(neg, |_, id| out.push(id))
+            .expect(PAGER_FAULT);
     }
 
     fn drain_all(&mut self) -> Vec<([f64; 2], u64)> {
         let all = self.tree.collect_all();
         for &(p, id) in &all {
-            let removed = self.tree.remove(p, id);
+            let removed = self.tree.try_remove(p, id).expect(PAGER_FAULT);
             debug_assert!(removed);
         }
         all
@@ -128,7 +132,8 @@ impl DualKdIndex {
             all.extend(
                 store
                     .tree
-                    .nearest(&scorer, k)
+                    .try_nearest(&scorer, k)
+                    .expect(PAGER_FAULT)
                     .into_iter()
                     .map(|(_, id, score)| (id, score)),
             );

@@ -14,7 +14,7 @@ pub mod vp_dual;
 
 use crate::ids::IdSet;
 use mobidx_obs::{OpenSpan, QueryTrace, Span, SpanIo};
-use mobidx_pager::{Backend, IoStats, PagerError, Store};
+use mobidx_pager::{Backend, IoStats, PagerError, Store, PAGER_FAULT};
 use mobidx_workload::{MorQuery1D, MorQuery2D, Motion1D, Motion2D};
 use std::cell::Cell;
 use std::fmt;
@@ -425,14 +425,11 @@ pub trait IndexStats {
     /// before each query so query I/O is cold).
     ///
     /// # Panics
-    /// On a write-back the backend rejects for good (a fault-injecting
-    /// backend; see [`Store::try_clear_buffer`]).
+    /// With [`crate::PAGER_FAULT`], on a write-back the backend rejects
+    /// for good (a fault-injecting backend; see
+    /// [`Store::try_clear_buffer`]).
     fn clear_buffers(&mut self) {
-        self.stores_mut(&mut |store| {
-            store
-                .try_clear_buffer()
-                .expect("pager fault clearing a buffer pool");
-        });
+        self.stores_mut(&mut |store| store.try_clear_buffer().expect(PAGER_FAULT));
     }
 
     /// Aggregated I/O counters over every internal page store.
@@ -601,6 +598,38 @@ fn assemble_output(
     }
 }
 
+/// The one default body of [`Index1D::query`] and [`Index2D::query`]:
+/// `search` (the method's `search` hook) fills the request's buffer,
+/// inside [`run_span`] when the request wants a span, and the pieces are
+/// assembled into a [`QueryOutput`].
+fn run_query<I, Q>(
+    index: &mut I,
+    req: &QueryRequest<'_, Q>,
+    search: impl FnOnce(&mut I, &Q, &mut Vec<u64>),
+) -> QueryOutput
+where
+    I: IndexStats + ?Sized,
+{
+    let mut ids = req.take_buffer();
+    let span = if req.wants_span() {
+        let epoch = req.span_epoch().unwrap_or_else(Instant::now);
+        Some(run_span(index, epoch, &mut ids, |index, out| {
+            search(index, req.query(), out);
+        }))
+    } else {
+        search(index, req.query(), &mut ids);
+        None
+    };
+    let candidates = index.last_candidates();
+    assemble_output(
+        ids,
+        candidates,
+        span,
+        req.wants_trace(),
+        req.span_epoch().is_some(),
+    )
+}
+
 /// A dynamic index over 1-D mobile objects answering MOR queries.
 ///
 /// Contract:
@@ -609,6 +638,15 @@ fn assemble_output(
 ///   deduplicated**;
 /// * the statistics surface ([`IndexStats`]) aggregates over every
 ///   internal page store.
+///
+/// This trait, [`Index2D`] and [`crate::MotionDb`] are the one
+/// infallible layer: the index crates below expose only fallible
+/// `try_*` calls, and every implementation here expects them.
+///
+/// # Panics
+/// An update or a query panics with [`crate::PAGER_FAULT`] when a page
+/// store reports a fault, which only a fault-injecting backend armed
+/// through [`IndexStats::set_backends`] does.
 pub trait Index1D: IndexStats {
     /// Inserts an object's motion record.
     fn insert(&mut self, m: &Motion1D);
@@ -652,24 +690,7 @@ pub trait Index1D: IndexStats {
     /// construction and out-buffer reuse. Plain calls read as
     /// `index.query(&QueryRequest::new(&q))` (or `(&q).into()`).
     fn query(&mut self, req: &QueryRequest<'_, MorQuery1D>) -> QueryOutput {
-        let mut ids = req.take_buffer();
-        let span = if req.wants_span() {
-            let epoch = req.span_epoch().unwrap_or_else(Instant::now);
-            Some(run_span(self, epoch, &mut ids, |index, out| {
-                index.search(req.query(), out);
-            }))
-        } else {
-            self.search(req.query(), &mut ids);
-            None
-        };
-        let candidates = self.last_candidates();
-        assemble_output(
-            ids,
-            candidates,
-            span,
-            req.wants_trace(),
-            req.span_epoch().is_some(),
-        )
+        run_query(self, req, |index, q, out| index.search(q, out))
     }
 
     /// Publishes an immutable, `Send + Sync` snapshot of the index for
@@ -703,6 +724,10 @@ pub trait Index1D: IndexStats {
 
 /// A dynamic index over 2-D mobile objects (§4.2), same contract as
 /// [`Index1D`].
+///
+/// # Panics
+/// An update or a query panics with [`crate::PAGER_FAULT`] when a page
+/// store reports a fault, as in [`Index1D`].
 pub trait Index2D: IndexStats {
     /// Inserts an object's motion record.
     fn insert(&mut self, m: &Motion2D);
@@ -718,24 +743,7 @@ pub trait Index2D: IndexStats {
     /// Answers a 2-D MOR query — the one read entry point (see
     /// [`Index1D::query`]).
     fn query(&mut self, req: &QueryRequest<'_, MorQuery2D>) -> QueryOutput {
-        let mut ids = req.take_buffer();
-        let span = if req.wants_span() {
-            let epoch = req.span_epoch().unwrap_or_else(Instant::now);
-            Some(run_span(self, epoch, &mut ids, |index, out| {
-                index.search(req.query(), out);
-            }))
-        } else {
-            self.search(req.query(), &mut ids);
-            None
-        };
-        let candidates = self.last_candidates();
-        assemble_output(
-            ids,
-            candidates,
-            span,
-            req.wants_trace(),
-            req.span_epoch().is_some(),
-        )
+        run_query(self, req, |index, q, out| index.search(q, out))
     }
 }
 

@@ -15,7 +15,7 @@
 //! rebuilds take effect at the next rebuild.)
 
 use crate::method::IndexStats;
-use mobidx_pager::Store;
+use mobidx_pager::{Store, PAGER_FAULT};
 use mobidx_persist::{all_crossings, Occupant, PersistConfig, PersistentListBTree};
 use mobidx_workload::Motion1D;
 use std::collections::VecDeque;
@@ -91,7 +91,7 @@ impl Mor1Index {
             let pa = tree.position_of(id_a).expect("unknown id");
             let pb = tree.position_of(id_b).expect("unknown id");
             if pb + 1 == pa {
-                tree.apply_swap(time, pb);
+                tree.try_apply_swap(time, pb).expect(PAGER_FAULT);
                 stuck = 0;
             } else {
                 pending.push_back((time, id_a, id_b));
@@ -137,7 +137,9 @@ impl Mor1Index {
         let mut ids = Vec::new();
         let t = t_q - self.epoch;
         crate::ids::assemble(&mut ids, |candidates| {
-            self.tree.query(t, y1, y2, |o| candidates.push(o.id));
+            self.tree
+                .try_query(t, y1, y2, |o| candidates.push(o.id))
+                .expect(PAGER_FAULT);
         });
         ids
     }

@@ -13,7 +13,7 @@ use crate::ids::assemble;
 use crate::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use crate::method::{Index1D, IndexStats};
 use mobidx_geom::Rect2;
-use mobidx_pager::Store;
+use mobidx_pager::{Store, PAGER_FAULT};
 use mobidx_rstar::{RStarConfig, RStarTree};
 use mobidx_workload::{MorQuery1D, Motion1D, Route, RouteObject};
 use std::fmt;
@@ -56,10 +56,11 @@ impl RouteMorIndex {
         let mut sam = RStarTree::new(cfg.sam);
         for route in &routes {
             for (seg_idx, (_, seg)) in route.segments().enumerate() {
-                sam.insert(
+                sam.try_insert(
                     seg.mbr(),
                     (route.id, u32::try_from(seg_idx).expect("segment count")),
-                );
+                )
+                .expect(PAGER_FAULT);
             }
         }
         let per_route = routes
@@ -108,9 +109,11 @@ impl RouteMorIndex {
     pub fn query(&mut self, rect: &Rect2, t1: f64, t2: f64) -> Vec<u64> {
         // (1) Which routes does the rectangle touch?
         let mut route_hit = vec![false; self.routes.len()];
-        self.sam.search_with(rect, |_, (rid, _)| {
-            route_hit[rid as usize] = true;
-        });
+        self.sam
+            .try_search_with(rect, |_, (rid, _)| {
+                route_hit[rid as usize] = true;
+            })
+            .expect(PAGER_FAULT);
         // (2)+(3) Clip and run 1-D queries.
         let mut ids = Vec::new();
         let mut route_ids = Vec::new();

@@ -21,7 +21,7 @@
 use crate::ids::assemble;
 use crate::method::{Index1D, IndexStats};
 use mobidx_geom::{Point2, Rect2, Segment};
-use mobidx_pager::Store;
+use mobidx_pager::{Store, PAGER_FAULT};
 use mobidx_rstar::{RStarConfig, RStarTree};
 use mobidx_workload::{MorQuery1D, Motion1D};
 use std::fmt;
@@ -141,25 +141,27 @@ impl IndexStats for SegRTreeIndex {
 impl Index1D for SegRTreeIndex {
     fn insert(&mut self, m: &Motion1D) {
         let (mbr, item) = self.entry_of(m);
-        self.tree.insert(mbr, item);
+        self.tree.try_insert(mbr, item).expect(PAGER_FAULT);
     }
 
     fn remove(&mut self, m: &Motion1D) -> bool {
         let (mbr, item) = self.entry_of(m);
-        self.tree.remove(mbr, item)
+        self.tree.try_remove(mbr, item).expect(PAGER_FAULT)
     }
 
     fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
         let rect = query_rect(q);
         let mut candidates = 0u64;
         assemble(out, |ids| {
-            self.tree.search_with(&rect, |mbr, (id, rising)| {
-                candidates += 1;
-                // Refine: the MBR intersects, does the segment?
-                if segment_from_entry(&mbr, rising).intersects_rect(&rect) {
-                    ids.push(id);
-                }
-            });
+            self.tree
+                .try_search_with(&rect, |mbr, (id, rising)| {
+                    candidates += 1;
+                    // Refine: the MBR intersects, does the segment?
+                    if segment_from_entry(&mbr, rising).intersects_rect(&rect) {
+                        ids.push(id);
+                    }
+                })
+                .expect(PAGER_FAULT);
         });
         self.last_candidates = candidates;
     }

@@ -789,7 +789,7 @@ impl Index1D for VpDualIndex {
     /// Batched write path: removals group per routed band and ride each
     /// sub-index's merged key-ordered pass; insertions group, re-sort by
     /// dual locality within their band, and take the grouped
-    /// `insert_batch` descents. While a repartition is in flight
+    /// `try_insert_batch` descents. While a repartition is in flight
     /// removals fall back to the per-op path (a record may legitimately
     /// sit outside its routed band until its migration chunk lands, and
     /// the per-band grouped pass cannot tell *which* removal missed).

@@ -29,13 +29,13 @@ mod smoke {
     #[test]
     fn basic_window() {
         let mut t: IntervalTree<u64> = IntervalTree::new(IntervalConfig::default());
-        t.insert(0.0, 10.0, 1);
-        t.insert(5.0, 7.0, 2);
-        t.insert(20.0, 30.0, 3);
-        let mut hits = t.window(6.0, 8.0);
+        t.try_insert(0.0, 10.0, 1).unwrap();
+        t.try_insert(5.0, 7.0, 2).unwrap();
+        t.try_insert(20.0, 30.0, 3).unwrap();
+        let mut hits = t.try_window(6.0, 8.0).unwrap();
         hits.sort_unstable();
         assert_eq!(hits, vec![1, 2]);
-        assert_eq!(t.stab(25.0), vec![3]);
-        assert_eq!(t.stab(15.0), vec![]);
+        assert_eq!(t.try_stab(25.0).unwrap(), vec![3]);
+        assert_eq!(t.try_stab(15.0).unwrap(), vec![]);
     }
 }

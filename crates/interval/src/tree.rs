@@ -6,10 +6,6 @@ use mobidx_pager::{
 use std::cmp::Ordering;
 use std::fmt::Debug;
 
-/// Panic message of the infallible wrappers; fires only if a
-/// fault-injecting backend is installed but the infallible API is used.
-const INFALLIBLE: &str = "pager fault (use the try_* API with fault-injecting backends)";
-
 /// Sizing parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct IntervalConfig {
@@ -137,9 +133,11 @@ impl<V: Copy + Ord + Debug> IntervalTree<V> {
             "degenerate config"
         );
         let mut store = PageStore::new(cfg.buffer_pages);
-        let root = store.allocate(Node::Leaf {
-            entries: Vec::new(),
-        });
+        let root = store
+            .try_allocate(Node::Leaf {
+                entries: Vec::new(),
+            })
+            .expect("a fresh store's MemBackend never faults");
         Self {
             store,
             root,
@@ -180,15 +178,6 @@ impl<V: Copy + Ord + Debug> IntervalTree<V> {
 
     /// Inserts the interval `[start, end]` with payload `value`.
     ///
-    /// # Panics
-    /// Panics if `start > end` or either bound is NaN, or on an injected
-    /// fault; see [`IntervalTree::try_insert`].
-    pub fn insert(&mut self, start: f64, end: f64, value: V) {
-        self.try_insert(start, end, value).expect(INFALLIBLE);
-    }
-
-    /// Inserts the interval `[start, end]` with payload `value`.
-    ///
     /// # Errors
     /// Propagates the first unrecovered storage fault; partial splits are
     /// not rolled back, so after an error the tree must be treated as
@@ -211,15 +200,6 @@ impl<V: Copy + Ord + Debug> IntervalTree<V> {
         }
         self.len += 1;
         Ok(())
-    }
-
-    /// Removes the exact `(start, end, value)` interval. Returns whether
-    /// it was present.
-    ///
-    /// # Panics
-    /// Panics on an injected fault; see [`IntervalTree::try_remove`].
-    pub fn remove(&mut self, start: f64, end: f64, value: V) -> bool {
-        self.try_remove(start, end, value).expect(INFALLIBLE)
     }
 
     /// Removes the exact `(start, end, value)` interval. Returns
@@ -253,26 +233,10 @@ impl<V: Copy + Ord + Debug> IntervalTree<V> {
 
     /// Payloads of all intervals containing time `t`.
     ///
-    /// # Panics
-    /// Panics on an injected fault; see [`IntervalTree::try_stab`].
-    pub fn stab(&mut self, t: f64) -> Vec<V> {
-        self.window(t, t)
-    }
-
-    /// Payloads of all intervals containing time `t`.
-    ///
     /// # Errors
     /// Propagates the first unrecovered read fault.
     pub fn try_stab(&mut self, t: f64) -> Result<Vec<V>, PagerError> {
         self.try_window(t, t)
-    }
-
-    /// Payloads of all intervals intersecting `[t1, t2]` (closed).
-    ///
-    /// # Panics
-    /// Panics on an injected fault; see [`IntervalTree::try_window`].
-    pub fn window(&mut self, t1: f64, t2: f64) -> Vec<V> {
-        self.try_window(t1, t2).expect(INFALLIBLE)
     }
 
     /// Payloads of all intervals intersecting `[t1, t2]` (closed).
@@ -283,15 +247,6 @@ impl<V: Copy + Ord + Debug> IntervalTree<V> {
         let mut out = Vec::new();
         self.try_window_for_each(t1, t2, |v| out.push(v))?;
         Ok(out)
-    }
-
-    /// Visits payloads of all intervals intersecting `[t1, t2]`.
-    ///
-    /// # Panics
-    /// Panics on an injected fault; see
-    /// [`IntervalTree::try_window_for_each`].
-    pub fn window_for_each(&mut self, t1: f64, t2: f64, visit: impl FnMut(V)) {
-        self.try_window_for_each(t1, t2, visit).expect(INFALLIBLE);
     }
 
     /// Visits payloads of all intervals intersecting `[t1, t2]`.
@@ -862,11 +817,11 @@ mod tests {
         let ivls = pseudo_intervals(800, 3);
         let mut t: IntervalTree<u64> = IntervalTree::new(cfg());
         for (i, &(s, e)) in ivls.iter().enumerate() {
-            t.insert(s, e, i as u64);
+            t.try_insert(s, e, i as u64).unwrap();
         }
         t.check_invariants();
         for probe in [0.0, 100.0, 333.3, 500.0, 999.9] {
-            let mut got = t.stab(probe);
+            let mut got = t.try_stab(probe).unwrap();
             got.sort_unstable();
             let mut want: Vec<u64> = ivls
                 .iter()
@@ -884,10 +839,10 @@ mod tests {
         let ivls = pseudo_intervals(600, 11);
         let mut t: IntervalTree<u64> = IntervalTree::new(cfg());
         for (i, &(s, e)) in ivls.iter().enumerate() {
-            t.insert(s, e, i as u64);
+            t.try_insert(s, e, i as u64).unwrap();
         }
         for (w1, w2) in [(0.0, 50.0), (200.0, 210.0), (900.0, 1100.0)] {
-            let mut got = t.window(w1, w2);
+            let mut got = t.try_window(w1, w2).unwrap();
             got.sort_unstable();
             let mut want: Vec<u64> = ivls
                 .iter()
@@ -905,17 +860,17 @@ mod tests {
         let ivls = pseudo_intervals(500, 17);
         let mut t: IntervalTree<u64> = IntervalTree::new(cfg());
         for (i, &(s, e)) in ivls.iter().enumerate() {
-            t.insert(s, e, i as u64);
+            t.try_insert(s, e, i as u64).unwrap();
         }
         for (i, &(s, e)) in ivls.iter().enumerate() {
             if i % 2 == 0 {
-                assert!(t.remove(s, e, i as u64), "missing {i}");
+                assert!(t.try_remove(s, e, i as u64).unwrap(), "missing {i}");
             }
         }
         t.check_invariants();
         assert_eq!(t.len(), 250);
         // Queries still exact after deletions.
-        let mut got = t.stab(500.0);
+        let mut got = t.try_stab(500.0).unwrap();
         got.sort_unstable();
         let mut want: Vec<u64> = ivls
             .iter()
@@ -932,10 +887,10 @@ mod tests {
         let ivls = pseudo_intervals(300, 23);
         let mut t: IntervalTree<u64> = IntervalTree::new(cfg());
         for (i, &(s, e)) in ivls.iter().enumerate() {
-            t.insert(s, e, i as u64);
+            t.try_insert(s, e, i as u64).unwrap();
         }
         for (i, &(s, e)) in ivls.iter().enumerate() {
-            assert!(t.remove(s, e, i as u64));
+            assert!(t.try_remove(s, e, i as u64).unwrap());
         }
         assert!(t.is_empty());
         assert_eq!(t.height, 1);
@@ -945,27 +900,27 @@ mod tests {
     #[test]
     fn remove_absent_is_noop() {
         let mut t: IntervalTree<u64> = IntervalTree::new(cfg());
-        t.insert(1.0, 2.0, 7);
-        assert!(!t.remove(1.0, 2.0, 8));
-        assert!(!t.remove(1.0, 3.0, 7));
+        t.try_insert(1.0, 2.0, 7).unwrap();
+        assert!(!t.try_remove(1.0, 2.0, 8).unwrap());
+        assert!(!t.try_remove(1.0, 3.0, 7).unwrap());
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn point_intervals_and_touching_windows() {
         let mut t: IntervalTree<u64> = IntervalTree::new(cfg());
-        t.insert(5.0, 5.0, 1); // degenerate point interval
-        assert_eq!(t.stab(5.0), vec![1]);
-        assert_eq!(t.window(5.0, 10.0), vec![1]); // touching at the start
-        assert_eq!(t.window(0.0, 5.0), vec![1]); // touching at the end
-        assert_eq!(t.window(5.1, 10.0), vec![]);
+        t.try_insert(5.0, 5.0, 1).unwrap(); // degenerate point interval
+        assert_eq!(t.try_stab(5.0).unwrap(), vec![1]);
+        assert_eq!(t.try_window(5.0, 10.0).unwrap(), vec![1]); // touching at the start
+        assert_eq!(t.try_window(0.0, 5.0).unwrap(), vec![1]); // touching at the end
+        assert_eq!(t.try_window(5.1, 10.0).unwrap(), vec![]);
     }
 
     #[test]
     #[should_panic(expected = "inverted interval")]
     fn inverted_interval_panics() {
         let mut t: IntervalTree<u64> = IntervalTree::new(cfg());
-        t.insert(2.0, 1.0, 1);
+        t.try_insert(2.0, 1.0, 1).unwrap();
     }
 
     #[test]
@@ -976,11 +931,11 @@ mod tests {
         for i in 0..4000u64 {
             #[allow(clippy::cast_precision_loss)]
             let s = i as f64 * 10.0;
-            t.insert(s, s + 5.0, i);
+            t.try_insert(s, s + 5.0, i).unwrap();
         }
         t.store_mut().try_clear_buffer().unwrap();
         let snap = t.store().stats().snapshot();
-        let hits = t.stab(20_005.0);
+        let hits = t.try_stab(20_005.0).unwrap();
         assert_eq!(hits.len(), 1);
         let cost = t.store().stats().since(&snap).reads;
         assert!(cost <= 8, "stab cost {cost} too high");

@@ -31,7 +31,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Insert(s, e) => {
-                    tree.insert(s, e, next_id);
+                    tree.try_insert(s, e, next_id).unwrap();
                     naive.push((s, e, next_id));
                     next_id += 1;
                 }
@@ -40,11 +40,11 @@ proptest! {
                         continue;
                     }
                     let (s, e, v) = naive.swap_remove(i % naive.len());
-                    prop_assert!(tree.remove(s, e, v));
-                    prop_assert!(!tree.remove(s, e, v), "double remove succeeded");
+                    prop_assert!(tree.try_remove(s, e, v).unwrap());
+                    prop_assert!(!tree.try_remove(s, e, v).unwrap(), "double remove succeeded");
                 }
                 Op::Stab(t) => {
-                    let mut got = tree.stab(t);
+                    let mut got = tree.try_stab(t).unwrap();
                     got.sort_unstable();
                     let mut want: Vec<u64> = naive
                         .iter()
@@ -55,7 +55,7 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
                 Op::Window(a, b) => {
-                    let mut got = tree.window(a, b);
+                    let mut got = tree.try_window(a, b).unwrap();
                     got.sort_unstable();
                     let mut want: Vec<u64> = naive
                         .iter()
@@ -77,14 +77,14 @@ proptest! {
         let mut tree: IntervalTree<u64> = IntervalTree::new(IntervalConfig::small(4, 4));
         for i in 0..count {
             let d = i as f64;
-            tree.insert(500.0 - d, 500.0 + d, i as u64);
+            tree.try_insert(500.0 - d, 500.0 + d, i as u64).unwrap();
         }
         tree.check_invariants();
-        let mut got = tree.stab(500.0);
+        let mut got = tree.try_stab(500.0).unwrap();
         got.sort_unstable();
         let want: Vec<u64> = (0..count as u64).collect();
         prop_assert_eq!(got, want);
         // A stab outside the widest interval hits nothing.
-        prop_assert!(tree.stab(500.0 + count as f64 + 1.0).is_empty());
+        prop_assert!(tree.try_stab(500.0 + count as f64 + 1.0).unwrap().is_empty());
     }
 }

@@ -17,8 +17,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
 
-const INFALLIBLE: &str = "pager fault (use the try_* API with fault-injecting backends)";
-
 /// A score over points that admits exact lower bounds over boxes.
 /// Smaller is better.
 pub trait ScoreFn<const D: usize> {
@@ -108,14 +106,6 @@ impl<const D: usize, T: Copy + PartialEq + Debug> KdTree<D, T> {
     /// by their score); when a point surfaces it is provably no worse
     /// than everything unexplored.
     ///
-    /// # Panics
-    /// Panics on a pager fault; see [`KdTree::try_nearest`].
-    pub fn nearest<S: ScoreFn<D>>(&mut self, scorer: &S, k: usize) -> Vec<([f64; D], T, f64)> {
-        self.try_nearest(scorer, k).expect(INFALLIBLE)
-    }
-
-    /// Fallible twin of [`KdTree::nearest`].
-    ///
     /// # Errors
     /// Surfaces pager faults raised while paging in tree nodes.
     pub fn try_nearest<S: ScoreFn<D>>(
@@ -195,7 +185,7 @@ mod tests {
     fn build(points: &[[f64; 2]]) -> KdTree<2, u64> {
         let mut t = KdTree::new(KdConfig::small(4, 4));
         for (i, &p) in points.iter().enumerate() {
-            t.insert(p, i as u64);
+            t.try_insert(p, i as u64).unwrap();
         }
         t
     }
@@ -237,7 +227,7 @@ mod tests {
             b: -420.0,
         };
         for k in [1usize, 5, 20] {
-            let got = t.nearest(&scorer, k);
+            let got = t.try_nearest(&scorer, k).unwrap();
             assert_eq!(got.len(), k);
             // Best-first output is sorted by score.
             assert!(got.windows(2).all(|w| w[0].2 <= w[1].2));
@@ -258,7 +248,7 @@ mod tests {
             w: [1.0, 1.0],
             b: 0.0,
         };
-        let got = t.nearest(&scorer, 100);
+        let got = t.try_nearest(&scorer, 100).unwrap();
         assert_eq!(got.len(), 7);
     }
 
@@ -269,7 +259,7 @@ mod tests {
             w: [1.0, 0.0],
             b: 0.0,
         };
-        assert!(t.nearest(&scorer, 3).is_empty());
+        assert!(t.try_nearest(&scorer, 3).unwrap().is_empty());
     }
 
     #[test]
@@ -277,7 +267,7 @@ mod tests {
         let pts = pseudo_points(20_000, 11);
         let mut t: KdTree<2, u64> = KdTree::new(KdConfig::small(64, 16));
         for (i, &p) in pts.iter().enumerate() {
-            t.insert(p, i as u64);
+            t.try_insert(p, i as u64).unwrap();
         }
         t.store_mut().try_clear_buffer().unwrap();
         let snap = t.store().stats().snapshot();
@@ -285,7 +275,7 @@ mod tests {
             w: [1.0, 1.0],
             b: -900.0,
         };
-        let got = t.nearest(&scorer, 5);
+        let got = t.try_nearest(&scorer, 5).unwrap();
         assert_eq!(got.len(), 5);
         let cost = t.store().stats().since(&snap).reads;
         assert!(

@@ -5,8 +5,6 @@ use mobidx_geom::{Aabb, QueryRegion, Relation};
 use mobidx_pager::{PageId, PageStore, PagerError, Store};
 use std::fmt::Debug;
 
-const INFALLIBLE: &str = "pager fault (use the try_* API with fault-injecting backends)";
-
 /// Where a child reference lives inside a directory page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotAddr {
@@ -44,7 +42,9 @@ impl<const D: usize, T: Copy + PartialEq + Debug> KdTree<D, T> {
         assert!(cfg.leaf_cap >= 2, "leaf capacity must be at least 2");
         assert!(cfg.dir_cap >= 2, "directory capacity must be at least 2");
         let mut store = PageStore::new(cfg.buffer_pages);
-        let root = store.allocate(KdPage::empty_data());
+        let root = store
+            .try_allocate(KdPage::empty_data())
+            .expect("a fresh store's MemBackend never faults");
         Self {
             store,
             root,
@@ -101,14 +101,6 @@ impl<const D: usize, T: Copy + PartialEq + Debug> KdTree<D, T> {
 
     /// Inserts `(point, payload)`.
     ///
-    /// # Panics
-    /// Panics on a pager fault; see [`KdTree::try_insert`].
-    pub fn insert(&mut self, point: [f64; D], payload: T) {
-        self.try_insert(point, payload).expect(INFALLIBLE);
-    }
-
-    /// Fallible twin of [`KdTree::insert`].
-    ///
     /// # Errors
     /// Surfaces pager faults; the tree may hold a partially applied
     /// insert (e.g. the point landed but its bucket was not split).
@@ -129,16 +121,8 @@ impl<const D: usize, T: Copy + PartialEq + Debug> KdTree<D, T> {
         Ok(())
     }
 
-    /// Removes the exact `(point, payload)` pair. Returns whether it was
-    /// present.
-    ///
-    /// # Panics
-    /// Panics on a pager fault; see [`KdTree::try_remove`].
-    pub fn remove(&mut self, point: [f64; D], payload: T) -> bool {
-        self.try_remove(point, payload).expect(INFALLIBLE)
-    }
-
-    /// Fallible twin of [`KdTree::remove`].
+    /// Removes the exact `(point, payload)` pair. Returns `Ok(true)` if it
+    /// was present.
     ///
     /// # Errors
     /// Surfaces pager faults; the pair may already be gone when the
@@ -173,14 +157,6 @@ impl<const D: usize, T: Copy + PartialEq + Debug> KdTree<D, T> {
     /// Visits every stored point inside `region` (orthogonal box or
     /// linear-constraint polygon — anything implementing
     /// [`QueryRegion`]).
-    ///
-    /// # Panics
-    /// Panics on a pager fault; see [`KdTree::try_query`].
-    pub fn query<Q: QueryRegion<D>>(&mut self, region: &Q, visit: impl FnMut(&[f64; D], T)) {
-        self.try_query(region, visit).expect(INFALLIBLE);
-    }
-
-    /// Fallible twin of [`KdTree::query`].
     ///
     /// # Errors
     /// Surfaces pager faults; points already visited stay visited.
@@ -225,14 +201,6 @@ impl<const D: usize, T: Copy + PartialEq + Debug> KdTree<D, T> {
     }
 
     /// Reports matching `(point, payload)` pairs as a vector.
-    ///
-    /// # Panics
-    /// Panics on a pager fault; see [`KdTree::try_query_collect`].
-    pub fn query_collect<Q: QueryRegion<D>>(&mut self, region: &Q) -> Vec<([f64; D], T)> {
-        self.try_query_collect(region).expect(INFALLIBLE)
-    }
-
-    /// Fallible twin of [`KdTree::query_collect`].
     ///
     /// # Errors
     /// Surfaces pager faults.
@@ -794,7 +762,7 @@ mod tests {
     fn build(points: &[[f64; 2]], cfg: KdConfig) -> KdTree<2, u64> {
         let mut t = KdTree::new(cfg);
         for (i, &p) in points.iter().enumerate() {
-            t.insert(p, i as u64);
+            t.try_insert(p, i as u64).unwrap();
         }
         t
     }
@@ -804,8 +772,8 @@ mod tests {
         let mut t: KdTree<2, u64> = KdTree::new(KdConfig::small(4, 4));
         assert!(t.is_empty());
         let q = Aabb::new([0.0, 0.0], [1e9, 1e9]);
-        assert_eq!(t.query_collect(&q), vec![]);
-        assert!(!t.remove([1.0, 1.0], 0));
+        assert_eq!(t.try_query_collect(&q).unwrap(), vec![]);
+        assert!(!t.try_remove([1.0, 1.0], 0).unwrap());
         t.check_invariants();
     }
 
@@ -817,7 +785,12 @@ mod tests {
         assert_eq!(t.len(), 2000);
         for (qi, q) in pseudo_points(25, 7).iter().enumerate() {
             let qbox = Aabb::new([q[0], q[1]], [q[0] + 200.0, q[1] + 200.0]);
-            let mut got: Vec<u64> = t.query_collect(&qbox).into_iter().map(|(_, v)| v).collect();
+            let mut got: Vec<u64> = t
+                .try_query_collect(&qbox)
+                .unwrap()
+                .into_iter()
+                .map(|(_, v)| v)
+                .collect();
             got.sort_unstable();
             let mut want: Vec<u64> = pts
                 .iter()
@@ -841,7 +814,12 @@ mod tests {
             HalfPlane::x_ge(200.0),
             HalfPlane::x_le(600.0),
         ]);
-        let mut got: Vec<u64> = t.query_collect(&poly).into_iter().map(|(_, v)| v).collect();
+        let mut got: Vec<u64> = t
+            .try_query_collect(&poly)
+            .unwrap()
+            .into_iter()
+            .map(|(_, v)| v)
+            .collect();
         got.sort_unstable();
         let mut want: Vec<u64> = pts
             .iter()
@@ -860,14 +838,15 @@ mod tests {
         let mut t = build(&pts, KdConfig::small(8, 4));
         for (i, &p) in pts.iter().enumerate() {
             if i % 3 == 0 {
-                assert!(t.remove(p, i as u64), "missing {i}");
+                assert!(t.try_remove(p, i as u64).unwrap(), "missing {i}");
             }
         }
         t.check_invariants();
         assert_eq!(t.len(), 666); // 334 of 0..1000 are multiples of 3
         let everything = Aabb::new([-1e9, -1e9], [1e9, 1e9]);
         let mut got: Vec<u64> = t
-            .query_collect(&everything)
+            .try_query_collect(&everything)
+            .unwrap()
             .into_iter()
             .map(|(_, v)| v)
             .collect();
@@ -881,7 +860,7 @@ mod tests {
         let pts = pseudo_points(500, 21);
         let mut t = build(&pts, KdConfig::small(4, 4));
         for (i, &p) in pts.iter().enumerate() {
-            assert!(t.remove(p, i as u64));
+            assert!(t.try_remove(p, i as u64).unwrap());
         }
         assert!(t.is_empty());
         t.check_invariants();
@@ -894,10 +873,10 @@ mod tests {
         let pts = pseudo_points(800, 33);
         let mut t: KdTree<2, u64> = KdTree::new(KdConfig::small(4, 4));
         for (i, &p) in pts.iter().enumerate() {
-            t.insert(p, i as u64);
+            t.try_insert(p, i as u64).unwrap();
             if i >= 100 && i % 2 == 0 {
                 let j = i - 100;
-                assert!(t.remove(pts[j], j as u64));
+                assert!(t.try_remove(pts[j], j as u64).unwrap());
             }
             if i % 97 == 0 {
                 t.check_invariants();
@@ -910,13 +889,13 @@ mod tests {
     fn identical_points_tolerated() {
         let mut t: KdTree<2, u64> = KdTree::new(KdConfig::small(4, 4));
         for i in 0..40u64 {
-            t.insert([5.0, 5.0], i);
+            t.try_insert([5.0, 5.0], i).unwrap();
         }
         t.check_invariants();
         let q = Aabb::new([5.0, 5.0], [5.0, 5.0]);
-        assert_eq!(t.query_collect(&q).len(), 40);
+        assert_eq!(t.try_query_collect(&q).unwrap().len(), 40);
         for i in 0..40u64 {
-            assert!(t.remove([5.0, 5.0], i));
+            assert!(t.try_remove([5.0, 5.0], i).unwrap());
         }
         assert!(t.is_empty());
     }
@@ -930,11 +909,16 @@ mod tests {
             .map(|(a, b)| [a[0], a[1], b[0], b[1]])
             .collect();
         for (i, &p) in pts.iter().enumerate() {
-            t.insert(p, i as u64);
+            t.try_insert(p, i as u64).unwrap();
         }
         t.check_invariants();
         let q = Aabb::new([0.0, 0.0, 0.0, 0.0], [500.0, 500.0, 500.0, 500.0]);
-        let mut got: Vec<u64> = t.query_collect(&q).into_iter().map(|(_, v)| v).collect();
+        let mut got: Vec<u64> = t
+            .try_query_collect(&q)
+            .unwrap()
+            .into_iter()
+            .map(|(_, v)| v)
+            .collect();
         got.sort_unstable();
         let mut want: Vec<u64> = pts
             .iter()
@@ -953,7 +937,7 @@ mod tests {
         t.store_mut().try_clear_buffer().unwrap();
         let snap = t.store().stats().snapshot();
         let q = Aabb::new([100.0, 100.0], [150.0, 150.0]);
-        let _ = t.query_collect(&q);
+        let _ = t.try_query_collect(&q).unwrap();
         let cost = t.store().stats().since(&snap).reads;
         assert!(
             cost < t.live_pages() / 2,

@@ -50,7 +50,7 @@ proptest! {
                 Op::Insert(p, v) => {
                     let v = v * 1024 + uniq % 1024;
                     uniq += 1;
-                    tree.insert(p, v);
+                    tree.try_insert(p, v).unwrap();
                     naive.push((p, v));
                 }
                 Op::RemoveNth(i) => {
@@ -58,11 +58,11 @@ proptest! {
                         continue;
                     }
                     let (p, v) = naive.swap_remove(i % naive.len());
-                    prop_assert!(tree.remove(p, v), "tree lost a point");
+                    prop_assert!(tree.try_remove(p, v).unwrap(), "tree lost a point");
                 }
                 Op::Box(q) => {
                     let mut got: Vec<u64> =
-                        tree.query_collect(&q).into_iter().map(|(_, v)| v).collect();
+                        tree.try_query_collect(&q).unwrap().into_iter().map(|(_, v)| v).collect();
                     got.sort_unstable();
                     let mut want: Vec<u64> = naive
                         .iter()
@@ -75,7 +75,7 @@ proptest! {
                 Op::Wedge(m, b, w) => {
                     let poly = wedge(m, b, w);
                     let mut got: Vec<u64> =
-                        tree.query_collect(&poly).into_iter().map(|(_, v)| v).collect();
+                        tree.try_query_collect(&poly).unwrap().into_iter().map(|(_, v)| v).collect();
                     got.sort_unstable();
                     let mut want: Vec<u64> = naive
                         .iter()
@@ -101,11 +101,11 @@ proptest! {
             .map(|&(dx, dy)| [cluster.0 + dx, cluster.1 + dy])
             .collect();
         for (i, &p) in pts.iter().enumerate() {
-            tree.insert(p, i as u64);
+            tree.try_insert(p, i as u64).unwrap();
         }
         tree.check_invariants();
         let q = Aabb::new([cluster.0 - 2.0, cluster.1 - 2.0], [cluster.0 + 2.0, cluster.1 + 2.0]);
-        let mut got: Vec<u64> = tree.query_collect(&q).into_iter().map(|(_, v)| v).collect();
+        let mut got: Vec<u64> = tree.try_query_collect(&q).unwrap().into_iter().map(|(_, v)| v).collect();
         got.sort_unstable();
         let mut want: Vec<u64> = pts
             .iter()

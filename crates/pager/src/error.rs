@@ -2,6 +2,16 @@
 
 use crate::store::PageId;
 
+/// The panic message of the one infallible layer: `mobidx-core`'s
+/// `Index1D` / `Index2D` / `MotionDb` calls, and `mobidx-ptree`'s forest,
+/// which has no fallible API. Every page-store call there is a `try_*`
+/// call that expects this. It fires only when a fault-injecting backend
+/// is armed under that layer; the index crates' own `try_*` methods
+/// report the fault as a [`PagerError`] instead. Defined here, below
+/// both crates, so that they share one message.
+pub const PAGER_FAULT: &str =
+    "pager fault under the infallible index API (use the try_* API with fault-injecting backends)";
+
 /// A storage fault observed while accessing a [`crate::PageStore`].
 ///
 /// Every variant corresponds to a distinct failure mode of the simulated

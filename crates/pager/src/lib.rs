@@ -37,7 +37,7 @@ pub use backend::{
 };
 pub use buffer::{BufferPool, INDEXED_THRESHOLD};
 pub use codec::{crc32, put_bytes, put_u32, put_u64, ByteReader, FixedCodec, PageCodec};
-pub use error::PagerError;
+pub use error::{PagerError, PAGER_FAULT};
 pub use file::{DurableFaultStore, FileBackend, FsyncPolicy, RecoveredImage, PAGE_FILE, WAL_FILE};
 pub use scratch::ScratchDir;
 pub use stats::{IoSnapshot, IoStats};

@@ -42,15 +42,15 @@ impl std::fmt::Display for PageId {
 ///
 /// This is the "disk" of the external-memory model. Access pattern:
 ///
-/// * [`PageStore::read`] — fetch a page for reading; a buffer miss costs
-///   one read I/O.
-/// * [`PageStore::write`] — fetch a page and mutate it in place; a miss
-///   costs a read I/O and the page becomes dirty (its write I/O is paid
-///   when it is evicted or flushed).
-/// * [`PageStore::allocate`] / [`PageStore::free`] — create / destroy pages
-///   (tracked for the space metric of Figure 8).
-/// * [`PageStore::clear_buffer`] — flush + empty the pool; the paper does
-///   this before every query so query costs are cold.
+/// * [`PageStore::try_read`] — fetch a page for reading; a buffer miss
+///   costs one read I/O.
+/// * [`PageStore::try_write`] — fetch a page and mutate it in place; a
+///   miss costs a read I/O and the page becomes dirty (its write I/O is
+///   paid when it is evicted or flushed).
+/// * [`PageStore::try_allocate`] / [`PageStore::try_free`] — create /
+///   destroy pages (tracked for the space metric of Figure 8).
+/// * [`PageStore::try_clear_buffer`] — flush + empty the pool; the paper
+///   does this before every query so query costs are cold.
 ///
 /// Pages are typed (structs, not raw bytes): the reproduction measures
 /// I/O *counts*, which depend only on page capacities — those are enforced
@@ -58,19 +58,18 @@ impl std::fmt::Display for PageId {
 ///
 /// At most one page can be **pinned** ([`PageStore::try_pin`]): a
 /// pinned page lives outside the LRU pool in a dedicated slot, is never
-/// evicted, and — crucially — survives [`PageStore::clear_buffer`].
+/// evicted, and — crucially — survives [`PageStore::try_clear_buffer`].
 /// Its first access after pinning still pays the fault-in read; every
 /// later access is a buffer hit. Multi-tree facades pin each sub-tree's
 /// root so a fan-out query pays `depth - 1` I/Os per descent instead of
 /// `depth`, for one page of memory per sub-tree.
 ///
-/// Every physical access is arbitrated by a [`Backend`]. The default
-/// [`MemBackend`] permits everything, so the infallible methods
-/// ([`PageStore::read`], [`PageStore::write`], …) behave exactly as
-/// before. With a fault-injecting backend ([`crate::FaultStore`]),
-/// use the fallible `try_*` twins: transient faults are retried within
-/// the store's [`RetryPolicy`] (counted in [`IoStats`]), and unabsorbed
-/// faults surface as typed [`PagerError`]s.
+/// Every physical access is arbitrated by a [`Backend`] and goes through
+/// a fallible `try_*` method. The default [`MemBackend`] permits
+/// everything; with a fault-injecting backend ([`crate::FaultStore`]),
+/// transient faults are retried within the store's [`RetryPolicy`]
+/// (counted in [`IoStats`]), and unabsorbed faults surface as typed
+/// [`PagerError`]s.
 ///
 /// Pages are held behind [`Arc`] so the store can be [frozen]
 /// (`PageStore::freeze`) into an immutable [`FrozenPages`] snapshot.
@@ -346,20 +345,21 @@ impl<P> PageStore<P> {
         self.stats.live_pages()
     }
 
-    /// Allocates a page holding `page`, returning its id.
-    ///
-    /// The new page enters the buffer dirty; its write I/O is paid on
-    /// eviction or flush, like any other mutation. Infallible wrapper
-    /// around [`PageStore::try_allocate`] for infallible backends.
+    /// [`PageStore::try_allocate`], panicking on a pager fault.
+    /// Kept only because the benchmark under `perf/` calls it; it goes
+    /// with ROADMAP item 1(d). Product code calls the `try_` method.
     ///
     /// # Panics
-    /// Panics if the backend injects a fault (never with [`MemBackend`]).
+    /// On a fault the backend injects (never with [`MemBackend`]).
     pub fn allocate(&mut self, page: P) -> PageId {
         self.try_allocate(page)
             .expect("pager fault (use try_allocate with fallible backends)")
     }
 
     /// Allocates a page holding `page`, returning its id.
+    ///
+    /// The new page enters the buffer dirty; its write I/O is paid on
+    /// eviction or flush, like any other mutation.
     ///
     /// # Errors
     /// Fails if the backend rejects the allocation, or if making room in
@@ -396,20 +396,6 @@ impl<P> PageStore<P> {
         Ok(id)
     }
 
-    /// Frees page `id`, returning its contents. Infallible wrapper around
-    /// [`PageStore::try_free`] for infallible backends.
-    ///
-    /// # Panics
-    /// Panics if `id` is not a live page, or if the backend injects a
-    /// fault (never with [`MemBackend`]).
-    pub fn free(&mut self, id: PageId) -> P
-    where
-        P: Clone,
-    {
-        self.try_free(id)
-            .expect("pager fault (use try_free with fallible backends)")
-    }
-
     /// Frees page `id`, returning its contents.
     ///
     /// # Errors
@@ -441,13 +427,13 @@ impl<P> PageStore<P> {
         Ok(Arc::try_unwrap(slot).unwrap_or_else(|shared| (*shared).clone()))
     }
 
-    /// Fetches page `id` for reading. A buffer miss costs one read I/O.
-    /// Infallible wrapper around [`PageStore::try_read`] for infallible
-    /// backends.
+    /// [`PageStore::try_read`], panicking on a pager fault.
+    /// Kept only because the benchmark under `perf/` calls it; it goes
+    /// with ROADMAP item 1(d). Product code calls the `try_` method.
     ///
     /// # Panics
-    /// Panics if `id` is not a live page, or if the backend injects a
-    /// fault (never with [`MemBackend`]).
+    /// On a fault the backend injects (never with [`MemBackend`]), or if
+    /// `id` is not a live page.
     pub fn read(&mut self, id: PageId) -> &P {
         self.try_read(id)
             .expect("pager fault (use try_read with fallible backends)")
@@ -469,13 +455,13 @@ impl<P> PageStore<P> {
             .expect("read of dead page"))
     }
 
-    /// Fetches page `id` and mutates it via `f`. A buffer miss costs one
-    /// read I/O; the page becomes dirty. Infallible wrapper around
-    /// [`PageStore::try_write`] for infallible backends.
+    /// [`PageStore::try_write`], panicking on a pager fault.
+    /// Kept only because the benchmark under `perf/` calls it; it goes
+    /// with ROADMAP item 1(d). Product code calls the `try_` method.
     ///
     /// # Panics
-    /// Panics if `id` is not a live page, or if the backend injects a
-    /// fault (never with [`MemBackend`]).
+    /// On a fault the backend injects (never with [`MemBackend`]), or if
+    /// `id` is not a live page.
     pub fn write<R>(&mut self, id: PageId, f: impl FnOnce(&mut P) -> R) -> R
     where
         P: Clone,
@@ -579,43 +565,19 @@ impl<P> PageStore<P> {
         }
     }
 
-    /// Replaces the contents of page `id` wholesale.
+    /// [`PageStore::try_clear_buffer`], panicking on a pager fault.
+    /// Kept only because the benchmark under `perf/` calls it; it goes
+    /// with ROADMAP item 1(d). Product code calls the `try_` method.
     ///
     /// # Panics
-    /// Panics if `id` is not a live page, or if the backend injects a
-    /// fault (never with [`MemBackend`]).
-    pub fn replace(&mut self, id: PageId, page: P)
-    where
-        P: Clone,
-    {
-        self.write(id, |slot| *slot = page);
-    }
-
-    /// Replaces the contents of page `id` wholesale.
-    ///
-    /// # Errors
-    /// Same failure modes as [`PageStore::try_write`].
-    pub fn try_replace(&mut self, id: PageId, page: P) -> Result<(), PagerError>
-    where
-        P: Clone,
-    {
-        self.try_write(id, |slot| *slot = page)
-    }
-
-    /// Flushes all dirty pages (counting write I/Os) and empties the
-    /// buffer pool. The paper clears the pool before every query.
-    /// Infallible wrapper around [`PageStore::try_clear_buffer`] for
-    /// infallible backends.
-    ///
-    /// # Panics
-    /// Panics if the backend injects a fault (never with [`MemBackend`]).
+    /// On a fault the backend injects (never with [`MemBackend`]).
     pub fn clear_buffer(&mut self) {
         self.try_clear_buffer()
             .expect("pager fault (use try_clear_buffer with fallible backends)")
     }
 
     /// Flushes all dirty pages (counting write I/Os) and empties the
-    /// buffer pool.
+    /// buffer pool. The paper clears the pool before every query.
     ///
     /// # Errors
     /// Fails with the first rejected write-back. The pool is emptied
@@ -657,48 +619,6 @@ impl<P> PageStore<P> {
             }
         }
         Ok(())
-    }
-
-    /// Flushes all dirty pages (counting write I/Os) but keeps them
-    /// resident and clean. Infallible wrapper around
-    /// [`PageStore::try_flush`] for infallible backends.
-    ///
-    /// # Panics
-    /// Panics if the backend injects a fault (never with [`MemBackend`]).
-    pub fn flush(&mut self) {
-        self.try_flush()
-            .expect("pager fault (use try_flush with fallible backends)")
-    }
-
-    /// Flushes all dirty pages (counting write I/Os) but keeps them
-    /// resident and clean.
-    ///
-    /// # Errors
-    /// Fails with the first rejected write-back; pages whose write-back
-    /// failed stay resident **dirty** so the write is still owed.
-    pub fn try_flush(&mut self) -> Result<(), PagerError> {
-        let entries = self.buffer.drain();
-        let mut first_err = None;
-        for &(id, dirty) in &entries {
-            let mut still_dirty = false;
-            if dirty {
-                match self.permit(IoKind::WriteBack, id) {
-                    Ok(()) => {
-                        self.stats.add_writes(1);
-                        self.stats.add_writeback();
-                    }
-                    Err(e) => {
-                        first_err = first_err.or(Some(e));
-                        still_dirty = true;
-                    }
-                }
-            }
-            let _ = self.buffer.insert(id, still_dirty);
-        }
-        if let Err(e) = self.flush_pinned() {
-            first_err = first_err.or(Some(e));
-        }
-        first_err.map_or(Ok(()), Err)
     }
 
     /// Direct, *un-counted* access to a page. For assertions, invariant
@@ -1233,7 +1153,7 @@ mod tests {
         let mut s: PageStore<u8> = PageStore::new(2);
         let a = s.allocate(1);
         assert_eq!(s.live_pages(), 1);
-        let v = s.free(a);
+        let v = s.try_free(a).unwrap();
         assert_eq!(v, 1);
         assert_eq!(s.live_pages(), 0);
         let b = s.allocate(2);
@@ -1244,22 +1164,9 @@ mod tests {
     fn freed_dirty_page_owes_no_write() {
         let mut s: PageStore<u8> = PageStore::new(2);
         let a = s.allocate(1);
-        let _ = s.free(a);
+        let _ = s.try_free(a).unwrap();
         s.clear_buffer();
         assert_eq!(s.stats().writes(), 0);
-    }
-
-    #[test]
-    fn flush_keeps_pages_resident() {
-        let mut s: PageStore<u8> = PageStore::new(2);
-        let a = s.allocate(1);
-        s.flush();
-        assert_eq!(s.stats().writes(), 1);
-        let r0 = s.stats().reads();
-        let _ = s.read(a); // still resident -> no read
-        assert_eq!(s.stats().reads(), r0);
-        s.clear_buffer(); // now clean -> no extra write
-        assert_eq!(s.stats().writes(), 1);
     }
 
     #[test]
@@ -1267,7 +1174,7 @@ mod tests {
     fn read_after_free_panics() {
         let mut s: PageStore<u8> = PageStore::new(2);
         let a = s.allocate(1);
-        let _ = s.free(a);
+        let _ = s.try_free(a).unwrap();
         let _ = s.read(a);
     }
 
@@ -1539,7 +1446,7 @@ mod tests {
         let _ = s.read(a);
         assert_eq!(s.stats().reads(), 1);
         // Freeing the pinned page drops the pin.
-        let _ = s.free(b);
+        let _ = s.try_free(b).unwrap();
         assert_eq!(s.pinned(), None);
     }
 
@@ -1560,7 +1467,7 @@ mod tests {
         assert_eq!(snap.get(b), Some(&vec![2]));
 
         // Freeing a snapshot-held page leaves the snapshot intact.
-        let freed = s.free(b);
+        let freed = s.try_free(b).unwrap();
         assert_eq!(freed, vec![2]);
         assert_eq!(snap.get(b), Some(&vec![2]));
         assert_eq!(snap.live_pages(), 2);
@@ -1653,7 +1560,7 @@ mod tests {
             "later writes of the window leave the base alone"
         );
         // Freed and recycled inside the window: a new page, no base.
-        let _ = s.free(b);
+        let _ = s.try_free(b).unwrap();
         let c = s.allocate(Num(20));
         assert_eq!(c, b);
         assert!(s.dirty_since_commit[&c.0].is_none());
@@ -1674,7 +1581,7 @@ mod tests {
         let c = s.allocate(vec![3]);
         let mut view = s.freeze();
         s.write(a, |v| v.push(10));
-        let _ = s.free(b);
+        let _ = s.try_free(b).unwrap();
         let d = s.allocate(vec![4]);
         let e = s.allocate(vec![5]);
         assert!(s.refreeze(&mut view));
@@ -1774,7 +1681,7 @@ mod tests {
         let _a = s.allocate(1);
         let b = s.allocate(2);
         let _c = s.allocate(3);
-        let _ = s.free(b);
+        let _ = s.try_free(b).unwrap();
         let live: Vec<u8> = s.iter_live().map(|(_, p)| *p).collect();
         assert_eq!(live, vec![1, 3]);
     }

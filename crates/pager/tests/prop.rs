@@ -129,7 +129,7 @@ proptest! {
                         continue;
                     }
                     let (id, mp) = live.swap_remove(i % live.len());
-                    let v = store.free(id);
+                    let v = store.try_free(id).unwrap();
                     prop_assert_eq!(Some(v), model.contents[mp]);
                     model.contents[mp] = None;
                     model.remove(mp);

@@ -20,8 +20,6 @@
 use mobidx_pager::{PageId, PageStore, PagerError, Store, DEFAULT_BUFFER_PAGES};
 use std::collections::HashMap;
 
-const INFALLIBLE: &str = "pager fault (use the try_* API with fault-injecting backends)";
-
 /// A list element: enough motion state to compute the object's position
 /// at any time in the structure's window (`y(t) = y0 + v·t`, with `t`
 /// relative to the structure's epoch).
@@ -238,16 +236,6 @@ impl PersistentListBTree {
     /// Applies a crossing at `time`: the occupants of positions `pos` and
     /// `pos + 1` swap.
     ///
-    /// # Panics
-    /// Panics if `time` precedes an already-applied event, `pos + 1` is
-    /// out of range, or a pager fault fires; see
-    /// [`PersistentListBTree::try_apply_swap`].
-    pub fn apply_swap(&mut self, time: f64, pos: usize) {
-        self.try_apply_swap(time, pos).expect(INFALLIBLE);
-    }
-
-    /// Fallible twin of [`PersistentListBTree::apply_swap`].
-    ///
     /// The in-memory mirrors (`cur_occ`, `pos_of`) are updated *before*
     /// the swap is logged to the paged structure, so a fault here leaves
     /// the two out of sync: the structure must be rebuilt (or the swap
@@ -282,14 +270,6 @@ impl PersistentListBTree {
     /// *computed* position `y0 + v·t` lies in `[yl, yr]`, against the
     /// version current at time `t` (Lemma 2's query).
     ///
-    /// # Panics
-    /// Panics on a pager fault; see [`PersistentListBTree::try_query`].
-    pub fn query(&mut self, t: f64, yl: f64, yr: f64, visit: impl FnMut(&Occupant)) {
-        self.try_query(t, yl, yr, visit).expect(INFALLIBLE);
-    }
-
-    /// Fallible twin of [`PersistentListBTree::query`].
-    ///
     /// # Errors
     /// Surfaces pager faults; occupants already visited stay visited.
     pub fn try_query(
@@ -312,15 +292,6 @@ impl PersistentListBTree {
     }
 
     /// The full list order at time `t` (by occupant), for tests/oracles.
-    ///
-    /// # Panics
-    /// Panics on a pager fault; see
-    /// [`PersistentListBTree::try_snapshot_at`].
-    pub fn snapshot_at(&mut self, t: f64) -> Vec<Occupant> {
-        self.try_snapshot_at(t).expect(INFALLIBLE)
-    }
-
-    /// Fallible twin of [`PersistentListBTree::snapshot_at`].
     ///
     /// # Errors
     /// Surfaces pager faults.
@@ -404,11 +375,14 @@ impl PersistentListBTree {
             .iter()
             .map(|&pos| self.cur_occ[pos])
             .collect();
-        let id = self.store.allocate(PCopy {
-            occ,
-            children,
-            log: Vec::new(),
-        });
+        let id = self
+            .store
+            .try_allocate(PCopy {
+                occ,
+                children,
+                log: Vec::new(),
+            })
+            .expect("a fresh store's MemBackend never faults");
         self.current[pg] = id;
         id
     }
@@ -609,7 +583,7 @@ mod tests {
     #[test]
     fn epoch_snapshot_matches_input() {
         let (mut t, occupants) = make(100, PersistConfig::small(16));
-        let snap = t.snapshot_at(0.0);
+        let snap = t.try_snapshot_at(0.0).unwrap();
         assert_eq!(snap, occupants);
     }
 
@@ -617,7 +591,7 @@ mod tests {
     fn empty_and_singleton() {
         let mut empty = PersistentListBTree::new(PersistConfig::small(16), vec![]);
         assert!(empty.is_empty());
-        assert_eq!(empty.snapshot_at(5.0), vec![]);
+        assert_eq!(empty.try_snapshot_at(5.0).unwrap(), vec![]);
 
         let one = vec![Occupant {
             id: 9,
@@ -625,11 +599,11 @@ mod tests {
             v: 1.0,
         }];
         let mut t = PersistentListBTree::new(PersistConfig::small(16), one.clone());
-        assert_eq!(t.snapshot_at(3.0), one);
+        assert_eq!(t.try_snapshot_at(3.0).unwrap(), one);
         let mut hits = Vec::new();
-        t.query(3.0, 0.0, 10.0, |o| hits.push(o.id));
+        t.try_query(3.0, 0.0, 10.0, |o| hits.push(o.id)).unwrap();
         assert_eq!(hits, vec![9]);
-        t.query(3.0, 10.0, 20.0, |o| hits.push(o.id));
+        t.try_query(3.0, 10.0, 20.0, |o| hits.push(o.id)).unwrap();
         assert_eq!(hits, vec![9]); // 1 + 3 = 4 not in [10, 20]
     }
 
@@ -669,13 +643,13 @@ mod tests {
             state ^= state << 17;
             let pos = (state as usize) % 63;
             let time = f64::from(step) * 0.1;
-            t.apply_swap(time, pos);
+            t.try_apply_swap(time, pos).unwrap();
             oracle.swap(time, pos);
             times.push(time);
         }
         // Probe a spread of historical versions.
         for &probe in &[0.0, 0.05, 5.0, 12.34, 25.0, 49.9, 100.0] {
-            let got = t.snapshot_at(probe);
+            let got = t.try_snapshot_at(probe).unwrap();
             // snapshot_at reports in *computed position* order at `probe`,
             // which equals list order only when the list is order-
             // consistent at that time. Here swaps are arbitrary (not real
@@ -735,13 +709,13 @@ mod tests {
                 Some(pos + 1),
                 "crossing pair not adjacent"
             );
-            t.apply_swap(e.time, pos);
+            t.try_apply_swap(e.time, pos).unwrap();
         }
         // Probe times between, before and after events.
         for &tq in &[0.0, 1.0, 13.37, 60.0, 119.9, 120.0] {
             for &(yl, yr) in &[(0.0, 100.0), (150.0, 260.0), (42.0, 42.5), (-50.0, -1.0)] {
                 let mut got: Vec<u64> = Vec::new();
-                t.query(tq, yl, yr, |o| got.push(o.id));
+                t.try_query(tq, yl, yr, |o| got.push(o.id)).unwrap();
                 let mut want: Vec<u64> = (0..n)
                     .filter(|&i| {
                         let p = objects[i].0 + objects[i].1 * tq;
@@ -773,7 +747,7 @@ mod tests {
         t.store_mut().try_clear_buffer().unwrap();
         let snap = t.store().stats().snapshot();
         let mut hits = 0usize;
-        t.query(10.0, 100.0, 105.0, |_| hits += 1);
+        t.try_query(10.0, 100.0, 105.0, |_| hits += 1).unwrap();
         assert_eq!(hits, 6);
         let cost = t.store().stats().since(&snap).reads;
         assert!(cost <= 6, "narrow query cost {cost} pages");
@@ -787,14 +761,14 @@ mod tests {
         let pages_before = t.live_pages();
         for step in 0..2000u32 {
             let pos = (step as usize * 7) % 31;
-            t.apply_swap(f64::from(step), pos);
+            t.try_apply_swap(f64::from(step), pos).unwrap();
         }
         assert!(
             t.live_pages() > pages_before,
             "copy-on-log-overflow never triggered"
         );
         // Version at t = -0.5 (before any swap) is the epoch order.
-        let snap = t.snapshot_at(-0.5);
+        let snap = t.try_snapshot_at(-0.5).unwrap();
         assert_eq!(snap, occupants);
     }
 
@@ -802,8 +776,8 @@ mod tests {
     #[should_panic(expected = "time order")]
     fn out_of_order_events_panic() {
         let (mut t, _) = make(8, PersistConfig::small(16));
-        t.apply_swap(5.0, 0);
-        t.apply_swap(4.0, 1);
+        t.try_apply_swap(5.0, 0).unwrap();
+        t.try_apply_swap(4.0, 1).unwrap();
     }
 
     #[test]

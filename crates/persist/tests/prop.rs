@@ -33,14 +33,14 @@ proptest! {
         let mut versions: Vec<(f64, Vec<Occupant>)> =
             vec![(f64::NEG_INFINITY, replay.clone())];
         for &(pos, t) in &schedule {
-            tree.apply_swap(t, pos);
+            tree.try_apply_swap(t, pos).unwrap();
             replay.swap(pos, pos + 1);
             versions.push((t, replay.clone()));
         }
         for &probe in &probes {
             let idx = versions.partition_point(|&(t, _)| t <= probe);
             let want = &versions[idx - 1].1;
-            let got = tree.snapshot_at(probe);
+            let got = tree.try_snapshot_at(probe).unwrap();
             prop_assert_eq!(&got, want, "probe {}", probe);
         }
     }
@@ -90,11 +90,11 @@ proptest! {
         for e in all_crossings(&objs, horizon) {
             let pos = tree.position_of(e.b as u64).unwrap();
             prop_assert_eq!(tree.position_of(e.a as u64), Some(pos + 1));
-            tree.apply_swap(e.time, pos);
+            tree.try_apply_swap(e.time, pos).unwrap();
         }
         let tq = horizon * probe_frac;
         let mut got: Vec<u64> = Vec::new();
-        tree.query(tq, y_lo, y_lo + width, |o| got.push(o.id));
+        tree.try_query(tq, y_lo, y_lo + width, |o| got.push(o.id)).unwrap();
         got.sort_unstable();
         let mut want: Vec<u64> = objs
             .iter()

@@ -3,7 +3,7 @@
 
 use mobidx_geom::{Aabb, QueryRegion, Relation};
 use mobidx_pager::{
-    page_capacity, PageId, PageStore, Store, DEFAULT_BUFFER_PAGES, DEFAULT_PAGE_SIZE,
+    page_capacity, PageId, PageStore, Store, DEFAULT_BUFFER_PAGES, DEFAULT_PAGE_SIZE, PAGER_FAULT,
 };
 use std::fmt::Debug;
 
@@ -60,6 +60,9 @@ struct TreeSlot {
 }
 
 /// A dynamic external-memory partition tree (see crate docs).
+///
+/// It has no fallible API: a fault its page store reports panics with
+/// [`PAGER_FAULT`], the message of the infallible index layer it serves.
 #[derive(Debug)]
 pub struct PartitionForest<const D: usize, T: Copy + PartialEq + Debug> {
     store: PageStore<PtPage<D, T>>,
@@ -164,7 +167,7 @@ impl<const D: usize, T: Copy + PartialEq + Debug> PartitionForest<D, T> {
         let roots: Vec<PageId> = self.slots.iter().flatten().map(|s| s.root).collect();
         let mut stack: Vec<(PageId, bool)> = roots.into_iter().map(|r| (r, false)).collect();
         while let Some((pid, contained)) = stack.pop() {
-            match self.store.read(pid) {
+            match self.store.try_read(pid).expect(PAGER_FAULT) {
                 PtPage::Leaf(points) => {
                     let pts = points.clone();
                     for (p, t) in pts {
@@ -268,7 +271,10 @@ impl<const D: usize, T: Copy + PartialEq + Debug> PartitionForest<D, T> {
     /// Builds a static kd-partition tree; returns its root page.
     fn build(&mut self, mut points: Vec<([f64; D], T)>, depth: usize) -> PageId {
         if points.len() <= self.cfg.leaf_cap {
-            return self.store.allocate(PtPage::Leaf(points));
+            return self
+                .store
+                .try_allocate(PtPage::Leaf(points))
+                .expect(PAGER_FAULT);
         }
         // Partition into about `fanout` groups (fewer if the set is
         // small) via recursive median cuts with alternating axes.
@@ -289,7 +295,9 @@ impl<const D: usize, T: Copy + PartialEq + Debug> PartitionForest<D, T> {
             })
             .collect();
         debug_assert!(cells.len() >= 2, "partition produced a trivial node");
-        self.store.allocate(PtPage::Internal(cells))
+        self.store
+            .try_allocate(PtPage::Internal(cells))
+            .expect(PAGER_FAULT)
     }
 
     /// Reads all points of a tree (counted I/O — rebuild cost is real)
@@ -297,11 +305,11 @@ impl<const D: usize, T: Copy + PartialEq + Debug> PartitionForest<D, T> {
     fn collect_tree(&mut self, root: PageId, out: &mut Vec<([f64; D], T)>) {
         let mut stack = vec![root];
         while let Some(pid) = stack.pop() {
-            match self.store.read(pid) {
+            match self.store.try_read(pid).expect(PAGER_FAULT) {
                 PtPage::Leaf(points) => out.extend_from_slice(&points.clone()),
                 PtPage::Internal(cells) => stack.extend(cells.iter().map(|&(_, c)| c)),
             }
-            let _ = self.store.free(pid);
+            let _ = self.store.try_free(pid).expect(PAGER_FAULT);
         }
     }
 
@@ -309,10 +317,10 @@ impl<const D: usize, T: Copy + PartialEq + Debug> PartitionForest<D, T> {
     fn free_tree(&mut self, root: PageId) {
         let mut stack = vec![root];
         while let Some(pid) = stack.pop() {
-            if let PtPage::Internal(cells) = self.store.read(pid) {
+            if let PtPage::Internal(cells) = self.store.try_read(pid).expect(PAGER_FAULT) {
                 stack.extend(cells.iter().map(|&(_, c)| c));
             }
-            let _ = self.store.free(pid);
+            let _ = self.store.try_free(pid).expect(PAGER_FAULT);
         }
     }
 
@@ -321,23 +329,26 @@ impl<const D: usize, T: Copy + PartialEq + Debug> PartitionForest<D, T> {
     fn remove_from_tree(&mut self, root: PageId, point: &[f64; D], payload: &T) -> bool {
         let mut stack = vec![root];
         while let Some(pid) = stack.pop() {
-            let found = self.store.write(pid, |page| match page {
-                PtPage::Leaf(points) => {
-                    match points.iter().position(|(p, t)| p == point && t == payload) {
-                        Some(pos) => {
-                            points.swap_remove(pos);
-                            Some(true)
+            let found = self
+                .store
+                .try_write(pid, |page| match page {
+                    PtPage::Leaf(points) => {
+                        match points.iter().position(|(p, t)| p == point && t == payload) {
+                            Some(pos) => {
+                                points.swap_remove(pos);
+                                Some(true)
+                            }
+                            None => Some(false),
                         }
-                        None => Some(false),
                     }
-                }
-                PtPage::Internal(_) => None,
-            });
+                    PtPage::Internal(_) => None,
+                })
+                .expect(PAGER_FAULT);
             match found {
                 Some(true) => return true,
                 Some(false) => continue,
                 None => {
-                    if let PtPage::Internal(cells) = self.store.read(pid) {
+                    if let PtPage::Internal(cells) = self.store.try_read(pid).expect(PAGER_FAULT) {
                         stack.extend(
                             cells
                                 .iter()

@@ -5,8 +5,6 @@ use mobidx_geom::{Rect2, Relation};
 use mobidx_pager::{PageId, PageStore, PagerError, Store, DEFAULT_BUFFER_PAGES};
 use std::fmt::Debug;
 
-const INFALLIBLE: &str = "pager fault (use the try_* API with fault-injecting backends)";
-
 /// Sizing parameters of an R\*-tree.
 #[derive(Debug, Clone, Copy)]
 pub struct RStarConfig {
@@ -77,7 +75,7 @@ enum Slot<T> {
 /// A paged R\*-tree storing `(mbr, item)` pairs.
 ///
 /// `item` equality (together with MBR equality) identifies entries for
-/// [`RStarTree::remove`]; items are small `Copy` payloads (object ids,
+/// [`RStarTree::try_remove`]; items are small `Copy` payloads (object ids,
 /// route-segment ids).
 #[derive(Debug)]
 pub struct RStarTree<T: Copy + PartialEq + Debug> {
@@ -94,7 +92,9 @@ impl<T: Copy + PartialEq + Debug> RStarTree<T> {
     #[must_use]
     pub fn new(cfg: RStarConfig) -> Self {
         let mut store = PageStore::new(cfg.buffer_pages);
-        let root = store.allocate(RNode::Leaf(Vec::new()));
+        let root = store
+            .try_allocate(RNode::Leaf(Vec::new()))
+            .expect("a fresh store's MemBackend never faults");
         Self {
             store,
             root,
@@ -141,14 +141,6 @@ impl<T: Copy + PartialEq + Debug> RStarTree<T> {
 
     /// Inserts `(mbr, item)`.
     ///
-    /// # Panics
-    /// Panics on a pager fault; see [`RStarTree::try_insert`].
-    pub fn insert(&mut self, mbr: Rect2, item: T) {
-        self.try_insert(mbr, item).expect(INFALLIBLE);
-    }
-
-    /// Fallible twin of [`RStarTree::insert`].
-    ///
     /// # Errors
     /// Surfaces pager faults; the tree may hold a partially applied
     /// insert (entry placed but overflow treatment unfinished).
@@ -159,16 +151,8 @@ impl<T: Copy + PartialEq + Debug> RStarTree<T> {
         Ok(())
     }
 
-    /// Removes the entry with exactly this `(mbr, item)`. Returns whether
-    /// it was found.
-    ///
-    /// # Panics
-    /// Panics on a pager fault; see [`RStarTree::try_remove`].
-    pub fn remove(&mut self, mbr: Rect2, item: T) -> bool {
-        self.try_remove(mbr, item).expect(INFALLIBLE)
-    }
-
-    /// Fallible twin of [`RStarTree::remove`].
+    /// Removes the entry with exactly this `(mbr, item)`. Returns
+    /// `Ok(true)` if it was found.
     ///
     /// # Errors
     /// Surfaces pager faults; a fault mid-way may leave condensed nodes
@@ -213,14 +197,6 @@ impl<T: Copy + PartialEq + Debug> RStarTree<T> {
     /// data (trajectory segments) the caller refines against the exact
     /// geometry, as the paper's baseline does.
     ///
-    /// # Panics
-    /// Panics on a pager fault; see [`RStarTree::try_search`].
-    pub fn search<Q: RectQuery>(&mut self, query: &Q) -> Vec<(Rect2, T)> {
-        self.try_search(query).expect(INFALLIBLE)
-    }
-
-    /// Fallible twin of [`RStarTree::search`].
-    ///
     /// # Errors
     /// Surfaces pager faults.
     pub fn try_search<Q: RectQuery>(&mut self, query: &Q) -> Result<Vec<(Rect2, T)>, PagerError> {
@@ -230,14 +206,6 @@ impl<T: Copy + PartialEq + Debug> RStarTree<T> {
     }
 
     /// Visitor-style search (avoids allocating for large results).
-    ///
-    /// # Panics
-    /// Panics on a pager fault; see [`RStarTree::try_search_with`].
-    pub fn search_with<Q: RectQuery>(&mut self, query: &Q, visit: impl FnMut(Rect2, T)) {
-        self.try_search_with(query, visit).expect(INFALLIBLE);
-    }
-
-    /// Fallible twin of [`RStarTree::search_with`].
     ///
     /// # Errors
     /// Surfaces pager faults; entries already visited stay visited.
@@ -824,8 +792,14 @@ mod tests {
     fn empty_tree() {
         let mut t: RStarTree<u64> = RStarTree::new(small_cfg());
         assert!(t.is_empty());
-        assert_eq!(t.search(&Rect2::from_bounds(0.0, 0.0, 1e9, 1e9)), vec![]);
-        assert!(!t.remove(Rect2::point(Point2::new(0.0, 0.0)), 0));
+        assert_eq!(
+            t.try_search(&Rect2::from_bounds(0.0, 0.0, 1e9, 1e9))
+                .unwrap(),
+            vec![]
+        );
+        assert!(!t
+            .try_remove(Rect2::point(Point2::new(0.0, 0.0)), 0)
+            .unwrap());
         t.check_invariants();
     }
 
@@ -834,7 +808,7 @@ mod tests {
         let rects = pseudo_rects(500, 7);
         let mut t: RStarTree<u64> = RStarTree::new(small_cfg());
         for (i, &r) in rects.iter().enumerate() {
-            t.insert(r, i as u64);
+            t.try_insert(r, i as u64).unwrap();
         }
         t.check_invariants();
         assert_eq!(t.len(), 500);
@@ -842,7 +816,12 @@ mod tests {
         for (qi, q) in pseudo_rects(20, 99).iter().enumerate() {
             // Blow the query rect up a bit so results are non-trivial.
             let q = Rect2::from_bounds(q.lo.x, q.lo.y, q.lo.x + 150.0, q.lo.y + 150.0);
-            let mut got: Vec<u64> = t.search(&q).into_iter().map(|(_, v)| v).collect();
+            let mut got: Vec<u64> = t
+                .try_search(&q)
+                .unwrap()
+                .into_iter()
+                .map(|(_, v)| v)
+                .collect();
             got.sort_unstable();
             let mut want: Vec<u64> = rects
                 .iter()
@@ -860,19 +839,24 @@ mod tests {
         let rects = pseudo_rects(300, 3);
         let mut t: RStarTree<u64> = RStarTree::new(small_cfg());
         for (i, &r) in rects.iter().enumerate() {
-            t.insert(r, i as u64);
+            t.try_insert(r, i as u64).unwrap();
         }
         // Delete every third entry.
         for (i, &r) in rects.iter().enumerate() {
             if i % 3 == 0 {
-                assert!(t.remove(r, i as u64), "missing entry {i}");
+                assert!(t.try_remove(r, i as u64).unwrap(), "missing entry {i}");
             }
         }
         t.check_invariants();
         assert_eq!(t.len(), 200);
         // Deleted entries are gone, others remain.
         let everything = Rect2::from_bounds(-1e6, -1e6, 1e6, 1e6);
-        let mut got: Vec<u64> = t.search(&everything).into_iter().map(|(_, v)| v).collect();
+        let mut got: Vec<u64> = t
+            .try_search(&everything)
+            .unwrap()
+            .into_iter()
+            .map(|(_, v)| v)
+            .collect();
         got.sort_unstable();
         let want: Vec<u64> = (0..300u64).filter(|i| i % 3 != 0).collect();
         assert_eq!(got, want);
@@ -882,9 +866,11 @@ mod tests {
     fn remove_absent_entry_is_noop() {
         let mut t: RStarTree<u64> = RStarTree::new(small_cfg());
         let r = Rect2::from_bounds(0.0, 0.0, 1.0, 1.0);
-        t.insert(r, 1);
-        assert!(!t.remove(r, 2), "wrong item must not match");
-        assert!(!t.remove(Rect2::from_bounds(0.0, 0.0, 2.0, 2.0), 1));
+        t.try_insert(r, 1).unwrap();
+        assert!(!t.try_remove(r, 2).unwrap(), "wrong item must not match");
+        assert!(!t
+            .try_remove(Rect2::from_bounds(0.0, 0.0, 2.0, 2.0), 1)
+            .unwrap());
         assert_eq!(t.len(), 1);
         t.check_invariants();
     }
@@ -894,10 +880,10 @@ mod tests {
         let rects = pseudo_rects(400, 11);
         let mut t: RStarTree<u64> = RStarTree::new(small_cfg());
         for (i, &r) in rects.iter().enumerate() {
-            t.insert(r, i as u64);
+            t.try_insert(r, i as u64).unwrap();
             if i >= 50 && i % 2 == 0 {
                 let j = i - 50;
-                assert!(t.remove(rects[j], j as u64));
+                assert!(t.try_remove(rects[j], j as u64).unwrap());
             }
         }
         t.check_invariants();
@@ -908,10 +894,10 @@ mod tests {
         let rects = pseudo_rects(150, 5);
         let mut t: RStarTree<u64> = RStarTree::new(small_cfg());
         for (i, &r) in rects.iter().enumerate() {
-            t.insert(r, i as u64);
+            t.try_insert(r, i as u64).unwrap();
         }
         for (i, &r) in rects.iter().enumerate() {
-            assert!(t.remove(r, i as u64));
+            assert!(t.try_remove(r, i as u64).unwrap());
         }
         assert!(t.is_empty());
         assert_eq!(t.height(), 1);
@@ -925,13 +911,13 @@ mod tests {
         let mut t: RStarTree<u64> = RStarTree::new(small_cfg());
         let r = Rect2::from_bounds(1.0, 1.0, 2.0, 2.0);
         for i in 0..100u64 {
-            t.insert(r, i);
+            t.try_insert(r, i).unwrap();
         }
         t.check_invariants();
-        assert!(t.remove(r, 57));
-        assert!(!t.remove(r, 57));
+        assert!(t.try_remove(r, 57).unwrap());
+        assert!(!t.try_remove(r, 57).unwrap());
         assert_eq!(t.len(), 99);
-        let got = t.search(&r);
+        let got = t.try_search(&r).unwrap();
         assert_eq!(got.len(), 99);
     }
 
@@ -940,12 +926,12 @@ mod tests {
         let rects = pseudo_rects(2000, 13);
         let mut t: RStarTree<u64> = RStarTree::new(RStarConfig::with_max(16));
         for (i, &r) in rects.iter().enumerate() {
-            t.insert(r, i as u64);
+            t.try_insert(r, i as u64).unwrap();
         }
         t.store_mut().try_clear_buffer().unwrap();
         let snap = t.store().stats().snapshot();
         let q = Rect2::from_bounds(100.0, 100.0, 110.0, 110.0);
-        let _ = t.search(&q);
+        let _ = t.try_search(&q).unwrap();
         let cost = t.store().stats().since(&snap).reads;
         let total_pages = t.live_pages();
         assert!(

@@ -40,7 +40,7 @@ proptest! {
                     // Ensure (mbr, item) uniqueness for exact removal.
                     let v = v * 1000 + next_unique % 1000;
                     next_unique += 1;
-                    tree.insert(r, v);
+                    tree.try_insert(r, v).unwrap();
                     naive.push((r, v));
                 }
                 Op::RemoveNth(i) => {
@@ -48,11 +48,11 @@ proptest! {
                         continue;
                     }
                     let (r, v) = naive.swap_remove(i % naive.len());
-                    prop_assert!(tree.remove(r, v), "tree lost entry");
+                    prop_assert!(tree.try_remove(r, v).unwrap(), "tree lost entry");
                 }
                 Op::Window(q) => {
                     let mut got: Vec<u64> =
-                        tree.search(&q).into_iter().map(|(_, v)| v).collect();
+                        tree.try_search(&q).unwrap().into_iter().map(|(_, v)| v).collect();
                     got.sort_unstable();
                     let mut want: Vec<u64> = naive
                         .iter()
@@ -78,11 +78,11 @@ proptest! {
         // Points as degenerate rectangles (the dual-plane use case).
         let mut tree: RStarTree<u64> = RStarTree::new(RStarConfig::with_max(5));
         for (i, &(x, y)) in points.iter().enumerate() {
-            tree.insert(Rect2::from_bounds(x, y, x, y), i as u64);
+            tree.try_insert(Rect2::from_bounds(x, y, x, y), i as u64).unwrap();
         }
         tree.check_invariants();
         let q = Rect2::from_bounds(25.0, 25.0, 75.0, 75.0);
-        let mut got: Vec<u64> = tree.search(&q).into_iter().map(|(_, v)| v).collect();
+        let mut got: Vec<u64> = tree.try_search(&q).unwrap().into_iter().map(|(_, v)| v).collect();
         got.sort_unstable();
         let mut want: Vec<u64> = points
             .iter()

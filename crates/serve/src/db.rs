@@ -1043,7 +1043,6 @@ fn snapshot_leg(
     // A snapshot leg is still a query answered on this shard's behalf:
     // count it so `queries` keeps matching the latency histogram.
     health.queries.incr();
-    health.reads_on_snapshot.incr();
     health
         .query_latency
         .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));

@@ -46,11 +46,6 @@ pub struct ShardHealth {
     /// shard's frozen view on the caller or a read-pool thread, never on
     /// the worker. Always matches `query_latency`'s sample count.
     pub queries: Counter,
-    /// Snapshot-path reads served against this shard's frozen view —
-    /// these never touch the worker queue, so they are invisible to
-    /// `enqueued`. Incremented by the facade per fan-out leg; every read
-    /// is a snapshot read, so it moves with `queries`.
-    pub reads_on_snapshot: Counter,
     /// Ops per group commit: each `Apply` the worker dequeues drains
     /// every `Apply` queued behind it and applies their ops as one
     /// sorted batch; this histogram records the resulting group sizes
@@ -86,7 +81,6 @@ impl ShardHealth {
             views_retired: self.views_retired.get(),
             applied_ops: self.applied_ops.get(),
             queries: self.queries.get(),
-            reads_on_snapshot: self.reads_on_snapshot.get(),
             drained_batch_size: self.drained_batch_size.snapshot(),
             poisoned: self.poisoned.get() != 0,
             query_latency_us: self.query_latency.snapshot(),
@@ -120,8 +114,6 @@ pub struct ShardHealthSnapshot {
     pub applied_ops: u64,
     /// Queries answered.
     pub queries: u64,
-    /// Snapshot-path reads served against this shard's frozen view.
-    pub reads_on_snapshot: u64,
     /// Ops per group commit (see [`ShardHealth::drained_batch_size`]).
     pub drained_batch_size: HistogramSnapshot,
     /// Whether the shard awaits a rebuild.
@@ -153,10 +145,6 @@ impl ShardHealthSnapshot {
             ("views_retired".to_owned(), Value::from(self.views_retired)),
             ("applied_ops".to_owned(), Value::from(self.applied_ops)),
             ("queries".to_owned(), Value::from(self.queries)),
-            (
-                "reads_on_snapshot".to_owned(),
-                Value::from(self.reads_on_snapshot),
-            ),
             (
                 "drained_batch_size".to_owned(),
                 histogram_json(&self.drained_batch_size),
@@ -315,7 +303,6 @@ mod tests {
         let d = h.queue_depth.incr();
         h.queue_high_water.set_max(d);
         h.queries.add(3);
-        h.reads_on_snapshot.add(7);
         h.query_latency.record(120);
         h.drained_batch_size.record(64);
         h.poisoned.set(1);
@@ -325,7 +312,6 @@ mod tests {
         assert_eq!(s.queue_high_water, 1);
         assert_eq!(s.enqueued, 5);
         assert_eq!(s.queries, 3);
-        assert_eq!(s.reads_on_snapshot, 7);
         assert_eq!(s.drained_batch_size.count, 1);
         assert_eq!(s.drained_batch_size.max, 64);
         assert!(s.poisoned);
@@ -372,10 +358,7 @@ mod tests {
         let shard = &parsed.get("shards").and_then(Value::as_array).expect("arr")[0];
         assert_eq!(shard.get("shard").and_then(Value::as_u64), Some(0));
         assert_eq!(shard.get("poisoned").and_then(Value::as_bool), Some(false));
-        assert_eq!(
-            shard.get("reads_on_snapshot").and_then(Value::as_u64),
-            Some(0)
-        );
+        assert_eq!(shard.get("queries").and_then(Value::as_u64), Some(0));
         assert_eq!(shard.get("views_built").and_then(Value::as_u64), Some(0));
         let upd = shard.get("update_latency_us").expect("histogram");
         assert_eq!(upd.get("count").and_then(Value::as_u64), Some(1));

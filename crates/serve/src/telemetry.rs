@@ -258,7 +258,6 @@ fn start<I: Index1D + Send + 'static>(
     let mut last_io: Vec<IoTotals> = vec![IoTotals::default(); shards];
     let mut last_ops: Vec<u64> = vec![0; shards];
     let mut last_queries: Vec<u64> = vec![0; shards];
-    let mut last_snap_reads: Vec<u64> = vec![0; shards];
     let mut last_views_built: Vec<u64> = vec![0; shards];
     let mut last_pool = (0u64, 0u64, vec![0u64; read_pool.snapshot().threads]);
     // Snapshot-age bookkeeping: ticks since the commit epoch last
@@ -273,7 +272,7 @@ fn start<I: Index1D + Send + 'static>(
     let harvest = move || {
         let now = t.now_nanos();
         let mut depth_total = 0u64;
-        let mut snap_reads_total = 0u64;
+        let mut queries_total = 0u64;
         let mut reads_total = 0u64;
         let mut writes_total = 0u64;
         let mut wal_records_total = 0u64;
@@ -295,12 +294,7 @@ fn start<I: Index1D + Send + 'static>(
             let q_delta = snap.queries.saturating_sub(last_queries[shard]);
             last_queries[shard] = snap.queries;
             rec("queries", q_delta as f64);
-            let sr_delta = snap
-                .reads_on_snapshot
-                .saturating_sub(last_snap_reads[shard]);
-            last_snap_reads[shard] = snap.reads_on_snapshot;
-            rec("reads_on_snapshot", sr_delta as f64);
-            snap_reads_total += sr_delta;
+            queries_total += q_delta;
             let built_delta = snap.views_built.saturating_sub(last_views_built[shard]);
             last_views_built[shard] = snap.views_built;
             rec("views_built", built_delta as f64);
@@ -344,8 +338,7 @@ fn start<I: Index1D + Send + 'static>(
                 .push(now, profile.drift_millis() as f64);
             t.series("drift_events")
                 .push(now, profile.drift_events() as f64);
-            t.series("reads_on_snapshot_total")
-                .push(now, snap_reads_total as f64);
+            t.series("queries_total").push(now, queries_total as f64);
             // The snapshot read pool: backlog gauge, submit/steal
             // deltas, and per-worker executed-leg deltas.
             let pool = read_pool.snapshot();

@@ -77,7 +77,7 @@ fn space_counters_track_page_lifecycle() {
     let ids: Vec<_> = (0..100u32).map(|i| store.allocate(i)).collect();
     assert_eq!(store.live_pages(), 100);
     for id in ids {
-        let _ = store.free(id);
+        let _ = store.try_free(id).unwrap();
     }
     assert_eq!(store.live_pages(), 0);
     assert_eq!(store.stats().allocated(), 100);
