@@ -1,7 +1,7 @@
 //! Ablation experiments beyond the paper's four figures (indexed in
 //! DESIGN.md as A1–A4).
 
-use crate::{MethodMeasurement, QueryMix, Scale};
+use crate::{MethodMeasurement, QueryMix, QueryTally, Scale};
 use mobidx_bptree::TreeConfig;
 use mobidx_core::method::dual2d::{Decomposition2D, Dual4KdIndex};
 use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
@@ -10,6 +10,9 @@ use mobidx_core::{Index2D, IndexStats, QueryRequest, SpeedBand};
 use mobidx_kdtree::KdConfig;
 use mobidx_persist::PersistConfig;
 use mobidx_workload::{Simulator1D, Simulator2D, WorkloadConfig, WorkloadConfig2D};
+
+/// Queries per method in the line-query (A3) and 2-D (A4) ablations.
+const QUERIES: usize = 60;
 
 /// A1 — the c trade-off of §3.5.2/§5: query, update, and space cost of
 /// the dual-B+ method as the number of observation indices sweeps.
@@ -130,67 +133,39 @@ pub fn ablation_adversarial(n: usize, seed: u64) -> Vec<MethodMeasurement> {
         for m in sim.objects() {
             idx.insert(m);
         }
-        let mut query_ios = 0u64;
-        let mut results = 0u64;
-        let mut candidates = 0u64;
-        let mut hits = 0u64;
-        let mut reads = 0u64;
-        let latency = mobidx_obs::Histogram::new();
-        let queries: u32 = 60;
+        let mut tally = QueryTally::default();
         let mut local = mobidx_workload::Simulator1D::new(WorkloadConfig {
             n: 1,
             seed: seed ^ 0xABCD,
             ..WorkloadConfig::default()
         });
-        for _ in 0..queries {
+        for _ in 0..QUERIES {
             // Zero-width time window: a line query in the dual plane.
             let mut q = local.gen_query(10.0, 1e-9);
             q.t1 = sim.now() + 30.0;
             q.t2 = q.t1;
-            idx.clear_buffers();
-            idx.reset_io();
-            let out = idx.query(&QueryRequest::new(&q).traced());
-            let trace = out.trace.clone().expect("traced request yields a trace");
-            let ids = out.ids;
-            query_ios += trace.ios();
-            results += ids.len() as u64;
-            candidates += trace.candidates;
-            hits += trace.hits;
-            reads += trace.reads;
-            latency.record(trace.latency_nanos);
+            tally.measure(&mut *idx, |idx| idx.query(&QueryRequest::new(&q)));
         }
-        #[allow(clippy::cast_precision_loss)]
         out.push(MethodMeasurement {
             method: method.name.clone(),
             n,
-            avg_query_ios: query_ios as f64 / f64::from(queries),
+            avg_query_ios: tally.avg(tally.ios),
             avg_update_ios: 0.0,
             avg_update_ios_batched: 0.0,
             update_batch: 0,
             updates_batched: 0,
             pages: idx.io_totals().pages,
-            avg_result: results as f64 / f64::from(queries),
-            queries: queries as usize,
+            avg_result: tally.avg(tally.results),
+            queries: tally.queries,
             updates: 0,
-            avg_candidates: candidates as f64 / f64::from(queries),
-            false_hit_rate: rate(candidates.saturating_sub(results), candidates),
-            buffer_hit_rate: rate(hits, hits + reads),
-            latency: latency.snapshot(),
+            avg_candidates: tally.avg(tally.candidates),
+            false_hit_rate: tally.false_hit_rate(),
+            buffer_hit_rate: tally.buffer_hit_rate(),
+            latency: tally.latency.snapshot(),
             bands: idx.band_io().unwrap_or_default(),
         });
     }
     out
-}
-
-/// `num / den` as a fraction; 0.0 when the denominator is 0.
-fn rate(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        return 0.0;
-    }
-    #[allow(clippy::cast_precision_loss)]
-    {
-        num as f64 / den as f64
-    }
 }
 
 /// A4 — the 2-D methods of §4.2: 4-D kd-tree vs axis decomposition.
@@ -217,27 +192,11 @@ pub fn ablation_2d(n: usize, seed: u64) -> Vec<MethodMeasurement> {
         for m in sim.objects() {
             idx.insert(m);
         }
-        let mut query_ios = 0u64;
         let mut update_ios = 0u64;
-        let mut results = 0u64;
-        let mut candidates = 0u64;
-        let mut hits = 0u64;
-        let mut reads = 0u64;
-        let latency = mobidx_obs::Histogram::new();
-        let queries: u32 = 60;
-        for _ in 0..queries {
+        let mut tally = QueryTally::default();
+        for _ in 0..QUERIES {
             let q = sim.gen_query(150.0, 60.0);
-            idx.clear_buffers();
-            idx.reset_io();
-            let out = idx.query(&QueryRequest::new(&q).traced());
-            let trace = out.trace.clone().expect("traced request yields a trace");
-            let ids = out.ids;
-            query_ios += trace.ios();
-            results += ids.len() as u64;
-            candidates += trace.candidates;
-            hits += trace.hits;
-            reads += trace.reads;
-            latency.record(trace.latency_nanos);
+            tally.measure(&mut **idx, |idx| idx.query(&QueryRequest::new(&q)));
         }
         let ups = sim.step();
         let n_ups = ups.len();
@@ -253,19 +212,19 @@ pub fn ablation_2d(n: usize, seed: u64) -> Vec<MethodMeasurement> {
         out.push(MethodMeasurement {
             method: idx.name(),
             n,
-            avg_query_ios: query_ios as f64 / f64::from(queries),
+            avg_query_ios: tally.avg(tally.ios),
             avg_update_ios: update_ios as f64 / n_ups.max(1) as f64,
             avg_update_ios_batched: 0.0,
             update_batch: 0,
             updates_batched: 0,
             pages: idx.io_totals().pages,
-            avg_result: results as f64 / f64::from(queries),
-            queries: queries as usize,
+            avg_result: tally.avg(tally.results),
+            queries: tally.queries,
             updates: n_ups,
-            avg_candidates: candidates as f64 / f64::from(queries),
-            false_hit_rate: rate(candidates.saturating_sub(results), candidates),
-            buffer_hit_rate: rate(hits, hits + reads),
-            latency: latency.snapshot(),
+            avg_candidates: tally.avg(tally.candidates),
+            false_hit_rate: tally.false_hit_rate(),
+            buffer_hit_rate: tally.buffer_hit_rate(),
+            latency: tally.latency.snapshot(),
             bands: idx.band_io().unwrap_or_default(),
         });
     }

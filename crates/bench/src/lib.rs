@@ -31,11 +31,14 @@ use mobidx_core::method::dual_kd::{DualKdConfig, DualKdIndex};
 use mobidx_core::method::ptree::{DualPtreeConfig, DualPtreeIndex};
 use mobidx_core::method::seg_rtree::{SegRTreeConfig, SegRTreeIndex};
 use mobidx_core::method::vp_dual::{VpDualConfig, VpDualIndex};
-use mobidx_core::{sort_by_dual_locality, BandIo, Index1D, Motion1D, QueryRequest};
+use mobidx_core::{
+    sort_by_dual_locality, BandIo, Index1D, IndexStats, Motion1D, QueryOutput, QueryRequest,
+};
 use mobidx_obs::{Histogram, HistogramSnapshot};
 use mobidx_workload::{paper, Simulator1D, WorkloadConfig};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::time::Instant;
 
 pub mod ablations;
 pub mod diagnose;
@@ -256,13 +259,7 @@ pub fn run_scenario(
 
     let mut update_ios = 0u64;
     let mut updates = 0usize;
-    let mut query_ios = 0u64;
-    let mut queries = 0usize;
-    let mut results = 0u64;
-    let mut candidates = 0u64;
-    let mut query_hits = 0u64;
-    let mut query_reads = 0u64;
-    let latency = Histogram::new();
+    let mut tally = QueryTally::default();
 
     let query_every = (scale.instants / scale.query_instants.max(1)).max(1);
     for step in 0..scale.instants {
@@ -281,18 +278,7 @@ pub fn run_scenario(
         if step % query_every == query_every - 1 {
             for _ in 0..scale.queries_per_instant {
                 let q = sim.gen_query(yqmax, tw);
-                idx.clear_buffers();
-                idx.reset_io();
-                let out = idx.query(&QueryRequest::new(&q).traced());
-                let trace = out.trace.clone().expect("traced request yields a trace");
-                let ids = out.ids;
-                query_ios += trace.ios();
-                results += ids.len() as u64;
-                candidates += trace.candidates;
-                query_hits += trace.hits;
-                query_reads += trace.reads;
-                latency.record(trace.latency_nanos);
-                queries += 1;
+                tally.measure(&mut *idx, |idx| idx.query(&QueryRequest::new(&q)));
             }
         }
     }
@@ -353,28 +339,91 @@ pub fn run_scenario(
     MethodMeasurement {
         method: method.name.clone(),
         n,
-        avg_query_ios: query_ios as f64 / queries.max(1) as f64,
+        avg_query_ios: tally.avg(tally.ios),
         avg_update_ios: update_ios as f64 / updates.max(1) as f64,
         avg_update_ios_batched: batched_ios as f64 / batched_updates.max(1) as f64,
         update_batch: UPDATE_BATCH,
         updates_batched: batched_updates,
         pages,
-        avg_result: results as f64 / queries.max(1) as f64,
-        queries,
+        avg_result: tally.avg(tally.results),
+        queries: tally.queries,
         updates,
-        avg_candidates: candidates as f64 / queries.max(1) as f64,
-        false_hit_rate: if candidates == 0 {
-            0.0
-        } else {
-            candidates.saturating_sub(results) as f64 / candidates as f64
-        },
-        buffer_hit_rate: if query_hits + query_reads == 0 {
-            0.0
-        } else {
-            query_hits as f64 / (query_hits + query_reads) as f64
-        },
-        latency: latency.snapshot(),
+        avg_candidates: tally.avg(tally.candidates),
+        false_hit_rate: tally.false_hit_rate(),
+        buffer_hit_rate: tally.buffer_hit_rate(),
+        latency: tally.latency.snapshot(),
         bands: idx.band_io().unwrap_or_default(),
+    }
+}
+
+/// The query side of one measured loop, one cold query at a time (see
+/// [`QueryTally::measure`]).
+#[derive(Debug, Default)]
+struct QueryTally {
+    queries: usize,
+    ios: u64,
+    results: u64,
+    candidates: u64,
+    hits: u64,
+    reads: u64,
+    latency: Histogram,
+}
+
+impl QueryTally {
+    /// Runs `query` against `idx` cold — buffers cleared and I/O
+    /// counters reset first — and adds its I/O (read back from
+    /// [`IndexStats::io_totals`]), its candidates and results, and its
+    /// latency, timed around the call.
+    fn measure<I: IndexStats + ?Sized>(
+        &mut self,
+        idx: &mut I,
+        query: impl FnOnce(&mut I) -> QueryOutput,
+    ) {
+        idx.clear_buffers();
+        idx.reset_io();
+        let started = Instant::now();
+        let out = query(idx);
+        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let io = idx.io_totals();
+        self.queries += 1;
+        self.ios += io.ios();
+        self.results += out.ids.len() as u64;
+        self.candidates += out.candidates;
+        self.hits += io.hits;
+        self.reads += io.reads;
+        self.latency.record(nanos);
+    }
+
+    /// `total` per query (0.0 before any query).
+    fn avg(&self, total: u64) -> f64 {
+        #[allow(clippy::cast_precision_loss)]
+        {
+            total as f64 / self.queries.max(1) as f64
+        }
+    }
+
+    /// The §3.5.2 false-hit rate over every query so far.
+    fn false_hit_rate(&self) -> f64 {
+        rate(
+            self.candidates.saturating_sub(self.results),
+            self.candidates,
+        )
+    }
+
+    /// The buffer hit rate over every query so far.
+    fn buffer_hit_rate(&self) -> f64 {
+        rate(self.hits, self.hits + self.reads)
+    }
+}
+
+/// `num / den` as a fraction; 0.0 when the denominator is 0.
+fn rate(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        return 0.0;
+    }
+    #[allow(clippy::cast_precision_loss)]
+    {
+        num as f64 / den as f64
     }
 }
 

@@ -407,9 +407,10 @@ pub fn render_report(
 pub fn capture_trace(cfg: &ThroughputConfig, shards: usize, queries: usize) -> String {
     let (db, mut sim) = warm_speed_band_stack(cfg, shards);
     let (yqmax, tw) = QueryMix::Large.params();
+    let span_epoch = Instant::now();
     for _ in 0..queries.max(1) {
         let q = sim.gen_query(yqmax, tw);
-        db.query(&QueryRequest::new(&q).traced())
+        db.query(&QueryRequest::new(&q).spanned(span_epoch))
             .expect("traced query");
     }
     let spans = db.recent_spans();
@@ -436,13 +437,14 @@ pub fn capture_trace(cfg: &ThroughputConfig, shards: usize, queries: usize) -> S
 #[must_use]
 pub fn capture_telemetry(cfg: &ThroughputConfig, shards: usize, tick: Duration) -> String {
     let (mut db, mut sim) = warm_speed_band_stack(cfg, shards);
+    let span_epoch = Instant::now();
 
     // Untimed warm phase: the first queries ever submitted pay one-time
     // costs (pool growth, allocator warmup) that would otherwise bias
     // the first measured slices.
     const PAIRS: usize = 12;
     let slice = (cfg.measure_instants / 4).max(40);
-    let _ = drive_phase(&mut db, &mut sim, slice);
+    let _ = drive_phase(&mut db, &mut sim, slice, span_epoch);
 
     // Interleaved paired slices (see the function docs). A sampled
     // slice runs under a short-lived sampler at the requested tick;
@@ -457,16 +459,16 @@ pub fn capture_telemetry(cfg: &ThroughputConfig, shards: usize, tick: Duration) 
     for pair in 0..PAIRS {
         // Alternate order within pairs so linear drift cancels.
         let (bare, sampled) = if pair % 2 == 0 {
-            let b = drive_phase(&mut db, &mut sim, slice);
+            let b = drive_phase(&mut db, &mut sim, slice, span_epoch);
             let s = db.start_sampler(sampler_cfg);
-            let v = drive_phase(&mut db, &mut sim, slice);
+            let v = drive_phase(&mut db, &mut sim, slice, span_epoch);
             drop(s);
             (b, v)
         } else {
             let s = db.start_sampler(sampler_cfg);
-            let v = drive_phase(&mut db, &mut sim, slice);
+            let v = drive_phase(&mut db, &mut sim, slice, span_epoch);
             drop(s);
-            let b = drive_phase(&mut db, &mut sim, slice);
+            let b = drive_phase(&mut db, &mut sim, slice, span_epoch);
             (b, v)
         };
         bare_rates.push(bare);
@@ -478,7 +480,7 @@ pub fn capture_telemetry(cfg: &ThroughputConfig, shards: usize, tick: Duration) 
     // The shipped report comes from one final sampled session, with
     // every shard guaranteed harvested at least twice.
     let sampler = db.start_sampler(sampler_cfg);
-    let _ = drive_phase(&mut db, &mut sim, slice);
+    let _ = drive_phase(&mut db, &mut sim, slice, span_epoch);
     assert!(
         sampler.wait_for_ticks(sampler.ticks() + 2, Duration::from_secs(30)),
         "sampler stalled"
@@ -533,9 +535,15 @@ fn median(xs: &mut [f64]) -> f64 {
 }
 
 /// One measured load phase of [`capture_telemetry`]: `instants` update
-/// instants plus a slice of large-mix queries (some traced, so the
-/// span-accounting series move too). Returns update ops/sec.
-fn drive_phase(db: &mut ShardedDb<DualBPlusIndex>, sim: &mut Simulator1D, instants: usize) -> f64 {
+/// instants plus a slice of large-mix queries (some spanned against the
+/// session's `span_epoch`, so the span-accounting series move too).
+/// Returns update ops/sec.
+fn drive_phase(
+    db: &mut ShardedDb<DualBPlusIndex>,
+    sim: &mut Simulator1D,
+    instants: usize,
+    span_epoch: Instant,
+) -> f64 {
     let (yqmax, tw) = QueryMix::Large.params();
     let mut ops = 0usize;
     let started = Instant::now();
@@ -546,7 +554,7 @@ fn drive_phase(db: &mut ShardedDb<DualBPlusIndex>, sim: &mut Simulator1D, instan
         for q_no in 0..8 {
             let q = sim.gen_query(yqmax, tw);
             if (instant + q_no) % 4 == 0 {
-                db.query(&QueryRequest::new(&q).traced())
+                db.query(&QueryRequest::new(&q).spanned(span_epoch))
                     .expect("traced query");
             } else {
                 db.query(&QueryRequest::new(&q)).expect("query");

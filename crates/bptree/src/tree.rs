@@ -1856,14 +1856,14 @@ mod tests {
         let entries: Vec<(u64, u64)> = (0..1024u64).map(|i| (i, i)).collect();
         let mut t = BPlusTree::bulk_load(cfg, &entries, 1.0);
         t.store_mut().try_clear_buffer().unwrap();
-        let snap = t.store().stats().snapshot();
+        let reads = t.store().stats().reads();
         let hits = t.try_range(0, 1023).unwrap();
         assert_eq!(hits.len(), 1024);
-        let cost = t.store().stats().since(&snap);
+        let cost = t.store().stats().reads() - reads;
         let leaves = 1024 / 8;
         // height-1 branch reads + all leaves.
         let expected = (t.height() as u64 - 1) + leaves as u64;
-        assert_eq!(cost.reads, expected);
+        assert_eq!(cost, expected);
     }
 
     #[test]
@@ -1876,10 +1876,10 @@ mod tests {
         };
         let mut t = BPlusTree::bulk_load(cfg, &entries, 1.0);
         t.store_mut().try_clear_buffer().unwrap();
-        let snap = t.store().stats().snapshot();
+        let reads = t.store().stats().reads();
         assert!(t.try_contains(2048, 2048).unwrap());
-        let cost = t.store().stats().since(&snap);
-        assert_eq!(cost.reads, t.height() as u64);
+        let cost = t.store().stats().reads() - reads;
+        assert_eq!(cost, t.height() as u64);
     }
 
     #[test]
@@ -1966,14 +1966,18 @@ mod tests {
         let base: Vec<(u64, u64)> = (0..512u64).map(|i| (i * 100, i)).collect();
         let mut t = BPlusTree::bulk_load(cfg, &base, 0.5);
         t.store_mut().try_clear_buffer().unwrap();
-        let snap = t.store().stats().snapshot();
+        let (reads, writes) = (t.store().stats().reads(), t.store().stats().writes());
         // Eight entries wedged between keys 1000 and 1100: one leaf.
         let batch: Vec<(u64, u64)> = (0..8u64).map(|i| (1001 + i, 9000 + i)).collect();
         t.try_insert_batch(&batch).unwrap();
         t.store_mut().try_clear_buffer().unwrap();
-        let cost = t.store().stats().since(&snap);
-        assert_eq!(cost.reads, t.height() as u64, "one descent for the batch");
-        assert_eq!(cost.writes, 1, "one dirty leaf written back");
+        let stats = t.store().stats();
+        assert_eq!(
+            stats.reads() - reads,
+            t.height() as u64,
+            "one descent for the batch"
+        );
+        assert_eq!(stats.writes() - writes, 1, "one dirty leaf written back");
         t.check_invariants(false);
     }
 

@@ -78,7 +78,6 @@ fn dual4_regions(q: &MorQuery2D, band: &SpeedBand) -> [ProductRegion; 4] {
 pub struct Dual4KdIndex {
     tree: KdTree<4, u64>,
     band: SpeedBand,
-    last_candidates: u64,
 }
 
 impl Dual4KdIndex {
@@ -88,7 +87,6 @@ impl Dual4KdIndex {
         Self {
             tree: KdTree::new(kd),
             band,
-            last_candidates: 0,
         }
     }
 }
@@ -105,10 +103,6 @@ impl IndexStats for Dual4KdIndex {
     fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
         visit(self.tree.store_mut());
     }
-
-    fn last_candidates(&self) -> u64 {
-        self.last_candidates
-    }
 }
 
 impl Index2D for Dual4KdIndex {
@@ -124,7 +118,7 @@ impl Index2D for Dual4KdIndex {
             .expect(PAGER_FAULT)
     }
 
-    fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>) {
+    fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>) -> u64 {
         let mut candidates = 0u64;
         assemble(out, |ids| {
             for region in dual4_regions(q, &self.band) {
@@ -138,7 +132,7 @@ impl Index2D for Dual4KdIndex {
                     .expect(PAGER_FAULT);
             }
         });
-        self.last_candidates = candidates;
+        candidates
     }
 }
 
@@ -147,7 +141,6 @@ impl Index2D for Dual4KdIndex {
 pub struct Dual4PtreeIndex {
     forest: PartitionForest<4, u64>,
     band: SpeedBand,
-    last_candidates: u64,
 }
 
 impl Dual4PtreeIndex {
@@ -157,7 +150,6 @@ impl Dual4PtreeIndex {
         Self {
             forest: PartitionForest::new(cfg),
             band,
-            last_candidates: 0,
         }
     }
 }
@@ -174,10 +166,6 @@ impl IndexStats for Dual4PtreeIndex {
     fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
         visit(self.forest.store_mut());
     }
-
-    fn last_candidates(&self) -> u64 {
-        self.last_candidates
-    }
 }
 
 impl Index2D for Dual4PtreeIndex {
@@ -189,7 +177,7 @@ impl Index2D for Dual4PtreeIndex {
         self.forest.remove(dual4_point(m), m.id)
     }
 
-    fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>) {
+    fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>) -> u64 {
         let mut candidates = 0u64;
         assemble(out, |ids| {
             for region in dual4_regions(q, &self.band) {
@@ -201,7 +189,7 @@ impl Index2D for Dual4PtreeIndex {
                 });
             }
         });
-        self.last_candidates = candidates;
+        candidates
     }
 }
 
@@ -270,12 +258,6 @@ impl IndexStats for Decomposition2D {
         self.x_index.stores_mut(visit);
         self.y_index.stores_mut(visit);
     }
-
-    fn last_candidates(&self) -> u64 {
-        // Candidates of both per-axis scans: the join + refinement here
-        // discards anything matching only one axis.
-        self.x_index.last_candidates() + self.y_index.last_candidates()
-    }
 }
 
 impl Index2D for Decomposition2D {
@@ -290,9 +272,11 @@ impl Index2D for Decomposition2D {
         a && b
     }
 
-    fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>) {
-        let x_hits = self.x_index.query_motions(&q.x_query());
-        let y_hits = self.y_index.query_motions(&q.y_query());
+    /// The candidates are both per-axis scans': the join and refinement
+    /// here discard anything matching only one axis.
+    fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>) -> u64 {
+        let (x_hits, x_candidates) = self.x_index.query_motions(&q.x_query());
+        let (y_hits, y_candidates) = self.y_index.query_motions(&q.y_query());
         // Hash-join on id, then refine exactly.
         let mut y_by_id = std::collections::HashMap::with_capacity(y_hits.len());
         for my in y_hits {
@@ -306,6 +290,7 @@ impl Index2D for Decomposition2D {
                     .map(|_| mx.id)
             }));
         });
+        x_candidates + y_candidates
     }
 }
 

@@ -230,11 +230,6 @@ pub struct DualBPlusIndex {
     /// B+-tree on their (constant) position answers any MOR query over
     /// them with a 1-D range scan.
     static_tree: BPlusTree<f64, u64>,
-    /// Entries examined by the most recent query: everything the
-    /// conservative `b`-range scans touched, before the exact speed
-    /// filter. `candidates − results` are the false hits of the §3.5.2
-    /// rectangle approximation.
-    last_candidates: u64,
 }
 
 impl DualBPlusIndex {
@@ -265,7 +260,6 @@ impl DualBPlusIndex {
             obs,
             sub,
             static_tree: BPlusTree::new(cfg.tree),
-            last_candidates: 0,
         }
     }
 
@@ -332,25 +326,25 @@ impl DualBPlusIndex {
 
     /// Case-i query against one observation index: conservative
     /// `b`-ranges for both velocity signs, exact speed filtering.
+    /// Returns the entries the ranges scanned.
     fn query_obs<T: Copy>(
         &mut self,
         obs_idx: usize,
         q: &MorQuery1D,
         out: &mut Vec<T>,
         pick: impl Fn(Motion1D) -> T + Copy,
-    ) {
+    ) -> u64 {
         let band = self.cfg.band;
         let obs = &mut self.obs[obs_idx];
         let y_r = obs.y_r;
-        self.last_candidates +=
-            query_obs_runs(q, &band, y_r, out, pick, |positive, lo, hi, visit| {
-                let tree = if positive {
-                    &mut obs.pos_tree
-                } else {
-                    &mut obs.neg_tree
-                };
-                tree.range_runs(lo, hi, visit).expect(PAGER_FAULT);
-            });
+        query_obs_runs(q, &band, y_r, out, pick, |positive, lo, hi, visit| {
+            let tree = if positive {
+                &mut obs.pos_tree
+            } else {
+                &mut obs.neg_tree
+            };
+            tree.range_runs(lo, hi, visit).expect(PAGER_FAULT);
+        })
     }
 
     /// Index of the observation element minimizing the enlargement `E`
@@ -407,8 +401,9 @@ impl DualBPlusIndex {
     }
 
     /// Like [`Index1D::query`] but returning the matching motions as the
-    /// observation index reconstructs them (used by the 2-D decomposition
-    /// method, which refines on per-axis motions).
+    /// observation index reconstructs them, with the candidate entries
+    /// scanned to find them (used by the 2-D decomposition method, which
+    /// refines on per-axis motions and reports both axes' candidates).
     ///
     /// Caveat: results produced by the case-ii subterrain interval
     /// indices (wide queries with `maintain_subterrain` enabled) carry
@@ -417,30 +412,31 @@ impl DualBPlusIndex {
     /// Callers needing motions (the 2-D decomposition) use narrow
     /// queries on indexes without subterrain maintenance, which always
     /// take case i.
-    pub fn query_motions(&mut self, q: &MorQuery1D) -> Vec<Motion1D> {
+    pub fn query_motions(&mut self, q: &MorQuery1D) -> (Vec<Motion1D>, u64) {
         let mut out = Vec::new();
-        self.collect_matches(q, &mut out, |m| m);
-        out
+        let candidates = self.collect_matches(q, &mut out, |m| m);
+        (out, candidates)
     }
 
     /// The matching machinery behind [`DualBPlusIndex::query_motions`]
     /// and [`Index1D::search`]: `pick` of every matching motion is
     /// appended to `out`, so id-level callers never build a
-    /// `Vec<Motion1D>`.
+    /// `Vec<Motion1D>`. Returns the entries scanned: everything the
+    /// conservative `b`-ranges touched, before the exact speed filter,
+    /// so that `candidates − results` are the false hits of the §3.5.2
+    /// rectangle approximation.
     fn collect_matches<T: Copy>(
         &mut self,
         q: &MorQuery1D,
         out: &mut Vec<T>,
         pick: impl Fn(Motion1D) -> T + Copy,
-    ) {
+    ) -> u64 {
         debug_assert!(q.t1 <= q.t2, "inverted time window {q:?}");
-        self.last_candidates = 0;
         let strip = self.strip();
         if self.sub.is_empty() || q.y2 - q.y1 <= strip {
             // Case i: single E-minimizing observation index.
             let best = self.best_obs(q);
-            self.query_obs(best, q, out, pick);
-            return;
+            return self.query_obs(best, q, out, pick);
         }
         // Case ii: decompose over fully covered subterrains.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -449,8 +445,7 @@ impl DualBPlusIndex {
         let j_last = ((q.y2 / strip).floor() as usize).min(self.cfg.c); // one past last full strip
         if j_first >= j_last {
             let best = self.best_obs(q);
-            self.query_obs(best, q, out, pick);
-            return;
+            return self.query_obs(best, q, out, pick);
         }
         // Full strips: exact window queries on the interval indices
         // (every reported entry is a true hit, so candidates = results
@@ -473,7 +468,7 @@ impl DualBPlusIndex {
                 })
                 .expect(PAGER_FAULT);
         }
-        self.last_candidates += (out.len() - before) as u64;
+        let mut candidates = (out.len() - before) as u64;
         // Endpoint slivers.
         #[allow(clippy::cast_precision_loss)]
         let z_first = j_first as f64 * strip;
@@ -482,13 +477,14 @@ impl DualBPlusIndex {
         if q.y1 < z_first {
             let sliver = MorQuery1D { y2: z_first, ..*q };
             let best = self.best_obs(&sliver);
-            self.query_obs(best, &sliver, out, pick);
+            candidates += self.query_obs(best, &sliver, out, pick);
         }
         if q.y2 > z_last {
             let sliver = MorQuery1D { y1: z_last, ..*q };
             let best = self.best_obs(&sliver);
-            self.query_obs(best, &sliver, out, pick);
+            candidates += self.query_obs(best, &sliver, out, pick);
         }
+        candidates
     }
 }
 
@@ -523,10 +519,6 @@ impl IndexStats for DualBPlusIndex {
         for sub in &mut self.sub {
             visit(sub.store_mut());
         }
-    }
-
-    fn last_candidates(&self) -> u64 {
-        self.last_candidates
     }
 
     fn commit_group(&mut self) -> Result<(), CommitError> {
@@ -695,9 +687,10 @@ impl Index1D for DualBPlusIndex {
         found.into_iter().filter(|&f| f).count()
     }
 
-    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
+    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) -> u64 {
+        let mut scanned = 0;
         assemble(out, |candidates| {
-            self.collect_matches(q, candidates, |m| m.id);
+            scanned = self.collect_matches(q, candidates, |m| m.id);
             // Static objects: position is time-invariant, so the MOR
             // query degenerates to a range scan (exact — every scanned
             // entry is a true hit).
@@ -706,9 +699,10 @@ impl Index1D for DualBPlusIndex {
                 self.static_tree
                     .try_range_for_each(q.y1, q.y2, |_, id| candidates.push(id))
                     .expect(PAGER_FAULT);
-                self.last_candidates += (candidates.len() - before) as u64;
+                scanned += (candidates.len() - before) as u64;
             }
         });
+        scanned
     }
 
     /// Freezes the observation and static trees into an immutable,

@@ -161,10 +161,6 @@ impl IndexStats for DualKdIndex {
             visit(gen.tree.store_mut());
         }
     }
-
-    fn last_candidates(&self) -> u64 {
-        self.rot.last_candidates()
-    }
 }
 
 impl Index1D for DualKdIndex {
@@ -176,9 +172,8 @@ impl Index1D for DualKdIndex {
         self.rot.remove(m)
     }
 
-    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
-        out.clear();
-        out.append(&mut self.rot.query(q));
+    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) -> u64 {
+        self.rot.search(q, out)
     }
 }
 

@@ -13,7 +13,7 @@ pub mod seg_rtree;
 pub mod vp_dual;
 
 use crate::ids::IdSet;
-use mobidx_obs::{OpenSpan, QueryTrace, Span, SpanIo};
+use mobidx_obs::{OpenSpan, Span, SpanIo};
 use mobidx_pager::{Backend, IoStats, PagerError, Store, PAGER_FAULT};
 use mobidx_workload::{MorQuery1D, MorQuery2D, Motion1D, Motion2D};
 use std::cell::Cell;
@@ -31,6 +31,7 @@ use std::time::Instant;
 /// ```
 /// use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 /// use mobidx_core::{Index1D, Motion1D, MorQuery1D, QueryRequest};
+/// use std::time::Instant;
 ///
 /// let mut index = DualBPlusIndex::new(DualBPlusConfig::default());
 /// index.insert(&Motion1D { id: 1, t0: 0.0, y0: 120.0, v: 0.8 });
@@ -39,11 +40,13 @@ use std::time::Instant;
 /// // Plain query.
 /// assert_eq!(index.query(&QueryRequest::new(&q)), vec![1]);
 ///
-/// // Flat per-query trace, reusing a caller-owned buffer.
+/// // Span tree and candidate count, reusing a caller-owned buffer.
 /// let buf = Vec::with_capacity(64);
-/// let out = index.query(&QueryRequest::new(&q).traced().with_buffer(buf));
+/// let out = index.query(&QueryRequest::new(&q).spanned(Instant::now()).with_buffer(buf));
 /// assert_eq!(out.ids, vec![1]);
-/// assert!(out.trace.is_some());
+/// let span = out.span.expect("spanned request yields a span");
+/// assert_eq!(span.attr_u64("candidates"), Some(out.candidates));
+/// assert_eq!(span.attr_u64("results"), Some(1));
 /// ```
 ///
 /// The request is a plain value: `q` borrows the caller's query, and the
@@ -53,7 +56,6 @@ use std::time::Instant;
 /// request from its snapshot read path.
 pub struct QueryRequest<'a, Q> {
     q: &'a Q,
-    trace: bool,
     span_epoch: Option<Instant>,
     speed: Option<(f64, f64)>,
     reuse: Cell<Option<Vec<u64>>>,
@@ -63,7 +65,6 @@ impl<Q: std::fmt::Debug> std::fmt::Debug for QueryRequest<'_, Q> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryRequest")
             .field("q", &self.q)
-            .field("trace", &self.trace)
             .field("span_epoch", &self.span_epoch)
             .field("speed", &self.speed)
             .finish_non_exhaustive()
@@ -71,24 +72,15 @@ impl<Q: std::fmt::Debug> std::fmt::Debug for QueryRequest<'_, Q> {
 }
 
 impl<'a, Q> QueryRequest<'a, Q> {
-    /// A plain request: no tracing, no span, default routing.
+    /// A plain request: no span, default routing.
     #[must_use]
     pub fn new(q: &'a Q) -> Self {
         Self {
             q,
-            trace: false,
             span_epoch: None,
             speed: None,
             reuse: Cell::new(None),
         }
-    }
-
-    /// Requests a flattened [`QueryTrace`] (I/O delta, candidates vs
-    /// results, latency) in [`QueryOutput::trace`].
-    #[must_use]
-    pub fn traced(mut self) -> Self {
-        self.trace = true;
-        self
     }
 
     /// Requests the full hierarchical [`Span`] tree, timed against
@@ -128,23 +120,16 @@ impl<'a, Q> QueryRequest<'a, Q> {
         self.q
     }
 
-    /// Whether a flat [`QueryTrace`] was requested.
-    #[must_use]
-    pub fn wants_trace(&self) -> bool {
-        self.trace
-    }
-
     /// The span time base, when a full span tree was requested.
     #[must_use]
     pub fn span_epoch(&self) -> Option<Instant> {
         self.span_epoch
     }
 
-    /// Whether the executor must build a span at all (a trace is a
-    /// flattened span).
+    /// Whether the executor must build a span tree.
     #[must_use]
     pub fn wants_span(&self) -> bool {
-        self.trace || self.span_epoch.is_some()
+        self.span_epoch.is_some()
     }
 
     /// The speed filter, if any.
@@ -169,8 +154,10 @@ impl<'a, Q> From<&'a Q> for QueryRequest<'a, Q> {
     }
 }
 
-/// The answer to a [`QueryRequest`]: the sorted, deduplicated ids plus
-/// whatever observability the request asked for.
+/// The answer to a [`QueryRequest`]: the sorted, deduplicated ids, the
+/// candidates examined to find them, and the span tree when the request
+/// asked for one. This is the one per-query record: a method reports its
+/// candidates here (and on the span's root) rather than keeping them.
 ///
 /// Dereferences to the id slice and compares against `Vec<u64>`, so
 /// existing `assert_eq!(db.query(..), want)` call sites keep reading
@@ -179,13 +166,12 @@ impl<'a, Q> From<&'a Q> for QueryRequest<'a, Q> {
 pub struct QueryOutput {
     /// Sorted, deduplicated matching object ids.
     pub ids: Vec<u64>,
-    /// Candidate entries examined before exact refinement.
+    /// Candidate entries examined before exact refinement; the §3.5.2
+    /// false hits are `candidates − ids.len()`.
     pub candidates: u64,
     /// The commit epoch of the snapshot that served the read, when the
     /// executor is a snapshot surface (`None` on live-index reads).
     pub epoch: Option<u64>,
-    /// The flat per-query trace, when requested.
-    pub trace: Option<QueryTrace>,
     /// The full span tree, when requested via [`QueryRequest::spanned`].
     pub span: Option<Span>,
 }
@@ -446,13 +432,6 @@ pub trait IndexStats {
         self.stores(&mut |_, store| store.stats().reset_io());
     }
 
-    /// Candidate entries examined by the most recent `query` (before
-    /// exact refinement / dedup). Methods that don't track candidates
-    /// report 0.
-    fn last_candidates(&self) -> u64 {
-        0
-    }
-
     /// Per-store I/O breakdown, labelled: consecutive stores sharing a
     /// label are summed into one entry. The component totals sum to
     /// [`IndexStats::io_totals`].
@@ -529,24 +508,24 @@ impl std::error::Error for CommitError {
 
 /// The one shared span-building implementation behind the unified
 /// `query` of both [`Index1D`] and [`Index2D`]: runs `run` (which fills
-/// `out` with the sorted, deduplicated answer) inside an `index.query`
-/// span timed against `epoch`, with one zero-duration leaf child per
-/// internal page store carrying that store's I/O delta (plus a `pages`
-/// level attribute). Because I/O is attributed to the leaves only,
-/// [`Span::total_io`] over the result reconciles exactly with the
-/// [`IoTotals`] delta around the call.
+/// `out` with the sorted, deduplicated answer and returns the candidates
+/// it examined) inside an `index.query` span timed against `epoch`, with
+/// one zero-duration leaf child per internal page store carrying that
+/// store's I/O delta (plus a `pages` level attribute). Because I/O is
+/// attributed to the leaves only, [`Span::total_io`] over the result
+/// reconciles exactly with the [`IoTotals`] delta around the call.
 fn run_span<I>(
     index: &mut I,
     epoch: Instant,
     out: &mut Vec<u64>,
-    run: impl FnOnce(&mut I, &mut Vec<u64>),
-) -> Span
+    run: impl FnOnce(&mut I, &mut Vec<u64>) -> u64,
+) -> (u64, Span)
 where
     I: IndexStats + ?Sized,
 {
     let stores_before = index.store_io();
     let mut open = OpenSpan::begin("index.query", epoch);
-    run(index, out);
+    let candidates = run(index, out);
     let stores_after = index.store_io();
     debug_assert_eq!(
         stores_before.len(),
@@ -554,7 +533,7 @@ where
         "store layout changed mid-query"
     );
     open.set_attr("method", index.name().as_str());
-    open.set_attr("candidates", index.last_candidates());
+    open.set_attr("candidates", candidates);
     open.set_attr("results", out.len() as u64);
     let start_nanos = open.start_nanos();
     for ((label, now), (_, then)) in stores_after.iter().zip(&stores_before) {
@@ -572,62 +551,37 @@ where
         .with_attr("pages", now.pages);
         open.push(leaf);
     }
-    open.finish()
-}
-
-/// Assembles a [`QueryOutput`] from the pieces the trait default
-/// methods produce (shared between [`Index1D`] and [`Index2D`]).
-fn assemble_output(
-    ids: Vec<u64>,
-    candidates: u64,
-    span: Option<Span>,
-    req_trace: bool,
-    req_span: bool,
-) -> QueryOutput {
-    let trace = if req_trace {
-        span.as_ref().map(QueryTrace::from_span)
-    } else {
-        None
-    };
-    QueryOutput {
-        ids,
-        candidates,
-        epoch: None,
-        trace,
-        span: if req_span { span } else { None },
-    }
+    (candidates, open.finish())
 }
 
 /// The one default body of [`Index1D::query`] and [`Index2D::query`]:
-/// `search` (the method's `search` hook) fills the request's buffer,
-/// inside [`run_span`] when the request wants a span, and the pieces are
-/// assembled into a [`QueryOutput`].
+/// `search` (the method's `search` hook) fills the request's buffer and
+/// returns its candidates, inside [`run_span`] when the request wants a
+/// span.
 fn run_query<I, Q>(
     index: &mut I,
     req: &QueryRequest<'_, Q>,
-    search: impl FnOnce(&mut I, &Q, &mut Vec<u64>),
+    search: impl FnOnce(&mut I, &Q, &mut Vec<u64>) -> u64,
 ) -> QueryOutput
 where
     I: IndexStats + ?Sized,
 {
     let mut ids = req.take_buffer();
-    let span = if req.wants_span() {
-        let epoch = req.span_epoch().unwrap_or_else(Instant::now);
-        Some(run_span(index, epoch, &mut ids, |index, out| {
-            search(index, req.query(), out);
-        }))
-    } else {
-        search(index, req.query(), &mut ids);
-        None
+    let (candidates, span) = match req.span_epoch() {
+        Some(epoch) => {
+            let (candidates, span) = run_span(index, epoch, &mut ids, |index, out| {
+                search(index, req.query(), out)
+            });
+            (candidates, Some(span))
+        }
+        None => (search(index, req.query(), &mut ids), None),
     };
-    let candidates = index.last_candidates();
-    assemble_output(
+    QueryOutput {
         ids,
         candidates,
+        epoch: None,
         span,
-        req.wants_trace(),
-        req.span_epoch().is_some(),
-    )
+    }
 }
 
 /// A dynamic index over 1-D mobile objects answering MOR queries.
@@ -680,14 +634,17 @@ pub trait Index1D: IndexStats {
 
     /// The implementor hook behind [`Index1D::query`]: answers a MOR
     /// query into `out` (cleared, then filled with the sorted,
-    /// deduplicated ids). Methods implement only this; callers go
-    /// through the options-driven [`Index1D::query`].
-    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>);
+    /// deduplicated ids) and returns the candidate entries it examined
+    /// before exact refinement and dedup — the count
+    /// [`QueryOutput::candidates`] and the span's `candidates` attribute
+    /// carry. Methods implement only this; callers go through the
+    /// options-driven [`Index1D::query`].
+    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) -> u64;
 
     /// Answers a MOR query — the one read entry point. The request
     /// carries every option the historical `query_into` / `query_span` /
-    /// `query_traced` family spread over signatures: span/trace
-    /// construction and out-buffer reuse. Plain calls read as
+    /// `query_traced` family spread over signatures: span construction
+    /// and out-buffer reuse. Plain calls read as
     /// `index.query(&QueryRequest::new(&q))` (or `(&q).into()`).
     fn query(&mut self, req: &QueryRequest<'_, MorQuery1D>) -> QueryOutput {
         run_query(self, req, |index, q, out| index.search(q, out))
@@ -737,8 +694,9 @@ pub trait Index2D: IndexStats {
 
     /// The implementor hook behind [`Index2D::query`]: answers a 2-D MOR
     /// query into `out` (cleared, then filled with the sorted,
-    /// deduplicated ids).
-    fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>);
+    /// deduplicated ids) and returns the candidates it examined, as
+    /// [`Index1D::search`] does.
+    fn search(&mut self, q: &MorQuery2D, out: &mut Vec<u64>) -> u64;
 
     /// Answers a 2-D MOR query — the one read entry point (see
     /// [`Index1D::query`]).

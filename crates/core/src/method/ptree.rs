@@ -106,10 +106,6 @@ impl IndexStats for DualPtreeIndex {
             visit(gen.forest.store_mut());
         }
     }
-
-    fn last_candidates(&self) -> u64 {
-        self.rot.last_candidates()
-    }
 }
 
 impl Index1D for DualPtreeIndex {
@@ -121,9 +117,8 @@ impl Index1D for DualPtreeIndex {
         self.rot.remove(m)
     }
 
-    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
-        out.clear();
-        out.append(&mut self.rot.query(q));
+    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) -> u64 {
+        self.rot.search(q, out)
     }
 }
 

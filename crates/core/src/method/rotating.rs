@@ -43,7 +43,6 @@ pub(crate) struct RotatingDual<S> {
     gens: [Generation<S>; 2],
     period: f64,
     band: SpeedBand,
-    last_candidates: u64,
 }
 
 impl<S: DualPlaneStore> RotatingDual<S> {
@@ -62,7 +61,6 @@ impl<S: DualPlaneStore> RotatingDual<S> {
             ],
             period,
             band,
-            last_candidates: 0,
         }
     }
 
@@ -139,10 +137,14 @@ impl<S: DualPlaneStore> RotatingDual<S> {
         self.gens[slot].store.remove_point(p, m.id)
     }
 
-    pub(crate) fn query(&mut self, q: &MorQuery1D) -> Vec<u64> {
-        let mut ids = Vec::new();
+    /// Answers `q` into `out` (sorted, deduplicated) and returns the
+    /// candidates: polygon queries are exact (no refinement), so they
+    /// are the entries the stores reported before cross-generation
+    /// dedup.
+    pub(crate) fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) -> u64 {
         let (period, band) = (self.period, self.band);
-        crate::ids::assemble(&mut ids, |candidates| {
+        let mut reported = 0;
+        crate::ids::assemble(out, |candidates| {
             for gen in &mut self.gens {
                 if gen.store.len() == 0 {
                     continue;
@@ -152,16 +154,9 @@ impl<S: DualPlaneStore> RotatingDual<S> {
                 let (pos, neg) = hough_x_query(q, &band, t_base);
                 gen.store.query_polygons(&pos, &neg, candidates);
             }
-            // Polygon queries are exact (no refinement), so candidates
-            // are the entries reported by the stores before
-            // cross-generation dedup.
-            self.last_candidates = candidates.len() as u64;
+            reported = candidates.len() as u64;
         });
-        ids
-    }
-
-    pub(crate) fn last_candidates(&self) -> u64 {
-        self.last_candidates
+        reported
     }
 
     /// The rotation period (for extensions that need generation bases).

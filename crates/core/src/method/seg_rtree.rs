@@ -49,7 +49,6 @@ impl Default for SegRTreeConfig {
 pub struct SegRTreeIndex {
     tree: RStarTree<(u64, bool)>,
     cfg: SegRTreeConfig,
-    last_candidates: u64,
 }
 
 impl SegRTreeIndex {
@@ -59,7 +58,6 @@ impl SegRTreeIndex {
         Self {
             tree: RStarTree::new(cfg.rstar),
             cfg,
-            last_candidates: 0,
         }
     }
 
@@ -132,10 +130,6 @@ impl IndexStats for SegRTreeIndex {
     fn stores_mut(&mut self, visit: &mut dyn FnMut(&mut dyn Store)) {
         visit(self.tree.store_mut());
     }
-
-    fn last_candidates(&self) -> u64 {
-        self.last_candidates
-    }
 }
 
 impl Index1D for SegRTreeIndex {
@@ -149,7 +143,7 @@ impl Index1D for SegRTreeIndex {
         self.tree.try_remove(mbr, item).expect(PAGER_FAULT)
     }
 
-    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
+    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) -> u64 {
         let rect = query_rect(q);
         let mut candidates = 0u64;
         assemble(out, |ids| {
@@ -163,7 +157,7 @@ impl Index1D for SegRTreeIndex {
                 })
                 .expect(PAGER_FAULT);
         });
-        self.last_candidates = candidates;
+        candidates
     }
 }
 

@@ -164,7 +164,6 @@ pub struct VpDualIndex {
     /// Records resident per sub-index (statics count toward band 0).
     residents: Vec<u64>,
     band_query: Vec<BandCounters>,
-    last_candidates: u64,
     repartitions: u64,
     moved_total: u64,
     /// Per-band answer buffers of the most recent search, kept for
@@ -472,7 +471,6 @@ impl VpDualIndex {
             subs,
             residents: vec![0; k],
             band_query: vec![BandCounters::default(); k],
-            last_candidates: 0,
             repartitions: 0,
             moved_total: 0,
             scratch: Vec::new(),
@@ -720,10 +718,6 @@ impl IndexStats for VpDualIndex {
         }
     }
 
-    fn last_candidates(&self) -> u64 {
-        self.last_candidates
-    }
-
     fn band_io(&self) -> Option<Vec<BandIo>> {
         Some(
             (0..self.subs.len())
@@ -831,9 +825,9 @@ impl Index1D for VpDualIndex {
         found
     }
 
-    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
+    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) -> u64 {
         out.clear();
-        self.last_candidates = 0;
+        let mut scanned = 0;
         // One reused answer buffer per band (an empty band's stays
         // empty); each already meets the sorted-dedup contract, so the
         // bands merge instead of being sorted again.
@@ -843,13 +837,13 @@ impl Index1D for VpDualIndex {
             if self.residents[b] == 0 {
                 continue; // empty band: skip the descents entirely
             }
-            self.subs[b].search(q, band_ids);
-            let candidates = self.subs[b].last_candidates();
-            self.last_candidates += candidates;
+            let candidates = self.subs[b].search(q, band_ids);
+            scanned += candidates;
             self.band_query[b].candidates += candidates;
             self.band_query[b].results += band_ids.len() as u64;
         }
         merge_sorted_ids(&self.scratch, out);
+        scanned
     }
 
     fn freeze(&self) -> Option<Box<dyn FrozenIndex1D>> {
@@ -1228,9 +1222,9 @@ mod tests {
         for _ in 0..50 {
             let q = sim.gen_query(150.0, 60.0);
             let a = vp.query(&QueryRequest::new(&q));
-            vp_cand += vp.last_candidates();
+            vp_cand += a.candidates;
             let b = flat.query(&QueryRequest::new(&q));
-            flat_cand += flat.last_candidates();
+            flat_cand += b.candidates;
             assert_eq!(a, b);
         }
         assert!(

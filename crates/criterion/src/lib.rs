@@ -2,9 +2,11 @@
 //!
 //! The build container has no crates.io access; this shim is patched
 //! over `crates-io` in the workspace manifest. It runs each registered
-//! benchmark for a bounded number of timed iterations and prints the
-//! median wall-clock time with its quartiles and the sample count, so a
-//! difference between two runs can be held against their spread.
+//! benchmark for a bounded number of timed iterations and prints one
+//! JSON line per benchmark —
+//! `{"bench":…,"median_ns":…,"q1_ns":…,"q3_ns":…,"samples":…}` — so a
+//! script can hold the difference between two builds' medians against
+//! their spread.
 //! (The I/O-count reproduction of the paper's figures lives in the
 //! `figures` binary, which does not use criterion at all.)
 
@@ -72,16 +74,41 @@ impl Bencher {
         Some([1, 2, 3].map(|q| sorted[(last * q).div_ceil(4)]))
     }
 
-    fn report(&self, name: &str) {
+    /// The benchmark's report row: one JSON object on one line, the
+    /// quartiles in whole nanoseconds (absent without samples).
+    fn row(&self, name: &str) -> String {
+        let bench = json_string(name);
         let Some([q1, median, q3]) = self.quartiles() else {
-            println!("{name:<50} (no samples)");
-            return;
+            return format!(r#"{{"bench":{bench},"samples":0}}"#);
         };
-        println!(
-            "{name:<50} median {median:>12.3?}   q1 {q1:>12.3?}   q3 {q3:>12.3?}   ({} samples)",
+        format!(
+            r#"{{"bench":{bench},"median_ns":{},"q1_ns":{},"q3_ns":{},"samples":{}}}"#,
+            median.as_nanos(),
+            q1.as_nanos(),
+            q3.as_nanos(),
             self.samples.len()
-        );
+        )
     }
+
+    fn report(&self, name: &str) {
+        println!("{}", self.row(name));
+    }
+}
+
+/// `s` as a JSON string literal.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// A named group of benchmarks sharing configuration.
@@ -132,10 +159,8 @@ pub struct Criterion {}
 impl Criterion {
     /// Starts a named group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let name = name.into();
-        println!("## bench group: {name}");
         BenchmarkGroup {
-            name,
+            name: name.into(),
             sample_size: 10,
             _parent: self,
         }
@@ -191,6 +216,18 @@ mod tests {
         });
         group.finish();
         assert!(count >= 3);
+    }
+
+    #[test]
+    fn rows_are_json_lines() {
+        let mut b = Bencher::new(0);
+        assert_eq!(b.row("g/empty"), r#"{"bench":"g/empty","samples":0}"#);
+        b.samples = [5, 1, 4, 2, 3].map(Duration::from_nanos).to_vec();
+        assert_eq!(
+            b.row("g/x"),
+            r#"{"bench":"g/x","median_ns":3,"q1_ns":2,"q3_ns":4,"samples":5}"#
+        );
+        assert_eq!(json_string("a\"b\\c\n"), r#""a\"b\\c\u000a""#);
     }
 
     #[test]

@@ -934,10 +934,10 @@ mod tests {
             t.try_insert(s, s + 5.0, i).unwrap();
         }
         t.store_mut().try_clear_buffer().unwrap();
-        let snap = t.store().stats().snapshot();
+        let reads = t.store().stats().reads();
         let hits = t.try_stab(20_005.0).unwrap();
         assert_eq!(hits.len(), 1);
-        let cost = t.store().stats().since(&snap).reads;
+        let cost = t.store().stats().reads() - reads;
         assert!(cost <= 8, "stab cost {cost} too high");
     }
 }

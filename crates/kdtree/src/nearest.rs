@@ -270,14 +270,14 @@ mod tests {
             t.try_insert(p, i as u64).unwrap();
         }
         t.store_mut().try_clear_buffer().unwrap();
-        let snap = t.store().stats().snapshot();
+        let reads = t.store().stats().reads();
         let scorer = AffineDistance {
             w: [1.0, 1.0],
             b: -900.0,
         };
         let got = t.try_nearest(&scorer, 5).unwrap();
         assert_eq!(got.len(), 5);
-        let cost = t.store().stats().since(&snap).reads;
+        let cost = t.store().stats().reads() - reads;
         assert!(
             cost < t.live_pages() / 3,
             "kNN read {cost} of {} pages",

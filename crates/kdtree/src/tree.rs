@@ -181,19 +181,14 @@ impl<const D: usize, T: Copy + PartialEq + Debug> KdTree<D, T> {
             };
             match self.store.try_read(pid)? {
                 KdPage::Data { points } => {
-                    // Clone out to release the store borrow before the
-                    // caller's visitor runs.
-                    let pts = points.clone();
-                    for (p, t) in pts {
+                    for &(p, t) in points {
                         if contained || region.contains_point(&p) {
                             visit(&p, t);
                         }
                     }
                 }
                 KdPage::Dir { splits, root, .. } => {
-                    let splits = splits.clone();
-                    let root = *root;
-                    Self::walk_dir(&splits, root, cell, contained, region, &mut stack);
+                    Self::walk_dir(splits, *root, cell, contained, region, &mut stack);
                 }
             }
         }
@@ -935,10 +930,10 @@ mod tests {
         let pts = pseudo_points(5000, 17);
         let mut t = build(&pts, KdConfig::small(16, 8));
         t.store_mut().try_clear_buffer().unwrap();
-        let snap = t.store().stats().snapshot();
+        let reads = t.store().stats().reads();
         let q = Aabb::new([100.0, 100.0], [150.0, 150.0]);
         let _ = t.try_query_collect(&q).unwrap();
-        let cost = t.store().stats().since(&snap).reads;
+        let cost = t.store().stats().reads() - reads;
         assert!(
             cost < t.live_pages() / 2,
             "small query should not scan most pages ({cost} of {})",

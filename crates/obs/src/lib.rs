@@ -12,24 +12,20 @@
 //! * [`Histogram`] — a log-bucketed latency/value histogram with
 //!   percentile estimation ([`Histogram::percentile`]) and cheap
 //!   snapshots;
-//! * [`Recorder`] — a sink trait for named metrics, with [`NoopRecorder`]
-//!   (zero cost) and [`MemoryRecorder`] (in-process aggregation);
-//! * [`Span`] / [`OpenSpan`] — hierarchical trace spans: one tree per
-//!   query, `query → shard leg → index method → per-store I/O`, with
-//!   wall-clock offsets from a shared epoch and leaf-attributed I/O
-//!   deltas that reconcile with the I/O counters;
+//! * [`Span`] / [`OpenSpan`] — hierarchical trace spans, the one
+//!   per-query trace: one tree per query, `query → shard leg → index
+//!   method → per-store I/O`, with wall-clock offsets from a shared
+//!   epoch, leaf-attributed I/O deltas that reconcile with the I/O
+//!   counters, and the candidates examined vs results returned on the
+//!   root's attributes;
 //! * [`EventLog`] — a bounded overwrite-on-wrap ring of recent spans;
-//! * [`QueryTrace`] / [`StoreTrace`] — the flat per-query record every
-//!   index method produces (a leaf view over a [`Span`] tree via
-//!   [`QueryTrace::from_span`]): I/Os, candidates examined vs results
-//!   returned, latency, per-store breakdown;
 //! * [`json`] — a minimal JSON emitter + parser so the bench harness can
 //!   write machine-readable `BENCH_*.json` reports without external
 //!   crates, plus the Perfetto-loadable [`json::chrome_trace`] exporter;
 //! * [`telemetry`] — the time axis: lock-free [`TimeSeries`] rings, a
 //!   [`Sampler`] thread harvesting health state on a tick, the
 //!   [`WorkloadProfile`] characterizer with windowed velocity-drift
-//!   detection, and Prometheus/JSON exposition ([`Telemetry`]);
+//!   detection, and JSON exposition ([`Telemetry`]);
 //! * [`slo`] — the judgment layer: declarative objectives with
 //!   multi-window burn-rate alerting and EWMA anomaly detection over
 //!   any registered series ([`SloEngine`]), emitting typed `alert`
@@ -40,19 +36,15 @@
 mod event_log;
 pub mod json;
 mod metrics;
-mod recorder;
 pub mod slo;
 mod span;
 pub mod telemetry;
-mod trace;
 
 pub use event_log::EventLog;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};
 pub use slo::{ActiveAlert, AlertKind, AnomalySpec, Objective, SloEngine, SloSpec};
 pub use span::{OpenSpan, Span, SpanIo};
 pub use telemetry::{
-    parse_prometheus, DriftScore, ProfileConfig, PromSample, Sample, Sampler, SeriesSummary,
-    Telemetry, TimeSeries, WorkloadProfile,
+    DriftScore, ProfileConfig, Sample, Sampler, SeriesSummary, Telemetry, TimeSeries,
+    WorkloadProfile,
 };
-pub use trace::{QueryTrace, StoreTrace};

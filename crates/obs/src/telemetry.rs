@@ -10,9 +10,7 @@
 //!   samples with min/max/mean/quantile reduction over the retained
 //!   window;
 //! * [`Telemetry`] — a named registry of series sharing one epoch, with
-//!   a JSON report ([`Telemetry::to_json`]) and a Prometheus-style text
-//!   dump ([`Telemetry::prometheus`], round-trippable through
-//!   [`parse_prometheus`]);
+//!   a JSON report ([`Telemetry::to_json`]);
 //! * [`Sampler`] — a background thread invoking a harvest closure on a
 //!   configurable tick (the serve tier points it at every shard's
 //!   health state);
@@ -347,127 +345,6 @@ impl Telemetry {
             ),
         ])
     }
-
-    /// Renders the registry in the Prometheus text exposition format:
-    /// one `# TYPE mobidx_<base> gauge` header per base name and one
-    /// sample line (the latest value) per series. Series that have never
-    /// recorded are skipped. Round-trips through [`parse_prometheus`].
-    #[must_use]
-    pub fn prometheus(&self) -> String {
-        let table = self.series.lock().expect("telemetry registry");
-        let mut out = String::new();
-        let mut typed: Vec<String> = Vec::new();
-        for (name, s) in table.iter() {
-            let Some(latest) = s.latest() else {
-                continue;
-            };
-            let (base, labels) = split_labels(name);
-            let base = prometheus_name(base);
-            if !typed.contains(&base) {
-                out.push_str(&format!("# TYPE mobidx_{base} gauge\n"));
-                typed.push(base.clone());
-            }
-            if latest.value.is_finite() {
-                out.push_str(&format!("mobidx_{base}{labels} {}\n", latest.value));
-            } else {
-                out.push_str(&format!("mobidx_{base}{labels} NaN\n"));
-            }
-        }
-        out
-    }
-}
-
-/// Splits `queue_depth{shard="0"}` into `("queue_depth", "{shard=\"0\"}")`.
-fn split_labels(name: &str) -> (&str, &str) {
-    match name.find('{') {
-        Some(i) => (&name[..i], &name[i..]),
-        None => (name, ""),
-    }
-}
-
-/// Maps an arbitrary base name onto the Prometheus metric-name alphabet
-/// (`[a-zA-Z0-9_:]`, non-digit first).
-fn prometheus_name(base: &str) -> String {
-    let mut out: String = base
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
-
-/// One sample line of a Prometheus text exposition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PromSample {
-    /// The metric name (including the `mobidx_` prefix).
-    pub name: String,
-    /// Label key/value pairs, in order.
-    pub labels: Vec<(String, String)>,
-    /// The sample value.
-    pub value: f64,
-}
-
-/// Parses the subset of the Prometheus text exposition format that
-/// [`Telemetry::prometheus`] emits: `# `-comments, blank lines, and
-/// `name{labels} value` sample lines.
-///
-/// # Errors
-/// Returns a message naming the first malformed line.
-pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |what: &str| format!("line {}: {what}: {line}", lineno + 1);
-        let (head, value) = line.rsplit_once(' ').ok_or_else(|| err("missing value"))?;
-        let value = if value == "NaN" {
-            f64::NAN
-        } else {
-            value.parse::<f64>().map_err(|_| err("bad value"))?
-        };
-        let (name, labels) = match head.find('{') {
-            None => (head.to_owned(), Vec::new()),
-            Some(i) => {
-                let name = head[..i].to_owned();
-                let body = head[i..]
-                    .strip_prefix('{')
-                    .and_then(|s| s.strip_suffix('}'))
-                    .ok_or_else(|| err("unterminated labels"))?;
-                let mut labels = Vec::new();
-                for pair in body.split(',').filter(|p| !p.is_empty()) {
-                    let (k, v) = pair.split_once('=').ok_or_else(|| err("bad label"))?;
-                    let v = v
-                        .strip_prefix('"')
-                        .and_then(|s| s.strip_suffix('"'))
-                        .ok_or_else(|| err("unquoted label value"))?;
-                    labels.push((k.to_owned(), v.to_owned()));
-                }
-                (name, labels)
-            }
-        };
-        if name.is_empty() {
-            return Err(err("empty metric name"));
-        }
-        out.push(PromSample {
-            name,
-            labels,
-            value,
-        });
-    }
-    Ok(out)
 }
 
 /// Shared stop signal of a [`Sampler`] thread.
@@ -1025,89 +902,6 @@ mod tests {
         assert!((pair[1].as_f64().expect("value") - 2.5).abs() < 1e-12);
         let summary = series[0].get("summary").expect("summary");
         assert_eq!(summary.get("count").and_then(Value::as_u64), Some(2));
-    }
-
-    #[test]
-    fn prometheus_round_trips() {
-        let t = Telemetry::new(4);
-        t.record("queue_depth{shard=\"0\"}", 3.0);
-        t.record("queue_depth{shard=\"1\"}", 5.0);
-        t.record("drift_l1", 0.125);
-        let _ = t.series("never_recorded");
-        let text = t.prometheus();
-        assert_eq!(
-            text.matches("# TYPE mobidx_queue_depth gauge").count(),
-            1,
-            "one TYPE line per base name: {text}"
-        );
-        assert!(!text.contains("never_recorded"));
-        let samples = parse_prometheus(&text).expect("parses");
-        assert_eq!(samples.len(), 3);
-        assert_eq!(samples[0].name, "mobidx_queue_depth");
-        assert_eq!(samples[0].labels, [("shard".to_owned(), "0".to_owned())]);
-        assert!((samples[1].value - 5.0).abs() < 1e-12);
-        assert_eq!(samples[2].name, "mobidx_drift_l1");
-        assert!(samples[2].labels.is_empty());
-        assert!((samples[2].value - 0.125).abs() < 1e-12);
-    }
-
-    /// The WAL counter series the durable serving tier publishes
-    /// (`wal_records`/`wal_fsyncs` per shard, `_total` aggregates, and
-    /// the pager's `wal_bytes`/`wal_replayed` names) survive the text
-    /// exposition round trip with labels and values intact.
-    #[test]
-    fn prometheus_round_trips_wal_counter_series() {
-        let t = Telemetry::new(4);
-        t.record("wal_records{shard=\"0\"}", 12.0);
-        t.record("wal_records{shard=\"1\"}", 7.0);
-        t.record("wal_fsyncs{shard=\"0\"}", 3.0);
-        t.record("wal_records_total", 19.0);
-        t.record("wal_fsyncs_total", 3.0);
-        t.record("wal_bytes", 4096.0);
-        t.record("wal_replayed", 42.0);
-        let text = t.prometheus();
-        assert_eq!(
-            text.matches("# TYPE mobidx_wal_records gauge").count(),
-            1,
-            "per-shard wal_records share one TYPE header: {text}"
-        );
-        let samples = parse_prometheus(&text).expect("parses");
-        assert_eq!(samples.len(), 7);
-        let value_of = |name: &str, labels: &[(&str, &str)]| -> f64 {
-            samples
-                .iter()
-                .find(|s| {
-                    s.name == name
-                        && s.labels.len() == labels.len()
-                        && labels
-                            .iter()
-                            .all(|&(k, v)| s.labels.iter().any(|(sk, sv)| sk == k && sv == v))
-                })
-                .unwrap_or_else(|| panic!("missing {name} {labels:?} in: {text}"))
-                .value
-        };
-        assert!((value_of("mobidx_wal_records", &[("shard", "0")]) - 12.0).abs() < 1e-12);
-        assert!((value_of("mobidx_wal_records", &[("shard", "1")]) - 7.0).abs() < 1e-12);
-        assert!((value_of("mobidx_wal_fsyncs", &[("shard", "0")]) - 3.0).abs() < 1e-12);
-        assert!((value_of("mobidx_wal_records_total", &[]) - 19.0).abs() < 1e-12);
-        assert!((value_of("mobidx_wal_fsyncs_total", &[]) - 3.0).abs() < 1e-12);
-        assert!((value_of("mobidx_wal_bytes", &[]) - 4096.0).abs() < 1e-12);
-        assert!((value_of("mobidx_wal_replayed", &[]) - 42.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prometheus_parser_rejects_malformed() {
-        for bad in ["novalue", "x{unterminated 1", "x{k=v} 1", " 3", "x one"] {
-            assert!(parse_prometheus(bad).is_err(), "accepted: {bad}");
-        }
-        assert!(parse_prometheus("# comment\n\n").expect("ok").is_empty());
-    }
-
-    #[test]
-    fn prometheus_names_are_sanitized() {
-        assert_eq!(prometheus_name("s0/io reads"), "s0_io_reads");
-        assert_eq!(prometheus_name("9lives"), "_9lives");
-        assert_eq!(prometheus_name(""), "_");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use codec::{crc32, put_bytes, put_u32, put_u64, ByteReader, FixedCodec, Page
 pub use error::{PagerError, PAGER_FAULT};
 pub use file::{DurableFaultStore, FileBackend, FsyncPolicy, RecoveredImage, PAGE_FILE, WAL_FILE};
 pub use scratch::ScratchDir;
-pub use stats::{IoSnapshot, IoStats};
+pub use stats::IoStats;
 pub use store::{FrozenPages, PageId, PageStore, Store};
 
 /// Default logical page size used throughout the reproduction, in bytes.

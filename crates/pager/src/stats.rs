@@ -1,14 +1,11 @@
 //! I/O and space accounting.
 //!
 //! All metrics reported by the benchmark harness (Figures 6–9 of the paper)
-//! are derived from [`IoStats`]: query cost = reads+writes between two
-//! [`IoSnapshot`]s, space = live page count. Buffer-pool behaviour (hits,
-//! evictions, dirty write-backs) is tallied alongside so the harness can
-//! report hit rates, and every counter can be published to a
-//! [`mobidx_obs::Recorder`] under a per-store prefix.
+//! are derived from [`IoStats`]: query cost = reads+writes since the
+//! counters were reset ([`IoStats::reset_io`]) or between two readings,
+//! space = live page count. Buffer-pool behaviour (hits, evictions, dirty
+//! write-backs) is tallied alongside so the harness can report hit rates.
 
-use mobidx_obs::Recorder;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Cumulative I/O and space counters for one paged structure.
@@ -269,98 +266,6 @@ impl IoStats {
         self.wal_fsyncs.store(0, Relaxed);
         self.wal_replayed.store(0, Relaxed);
     }
-
-    /// Takes a snapshot for later differencing (cost of one operation).
-    #[must_use]
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            reads: self.reads(),
-            writes: self.writes(),
-            hits: self.hits(),
-            evictions: self.evictions(),
-        }
-    }
-
-    /// I/Os performed since `since` was taken.
-    #[must_use]
-    pub fn since(&self, since: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            reads: self.reads() - since.reads,
-            writes: self.writes() - since.writes,
-            hits: self.hits() - since.hits,
-            evictions: self.evictions() - since.evictions,
-        }
-    }
-
-    /// Publishes every counter to `recorder`, each name prefixed with
-    /// `prefix` (e.g. `"pager.obs3."`).
-    pub fn publish(&self, recorder: &dyn Recorder, prefix: &str) {
-        recorder.add_counter(&format!("{prefix}reads"), self.reads());
-        recorder.add_counter(&format!("{prefix}writes"), self.writes());
-        recorder.add_counter(&format!("{prefix}hits"), self.hits());
-        recorder.add_counter(&format!("{prefix}evictions"), self.evictions());
-        recorder.add_counter(&format!("{prefix}writebacks"), self.writebacks());
-        recorder.add_counter(&format!("{prefix}retries"), self.retries());
-        recorder.add_counter(&format!("{prefix}faults_injected"), self.faults_injected());
-        recorder.add_counter(
-            &format!("{prefix}faults_recovered"),
-            self.faults_recovered(),
-        );
-        recorder.add_counter(&format!("{prefix}backoff_units"), self.backoff_units());
-        recorder.add_counter(&format!("{prefix}wal_records"), self.wal_records());
-        recorder.add_counter(&format!("{prefix}wal_bytes"), self.wal_bytes());
-        recorder.add_counter(&format!("{prefix}wal_fsyncs"), self.wal_fsyncs());
-        recorder.add_counter(&format!("{prefix}wal_replayed"), self.wal_replayed());
-        recorder.set_gauge(&format!("{prefix}live_pages"), self.live_pages());
-    }
-}
-
-/// A point-in-time copy of the I/O and buffer counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoSnapshot {
-    /// Page reads at snapshot time (or delta, when produced by
-    /// [`IoStats::since`]).
-    pub reads: u64,
-    /// Page writes at snapshot time (or delta).
-    pub writes: u64,
-    /// Buffer hits at snapshot time (or delta).
-    pub hits: u64,
-    /// Buffer evictions at snapshot time (or delta).
-    pub evictions: u64,
-}
-
-impl IoSnapshot {
-    /// Reads + writes.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    /// Fraction of page accesses served by the buffer
-    /// (`hits / (hits + reads)`; 0.0 when no pages were touched).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let touched = self.hits + self.reads;
-        if touched == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.hits as f64 / touched as f64
-        }
-    }
-}
-
-impl fmt::Display for IoSnapshot {
-    /// The compact `"4r+1w"` form; the alternate form (`{:#}`) appends
-    /// buffer hits: `"4r+1w (2h)"`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}r+{}w", self.reads, self.writes)?;
-        if f.alternate() {
-            write!(f, " ({}h)", self.hits)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -402,22 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_diff() {
-        let s = IoStats::new();
-        s.add_reads(5);
-        let snap = s.snapshot();
-        s.add_reads(2);
-        s.add_writes(1);
-        s.add_hits(4);
-        let d = s.since(&snap);
-        assert_eq!(d.reads, 2);
-        assert_eq!(d.writes, 1);
-        assert_eq!(d.hits, 4);
-        assert_eq!(d.total(), 3);
-        assert!((d.hit_rate() - 4.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn reset_io_keeps_space() {
         let s = IoStats::new();
         s.add_reads(5);
@@ -429,18 +318,6 @@ mod tests {
         assert_eq!(s.hits(), 0);
         assert_eq!(s.evictions(), 0);
         assert_eq!(s.live_pages(), 1);
-    }
-
-    #[test]
-    fn display_formats() {
-        let snap = IoSnapshot {
-            reads: 4,
-            writes: 1,
-            hits: 2,
-            evictions: 0,
-        };
-        assert_eq!(snap.to_string(), "4r+1w");
-        assert_eq!(format!("{snap:#}"), "4r+1w (2h)");
     }
 
     #[test]
@@ -472,12 +349,6 @@ mod tests {
         assert_eq!(s.wal_bytes(), 160);
         assert_eq!(s.wal_fsyncs(), 2);
         assert_eq!(s.wal_replayed(), 5);
-        let rec = mobidx_obs::MemoryRecorder::new();
-        s.publish(&rec, "pager.d.");
-        assert_eq!(rec.counter("pager.d.wal_records"), 4);
-        assert_eq!(rec.counter("pager.d.wal_bytes"), 160);
-        assert_eq!(rec.counter("pager.d.wal_fsyncs"), 2);
-        assert_eq!(rec.counter("pager.d.wal_replayed"), 5);
         s.reset_io();
         assert_eq!(s.wal_records(), 0);
         assert_eq!(s.wal_bytes(), 0);
@@ -489,18 +360,5 @@ mod tests {
     fn stats_are_sync() {
         fn assert_sync<T: Sync>() {}
         assert_sync::<IoStats>();
-    }
-
-    #[test]
-    fn publish_emits_prefixed_metrics() {
-        let s = IoStats::new();
-        s.add_reads(2);
-        s.add_hits(1);
-        s.add_alloc();
-        let rec = mobidx_obs::MemoryRecorder::new();
-        s.publish(&rec, "pager.t.");
-        assert_eq!(rec.counter("pager.t.reads"), 2);
-        assert_eq!(rec.counter("pager.t.hits"), 1);
-        assert_eq!(rec.gauge("pager.t.live_pages"), 1);
     }
 }

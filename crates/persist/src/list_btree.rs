@@ -745,11 +745,11 @@ mod tests {
             .collect();
         let mut t = PersistentListBTree::new(PersistConfig::default(), occupants);
         t.store_mut().try_clear_buffer().unwrap();
-        let snap = t.store().stats().snapshot();
+        let reads = t.store().stats().reads();
         let mut hits = 0usize;
         t.try_query(10.0, 100.0, 105.0, |_| hits += 1).unwrap();
         assert_eq!(hits, 6);
-        let cost = t.store().stats().since(&snap).reads;
+        let cost = t.store().stats().reads() - reads;
         assert!(cost <= 6, "narrow query cost {cost} pages");
     }
 

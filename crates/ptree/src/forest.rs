@@ -169,8 +169,7 @@ impl<const D: usize, T: Copy + PartialEq + Debug> PartitionForest<D, T> {
         while let Some((pid, contained)) = stack.pop() {
             match self.store.try_read(pid).expect(PAGER_FAULT) {
                 PtPage::Leaf(points) => {
-                    let pts = points.clone();
-                    for (p, t) in pts {
+                    for &(p, t) in points {
                         if contained || region.contains_point(&p) {
                             visit(&p, t);
                         }
@@ -306,7 +305,7 @@ impl<const D: usize, T: Copy + PartialEq + Debug> PartitionForest<D, T> {
         let mut stack = vec![root];
         while let Some(pid) = stack.pop() {
             match self.store.try_read(pid).expect(PAGER_FAULT) {
-                PtPage::Leaf(points) => out.extend_from_slice(&points.clone()),
+                PtPage::Leaf(points) => out.extend_from_slice(points),
                 PtPage::Internal(cells) => stack.extend(cells.iter().map(|&(_, c)| c)),
             }
             let _ = self.store.try_free(pid).expect(PAGER_FAULT);
@@ -604,7 +603,7 @@ mod tests {
             f.insert(p, i as u64);
         }
         f.store_mut().try_clear_buffer().unwrap();
-        let snap = f.store().stats().snapshot();
+        let reads = f.store().stats().reads();
         let slab = ConvexPolygon::new(vec![
             HalfPlane::new(-1.0, 1.0, 5.0),
             HalfPlane::new(1.0, -1.0, 5.0),
@@ -612,7 +611,7 @@ mod tests {
             HalfPlane::x_le(1000.0),
         ]);
         let _ = f.query_collect(&slab);
-        let cost = f.store().stats().since(&snap).reads;
+        let cost = f.store().stats().reads() - reads;
         assert!(
             cost < f.live_pages() / 2,
             "slab query scanned {cost} of {} pages",

@@ -929,10 +929,10 @@ mod tests {
             t.try_insert(r, i as u64).unwrap();
         }
         t.store_mut().try_clear_buffer().unwrap();
-        let snap = t.store().stats().snapshot();
+        let reads = t.store().stats().reads();
         let q = Rect2::from_bounds(100.0, 100.0, 110.0, 110.0);
         let _ = t.try_search(&q).unwrap();
-        let cost = t.store().stats().since(&snap).reads;
+        let cost = t.store().stats().reads() - reads;
         let total_pages = t.live_pages();
         assert!(
             cost < total_pages / 2,

@@ -11,7 +11,7 @@ use crate::ServeError;
 use mobidx_core::ids::{union, IdSet};
 use mobidx_core::{FrozenIndex1D, FrozenReadStats, Index1D, IoTotals, QueryOutput, QueryRequest};
 use mobidx_obs::telemetry::{ProfileConfig, WorkloadProfile};
-use mobidx_obs::{EventLog, OpenSpan, QueryTrace, Span, SpanIo};
+use mobidx_obs::{EventLog, OpenSpan, Span, SpanIo};
 use mobidx_pager::FsyncPolicy;
 use mobidx_workload::{MorQuery1D, Motion1D};
 use std::collections::HashMap;
@@ -133,9 +133,9 @@ pub struct ShardedDb<I: Index1D + Send + 'static> {
     shards: usize,
     /// Per-shard health state, shared with the workers.
     health: Vec<Arc<ShardHealth>>,
-    /// The facade-wide time base every trace span measures from, fixed
-    /// at construction so spans from different queries (and different
-    /// worker threads) share one reconcilable timeline.
+    /// The facade-wide time base, fixed at construction, that the
+    /// facade's own event-log spans (repartitions) are stamped against;
+    /// a query span measures from the epoch its request carries.
     epoch: Instant,
     /// Ring buffer of recently finished query span trees (and drift
     /// events), shared with the workers' workload profile and any
@@ -538,11 +538,10 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
     /// union against the motion table, under its read lock, so a
     /// filtered read waits out an apply in flight.
     ///
-    /// Tracing: [`QueryRequest::traced`] / [`QueryRequest::spanned`]
-    /// produce a root `query` span (`snapshot_epoch`, summed
-    /// `candidates`, `results`) with one `s<shard>/execute` leg per
-    /// shard, each carrying `snapshot_epoch`, its candidates and the
-    /// frozen pages it read. The finished tree is also pushed into the
+    /// Tracing: [`QueryRequest::spanned`] produces a root `query` span
+    /// (`snapshot_epoch`, summed `candidates`, `results`) with one
+    /// `s<shard>/execute` leg per shard, each carrying `snapshot_epoch`,
+    /// its candidates and the frozen pages it read. The finished tree is also pushed into the
     /// facade's [`EventLog`] ([`ShardedDb::recent_spans`]).
     ///
     /// # Errors
@@ -555,9 +554,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         let snap = self.snapshot()?;
         let q = *req.query();
         let n = snap.shards();
-        let span_epoch = req
-            .wants_span()
-            .then(|| req.span_epoch().unwrap_or(self.epoch));
+        let span_epoch = req.span_epoch();
         let root = span_epoch.map(|e| {
             let mut root = OpenSpan::begin("query", e);
             root.set_attr(
@@ -647,15 +644,7 @@ impl<I: Index1D + Send + 'static> ShardedDb<I> {
         self.profile
             .record_query(merged.len() as u64, self.len() as u64);
         Ok(QueryOutput {
-            trace: match (&span, req.wants_trace()) {
-                (Some(span), true) => Some(QueryTrace::from_span(span)),
-                _ => None,
-            },
-            span: if req.span_epoch().is_some() {
-                span
-            } else {
-                None
-            },
+            span,
             ids: merged,
             candidates,
             epoch: Some(snap.epoch),

@@ -6,8 +6,8 @@
 //! facade [`EventLog`]'s drop counter, and the [`WorkloadProfile`]'s
 //! drift state into per-shard and aggregate [`TimeSeries`]. The result
 //! is a [`ServeSampler`] handle that owns the thread and exposes the
-//! registry: render it as a Prometheus text dump or a JSON telemetry
-//! report, or poll individual series (that is what `mobidx-top` does).
+//! registry: render it as a JSON telemetry report, or poll individual
+//! series (that is what `mobidx-top` does).
 //!
 //! The harvest path is deliberately cheap: reading health state touches
 //! relaxed atomics only, and the single `Stats` message per shard per
@@ -15,8 +15,7 @@
 //! the overhead under 2 % at a 100 ms tick; see EXPERIMENTS.md).
 //!
 //! Series naming: per-shard series carry a Prometheus-style label —
-//! `queue_depth{shard="2"}` — and aggregates a `_total` suffix, so the
-//! text exposition groups base names under one `# TYPE` header each.
+//! `queue_depth{shard="2"}` — and aggregates a `_total` suffix.
 
 use crate::db::ShardedDb;
 use crate::flight::FlightRecorder;
@@ -146,12 +145,6 @@ impl ServeSampler {
             ("alerts".to_owned(), self.slo.to_json()),
             ("telemetry".to_owned(), self.telemetry.to_json()),
         ])
-    }
-
-    /// The Prometheus text exposition of the registry.
-    #[must_use]
-    pub fn prometheus(&self) -> String {
-        self.telemetry.prometheus()
     }
 }
 

@@ -123,9 +123,10 @@ impl Index1D for CountingIndex {
     fn remove(&mut self, m: &Motion1D) -> bool {
         self.motions.remove(&m.id).is_some()
     }
-    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) {
+    fn search(&mut self, q: &MorQuery1D, out: &mut Vec<u64>) -> u64 {
         let motions: Vec<Motion1D> = self.motions.values().copied().collect();
         *out = brute_force_1d(&motions, q);
+        motions.len() as u64
     }
     fn freeze(&self) -> Option<Box<dyn FrozenIndex1D>> {
         let generation = self.generation.fetch_add(1, Ordering::Relaxed);

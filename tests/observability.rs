@@ -1,16 +1,16 @@
-//! Cross-crate observability tests: `QueryTrace` accounting must
-//! reconcile exactly with the pager's `IoTotals` deltas for every paper
-//! method, histograms must survive edge inputs, and the machine-readable
-//! benchmark report must round-trip through the JSON parser with every
-//! method present.
+//! Cross-crate observability tests: a query's span tree and candidate
+//! count must reconcile exactly with the pager's `IoTotals` deltas for
+//! every paper method, histograms must survive edge inputs, and the
+//! machine-readable benchmark report must round-trip through the JSON
+//! parser with every method present.
 
-use mobidx_bench::{paper_methods, run_scenario, QueryMix, Scale};
+use mobidx_bench::{paper_methods, ptree_method, run_scenario, Method, QueryMix, Scale};
 use mobidx_core::method::dual2d::{Decomposition2D, Dual4KdIndex};
-use mobidx_core::method::dual_bplus::DualBPlusConfig;
+use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use mobidx_core::{Index2D, MorQuery1D, Motion1D, QueryRequest, SpeedBand};
 use mobidx_kdtree::KdConfig;
 use mobidx_obs::json::{chrome_trace, Value};
-use mobidx_obs::{Histogram, QueryTrace, Span};
+use mobidx_obs::{Histogram, Span, SpanIo};
 use mobidx_pager::{FaultPlan, FaultStore};
 use mobidx_workload::{Simulator2D, WorkloadConfig2D};
 use proptest::prelude::*;
@@ -51,13 +51,49 @@ fn dedup_by_id(mut motions: Vec<Motion1D>) -> Vec<Motion1D> {
     motions
 }
 
+/// Every 1-D method: the paper's, the partition tree, and a dual-B+
+/// whose subterrain interval indices answer wide queries (case ii).
+fn every_1d_method() -> Vec<Method> {
+    let mut methods = paper_methods();
+    methods.push(ptree_method());
+    methods.push(Method {
+        name: "dual-B+ (c=8+iv)".to_owned(),
+        make: Box::new(|| {
+            Box::new(DualBPlusIndex::new(DualBPlusConfig {
+                c: 8,
+                maintain_subterrain: true,
+                ..DualBPlusConfig::default()
+            }))
+        }),
+    });
+    methods
+}
+
+/// The I/O of the per-store leaves of a span tree: every span carrying
+/// a `store` attribute.
+fn store_io(span: &Span) -> SpanIo {
+    let mut io = if span.attr_str("store").is_some() {
+        span.io
+    } else {
+        SpanIo::default()
+    };
+    for child in &span.children {
+        let c = store_io(child);
+        io.reads += c.reads;
+        io.writes += c.writes;
+        io.hits += c.hits;
+    }
+    io
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// For every paper method (through the `Box<dyn Index1D>` the bench
-    /// harness uses), the trace's I/O counters equal the `IoTotals`
-    /// delta across the query, the per-store breakdown sums to the
-    /// totals, and candidates dominate results.
+    /// harness uses), the span tree's I/O equals the `IoTotals` delta
+    /// across the query, the per-store leaves sum to the totals, the
+    /// root names the method and its results and candidates, and
+    /// candidates dominate results.
     #[test]
     fn traces_reconcile_with_io_totals(
         motions in prop::collection::vec(motion_strategy(), 1..80),
@@ -69,30 +105,37 @@ proptest! {
             for m in &motions {
                 idx.insert(m);
             }
+            let epoch = Instant::now();
             for q in &queries {
                 idx.clear_buffers();
                 idx.reset_io();
                 let before = idx.io_totals();
-                let out = idx.query(&QueryRequest::new(q).traced());
-                let trace = out.trace.expect("traced request yields a trace");
-                let ids = out.ids;
+                let out = idx.query(&QueryRequest::new(q).spanned(epoch));
+                let span = out.span.expect("spanned request yields a span");
+                let results = out.ids.len() as u64;
                 let delta = idx.io_totals().delta_since(before);
-                prop_assert_eq!(&trace.method, &method.name);
-                prop_assert_eq!(trace.reads, delta.reads, "{} reads", method.name);
-                prop_assert_eq!(trace.writes, delta.writes, "{} writes", method.name);
-                prop_assert_eq!(trace.hits, delta.hits, "{} hits", method.name);
-                prop_assert_eq!(trace.results, ids.len() as u64, "{}", method.name);
-                prop_assert!(
-                    trace.candidates >= trace.results,
-                    "{}: candidates {} < results {}",
-                    method.name, trace.candidates, trace.results
+                let total = span.total_io();
+                prop_assert_eq!(span.attr_str("method"), Some(method.name.as_str()));
+                prop_assert_eq!(total.reads, delta.reads, "{} reads", method.name);
+                prop_assert_eq!(total.writes, delta.writes, "{} writes", method.name);
+                prop_assert_eq!(total.hits, delta.hits, "{} hits", method.name);
+                prop_assert_eq!(span.attr_u64("results"), Some(results), "{}", method.name);
+                prop_assert_eq!(
+                    span.attr_u64("candidates"), Some(out.candidates), "{}", method.name
                 );
-                let store_reads: u64 = trace.stores.iter().map(|s| s.reads).sum();
-                let store_writes: u64 = trace.stores.iter().map(|s| s.writes).sum();
-                prop_assert_eq!(store_reads, trace.reads, "{} store reads", method.name);
-                prop_assert_eq!(store_writes, trace.writes, "{} store writes", method.name);
-                prop_assert!((0.0..=1.0).contains(&trace.false_hit_rate()));
-                prop_assert!((0.0..=1.0).contains(&trace.hit_rate()));
+                prop_assert!(
+                    out.candidates >= results,
+                    "{}: candidates {} < results {}",
+                    method.name, out.candidates, results
+                );
+                let stores = store_io(&span);
+                prop_assert_eq!(stores.reads, delta.reads, "{} store reads", method.name);
+                prop_assert_eq!(stores.writes, delta.writes, "{} store writes", method.name);
+                #[allow(clippy::cast_precision_loss)]
+                let false_hit_rate =
+                    (out.candidates - results) as f64 / out.candidates.max(1) as f64;
+                prop_assert!((0.0..=1.0).contains(&false_hit_rate));
+                prop_assert!((0.0..=1.0).contains(&delta.hit_rate()));
             }
         }
     }
@@ -102,7 +145,7 @@ proptest! {
     /// a transient-fault backend (whose faults the default retry policy
     /// absorbs), the recursive sum of the tree's leaf I/O equals the
     /// `IoTotals` delta across the query, interior spans carry no I/O
-    /// of their own, and the flattened [`QueryTrace`] view agrees.
+    /// of their own, and the per-store leaves carry all of it.
     #[test]
     fn span_trees_reconcile_with_io_totals(
         motions in prop::collection::vec(motion_strategy(), 1..60),
@@ -154,13 +197,50 @@ proptest! {
                         "{} results attr", &label
                     );
                     prop_assert!(!span.children.is_empty(), "{}: no store leaves", &label);
-                    // The flat trace is a faithful leaf view.
-                    let trace = QueryTrace::from_span(&span);
-                    prop_assert_eq!(trace.reads, delta.reads, "{} flat reads", &label);
-                    prop_assert_eq!(trace.writes, delta.writes, "{} flat writes", &label);
-                    prop_assert_eq!(trace.results, ids.len() as u64, "{}", &label);
-                    let store_reads: u64 = trace.stores.iter().map(|s| s.reads).sum();
-                    prop_assert_eq!(store_reads, trace.reads, "{} store reads", &label);
+                    // The store leaves carry all of the query's I/O.
+                    let stores = store_io(&span);
+                    prop_assert_eq!(stores.reads, delta.reads, "{} store reads", &label);
+                    prop_assert_eq!(stores.writes, delta.writes, "{} store writes", &label);
+                }
+            }
+        }
+    }
+
+    /// A method reports its candidates once, as `search`'s return: for
+    /// every 1-D method a plain query and a spanned query of the same
+    /// index give identical ids and candidates, the span root's
+    /// `candidates` / `results` attributes equal them, and for a
+    /// velocity-partitioned index the candidates are the sum of the
+    /// per-band candidate deltas (`band_io`).
+    #[test]
+    fn plain_and_spanned_queries_report_the_same_candidates(
+        motions in prop::collection::vec(motion_strategy(), 1..80),
+        queries in prop::collection::vec(query_strategy(), 1..4),
+    ) {
+        let motions = dedup_by_id(motions);
+        let epoch = Instant::now();
+        for method in every_1d_method() {
+            let mut idx = (method.make)();
+            for m in &motions {
+                idx.insert(m);
+            }
+            for q in &queries {
+                let bands_before = idx.band_io();
+                let plain = idx.query(&QueryRequest::new(q));
+                let bands_after = idx.band_io();
+                let spanned = idx.query(&QueryRequest::new(q).spanned(epoch));
+                let span = spanned.span.as_ref().expect("spanned request yields a span");
+                prop_assert_eq!(&plain.ids, &spanned.ids, "{} ids", &method.name);
+                prop_assert_eq!(plain.candidates, spanned.candidates, "{}", &method.name);
+                prop_assert_eq!(span.attr_u64("candidates"), Some(spanned.candidates));
+                prop_assert_eq!(span.attr_u64("results"), Some(spanned.ids.len() as u64));
+                if let (Some(before), Some(after)) = (bands_before, bands_after) {
+                    let band_candidates: u64 = after
+                        .iter()
+                        .zip(&before)
+                        .map(|(a, b)| a.candidates - b.candidates)
+                        .sum();
+                    prop_assert_eq!(band_candidates, plain.candidates, "{}", &method.name);
                 }
             }
         }
@@ -193,11 +273,9 @@ fn false_hit_rates_separate_exact_from_approximate() {
             let q = sim.gen_query(150.0, 60.0);
             idx.clear_buffers();
             idx.reset_io();
-            let out = idx.query(&QueryRequest::new(&q).traced());
-            let trace = out.trace.expect("traced request yields a trace");
-            let ids = out.ids;
-            candidates += trace.candidates;
-            results += ids.len() as u64;
+            let out = idx.query(&QueryRequest::new(&q));
+            candidates += out.candidates;
+            results += out.ids.len() as u64;
         }
         #[allow(clippy::cast_precision_loss)]
         let fh = candidates.saturating_sub(results) as f64 / candidates.max(1) as f64;
@@ -215,7 +293,7 @@ fn false_hit_rates_separate_exact_from_approximate() {
 }
 
 /// 2-D methods reconcile the same way through
-/// `Index2D::query(&QueryRequest::new(&q).traced())`.
+/// `Index2D::query(&QueryRequest::new(&q).spanned(epoch))`.
 #[test]
 fn traces_reconcile_in_2d() {
     let mut sim = Simulator2D::new(WorkloadConfig2D {
@@ -233,25 +311,28 @@ fn traces_reconcile_in_2d() {
             ..DualBPlusConfig::default()
         })),
     ];
+    let epoch = Instant::now();
     for idx in &mut indexes {
         for m in sim.objects() {
             idx.insert(m);
         }
+        let name = idx.name();
         for _ in 0..10 {
             let q = sim.gen_query(150.0, 60.0);
             idx.clear_buffers();
             idx.reset_io();
             let before = idx.io_totals();
-            let out = idx.query(&QueryRequest::new(&q).traced());
-            let trace = out.trace.expect("traced request yields a trace");
-            let ids = out.ids;
+            let out = idx.query(&QueryRequest::new(&q).spanned(epoch));
+            let span = out.span.expect("spanned request yields a span");
+            let results = out.ids.len() as u64;
             let delta = idx.io_totals().delta_since(before);
-            assert_eq!(trace.reads, delta.reads, "{}", trace.method);
-            assert_eq!(trace.writes, delta.writes, "{}", trace.method);
-            assert_eq!(trace.results, ids.len() as u64, "{}", trace.method);
-            assert!(trace.candidates >= trace.results, "{}", trace.method);
-            let store_reads: u64 = trace.stores.iter().map(|s| s.reads).sum();
-            assert_eq!(store_reads, trace.reads, "{}", trace.method);
+            assert_eq!(span.attr_str("method"), Some(name.as_str()));
+            assert_eq!(span.total_io().reads, delta.reads, "{name}");
+            assert_eq!(span.total_io().writes, delta.writes, "{name}");
+            assert_eq!(span.attr_u64("results"), Some(results), "{name}");
+            assert_eq!(span.attr_u64("candidates"), Some(out.candidates), "{name}");
+            assert!(out.candidates >= results, "{name}");
+            assert_eq!(store_io(&span).reads, delta.reads, "{name}");
         }
     }
 }
@@ -332,33 +413,6 @@ fn json_report_contains_every_method() {
             .expect("queries");
         assert_eq!(count, queries, "{}", method.name);
     }
-}
-
-/// `QueryTrace::to_json` output round-trips through the parser.
-#[test]
-fn query_trace_json_round_trips() {
-    let mut sim = mobidx_workload::Simulator1D::new(mobidx_workload::WorkloadConfig {
-        n: 400,
-        seed: 3,
-        ..mobidx_workload::WorkloadConfig::default()
-    });
-    let method = &paper_methods()[1]; // dual-kd
-    let mut idx = (method.make)();
-    for m in sim.objects() {
-        idx.insert(m);
-    }
-    let q = sim.gen_query(150.0, 60.0);
-    idx.clear_buffers();
-    idx.reset_io();
-    let trace = idx
-        .query(&QueryRequest::new(&q).traced())
-        .trace
-        .expect("traced request yields a trace");
-    let doc = Value::parse(&trace.to_json().render()).expect("trace JSON parses");
-    assert_eq!(doc.get("method").and_then(Value::as_str), Some("dual-kd"));
-    assert_eq!(doc.get("reads").and_then(Value::as_u64), Some(trace.reads));
-    let stores = doc.get("stores").and_then(Value::as_array).expect("stores");
-    assert_eq!(stores.len(), trace.stores.len());
 }
 
 /// The Chrome trace-event export of real query span trees round-trips

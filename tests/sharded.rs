@@ -532,13 +532,12 @@ fn observability_rolls_up_across_shards() {
         .query(&QueryRequest::new(&q).spanned(std::time::Instant::now()))
         .expect("traced query");
     let span = out.span.clone().expect("spanned request carries the tree");
-    let ids = out.ids;
     assert_eq!(span.name, "query");
     assert_eq!(span.children.len(), 4, "one leg per shard");
-    // The flat QueryTrace is a leaf view over the span tree.
-    let trace = mobidx_obs::QueryTrace::from_span(&span);
-    assert_eq!(trace.results as usize, ids.len());
-    assert_eq!(trace.method, "snapshot[4x speed-band]");
+    // The root carries the query's one record of results and candidates.
+    assert_eq!(span.attr_u64("results"), Some(out.ids.len() as u64));
+    assert_eq!(span.attr_u64("candidates"), Some(out.candidates));
+    assert_eq!(span.attr_str("method"), Some("snapshot[4x speed-band]"));
 
     let totals = db.io_totals().expect("totals");
     let stores = db.store_io().expect("stores");
@@ -554,7 +553,7 @@ fn observability_rolls_up_across_shards() {
     assert_eq!(db.event_log().recorded(), 1);
     assert_eq!(recent.len(), 1);
     assert_eq!(recent[0].name, "query");
-    assert_eq!(recent[0].total_io().reads, trace.reads);
+    assert_eq!(recent[0].total_io().reads, span.total_io().reads);
 }
 
 /// Snapshot span legs are queue-free by construction: each leg names

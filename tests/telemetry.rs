@@ -1,14 +1,14 @@
 //! End-to-end telemetry tests: the continuous pipeline over a live
 //! `ShardedDb` — workload characterization and drift detection fed by
 //! real update/query streams, the background sampler harvesting every
-//! shard, both expositions round-tripping, and span-drop accounting
+//! shard, the JSON exposition round-tripping, and span-drop accounting
 //! surfacing in the health snapshot.
 
 use mobidx_core::method::dual_bplus::{DualBPlusConfig, DualBPlusIndex};
 use mobidx_core::method::vp_dual::{VpDualConfig, VpDualIndex};
 use mobidx_core::QueryRequest;
 use mobidx_obs::json::Value;
-use mobidx_obs::telemetry::{parse_prometheus, ProfileConfig};
+use mobidx_obs::telemetry::ProfileConfig;
 use mobidx_serve::{Batch, IdHashShard, RepartitionPolicy, SamplerConfig, ServeConfig, ShardedDb};
 use mobidx_workload::{Simulator1D, VelocityModel, WorkloadConfig};
 use std::time::Duration;
@@ -242,8 +242,8 @@ fn completed_repartition_rebaselines_the_drift_reference() {
 }
 
 /// The background sampler harvests at least one sample per shard into
-/// per-shard and aggregate series, the JSON report and Prometheus text
-/// both round-trip, and dropping the sampler leaves the database
+/// per-shard and aggregate series, the JSON report round-trips with
+/// every series named, and dropping the sampler leaves the database
 /// serving.
 #[test]
 fn sampler_harvests_every_shard_and_expositions_round_trip() {
@@ -388,49 +388,51 @@ fn sampler_harvests_every_shard_and_expositions_round_trip() {
         }
     }
 
-    // Prometheus text round-trips through the parser with labeled
-    // per-shard samples.
-    let text = sampler.prometheus();
-    let samples = parse_prometheus(&text).expect("prometheus text parses");
-    assert!(!samples.is_empty());
-    let depth_samples: Vec<_> = samples
-        .iter()
-        .filter(|s| s.name == "mobidx_queue_depth")
-        .collect();
-    assert_eq!(depth_samples.len(), SHARDS, "one labeled sample per shard");
-    for (shard, s) in depth_samples.iter().enumerate() {
-        assert_eq!(
-            s.labels,
-            [("shard".to_owned(), shard.to_string())],
-            "shard label"
-        );
+    // The report names every series with its labels: one labelled
+    // queue-depth series per shard, one burn-rate and one alert gauge
+    // per objective (none firing), and the read-pool and anomaly series.
+    fn name_of(s: &Value) -> &str {
+        s.get("name").and_then(Value::as_str).expect("name")
     }
-    // The SLO, alert, and read-pool series survive the Prometheus
-    // name/label alphabet and round-trip with their labels intact.
-    let slo_labels: Vec<&str> = samples
+    let depth: Vec<&str> = series
         .iter()
-        .filter(|s| s.name == "mobidx_slo_burn_rate")
-        .filter_map(|s| s.labels.first().map(|(_, v)| v.as_str()))
+        .map(name_of)
+        .filter(|n| n.starts_with("queue_depth{"))
+        .collect();
+    let want: Vec<String> = (0..SHARDS)
+        .map(|shard| format!("queue_depth{{shard=\"{shard}\"}}"))
+        .collect();
+    assert_eq!(depth, want, "one labelled series per shard");
+    let slo_labels: Vec<&str> = series
+        .iter()
+        .map(name_of)
+        .filter_map(|n| n.strip_prefix("slo_burn_rate{slo=\""))
+        .filter_map(|n| n.strip_suffix("\"}"))
         .collect();
     assert_eq!(slo_labels.len(), 2 * SHARDS + 1, "{slo_labels:?}");
     assert!(slo_labels.contains(&"query-p99-s0"));
     assert!(slo_labels.contains(&"shard-fault-s2"));
     assert!(slo_labels.contains(&"snapshot-age"));
-    let active: Vec<_> = samples
+    let active: Vec<&Value> = series
         .iter()
-        .filter(|s| s.name == "mobidx_alert_active")
+        .filter(|s| name_of(s).starts_with("alert_active{slo=\""))
         .collect();
     assert_eq!(active.len(), 2 * SHARDS + 1);
     assert!(
-        active.iter().all(|s| s.value == 0.0),
+        active.iter().all(|s| {
+            let samples = s.get("samples").and_then(Value::as_array).expect("samples");
+            let latest = samples.last().and_then(Value::as_array).expect("a sample");
+            latest[1].as_f64() == Some(0.0)
+        }),
         "no alert may fire on a stationary run"
     );
-    assert!(samples.iter().any(|s| s.name == "mobidx_readpool_depth"));
-    assert!(samples
-        .iter()
-        .any(|s| s.name == "mobidx_readpool_submitted"));
-    assert!(samples.iter().any(|s| s.name == "mobidx_anomaly_z"
-        && s.labels == [("series".to_owned(), "queue_depth_total".to_owned())]));
+    for name in [
+        "readpool_depth",
+        "readpool_submitted",
+        "anomaly_z{series=\"queue_depth_total\"}",
+    ] {
+        assert!(series.iter().any(|s| name_of(s) == name), "missing {name}");
+    }
 
     // The sampler stops cleanly and the database keeps serving.
     let ticks = sampler.ticks();
